@@ -8,7 +8,6 @@ registry, so monomials can be stored as small sorted tuples.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Union
 
@@ -19,28 +18,19 @@ ONE = Fraction(1)
 
 
 class VarRegistry:
-    """Interns hashable variable keys to dense integer ids.
-
-    Reads are plain dict lookups; new registrations are serialized by a
-    lock so compilation can run from several threads.
-    """
+    """Interns hashable variable keys to dense integer ids."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._by_key: dict[Hashable, int] = {}
         self._by_id: list[Hashable] = []
 
     def intern(self, key: Hashable) -> int:
         vid = self._by_key.get(key)
-        if vid is not None:
-            return vid
-        with self._lock:
-            vid = self._by_key.get(key)
-            if vid is None:
-                vid = len(self._by_id)
-                self._by_id.append(key)
-                self._by_key[key] = vid
-            return vid
+        if vid is None:
+            vid = len(self._by_id)
+            self._by_id.append(key)
+            self._by_key[key] = vid
+        return vid
 
     def key_of(self, vid: int) -> Hashable:
         return self._by_id[vid]

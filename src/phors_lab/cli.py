@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -33,13 +32,6 @@ EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
 
 REPORT_VERSION = 1
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PHORS_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load(path: str) -> Scheme:
@@ -82,7 +74,7 @@ def cmd_analyze(args) -> int:
         scheme = reduce_inf(scheme)
         notes.append("scheme had unbounded grades; analyzed its finitary reduction")
     fas = reachable(compile_scheme(scheme, cap=args.var_cap))
-    cfg = SolveConfig(truncation=args.degree, mode=args.mode)
+    cfg = SolveConfig(truncation=args.degree)
     series = kleene_series(fas, args.degree)
     verdict: Verdict = decide_past(fas, cfg)
     for cert in verdict.certificates:
@@ -189,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline: compile, solve, decide")
     p.add_argument("file")
     p.add_argument("--degree", type=int, default=16)
-    p.add_argument("--mode", choices=("exact", "certified-float"), default="exact")
     p.add_argument("--var-cap", type=int, default=DEFAULT_VAR_CAP)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_analyze)
@@ -217,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _threads()  # honored as an upper bound on any worker pools
     try:
         return args.fn(args)
     except FileNotFoundError as e:

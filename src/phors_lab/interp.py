@@ -11,6 +11,13 @@ Variables of the compiled system (registered in algebra.REGISTRY):
     ("pm", w, index_key)       free variable per (parameter, index)
     ("bv", rule, x, index_key) transient bound-variable atoms, removed
                                by coefficient extraction
+
+Compilation interprets each rule body once per result index, with one
+memo shared by all indexes of the rule's declared type.  The body
+polynomial is split once by its bound-variable power product, and the
+equation of each index is the part matching its argument profile.
+While multiplying, monomials in which a bound variable's exponent
+exceeds the declared grade are dropped, since no index can extract them.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Poly, REGISTRY
+from .algebra import Monomial, Poly, REGISTRY
 from .syntax import (
     App,
     Arrow,
@@ -188,6 +196,11 @@ class _Interp:
         d = scheme.nonterminals[rule]
         self.bound_types = dict(zip(d.params, (t for _, t in arg_types(d.ty))))
         self.memo: dict[tuple[Term, tuple], Poly] = {}
+        # Bound-variable id -> the largest exponent any requested target
+        # extracts.  Products drop monomials beyond it: multiplication
+        # only raises exponents, so they could never be extracted.
+        # Variables without an entry are not cut.
+        self.caps: dict[int, int] = {}
 
     def type_of(self, t: Term) -> GradedType:
         """Synthesized type of a subterm (bodies are applicative, so the
@@ -268,10 +281,22 @@ class _Interp:
                             prod = Poly()
                             break
                         for _ in range(mult):
-                            prod = prod * apart
+                            prod = self._cut(prod * apart)
                     total = total + prod
                 return total
         raise TypeError(t)
+
+    def _cut(self, p: Poly) -> Poly:
+        caps = self.caps
+        if not caps:
+            return p
+        return Poly(
+            {
+                m: c
+                for m, c in p.terms.items()
+                if all(e <= caps.get(v, e) for v, e in m)
+            }
+        )
 
 
 def interpret_body(
@@ -290,44 +315,62 @@ def interpret_body(
     d = scheme.nonterminals[rule]
     if not unchecked and target not in set(index_set(d.ty, cap)):
         raise InterpError(f"index not in the declared index set of {rule!r}")
-    # Unwind the target through the rule's abstractions.
-    profiles: list[tuple[str, tuple[tuple[Index, int], ...]]] = []
-    idx: Index = target
-    for pname in d.params:
-        if not isinstance(idx, ArrowPoint):
-            raise InterpError(f"index too shallow for rule {rule!r}")
-        profiles.append((pname, idx.arg_uses))
-        idx = idx.result
+    return next(_rule_equations(scheme, rule, [target], cap))
+
+
+def _rule_equations(
+    scheme: Scheme, rule: str, targets: list[Index], cap: int
+) -> Iterator[Poly]:
+    """The rule's polynomial at each target index, in order.
+
+    One interpreter serves all targets, so the body is interpreted once
+    per result index.  Its polynomial is split once by the power product
+    of bound variables; a target's equation is the bucket of its
+    argument profile (exact coefficient extraction)."""
+    d = scheme.nonterminals[rule]
     interp = _Interp(scheme, rule, cap)
-    body_poly = interp.sem(d.body, idx)
+    # Unwind each target through the rule's abstractions.
+    unwound: list[tuple[Index, Monomial]] = []
+    for idx in targets:
+        profile: list[tuple[int, int]] = []
+        for pname in d.params:
+            if not isinstance(idx, ArrowPoint):
+                raise InterpError(f"index too shallow for rule {rule!r}")
+            profile.extend((bv_vid(rule, pname, pt), m) for pt, m in idx.arg_uses)
+            idx = idx.result
+        unwound.append((idx, tuple(sorted(profile))))
 
-    # Note the raw body polynomial may exceed the declared grade in a
-    # binding's variables: the excess monomials all carry unknowns that
-    # are zero in the least fixpoint, and disappear with them.  The
-    # grade bound is checked as a property after zero elimination.
-
-    # Abstraction: exact coefficient extraction of the bound-variable
-    # power product prescribed by the target index.
-    profile: dict[int, int] = {}
     domain: set[int] = set()
-    for pname, mu in profiles:
-        pty = interp.bound_types[pname]
-        for pt in index_set(pty, cap):
+    for pname in d.params:
+        for pt in index_set(interp.bound_types[pname], cap):
             domain.add(bv_vid(rule, pname, pt))
-        for pt, mult in mu:
-            profile[bv_vid(rule, pname, pt)] = mult
-    return _extract(body_poly, profile, domain)
+    interp.caps = dict.fromkeys(domain, 0)
+    for _, profile in unwound:
+        for vid, m in profile:
+            interp.caps[vid] = max(interp.caps[vid], m)
+
+    # Note the body polynomial may still exceed the declared grade in a
+    # binding's variables taken together: the excess monomials all carry
+    # unknowns that are zero in the least fixpoint, and disappear with
+    # them.  The grade bound is checked as a property after zero
+    # elimination.
+    split: dict[tuple, dict[Monomial, dict[Monomial, Fraction]]] = {}
+    for idx, profile in unwound:
+        buckets = split.get(idx.key())
+        if buckets is None:
+            buckets = split[idx.key()] = _split(interp.sem(d.body, idx), domain)
+        yield Poly(buckets.get(profile, {}))
 
 
-def _extract(p: Poly, profile: dict[int, int], domain: set[int]) -> Poly:
-    out: dict = {}
+def _split(p: Poly, domain: set[int]) -> dict[Monomial, dict[Monomial, Fraction]]:
+    """Group the monomials of p by their power product over domain; each
+    group maps the remaining power product to its coefficient."""
+    buckets: dict[Monomial, dict[Monomial, Fraction]] = {}
     for m, c in p.terms.items():
-        got = {vid: exp for vid, exp in m if vid in domain}
-        if got != {v: e for v, e in profile.items() if e}:
-            continue
-        rest = tuple((vid, exp) for vid, exp in m if vid not in domain)
-        out[rest] = out.get(rest, Fraction(0)) + c
-    return Poly(out)
+        bound = tuple(ve for ve in m if ve[0] in domain)
+        rest = tuple(ve for ve in m if ve[0] not in domain)
+        buckets.setdefault(bound, {})[rest] = c
+    return buckets
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +454,10 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
             param_vids.add(pm_vid(pname, idx))
 
     for name, d in scheme.nonterminals.items():
-        for idx in index_set(d.ty, cap):
+        targets = index_set(d.ty, cap)
+        for idx, p in zip(targets, _rule_equations(scheme, name, targets, cap)):
             _remember(idx)
-            eqs[nt_vid(name, idx)] = interpret_body(scheme, name, idx, cap)
+            eqs[nt_vid(name, idx)] = p
 
     start = nt_vid(scheme.start, GroundPoint(1))
 

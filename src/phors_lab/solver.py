@@ -46,7 +46,6 @@ class SolveConfig:
     truncation: int = 16
     eps: Fraction = Fraction(1, 10**9)
     max_iterations: int = 200
-    mode: str = "exact"  # "exact" | "certified-float"
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -114,7 +113,14 @@ def kleene_series(
     n = max(degree, 1)
     state = {vid: TruncSeries.zero(n) for vid in fas.eqs}
     if max_iterations is None:
-        max_iterations = n + len(fas.eqs) + 8
+        # Iterate k holds exactly the derivation trees of height at most
+        # k.  On a root-to-leaf path, an unknown can repeat only if a
+        # choice (z) lies on or beside the segment between the repeats:
+        # otherwise that segment pumps into infinitely many trees of the
+        # same degree, and a scheme's coefficients are probabilities.
+        # Trees with at most n choices are therefore at most
+        # (n + 1) * len(eqs) high, and one more round confirms.
+        max_iterations = (n + 1) * (len(fas.eqs) + 1)
     prev = None
     for _ in range(max_iterations + 1):
         full_env = dict(env)

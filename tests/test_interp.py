@@ -24,7 +24,7 @@ from phors_lab.interp import (
 from phors_lab.syntax import Arrow, Ground, O, parse
 from phors_lab.algebra import REGISTRY
 
-from conftest import random_order1_scheme
+from conftest import CLOSED_TYPABLE, random_order1_scheme, random_order2_scheme
 
 
 FN = Arrow(1, O, O)  # !1 o -o o
@@ -190,6 +190,60 @@ class TestCompile:
         fas = compile_scheme(load_bundled("randomwalk"))
         names = {var_name(v) for v in fas.eqs}
         assert "y[S;1]" in names
+
+    def test_compiled_equations_match_per_target_interpretation(self):
+        # compile_scheme shares one interpreter per rule and cuts
+        # products at the declared grades; interpreting each target on
+        # its own must give the same equations once zeros are dropped.
+        rng = random.Random(2024)
+        schemes = [_compilable(load_bundled(n)) for n in CLOSED_TYPABLE]
+        schemes.append(load_bundled("dyck_core"))
+        schemes += [
+            (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            for i in range(50)
+        ]
+        for scheme in schemes:
+            fas = compile_scheme(scheme)
+            dead = fas.zeros | {v for v, p in fas.eqs.items() if p.is_zero()}
+            for nt, d in scheme.nonterminals.items():
+                for idx in index_set(d.ty):
+                    vid = nt_vid(nt, idx)
+                    if vid not in fas.eqs:
+                        assert vid in fas.zeros, var_name(vid)
+                        continue
+                    p = interpret_body(scheme, nt, idx)
+                    live = Poly(
+                        {
+                            m: c
+                            for m, c in p.terms.items()
+                            if not any(v in dead for v, _ in m)
+                        }
+                    )
+                    assert live == fas.eqs[vid], var_name(vid)
+
+    def test_one_interpreter_per_rule(self, monkeypatch):
+        import phors_lab.interp as interp
+
+        built = []
+
+        class Counting(interp._Interp):
+            def __init__(self, scheme, rule, cap):
+                built.append(rule)
+                super().__init__(scheme, rule, cap)
+
+        monkeypatch.setattr(interp, "_Interp", Counting)
+        scheme = load_bundled("chain")
+        compile_scheme(scheme)
+        assert sorted(built) == sorted(scheme.nonterminals)
+
+
+def _compilable(scheme):
+    from phors_lab.syntax import is_finitary
+    from phors_lab.transforms import reduce_inf
+
+    if all(is_finitary(d.ty) for d in scheme.nonterminals.values()):
+        return scheme
+    return reduce_inf(scheme)
 
 
 def _spine(ty):

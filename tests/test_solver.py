@@ -20,6 +20,8 @@ from phors_lab.solver import (
     sccs,
     solve_at_one,
 )
+from phors_lab.operational import enumerate_terminations
+from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
 
 F = Fraction
@@ -100,6 +102,21 @@ class TestKleeneSeries:
                 if not isinstance(val, TruncSeries):
                     val = TruncSeries.const(val, 12)
                 assert val == out[vid]
+
+    def test_choice_cycle_through_several_unknowns_becomes_stationary(self):
+        # The degree-1 choice in F2 feeds back through F1 and F0, so each
+        # further degree needs a round per unknown on the cycle.
+        scheme = parse(
+            "F0 : !1 o -o !2 o -o o ; F0 x0 x1 = F2 ; "
+            "F1 : !2 o -o o ; F1 x0 = F0 x0 omega ; "
+            "F2 : o ; F2 = e [1/2] F1 e ; S : o ; S = F2 ; start S ;"
+        )
+        fas = reachable(compile_scheme(scheme))
+        s = kleene_series(fas, 8)[fas.start]
+        assert s.coeffs == tuple([F(0)] + [F(1, 2**i) for i in range(1, 9)])
+        probs, budget_hit = enumerate_terminations(scheme, 8)
+        assert not budget_hit
+        assert list(s.coeffs) == [probs.get(i, F(0)) for i in range(9)]
 
 
 class TestLinearAlgebra:
