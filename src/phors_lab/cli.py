@@ -21,7 +21,7 @@ from .interp import (
     var_name,
 )
 from .operational import monte_carlo
-from .solver import MonotonicityError, SolveConfig, SolverError, kleene_series
+from .solver import MonotonicityError, SolverError, kleene_series
 from .syntax import INF, Arrow, Scheme, SchemeError, is_finitary, parse, print_scheme
 from .transforms import TransformError, compose, linearize, reduce_inf
 from .typesys import check_fin, check_inf
@@ -68,15 +68,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.degree < 0:
+        print("error: --degree must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
     scheme = _load(args.file)
     notes = []
     if not _scheme_is_finitary(scheme):
         scheme = reduce_inf(scheme)
         notes.append("scheme had unbounded grades; analyzed its finitary reduction")
     fas = reachable(compile_scheme(scheme, cap=args.var_cap))
-    cfg = SolveConfig(truncation=args.degree)
     series = kleene_series(fas, args.degree)
-    verdict: Verdict = decide_past(fas, cfg)
+    verdict: Verdict = decide_past(fas)
     for cert in verdict.certificates:
         if not verify_certificate(fas, cert):
             raise SolverError("internal error: certificate failed re-verification")

@@ -7,11 +7,13 @@ Three entry points:
   semiring, with a built-in monotonicity assertion).
 * `solve_at_one` — the least nonnegative solution of w = P(w, 1),
   decomposed into strongly connected components: linear components are
-  solved by exact Gaussian elimination, univariate nonlinear ones by
-  exact real-root isolation, multivariate nonlinear ones by a spectral
-  criterion at the all-ones candidate with a Newton/pre-fixpoint
-  fallback.  Results are exact rationals wherever possible, otherwise
-  certified intervals.
+  solved by exact Gaussian elimination; univariate nonlinear ones by
+  Sturm-sequence bisection on the square-free part of P(y) - y, with a
+  rational-root test on the isolating interval; multivariate nonlinear
+  ones by a spectral test at the all-ones candidate (one Gaussian solve
+  of (I - J) x = 1, or the sign of a kernel vector when I - J is
+  singular) with a Newton/pre-fixpoint fallback.  Results are exact
+  rationals wherever possible, otherwise certified intervals.
 * `expected_steps` — the derivative of the start series at z = 1 via
   implicit differentiation of the fixpoint identity; a singular linear
   system is precisely the diverging-expectation boundary.
@@ -22,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy
 
 from .algebra import Poly, TruncSeries
 from .interp import Fas, var_name, z_vid
@@ -43,15 +43,12 @@ class MonotonicityError(AssertionError):
 
 @dataclass
 class SolveConfig:
-    truncation: int = 16
     eps: Fraction = Fraction(1, 10**9)
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.truncation < 0:
-            raise ValueError("truncation degree must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,21 +146,42 @@ def kleene_series(
 # Exact linear algebra over Q
 
 
+def identity_minus(J: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The matrix I - J."""
+    n = len(J)
+    return [[(ONE if i == j else ZERO) - J[i][j] for j in range(n)] for i in range(n)]
+
+
+def _eliminate(M: list[list[Fraction]], ncols: int) -> dict[int, int]:
+    """Gauss-Jordan elimination of M in place over its first ncols
+    columns; returns the pivot row of each pivot column.  Row updates
+    touch only the nonzero entries of the pivot row."""
+    pivots: dict[int, int] = {}
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(M)) if M[r][col] != 0), None)
+        if pivot is None:
+            continue
+        M[row], M[pivot] = M[pivot], M[row]
+        pv = M[row][col]
+        M[row] = [x / pv if x else x for x in M[row]]
+        nonzero = [(j, x) for j, x in enumerate(M[row]) if x]
+        for r, other in enumerate(M):
+            f = other[col]
+            if r != row and f:
+                for j, x in nonzero:
+                    other[j] -= f * x
+        pivots[col] = row
+        row += 1
+    return pivots
+
+
 def gauss_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Solve A x = b exactly; None when A is singular."""
     n = len(A)
     M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            return None
-        M[col], M[pivot] = M[pivot], M[col]
-        pv = M[col][col]
-        M[col] = [x / pv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    if len(_eliminate(M, n)) < n:
+        return None
     return [M[i][n] for i in range(n)]
 
 
@@ -171,21 +189,7 @@ def kernel_vector(A: list[list[Fraction]]) -> list[Fraction] | None:
     """A nonzero u with A u = 0, or None when A is nonsingular."""
     n = len(A)
     M = [row[:] for row in A]
-    pivots: dict[int, int] = {}  # column -> row
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if M[r][col] != 0), None)
-        if pivot is None:
-            continue
-        M[row], M[pivot] = M[pivot], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv for x in M[row]]
-        for r in range(n):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row])]
-        pivots[col] = row
-        row += 1
+    pivots = _eliminate(M, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None
@@ -253,16 +257,6 @@ def sccs(graph: dict[int, set[int]]) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # Solving at z = 1
-
-
-def _to_sympy(p: Poly, symbols: dict[int, sympy.Symbol]) -> sympy.Expr:
-    expr = sympy.Integer(0)
-    for m, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for vid, exp in m:
-            term *= symbols[vid] ** exp
-        expr += term
-    return expr
 
 
 def _poly_eval_rat(p: Poly, env: dict[int, Fraction]) -> Fraction:
@@ -349,13 +343,10 @@ def _solve_linear(
             assert len(sys_vars) <= 1 and all(e == 1 for _, e in sys_vars)
             if sys_vars:
                 A[i][pos[sys_vars[0][0]]] += c
-    IA = [
-        [(ONE if i == j else ZERO) - A[i][j] for j in range(n)] for i in range(n)
-    ]
     if all(x == 0 for x in b):
         # x = A x with A >= 0: the least solution is identically zero.
         return {v: ZERO for v in comp}
-    sol = gauss_solve(IA, b)
+    sol = gauss_solve(identity_minus(A), b)
     if sol is not None and all(x >= 0 for x in sol):
         # A finite nonnegative fixpoint exists, so the Kleene iterates
         # (partial sums of A^k b) stay below it; nonsingularity makes
@@ -370,44 +361,121 @@ def _solve_linear(
     return {v: Interval(ZERO, ONE) for v in comp}
 
 
-def _sympy_to_fraction(x) -> Fraction:
-    return Fraction(int(x.p), int(x.q))
-
-
 def _solve_univariate(
     local: dict[int, Poly], vid: int, cfg: SolveConfig, diagnostics: list[str]
 ) -> dict[int, Value]:
-    """Least nonnegative root of P(y) - y: exact when rational (read off
-    the linear factors), otherwise a certified isolating interval."""
-    y = sympy.Symbol("y")
-    expr = _to_sympy(local[vid], {vid: y}) - y
-    qpoly = sympy.Poly(expr, y, domain="QQ")
-    candidates: list[tuple[Fraction, Value]] = []
-    _, factors = qpoly.factor_list()
-    eps_sym = sympy.Rational(cfg.eps.numerator, cfg.eps.denominator)
-    for fac, _mult in factors:
-        if fac.degree() == 1:
-            c1, c0 = (Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs())
-            root = -c0 / c1
-            if root >= 0:
-                candidates.append((root, root))
-        elif fac.degree() >= 2:
-            # Irreducible over Q of degree >= 2: every root irrational.
-            for (a, b), _m in fac.intervals(eps=eps_sym, inf=0):
-                lo = max(ZERO, _sympy_to_fraction(sympy.Rational(a)))
-                hi = _sympy_to_fraction(sympy.Rational(b))
-                candidates.append((lo, Interval(lo, hi)))
-    if not candidates:
+    """Least nonnegative root of P(y) - y: exact when rational, otherwise
+    a certified isolating interval."""
+    f = [ZERO] * (local[vid].degree_in({vid}) + 1)
+    for m, c in local[vid].terms.items():
+        f[m[0][1] if m else 0] += c
+    f[1] -= ONE
+    val = _least_nonneg_root(_trim(f), cfg.eps)
+    if val is None:
         diagnostics.append(f"no nonnegative fixpoint for {var_name(vid)}")
         return {vid: Interval(ZERO, ONE)}
-    candidates.sort(key=lambda c: c[0])
-    val = candidates[0][1]
     if isinstance(val, Interval):
         diagnostics.append(
             f"{var_name(vid)}: least fixpoint is irrational; certified to "
             f"width {val.width}"
         )
     return {vid: val}
+
+
+# Dense univariate polynomials over Q: coefficient lists, constant term
+# first, with no trailing zeros (the zero polynomial is []).
+
+
+def _trim(a: list[Fraction]) -> list[Fraction]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _peval(a: list[Fraction], x: Fraction) -> Fraction:
+    acc = ZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _pderiv(a: list[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _pdivmod(
+    a: list[Fraction], b: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by the nonzero b."""
+    r = a[:]
+    q = [ZERO] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            r[k + i] -= c * bc
+    return _trim(q), _trim(r[: len(b) - 1])
+
+
+def _pgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return a
+
+
+def _sturm(g: list[Fraction]) -> list[list[Fraction]]:
+    seq = [g, _pderiv(g)]
+    while True:
+        r = _pdivmod(seq[-2], seq[-1])[1]
+        if not r:
+            return seq
+        seq.append([-c for c in r])
+
+
+def _variations(seq: list[list[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_peval(p, x) for p in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _least_nonneg_root(f: list[Fraction], eps: Fraction) -> Value | None:
+    """Least root >= 0 of f (degree >= 1): exact when rational, otherwise
+    an isolating interval of width <= eps; None when there is none."""
+    g = _pdivmod(f, _pgcd(f, _pderiv(f)))[0]  # square-free, same roots
+    if g[0] == 0:
+        return ZERO
+    seq = _sturm(g)
+    # Cauchy's bound: every root has modulus < 1 + max |a_i / a_n|.
+    lo, hi = ZERO, Fraction(math.ceil(1 + max(abs(c / g[-1]) for c in g[:-1])))
+    v_lo, v_hi = _variations(seq, lo), _variations(seq, hi)
+    if v_lo == v_hi:
+        return None
+
+    def halve() -> None:
+        # Sturm: g has v_lo - v_hi distinct roots in (lo, hi]; keep the
+        # half that holds the least one, so [0, lo] stays root-free.
+        nonlocal lo, hi, v_lo, v_hi
+        mid = (lo + hi) / 2
+        v_mid = _variations(seq, mid)
+        if v_mid < v_lo:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo = mid, v_mid
+
+    # A rational root p/q of the integer polynomial L y^n + ... has q | L,
+    # and two such fractions lie at least 1/L^2 apart.  Once the least
+    # root is alone in an interval narrower than 1/(2 L^2), it is
+    # rational iff it is the fraction with denominator <= L nearest the
+    # midpoint.
+    den = math.lcm(*(c.denominator for c in g))
+    ints = [int(c * den) for c in g]
+    L = abs(ints[-1]) // math.gcd(*ints)
+    while v_lo - v_hi > 1 or hi - lo >= Fraction(1, 2 * L * L):
+        halve()
+    cand = ((lo + hi) / 2).limit_denominator(L)
+    if lo < cand <= hi and _peval(g, cand) == 0:
+        return cand
+    while hi - lo > eps:
+        halve()
+    return Interval(lo, hi)
 
 
 def _jacobian_at(
@@ -420,34 +488,43 @@ def _jacobian_at(
 
 
 def _spectral_radius_le_one(J: list[list[Fraction]]) -> bool:
-    M = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in J]
+    """Whether rho(J) <= 1, for J nonnegative."""
+    n = len(J)
+    graph = {i: {j for j in range(n) if J[i][j]} for i in range(n)}
+    # rho(J) is the largest rho of the diagonal blocks on the strongly
+    # connected components of J's graph, and each block is irreducible.
+    return all(
+        _irreducible_rho_le_one([[J[i][j] for j in block] for i in block])
+        for block in sccs(graph)
     )
-    lam = sympy.Symbol("lam")
-    cp = M.charpoly(lam)
-    roots = sympy.Poly(cp.as_expr(), lam, domain="QQ").real_roots()
-    # For a nonnegative matrix the spectral radius is its largest real
-    # eigenvalue (Perron-Frobenius).
-    return all(r <= 1 for r in roots)
+
+
+def _irreducible_rho_le_one(J: list[list[Fraction]]) -> bool:
+    IJ = identity_minus(J)
+    x = gauss_solve(IJ, [ONE] * len(J))
+    if x is not None:
+        # x > 0 with J x = x - 1 < x gives rho < 1 (Collatz-Wielandt);
+        # conversely rho < 1 makes (I - J)^-1 = sum J^k >= I, so x >= 1.
+        # Otherwise rho >= 1, and rho = 1 would be an eigenvalue
+        # (Perron-Frobenius), which the regular I - J rules out.
+        return all(v > 0 for v in x)
+    # 1 is an eigenvalue.  By Perron-Frobenius it is rho iff it has a
+    # positive eigenvector, and then its eigenspace is a line.
+    u = kernel_vector(IJ)
+    return all(v > 0 for v in u) or all(v < 0 for v in u)
 
 
 def _solve_multivariate(
     local: dict[int, Poly], comp: list[int], cfg: SolveConfig, diagnostics: list[str]
 ) -> dict[int, Value]:
     ones = {v: ONE for v in comp}
-    p_at_one = {v: _poly_eval_rat(local[v], ones) for v in comp}
-    if all(p_at_one[v] == ONE for v in comp):
-        J = _jacobian_at(local, comp, ones)
-        if _spectral_radius_le_one(J):
-            # Strongly connected, P(1) = 1, spectral radius of the
-            # Jacobian at 1 at most 1: the least fixpoint is 1.
-            return dict(ones)
-        # Supercritical: the least fixpoint lies strictly below 1.
-        return _newton_bracket(local, comp, cfg, diagnostics)
-    if all(p_at_one[v] <= ONE for v in comp):
-        # 1 is a strict pre-fixpoint, so the least fixpoint is < 1
-        # somewhere; bracket it.
-        return _newton_bracket(local, comp, cfg, diagnostics)
+    if all(
+        _poly_eval_rat(local[v], ones) == ONE for v in comp
+    ) and _spectral_radius_le_one(_jacobian_at(local, comp, ones)):
+        # Strongly connected, P(1) = 1, spectral radius of the Jacobian
+        # at 1 at most 1: the least fixpoint is 1.
+        return ones
+    # Supercritical, or 1 is not a fixpoint: bracket the least one.
     return _newton_bracket(local, comp, cfg, diagnostics)
 
 
@@ -456,17 +533,12 @@ def _newton_bracket(
 ) -> dict[int, Value]:
     """Exact Newton iterations from below plus a rational pre-fixpoint
     search from above; returns intervals (possibly degenerate)."""
-    n = len(comp)
     pos = {v: i for i, v in enumerate(comp)}
     x = {v: ZERO for v in comp}
     for _ in range(min(cfg.max_iterations, 50)):
         J = _jacobian_at(local, comp, x)
-        IJ = [
-            [(ONE if i == j else ZERO) - J[i][j] for j in range(n)]
-            for i in range(n)
-        ]
         r = [_poly_eval_rat(local[v], x) - x[v] for v in comp]
-        d = gauss_solve(IJ, r)
+        d = gauss_solve(identity_minus(J), r)
         if d is None:
             break
         nxt = {v: x[v] + d[pos[v]] for v in comp}
@@ -481,27 +553,28 @@ def _newton_bracket(
             break
         x = nxt
     lo = {v: max(ZERO, val) for v, val in x.items()}
-    # Pre-fixpoint search: round the lower bound up by shrinking margins.
+    # Pre-fixpoint search: round the lower bound up by shrinking margins,
+    # and keep the narrowest one that still gives a pre-fixpoint.
+    best = None
     for j in range(4, 60, 4):
         margin = Fraction(1, 2**j)
         cand = {v: min(ONE, lo[v] + margin) for v in comp}
-        if all(_poly_eval_rat(local[v], cand) <= cand[v] for v in comp):
-            return {
-                v: (
-                    lo[v]
-                    if lo[v] == cand[v]
-                    else Interval(lo[v], cand[v])
-                )
-                for v in comp
-            }
-    diagnostics.append(
-        "inconclusive-width: no certified upper bound found for "
-        + ", ".join(var_name(v) for v in comp)
-    )
-    ub = {v: ONE for v in comp}
-    if all(_poly_eval_rat(local[v], ub) <= ONE for v in comp):
+        if not all(_poly_eval_rat(local[v], cand) <= cand[v] for v in comp):
+            if best is not None:
+                break
+            continue
+        best = cand
+        if max(cand[v] - lo[v] for v in comp) <= cfg.eps:
+            break
+    if best is None:
+        diagnostics.append(
+            "inconclusive-width: no certified upper bound found for "
+            + ", ".join(var_name(v) for v in comp)
+        )
         return {v: Interval(lo[v], ONE) for v in comp}
-    return {v: Interval(lo[v], ONE) for v in comp}
+    return {
+        v: lo[v] if lo[v] == best[v] else Interval(lo[v], best[v]) for v in comp
+    }
 
 
 def _solve_scc_bounded(
@@ -570,15 +643,12 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
     z = z_vid()
     point = {v: ONE for v in order}
     point[z] = ONE
-    n = len(order)
     J = [
         [_poly_eval_rat(sub.eqs[v].derivative(w), point) for w in order]
         for v in order
     ]
     g = [_poly_eval_rat(sub.eqs[v].derivative(z), point) for v in order]
-    IJ = [
-        [(ONE if i == j else ZERO) - J[i][j] for j in range(n)] for i in range(n)
-    ]
+    IJ = identity_minus(J)
     d = gauss_solve(IJ, g)
     if d is None:
         u = kernel_vector(IJ)

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import phors_lab
 from phors_lab import scheme_path
 from phors_lab.cli import (
     EXIT_INCONCLUSIVE,
@@ -19,6 +24,19 @@ F = Fraction
 
 def _path(name: str) -> str:
     return str(scheme_path(name))
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this phors_lab."""
+    src = str(Path(phors_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 class TestCheck:
@@ -82,6 +100,16 @@ class TestAnalyze:
 
     def test_ill_typed_input(self):
         assert main(["analyze", _path("nonalg")]) == EXIT_INPUT
+
+    def test_negative_degree_is_an_input_error(self):
+        proc = _python(
+            "-m", "phors_lab.cli", "analyze", _path("unit"), "--degree", "-1"
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestTransform:
@@ -149,6 +177,14 @@ class TestSimulate:
         first = capsys.readouterr().out
         main(["simulate", _path("eq3"), "--trials", "200", "--seed", "4"])
         assert capsys.readouterr().out == first
+
+
+class TestColdStart:
+    def test_cli_import_does_not_load_sympy(self):
+        proc = _python(
+            "-c", "import phors_lab.cli, sys; assert 'sympy' not in sys.modules"
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:

@@ -7,7 +7,8 @@ import pytest
 
 from phors_lab import load_bundled
 from phors_lab.algebra import Poly, REGISTRY, TruncSeries
-from phors_lab.interp import compile_scheme, reachable, z_vid
+from phors_lab.interp import compile_scheme, reachable, var_name, z_vid
+from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
 from phors_lab.solver import (
     Interval,
     MonotonicityError,
@@ -19,6 +20,7 @@ from phors_lab.solver import (
     kleene_series,
     sccs,
     solve_at_one,
+    _spectral_radius_le_one,
 )
 from phors_lab.operational import enumerate_terminations
 from phors_lab.syntax import parse
@@ -200,6 +202,97 @@ class TestSolveAtOne:
         assert sol.values[_v("w")] == 0
 
 
+def _univariate(c0, c1, c2) -> tuple[object, list[str]]:
+    """Least nonnegative solution of y = c0 + c1 y + c2 y^2."""
+    y = Poly.var(_v("y"))
+    p = Poly.const(c0) + y.scale(c1) + (y * y).scale(c2)
+    sol = solve_at_one(_make_system({"y": p}, "y"))
+    return sol.values[_v("y")], sol.diagnostics
+
+
+class TestUnivariateRoots:
+    def test_rational_least_root(self):
+        # 2/3 y^2 - y + 1/3 = (2y - 1)(y - 1)/3.
+        assert _univariate(F(1, 3), 0, F(2, 3)) == (F(1, 2), [])
+
+    def test_rational_root_off_the_bisection_grid(self):
+        # 3/7 y^2 - y + 2/7 = (3y - 1)(y - 2)/7.
+        assert _univariate(F(2, 7), 0, F(3, 7)) == (F(1, 3), [])
+
+    def test_double_root_at_one(self):
+        # 1/2 y^2 - y + 1/2 = (y - 1)^2 / 2.
+        assert _univariate(F(1, 2), 0, F(1, 2)) == (F(1), [])
+
+    def test_root_at_zero(self):
+        # y^2 - y = y (y - 1).
+        assert _univariate(0, 0, 1) == (F(0), [])
+
+    def test_irrational_root_is_certified(self):
+        # dyck_lossy at z = 1: 1/4 y^2 - y + 1/4, least root 2 - sqrt(3).
+        val, notes = _univariate(F(1, 4), 0, F(1, 4))
+        assert isinstance(val, Interval)
+        assert (2 - val.lo) ** 2 >= 3 >= (2 - val.hi) ** 2
+        assert 0 < val.width <= SolveConfig().eps
+        assert len(notes) == 1 and "irrational" in notes[0]
+
+    def test_no_nonnegative_root(self):
+        # y^2 - y + 1 has discriminant -3.
+        val, notes = _univariate(1, 0, 1)
+        assert val == Interval(F(0), F(1))
+        assert notes == [f"no nonnegative fixpoint for {var_name(_v('y'))}"]
+
+
+class TestSpectralRadius:
+    # [[a, b], [b, a]] has eigenvalues a + b and a - b.
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (F(1, 4), F(1, 4), True),  # rho = 1/2
+            (F(1, 2), F(1, 2), True),  # rho = 1, I - J singular
+            (F(1, 2), F(1), False),  # rho = 3/2
+            (F(2), F(1), False),  # rho = 3, and 1 is the other eigenvalue
+        ],
+    )
+    def test_symmetric_2x2(self, a, b, expected):
+        assert _spectral_radius_le_one([[a, b], [b, a]]) is expected
+
+    # A weighted 3-cycle with weight product c has J^3 = c I, so rho is
+    # the real cube root of c.
+    @pytest.mark.parametrize(
+        "c, expected", [(F(1, 3), True), (F(1), True), (F(2), False)]
+    )
+    def test_irreducible_3_cycle(self, c, expected):
+        J = [[F(0), F(1, 2), F(0)], [F(0), F(0), 2 * c], [F(1), F(0), F(0)]]
+        assert _spectral_radius_le_one(J) is expected
+
+    # Triangular: the eigenvalues are the diagonal entries.
+    @pytest.mark.parametrize(
+        "a, d, expected", [(F(1), F(1, 2), True), (F(1, 2), F(2), False)]
+    )
+    def test_reducible_2x2(self, a, d, expected):
+        assert _spectral_radius_le_one([[a, F(1, 2)], [F(0), d]]) is expected
+
+
+class TestNewtonBracket:
+    def test_supercritical_ring_interval_is_narrow(self):
+        # Each rule is the walk y = (2/3) y^2 + 1/3, whose least
+        # fixpoint is 1/2; two rules make a multivariate component.
+        scheme = parse(
+            "F0 : !1 o -o o ; F0 x = (F1 (F1 x)) [2/3] x ; "
+            "F1 : !1 o -o o ; F1 x = (F0 (F0 x)) [2/3] x ; "
+            "S = F0 e ; start S ;"
+        )
+        fas = reachable(compile_scheme(scheme))
+        verdict = decide_past(fas)
+        val = verdict.p_term
+        assert isinstance(val, Interval)
+        assert val.lo <= F(1, 2) <= val.hi
+        assert val.width <= SolveConfig().eps
+        (cert,) = verdict.certificates
+        assert isinstance(cert, PreFixpointBelowOne)
+        assert verify_certificate(fas, cert)
+
+
 class TestExpectedSteps:
     def test_geometric_expectation(self):
         fas = _fas("geometric")
@@ -236,8 +329,6 @@ class TestSolveConfig:
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             SolveConfig(eps=F(0))
-        with pytest.raises(ValueError):
-            SolveConfig(truncation=-1)
 
     def test_interval_invariants(self):
         with pytest.raises(ValueError):
