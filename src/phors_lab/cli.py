@@ -56,6 +56,21 @@ def _scheme_is_finitary(scheme: Scheme) -> bool:
     )
 
 
+def _below(flag: str, value: int | None, least: int) -> bool:
+    """Whether a count option is set below its least value; says so as an
+    input error."""
+    if value is None or value >= least:
+        return False
+    print(f"error: {flag} must be >= {least}", file=sys.stderr)
+    return True
+
+
+def _series(scheme: Scheme, degree: int, cap: int = DEFAULT_VAR_CAP):
+    """The start-reachable system of a scheme and its start series."""
+    fas = reachable(compile_scheme(scheme, cap=cap))
+    return fas, kleene_series(fas, degree)[fas.start]
+
+
 def cmd_check(args) -> int:
     scheme = _load(args.file)
     if args.system == "fin":
@@ -68,22 +83,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.degree < 0:
-        print("error: --degree must be >= 0", file=sys.stderr)
+    if _below("--degree", args.degree, 0):
         return EXIT_INPUT
     scheme = _load(args.file)
     notes = []
     if not _scheme_is_finitary(scheme):
         scheme = reduce_inf(scheme)
         notes.append("scheme had unbounded grades; analyzed its finitary reduction")
-    fas = reachable(compile_scheme(scheme, cap=args.var_cap))
-    series = kleene_series(fas, args.degree)
+    fas, series = _series(scheme, args.degree, args.var_cap)
     verdict: Verdict = decide_past(fas)
     for cert in verdict.certificates:
         if not verify_certificate(fas, cert):
             raise SolverError("internal error: certificate failed re-verification")
 
-    coeffs = series[fas.start].coeffs[: args.degree + 1]
+    coeffs = series.coeffs[: args.degree + 1]
     report = {
         "version": REPORT_VERSION,
         "file": args.file,
@@ -102,15 +115,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _verify_transform(original: Scheme, transformed: Scheme, degree: int) -> bool:
-    f1 = reachable(compile_scheme(original))
-    f2 = reachable(compile_scheme(transformed))
-    s1 = kleene_series(f1, degree)[f1.start]
-    s2 = kleene_series(f2, degree)[f2.start]
-    return s1.coeffs == s2.coeffs
-
-
 def cmd_transform(args) -> int:
+    if _below("--verify", args.verify, 0):
+        return EXIT_INPUT
     scheme = _load(args.file)
     if args.kind == "linearize":
         result = linearize(scheme)
@@ -133,7 +140,10 @@ def cmd_transform(args) -> int:
                   file=sys.stderr)
             return EXIT_INPUT
         if args.kind == "linearize":
-            ok = _verify_transform(scheme, result, args.verify)
+            ok = (
+                _series(scheme, args.verify)[1].coeffs
+                == _series(result, args.verify)[1].coeffs
+            )
         else:
             # The source of a reduction is not directly compilable, but
             # it can still be run: compare exhaustive operational
@@ -141,8 +151,7 @@ def cmd_transform(args) -> int:
             from .operational import enumerate_terminations
 
             probs, budget_hit = enumerate_terminations(scheme, args.verify)
-            f2 = reachable(compile_scheme(result))
-            coeffs = kleene_series(f2, args.verify)[f2.start].coeffs
+            coeffs = _series(result, args.verify)[1].coeffs
             ok = not budget_hit and all(
                 probs.get(i, Fraction(0)) == coeffs[i]
                 for i in range(args.verify + 1)
@@ -156,6 +165,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if _below("--trials", args.trials, 1) or _below("--cap", args.cap, 0):
+        return EXIT_INPUT
     scheme = _load(args.file)
     stats = monte_carlo(scheme, args.trials, step_cap=args.cap, seed=args.seed)
     print(stats.to_json())

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Poly
 from .interp import Fas, reachable, var_name, z_vid
 from .solver import (
-    DerivativeResult,
     Interval,
-    MinSolution,
     SolveConfig,
     SolverError,
     Value,
@@ -148,72 +148,37 @@ class Verdict:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def decide_ast(fas: Fas, cfg: SolveConfig | None = None) -> Verdict:
-    cfg = cfg or SolveConfig()
-    sub = reachable(fas)
-    sol = solve_at_one(sub, cfg)
-    verdict = Verdict()
-    start_val = sol.values[sub.start]
-    verdict.p_term = start_val
-    if isinstance(start_val, Fraction):
-        assignment = {
-            v: x for v, x in sol.values.items() if isinstance(x, Fraction)
-        }
-        if start_val == ONE and all(
-            isinstance(x, Fraction) for x in sol.values.values()
-        ):
-            verdict.ast = "yes"
-            verdict.certificates.append(FixpointAtOne(assignment))
-        elif start_val < ONE:
-            # The least-fixpoint values themselves form the pre-fixpoint
-            # witness; interval values are widened upward, so re-check.
-            witness = {v: value_hi(x) for v, x in sol.values.items()}
-            if _is_prefixpoint(sub, witness):
-                verdict.ast = "no"
-                verdict.certificates.append(PreFixpointBelowOne(witness))
-            else:
-                verdict.ast = "inconclusive"
-        else:
-            verdict.ast = "inconclusive"
-    else:
-        if start_val.hi < ONE:
-            witness = {v: value_hi(x) for v, x in sol.values.items()}
-            if _is_prefixpoint(sub, witness):
-                verdict.ast = "no"
-                verdict.certificates.append(PreFixpointBelowOne(witness))
-            else:
-                verdict.ast = "inconclusive"
-        else:
-            verdict.ast = "inconclusive"
-        verdict.notes.extend(sol.diagnostics)
-    verdict._solution = sol  # stashed for decide_past
-    return verdict
-
-
 def decide_past(fas: Fas, cfg: SolveConfig | None = None) -> Verdict:
-    cfg = cfg or SolveConfig()
-    verdict = decide_ast(fas, cfg)
-    if verdict.ast == "no":
-        verdict.past = "no"
-        return verdict
-    if verdict.ast == "inconclusive":
-        verdict.past = "inconclusive"
-        return verdict
+    """AST from the least solution at z = 1, then PAST from the
+    derivative at that same solution."""
     sub = reachable(fas)
-    sol: MinSolution = verdict._solution
+    sol = solve_at_one(sub, cfg or SolveConfig())
+    start_val = sol.values[sub.start]
+    verdict = Verdict(p_term=start_val)
+    if isinstance(start_val, Interval):
+        verdict.notes.extend(sol.diagnostics)
+    if sol.exact and start_val == ONE:
+        verdict.ast = "yes"
+        verdict.certificates.append(FixpointAtOne(dict(sol.values)))
+    elif value_hi(start_val) < ONE:
+        # The least-fixpoint values themselves form the pre-fixpoint
+        # witness; interval values are widened upward, so re-check.
+        witness = {v: value_hi(x) for v, x in sol.values.items()}
+        if _holds(sub, witness, operator.le):
+            verdict.ast = verdict.past = "no"
+            verdict.certificates.append(PreFixpointBelowOne(witness))
+    if verdict.ast != "yes":
+        return verdict
     try:
-        res: DerivativeResult = expected_steps(sub, sol)
+        res = expected_steps(sub, sol)
     except SolverError as e:
-        verdict.past = "inconclusive"
         verdict.notes.append(str(e))
         return verdict
-    solution = {v: ONE for v in res.order}
+    solution = dict(sol.values)
     if res.value == math.inf:
         verdict.past = "no"
         verdict.expected = math.inf
-        verdict.certificates.append(
-            CriticalJacobian(res.order, res.kernel, solution)
-        )
+        verdict.certificates.append(CriticalJacobian(res.order, res.kernel, solution))
     else:
         verdict.past = "yes"
         verdict.expected = res.value
@@ -233,54 +198,53 @@ def _eval_at(p: Poly, env: dict[int, Fraction]) -> Fraction:
     return Fraction(v)
 
 
-def _is_prefixpoint(fas: Fas, assignment: dict[int, Fraction]) -> bool:
+def _holds(
+    fas: Fas,
+    assignment: dict[int, Fraction],
+    rel: Callable[[Fraction, Fraction], bool],
+) -> bool:
+    """Whether rel(P_v(a, 1), a_v) for every unknown v; False unless the
+    assignment covers every unknown."""
+    if any(v not in assignment for v in fas.eqs):
+        return False
     env = dict(assignment)
     env[z_vid()] = ONE
-    return all(_eval_at(p, env) <= assignment[v] for v, p in fas.eqs.items())
+    return all(rel(_eval_at(p, env), assignment[v]) for v, p in fas.eqs.items())
 
 
 def verify_certificate(fas: Fas, cert: Certificate) -> bool:
     """Re-check a certificate by direct polynomial evaluation."""
     sub = reachable(fas)
-    z = z_vid()
     if isinstance(cert, FixpointAtOne):
-        env = dict(cert.assignment)
-        env[z] = ONE
-        if any(v not in cert.assignment for v in sub.eqs):
-            return False
-        return (
-            all(_eval_at(p, env) == cert.assignment[v] for v, p in sub.eqs.items())
-            and cert.assignment[sub.start] == ONE
-        )
+        a = cert.assignment
+        return _holds(sub, a, operator.eq) and a[sub.start] == ONE
     if isinstance(cert, PreFixpointBelowOne):
-        if any(v not in cert.assignment for v in sub.eqs):
-            return False
-        return (
-            _is_prefixpoint(sub, cert.assignment)
-            and cert.assignment[sub.start] < ONE
-        )
+        a = cert.assignment
+        return _holds(sub, a, operator.le) and a[sub.start] < ONE
+    if not isinstance(cert, (CriticalJacobian, NonsingularLinearSolve)):
+        raise TypeError(cert)
+    # J and g are taken at the certificate's solution, which must be a
+    # fixpoint of the whole reachable system.
+    order = cert.order
+    if sorted(order) != sorted(sub.eqs) or not _holds(sub, cert.solution, operator.eq):
+        return False
+    z = z_vid()
+    point = {**cert.solution, z: ONE}
+
+    def residual(x: list[Fraction]) -> list[Fraction]:
+        """(I - J) x."""
+        return [
+            x[i] - sum(_eval_at(sub.eqs[v].derivative(w), point) * x[j]
+                       for j, w in enumerate(order))
+            for i, v in enumerate(order)
+        ]
+
     if isinstance(cert, CriticalJacobian):
-        order = cert.order
-        point = {v: cert.solution.get(v, ONE) for v in order}
-        point[z] = ONE
-        if all(x == 0 for x in cert.kernel):
-            return False
-        for i, v in enumerate(order):
-            acc = cert.kernel[i]
-            for j, w in enumerate(order):
-                acc -= _eval_at(sub.eqs[v].derivative(w), point) * cert.kernel[j]
-            if acc != 0:
-                return False
-        return True
-    if isinstance(cert, NonsingularLinearSolve):
-        order = cert.order
-        point = {v: cert.solution.get(v, ONE) for v in order}
-        point[z] = ONE
-        for v in order:
-            acc = cert.d_vector[v]
-            for w in order:
-                acc -= _eval_at(sub.eqs[v].derivative(w), point) * cert.d_vector[w]
-            if acc != _eval_at(sub.eqs[v].derivative(z), point):
-                return False
-        return True
-    raise TypeError(cert)
+        u = cert.kernel
+        return len(u) == len(order) and any(u) and not any(residual(u))
+    d = cert.d_vector
+    if set(d) != set(order) or any(x < 0 for x in d.values()):
+        return False
+    return residual([d[v] for v in order]) == [
+        _eval_at(sub.eqs[v].derivative(z), point) for v in order
+    ]

@@ -48,6 +48,7 @@ from .syntax import (
     arg_types,
     is_finitary,
     order,
+    type_of,
 )
 from .typesys import check_fin, check_inf
 
@@ -202,27 +203,6 @@ class _Interp:
         # Variables without an entry are not cut.
         self.caps: dict[int, int] = {}
 
-    def type_of(self, t: Term) -> GradedType:
-        """Synthesized type of a subterm (bodies are applicative, so the
-        head determines everything)."""
-        match t:
-            case Var(n):
-                return self.bound_types[n]
-            case NonTerm(n):
-                return self.scheme.nonterminals[n].ty
-            case Param(n):
-                return self.scheme.params[n]
-            case Unit() | Omega() | Choice() | Proj():
-                return Ground(1)
-            case Tuple_(items):
-                return Ground(len(items))
-            case App(f, _):
-                fty = self.type_of(f)
-                if not isinstance(fty, Arrow):
-                    raise InterpError("application of a non-arrow term")
-                return fty.result
-        raise TypeError(t)
-
     def sem(self, t: Term, idx: Index) -> Poly:
         key = (t, idx.key())
         cached = self.memo.get(key)
@@ -261,8 +241,7 @@ class _Interp:
                     return Poly()
                 return self.sem(b, GroundPoint(i))
             case App(f, a):
-                fty = self.type_of(f)
-                assert isinstance(fty, Arrow)
+                fty = type_of(f, self.scheme, self.bound_types)
                 if fty.grade == math.inf:
                     raise InterpError(
                         "cannot compile an unbounded application directly; "
@@ -386,10 +365,6 @@ class Fas:
     param_vids: set[int] = field(default_factory=set)
     zeros: set[int] = field(default_factory=set)  # eliminated zero unknowns
     proper: dict[int, bool] = field(default_factory=dict)
-
-    @property
-    def vars(self) -> list[int]:
-        return list(self.eqs)
 
     def is_closed(self) -> bool:
         return not self.param_vids

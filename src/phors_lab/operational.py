@@ -26,6 +26,7 @@ from .syntax import (
     Tuple_,
     Unit,
     Var,
+    map_term,
     spine,
 )
 
@@ -39,19 +40,7 @@ class ExecError(RuntimeError):
 
 
 def substitute(t: Term, env: dict[str, Term]) -> Term:
-    match t:
-        case Var(n):
-            return env[n]
-        case App(f, a):
-            return App(substitute(f, env), substitute(a, env))
-        case Choice(l, b, r):
-            return Choice(substitute(l, env), b, substitute(r, env))
-        case Tuple_(items):
-            return Tuple_(tuple(substitute(i, env) for i in items))
-        case Proj(i, b):
-            return Proj(i, substitute(b, env))
-        case _:
-            return t
+    return map_term(t, lambda u: env[u.name] if isinstance(u, Var) else u)
 
 
 @dataclass(frozen=True)
@@ -110,10 +99,6 @@ def step(term: Term, scheme: Scheme, direction=None) -> StepResult:
         case Var(n):
             raise ExecError(f"unbound variable {n!r} reached head position")
     raise TypeError(head)
-
-
-def _is_unit(t: Term) -> bool:
-    return isinstance(t, Unit)
 
 
 def enumerate_terminations(

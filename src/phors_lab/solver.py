@@ -15,8 +15,9 @@ Three entry points:
   singular) with a Newton/pre-fixpoint fallback.  Results are exact
   rationals wherever possible, otherwise certified intervals.
 * `expected_steps` — the derivative of the start series at z = 1 via
-  implicit differentiation of the fixpoint identity; a singular linear
-  system is precisely the diverging-expectation boundary.
+  implicit differentiation of the fixpoint identity at the least
+  solution; a singular linear system is precisely the
+  diverging-expectation boundary.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class MonotonicityError(AssertionError):
 @dataclass
 class SolveConfig:
     eps: Fraction = Fraction(1, 10**9)
-    max_iterations: int = 200
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -82,9 +82,6 @@ class MinSolution:
     exact: bool
     diagnostics: list[str] = field(default_factory=list)
 
-    def at(self, vid: int) -> Value:
-        return self.values[vid]
-
 
 # ---------------------------------------------------------------------------
 # Kleene iteration on truncated series
@@ -94,7 +91,6 @@ def kleene_series(
     fas: Fas,
     degree: int,
     params: dict[int, TruncSeries] | None = None,
-    max_iterations: int | None = None,
 ) -> dict[int, TruncSeries]:
     """Exact coefficients of the minimal solution up to z^degree."""
     params = params or {}
@@ -109,15 +105,14 @@ def kleene_series(
         env[vid] = TruncSeries(s.coeffs[: degree + 1]) if degree >= 1 else s
     n = max(degree, 1)
     state = {vid: TruncSeries.zero(n) for vid in fas.eqs}
-    if max_iterations is None:
-        # Iterate k holds exactly the derivation trees of height at most
-        # k.  On a root-to-leaf path, an unknown can repeat only if a
-        # choice (z) lies on or beside the segment between the repeats:
-        # otherwise that segment pumps into infinitely many trees of the
-        # same degree, and a scheme's coefficients are probabilities.
-        # Trees with at most n choices are therefore at most
-        # (n + 1) * len(eqs) high, and one more round confirms.
-        max_iterations = (n + 1) * (len(fas.eqs) + 1)
+    # Iterate k holds exactly the derivation trees of height at most k.
+    # On a root-to-leaf path, an unknown can repeat only if a choice (z)
+    # lies on or beside the segment between the repeats: otherwise that
+    # segment pumps into infinitely many trees of the same degree, and a
+    # scheme's coefficients are probabilities.  Trees with at most n
+    # choices are therefore at most (n + 1) * len(eqs) high, and one more
+    # round confirms.
+    max_iterations = (n + 1) * (len(fas.eqs) + 1)
     prev = None
     for _ in range(max_iterations + 1):
         full_env = dict(env)
@@ -535,7 +530,7 @@ def _newton_bracket(
     search from above; returns intervals (possibly degenerate)."""
     pos = {v: i for i, v in enumerate(comp)}
     x = {v: ZERO for v in comp}
-    for _ in range(min(cfg.max_iterations, 50)):
+    for _ in range(50):
         J = _jacobian_at(local, comp, x)
         r = [_poly_eval_rat(local[v], x) - x[v] for v in comp]
         d = gauss_solve(identity_minus(J), r)
@@ -619,15 +614,17 @@ class DerivativeResult:
 
 
 def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
-    """Differentiate w = P(w, z) at z = 1 on the start-reachable part.
+    """Differentiate w = P(w, z) at the least solution and z = 1.
 
-    Precondition: the solution certifies value 1 at every reachable
-    unknown (almost-sure termination); otherwise the derivative of the
-    generating function is not the conditional expectation."""
-    from .interp import reachable
-
-    sub = reachable(fas)
-    order = sorted(sub.eqs, key=var_name)
+    `fas` is a start-reachable system and `sol` its least solution at
+    z = 1.  Precondition: the start value is exactly 1 (almost-sure
+    termination), so the derivative of its generating function at 1 is
+    the expected number of choices, and every value is exact.  Other
+    unknowns may lie below 1.  The derivatives at 1 form the least
+    solution of d = J d + g, with the Jacobian J and g = dP/dz both
+    evaluated at (sol, 1)."""
+    order = sorted(fas.eqs, key=var_name)
+    point: dict[int, Fraction] = {}
     for v in order:
         val = sol.values.get(v)
         if not isinstance(val, Fraction):
@@ -635,19 +632,19 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
                 "expected_steps needs exact solution values on the "
                 "reachable part"
             )
-        if val != ONE:
-            raise SolverError(
-                "expected_steps requires termination probability 1 on all "
-                f"reachable unknowns; {var_name(v)} = {val}"
-            )
+        point[v] = val
+    if point.get(fas.start) != ONE:
+        raise SolverError(
+            "expected_steps requires termination probability 1 at the "
+            f"start; {var_name(fas.start)} = {sol.values.get(fas.start)}"
+        )
     z = z_vid()
-    point = {v: ONE for v in order}
     point[z] = ONE
     J = [
-        [_poly_eval_rat(sub.eqs[v].derivative(w), point) for w in order]
+        [_poly_eval_rat(fas.eqs[v].derivative(w), point) for w in order]
         for v in order
     ]
-    g = [_poly_eval_rat(sub.eqs[v].derivative(z), point) for v in order]
+    g = [_poly_eval_rat(fas.eqs[v].derivative(z), point) for v in order]
     IJ = identity_minus(J)
     d = gauss_solve(IJ, g)
     if d is None:
@@ -656,9 +653,4 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
         return DerivativeResult(math.inf, u, None, order)
     if any(x < 0 for x in d):
         raise SolverError("negative derivative solution; system is not AST-consistent")
-    return DerivativeResult(
-        d[order.index(fas.start)] if fas.start in order else ZERO,
-        None,
-        dict(zip(order, d)),
-        order,
-    )
+    return DerivativeResult(d[order.index(fas.start)], None, dict(zip(order, d)), order)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -84,12 +85,6 @@ def arg_types(ty: GradedType) -> list[tuple[Grade, GradedType]]:
         out.append((ty.grade, ty.arg))
         ty = ty.result
     return out
-
-
-def result_type(ty: GradedType) -> GradedType:
-    while isinstance(ty, Arrow):
-        ty = ty.result
-    return ty
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +162,44 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+def map_term(t: Term, leaf: Callable[[Term], Term]) -> Term:
+    """Rebuild t through App, Choice, Tuple_ and Proj, replacing every
+    other node by leaf(node)."""
+    match t:
+        case App(f, a):
+            return App(map_term(f, leaf), map_term(a, leaf))
+        case Choice(l, b, r):
+            return Choice(map_term(l, leaf), b, map_term(r, leaf))
+        case Tuple_(items):
+            return Tuple_(tuple(map_term(i, leaf) for i in items))
+        case Proj(i, b):
+            return Proj(i, map_term(b, leaf))
+    return leaf(t)
+
+
+def type_of(t: Term, scheme: Scheme, bound: dict[str, GradedType]) -> GradedType:
+    """Synthesized type of a subterm of a rule body whose parameters have
+    the types in `bound` (bodies are applicative, so the head determines
+    everything)."""
+    match t:
+        case Var(n):
+            return bound[n]
+        case NonTerm(n):
+            return scheme.nonterminals[n].ty
+        case Param(n):
+            return scheme.params[n]
+        case Unit() | Omega() | Choice() | Proj():
+            return O
+        case Tuple_(items):
+            return Ground(len(items))
+        case App(f, _):
+            fty = type_of(f, scheme, bound)
+            if not isinstance(fty, Arrow):
+                raise SchemeError("application of a non-arrow term")
+            return fty.result
+    raise TypeError(t)
+
+
 # ---------------------------------------------------------------------------
 # Schemes
 
@@ -205,32 +238,17 @@ class Scheme:
             self._check_names(name, d)
 
     def _check_names(self, rule: str, d: NonTermDef) -> None:
-        bound = set(d.params)
-
-        def walk(t: Term) -> None:
+        def leaf(t: Term) -> Term:
             match t:
-                case Var(n):
-                    if n not in bound:
-                        raise SchemeError(f"rule {rule!r}: unbound variable {n!r}")
-                case NonTerm(n):
-                    if n not in self.nonterminals:
-                        raise SchemeError(f"rule {rule!r}: unknown non-terminal {n!r}")
-                case Param(n):
-                    if n not in self.params:
-                        raise SchemeError(f"rule {rule!r}: unknown parameter {n!r}")
-                case App(f, a):
-                    walk(f)
-                    walk(a)
-                case Choice(l, _, r):
-                    walk(l)
-                    walk(r)
-                case Tuple_(items):
-                    for it in items:
-                        walk(it)
-                case Proj(_, b):
-                    walk(b)
+                case Var(n) if n not in d.params:
+                    raise SchemeError(f"rule {rule!r}: unbound variable {n!r}")
+                case NonTerm(n) if n not in self.nonterminals:
+                    raise SchemeError(f"rule {rule!r}: unknown non-terminal {n!r}")
+                case Param(n) if n not in self.params:
+                    raise SchemeError(f"rule {rule!r}: unknown parameter {n!r}")
+            return t
 
-        walk(d.body)
+        map_term(d.body, leaf)
 
 
 class SchemeError(ValueError):

@@ -34,7 +34,9 @@ from .syntax import (
     Var,
     arg_types,
     is_finitary,
+    map_term,
     spine,
+    type_of,
 )
 from .typesys import check_fin, check_inf, subtype
 
@@ -77,24 +79,6 @@ class _Linearizer:
             self.copies[pname] = max(int(grade), 1)
             self.types[pname] = pty
 
-    def type_of(self, t: Term) -> GradedType:
-        match t:
-            case Var(n):
-                return self.types[n]
-            case NonTerm(n):
-                return self.scheme.nonterminals[n].ty
-            case Param(n):
-                return self.scheme.params[n]
-            case App(f, _):
-                fty = self.type_of(f)
-                assert isinstance(fty, Arrow)
-                return fty.result
-            case Unit() | Omega() | Choice() | Proj():
-                return Ground(1)
-            case Tuple_(items):
-                return Ground(len(items))
-        raise TypeError(t)
-
     def transform(self, t: Term, used: dict[str, int]) -> tuple[Term, dict[str, int]]:
         """Rewrite t, allocating the next unused copy for each variable
         occurrence.  `used` maps a variable to how many copies earlier
@@ -128,8 +112,7 @@ class _Linearizer:
                 bt, bu = self.transform(b, used)
                 return Proj(i, bt), bu
             case App(f, a):
-                fty = self.type_of(f)
-                assert isinstance(fty, Arrow)
+                fty = type_of(f, self.scheme, self.types)
                 copies = max(int(fty.grade), 1)
                 ft, cur = self.transform(f, used)
                 for _ in range(copies):
@@ -186,42 +169,18 @@ def compose(g1: Scheme, g2: Scheme, hole: str, plug: str) -> Scheme:
         taken.add(new)
 
     def rn2(t: Term) -> Term:
-        match t:
-            case NonTerm(n):
-                return NonTerm(rename[n])
-            case App(f, a):
-                return App(rn2(f), rn2(a))
-            case Choice(l, b, r):
-                return Choice(rn2(l), b, rn2(r))
-            case Tuple_(items):
-                return Tuple_(tuple(rn2(i) for i in items))
-            case Proj(i, b):
-                return Proj(i, rn2(b))
-            case _:
-                return t
+        return NonTerm(rename[t.name]) if isinstance(t, NonTerm) else t
 
     plugged = NonTerm(rename[plug])
 
     def fill(t: Term) -> Term:
-        match t:
-            case Param(n) if n == hole:
-                return plugged
-            case App(f, a):
-                return App(fill(f), fill(a))
-            case Choice(l, b, r):
-                return Choice(fill(l), b, fill(r))
-            case Tuple_(items):
-                return Tuple_(tuple(fill(i) for i in items))
-            case Proj(i, b):
-                return Proj(i, fill(b))
-            case _:
-                return t
+        return plugged if t == Param(hole) else t
 
     nonterminals: dict[str, NonTermDef] = {}
     for name, d in g1.nonterminals.items():
-        nonterminals[name] = NonTermDef(d.ty, d.params, fill(d.body))
+        nonterminals[name] = NonTermDef(d.ty, d.params, map_term(d.body, fill))
     for name, d in g2.nonterminals.items():
-        nonterminals[rename[name]] = NonTermDef(d.ty, d.params, rn2(d.body))
+        nonterminals[rename[name]] = NonTermDef(d.ty, d.params, map_term(d.body, rn2))
 
     params = {n: t for n, t in g1.params.items() if n != hole}
     for n, t in g2.params.items():

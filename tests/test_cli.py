@@ -39,6 +39,16 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def _assert_input_error(*argv: str) -> None:
+    """A fresh CLI process exits 1 with one `error:` line and no output."""
+    proc = _python("-m", "phors_lab.cli", *argv)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 class TestCheck:
     def test_accepts_well_typed(self, capsys):
         assert main(["check", _path("eq3")]) == EXIT_OK
@@ -102,14 +112,19 @@ class TestAnalyze:
         assert main(["analyze", _path("nonalg")]) == EXIT_INPUT
 
     def test_negative_degree_is_an_input_error(self):
-        proc = _python(
-            "-m", "phors_lab.cli", "analyze", _path("unit"), "--degree", "-1"
-        )
-        assert proc.returncode == EXIT_INPUT
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error:")
-        assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        _assert_input_error("analyze", _path("unit"), "--degree", "-1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "linearize", _path("eq3"), "--verify", "-1"),
+            ("simulate", _path("eq3"), "--trials", "-5"),
+            ("simulate", _path("eq3"), "--cap", "-1"),
+        ],
+        ids=["verify", "trials", "cap"],
+    )
+    def test_negative_counts_are_input_errors(self, argv):
+        _assert_input_error(*argv)
 
 
 class TestTransform:

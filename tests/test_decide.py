@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,15 @@ from phors_lab.decide import (
     NonsingularLinearSolve,
     PreFixpointBelowOne,
     Verdict,
-    decide_ast,
     decide_past,
     verify_certificate,
 )
-from phors_lab.interp import compile_scheme, reachable
-from phors_lab.solver import Interval
+from phors_lab.interp import compile_scheme, reachable, z_vid
+from phors_lab.solver import Interval, gauss_solve, identity_minus, kleene_series
+from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
+
+from conftest import random_order1_scheme, random_order2_scheme
 
 F = Fraction
 
@@ -71,6 +74,36 @@ class TestVerdicts:
         assert (v.ast, v.past) == ("no", "no")
         assert isinstance(v.p_term, Interval)
         assert float(v.p_term.lo) <= 2 - math.sqrt(3) <= float(v.p_term.hi)
+
+    def test_past_at_least_solution_below_one(self):
+        # A's unknown at the one-use index is 1/2, not 1, yet S makes
+        # exactly one choice before it stops: E = 1.
+        fas = reachable(compile_scheme(parse(
+            "C : !1 (!1 o -o o) -o (!1 o -o o) ; A : !1 o -o o ; "
+            "C f x = f x ; A x = x [1/2] e ; S = C A e ;"
+        )))
+        v = decide_past(fas)
+        assert (v.ast, v.past) == ("yes", "yes")
+        assert v.p_term == 1 and v.expected == 1
+        cert = next(c for c in v.certificates if isinstance(c, NonsingularLinearSolve))
+        assert F(1, 2) in cert.solution.values()
+        assert all(verify_certificate(fas, c) for c in v.certificates)
+
+    def test_random_expectations_bound_the_series(self):
+        # E = sum i c_i, so every partial sum lies below a finite E.
+        rng = random.Random(11)
+        finite = 0
+        for i in range(40):
+            scheme = (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            fas = reachable(compile_scheme(scheme))
+            v = decide_past(fas)
+            assert v.past != "inconclusive", v.notes
+            assert all(verify_certificate(fas, c) for c in v.certificates)
+            if v.past == "yes":
+                finite += 1
+                coeffs = kleene_series(fas, 40)[fas.start].coeffs
+                assert sum(k * c for k, c in enumerate(coeffs)) <= v.expected
+        assert finite
 
     def test_past_implies_ast_enforced(self):
         with pytest.raises(ValueError):
@@ -145,6 +178,32 @@ class TestCertificateVerification:
             cert.order,
             {k: x + 1 for k, x in cert.d_vector.items()},
             cert.solution,
+        )
+        assert not verify_certificate(fas, bad)
+
+    def test_linear_solve_away_from_the_fixpoint_fails(self):
+        # d solves (I - J) d = g, with J and g taken at 1/2, which is not
+        # a fixpoint of y = 1/2 y z + 1/2 z.
+        fas = _fas("geometric")
+        order = sorted(fas.eqs)
+        point = {v: F(1, 2) for v in order}
+        point[z_vid()] = F(1)
+        J = [[F(fas.eqs[v].derivative(w).eval(point)) for w in order] for v in order]
+        g = [F(fas.eqs[v].derivative(z_vid()).eval(point)) for v in order]
+        d = gauss_solve(identity_minus(J), g)
+        solution = {v: F(1, 2) for v in order}
+        bad = NonsingularLinearSolve(order, dict(zip(order, d)), solution)
+        assert not verify_certificate(fas, bad)
+
+    def test_negative_expectation_fails(self):
+        # y = 2/3 y^2 z + 1/3 z has the fixpoint 1 above its least one,
+        # 1/2; there (I - J) d = g gives d = -3.
+        fas = reachable(compile_scheme(parse(
+            "F : !1 o -o o ; F x = (F (F x)) [2/3] x ; S = F e ;"
+        )))
+        order = sorted(fas.eqs)
+        bad = NonsingularLinearSolve(
+            order, {v: F(-3) for v in order}, {v: F(1) for v in order}
         )
         assert not verify_certificate(fas, bad)
 
