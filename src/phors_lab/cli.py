@@ -22,7 +22,7 @@ from .interp import (
 )
 from .operational import monte_carlo
 from .solver import MonotonicityError, SolverError, kleene_series
-from .syntax import INF, Arrow, Scheme, SchemeError, is_finitary, parse, print_scheme
+from .syntax import Scheme, SchemeError, is_finitary, parse, print_scheme
 from .transforms import TransformError, compose, linearize, reduce_inf
 from .typesys import check_fin, check_inf
 
@@ -51,9 +51,8 @@ def _emit(report: dict, json_path: str | None) -> None:
 
 
 def _scheme_is_finitary(scheme: Scheme) -> bool:
-    return all(is_finitary(d.ty) for d in scheme.nonterminals.values()) and not any(
-        isinstance(t, Arrow) and t.grade == INF for t in scheme.params.values()
-    )
+    # Scheme.validate already rejects infinitary parameters.
+    return all(is_finitary(d.ty) for d in scheme.nonterminals.values())
 
 
 def _below(flag: str, value: int | None, least: int) -> bool:

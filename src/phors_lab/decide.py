@@ -20,7 +20,6 @@ from .algebra import Poly
 from .interp import Fas, reachable, var_name, z_vid
 from .solver import (
     Interval,
-    SolveConfig,
     SolverError,
     Value,
     expected_steps,
@@ -148,11 +147,11 @@ class Verdict:
         return json.dumps(self.to_jsonable(), indent=2)
 
 
-def decide_past(fas: Fas, cfg: SolveConfig | None = None) -> Verdict:
+def decide_past(fas: Fas) -> Verdict:
     """AST from the least solution at z = 1, then PAST from the
     derivative at that same solution."""
     sub = reachable(fas)
-    sol = solve_at_one(sub, cfg or SolveConfig())
+    sol = solve_at_one(sub)
     start_val = sol.values[sub.start]
     verdict = Verdict(p_term=start_val)
     if isinstance(start_val, Interval):

@@ -76,9 +76,6 @@ class GroundPoint:
     def key(self):
         return (0, self.i)
 
-    def render(self) -> str:
-        return str(self.i)
-
 
 @dataclass(frozen=True)
 class ArrowPoint:
@@ -87,12 +84,6 @@ class ArrowPoint:
 
     def key(self):
         return (1, tuple((p.key(), m) for p, m in self.arg_uses), self.result.key())
-
-    def render(self) -> str:
-        mu = ",".join(
-            p.render() if m == 1 else f"{p.render()}^{m}" for p, m in self.arg_uses
-        )
-        return f"([{mu}]->{self.result.render()})"
 
 
 Index = GroundPoint | ArrowPoint
@@ -164,11 +155,16 @@ def bv_vid(rule: str, var: str, idx: Index) -> int:
     return REGISTRY.intern(("bv", rule, var, idx.key()))
 
 
-_INDEX_RENDER: dict[tuple, str] = {}
-
-
-def _remember(idx: Index) -> None:
-    _INDEX_RENDER.setdefault(idx.key(), idx.render())
+def _render_index(key: tuple) -> str:
+    """The text form of an index, from its key: i for the point i of o^n,
+    ([mu]->r) for an arrow point."""
+    if key[0] == 0:
+        return str(key[1])
+    _, arg_uses, result = key
+    mu = ",".join(
+        _render_index(k) if m == 1 else f"{_render_index(k)}^{m}" for k, m in arg_uses
+    )
+    return f"([{mu}]->{_render_index(result)})"
 
 
 def var_name(vid: int) -> str:
@@ -177,11 +173,11 @@ def var_name(vid: int) -> str:
         case ("z",):
             return "z"
         case ("nt", name, ik):
-            return f"y[{name};{_INDEX_RENDER.get(ik, ik)}]"
+            return f"y[{name};{_render_index(ik)}]"
         case ("pm", name, ik):
-            return f"w[{name};{_INDEX_RENDER.get(ik, ik)}]"
+            return f"w[{name};{_render_index(ik)}]"
         case ("bv", rule, var, ik):
-            return f"x[{rule}.{var};{_INDEX_RENDER.get(ik, ik)}]"
+            return f"x[{rule}.{var};{_render_index(ik)}]"
     return repr(key)
 
 
@@ -213,7 +209,6 @@ class _Interp:
         return p
 
     def _sem(self, t: Term, idx: Index) -> Poly:
-        _remember(idx)
         match t:
             case Unit():
                 return Poly.const(1) if idx == GroundPoint(1) else Poly()
@@ -425,13 +420,11 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
     param_vids: set[int] = set()
     for pname, pty in scheme.params.items():
         for idx in index_set(pty, cap):
-            _remember(idx)
             param_vids.add(pm_vid(pname, idx))
 
     for name, d in scheme.nonterminals.items():
         targets = index_set(d.ty, cap)
         for idx, p in zip(targets, _rule_equations(scheme, name, targets, cap)):
-            _remember(idx)
             eqs[nt_vid(name, idx)] = p
 
     start = nt_vid(scheme.start, GroundPoint(1))

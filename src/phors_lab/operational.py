@@ -1,6 +1,8 @@
 """Operational oracle: call-by-name leftmost-outermost rewriting with
 probabilistic choice, an exhaustive enumerator for exact termination
-probabilities, and a reproducible Monte Carlo estimator.
+probabilities, and a reproducible Monte Carlo estimator.  Both drive the
+same `step`, so a choice counts wherever it sits, including under
+projections.
 
 The enumerator and the compiled generating function must agree
 coefficient by coefficient; this is the end-to-end sanity check of the
@@ -43,7 +45,7 @@ def substitute(t: Term, env: dict[str, Term]) -> Term:
     return map_term(t, lambda u: env[u.name] if isinstance(u, Var) else u)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepResult:
     term: Term
     choice: tuple[str, Fraction] | None  # ("l"|"r", branch probability)
@@ -51,8 +53,10 @@ class StepResult:
 
 
 def step(term: Term, scheme: Scheme, direction=None) -> StepResult:
-    """One leftmost-outermost step.  `direction` supplies the branch for
-    a head choice: a callable bias -> bool (True = left)."""
+    """One leftmost-outermost step.  `direction` supplies the branch of
+    the choice the step takes, at the head or under projections: a
+    callable bias -> bool (True = left).  Without it the likelier branch
+    is taken."""
     head, args = spine(term)
     match head:
         case Unit():
@@ -80,10 +84,12 @@ def step(term: Term, scheme: Scheme, direction=None) -> StepResult:
             return StepResult(branch, ("l" if go_left else "r", p))
         case Proj(i, b):
             bh, bargs = spine(b)
-            if isinstance(bh, Tuple_) and not bargs:
-                if i > len(bh.items):
+            if isinstance(bh, (Tuple_, Unit, Omega)) and not bargs:
+                # A normal form e or omega is a ground value of width 1.
+                items = bh.items if isinstance(bh, Tuple_) else (bh,)
+                if i > len(items):
                     raise ExecError("projection index out of range")
-                new = bh.items[i - 1]
+                new = items[i - 1]
                 for a in args:
                     new = App(new, a)
                 return StepResult(new, None)
@@ -126,25 +132,21 @@ def enumerate_terminations(
                 break
             if isinstance(head, Omega):
                 break
-            if isinstance(head, Choice):
-                hd: Choice = head
-                if used == max_choices:
-                    break
-                _, args = spine(term)
-                left = hd.left
-                right = hd.right
-                for a in args:
-                    left = App(left, a)
-                    right = App(right, a)
-                if hd.bias > 0:
-                    stack.append((left, prob * hd.bias, used + 1))
-                if hd.bias < 1:
-                    stack.append((right, prob * (1 - hd.bias), used + 1))
+            left = step(term, scheme, direction=lambda bias: True)
+            if left.choice is not None:
+                # The step takes a choice, wherever it sits: follow both
+                # branches.
+                if used < max_choices:
+                    right = step(term, scheme, direction=lambda bias: False)
+                    for res in (left, right):
+                        p = res.choice[1]
+                        if p > 0:
+                            stack.append((res.term, prob * p, used + 1))
                 break
             if steps >= step_budget:
                 budget_hit = True
                 break
-            term = step(term, scheme).term
+            term = left.term
             steps += 1
     return probs, budget_hit
 
@@ -189,25 +191,6 @@ class RunStats:
         _, hi = wilson_interval(self.trials - self.diverged, self.trials, z)
         return lo, hi
 
-    def merge(self, other: "RunStats") -> "RunStats":
-        if (self.seed, self.step_cap) != (other.seed, other.step_cap):
-            raise ValueError("cannot merge stats from different configurations")
-        hist = dict(self.histogram)
-        for k, v in other.histogram.items():
-            hist[k] = hist.get(k, 0) + v
-        total_term = self.terminated + other.terminated
-        total_choices = sum(k * v for k, v in hist.items())
-        return RunStats(
-            self.trials + other.trials,
-            total_term,
-            self.diverged + other.diverged,
-            self.censored + other.censored,
-            hist,
-            total_choices / total_term if total_term else None,
-            self.seed,
-            self.step_cap,
-        )
-
     def to_json(self) -> str:
         lo, hi = self.p_term_bounds()
         return json.dumps(
@@ -227,28 +210,19 @@ class RunStats:
             indent=2,
         )
 
-    def histogram_csv(self) -> str:
-        lines = ["choices,frequency"]
-        for k in sorted(self.histogram):
-            lines.append(f"{k},{self.histogram[k]}")
-        return "\n".join(lines) + "\n"
-
 
 def monte_carlo(
     scheme: Scheme,
     trials: int,
     step_cap: int = 10**4,
     seed: int = 0,
-    chunk: tuple[int, int] | None = None,
 ) -> RunStats:
     """Reproducible estimate of the termination behaviour.  Each trial
-    derives its generator from (seed, trial index), so disjoint chunks
-    run anywhere and merge associatively."""
-    lo_t, hi_t = chunk if chunk else (0, trials)
+    derives its generator from (seed, trial index)."""
     terminated = diverged = censored = 0
     histogram: dict[int, int] = {}
     start = NonTerm(scheme.start)
-    for i in range(lo_t, hi_t):
+    for i in range(trials):
         rng = random.Random((seed << 32) ^ i)
         term = start
         choices = 0
@@ -272,7 +246,7 @@ def monte_carlo(
             steps += 1
     total_choices = sum(k * v for k, v in histogram.items())
     return RunStats(
-        hi_t - lo_t,
+        trials,
         terminated,
         diverged,
         censored,

@@ -5,15 +5,17 @@ Three entry points:
 * `kleene_series` — exact coefficients of the least solution as
   truncated power series in z (Kleene iteration in the truncated-series
   semiring, with a built-in monotonicity assertion).
-* `solve_at_one` — the least nonnegative solution of w = P(w, 1),
-  decomposed into strongly connected components: linear components are
-  solved by exact Gaussian elimination; univariate nonlinear ones by
-  Sturm-sequence bisection on the square-free part of P(y) - y, with a
-  rational-root test on the isolating interval; multivariate nonlinear
-  ones by a spectral test at the all-ones candidate (one Gaussian solve
-  of (I - J) x = 1, or the sign of a kernel vector when I - J is
-  singular) with a Newton/pre-fixpoint fallback.  Results are exact
-  rationals wherever possible, otherwise certified intervals.
+* `solve_at_one` — the least nonnegative solution of w = P(w, 1), one
+  strongly connected component at a time with its dependencies' values
+  substituted (their lower, then their upper bounds when some are
+  intervals).  Linear components are solved by exact Gaussian
+  elimination; univariate nonlinear ones by Sturm-sequence bisection on
+  the square-free part of P(y) - y, with a rational-root test on the
+  isolating interval; multivariate nonlinear ones by a spectral test at
+  the all-ones candidate (one Gaussian solve of (I - J) x = 1, or the
+  sign of a kernel vector when I - J is singular) with a
+  Newton/pre-fixpoint fallback.  Results are exact rationals wherever
+  possible, otherwise intervals certified to width EPS.
 * `expected_steps` — the derivative of the start series at z = 1 via
   implicit differentiation of the fixpoint identity at the least
   solution; a singular linear system is precisely the
@@ -42,13 +44,8 @@ class MonotonicityError(AssertionError):
     monotone, which indicates corrupted input or an internal bug."""
 
 
-@dataclass
-class SolveConfig:
-    eps: Fraction = Fraction(1, 10**9)
-
-    def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+# Width to which irrational values are certified.
+EPS = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -254,14 +251,23 @@ def sccs(graph: dict[int, set[int]]) -> list[list[int]]:
 # Solving at z = 1
 
 
-def _poly_eval_rat(p: Poly, env: dict[int, Fraction]) -> Fraction:
-    v = p.eval(env)
+def _eval_rat(p: Poly, point: dict[int, Fraction]) -> Fraction:
+    """p at a rational point that assigns every variable of p."""
+    v = p.eval(point)
     assert isinstance(v, (Fraction, int))
     return Fraction(v)
 
 
-def solve_at_one(fas: Fas, cfg: SolveConfig | None = None) -> MinSolution:
-    cfg = cfg or SolveConfig()
+def jacobian(
+    eqs: dict[int, Poly], order: list[int], point: dict[int, Fraction]
+) -> list[list[Fraction]]:
+    """The matrix of dP_v/dw at `point`, rows v and columns w in `order`."""
+    return [[_eval_rat(eqs[v].derivative(w), point) for w in order] for v in order]
+
+
+def solve_at_one(fas: Fas) -> MinSolution:
+    """The least nonnegative solution of w = P(w, 1), one strongly
+    connected component at a time, dependencies first."""
     if not fas.is_closed():
         raise SolverError("cannot solve an open system; assign its parameters")
 
@@ -271,41 +277,42 @@ def solve_at_one(fas: Fas, cfg: SolveConfig | None = None) -> MinSolution:
 
     values: dict[int, Value] = {}
     diagnostics: list[str] = []
-    exact = True
-
     for comp in sccs(graph):
-        comp_set = set(comp)
-        # Substitute already-solved dependencies.
-        dep_exact = all(
-            isinstance(values[w], Fraction)
-            for v in comp
-            for w in graph[v]
-            if w not in comp_set
-        )
-        if dep_exact:
-            sub = {
-                w: Poly.const(values[w])
-                for v in comp
-                for w in graph[v]
-                if w not in comp_set
-            }
+        deps = {w for v in comp for w in graph[v]} - set(comp)
+        # P is monotone, so solving with the dependencies' lower (upper)
+        # bounds substituted bounds the component from below (above);
+        # exact dependencies need one solve.
+        notes: list[str] = []
+        irrational: set[int] = set()
+        bounds = []
+        for pick in (value_lo, value_hi):
+            sub = {w: Poly.const(pick(values[w])) for w in deps}
             local = {v: eqs1[v].substitute(sub) for v in comp}
-            res = _solve_scc_exact(local, comp, cfg, diagnostics)
-        else:
-            res = _solve_scc_bounded(eqs1, comp, values, cfg, diagnostics)
-        for v, val in res.items():
-            values[v] = val
-            if isinstance(val, Interval):
-                exact = False
+            bounds.append(_solve_scc(local, comp, notes, irrational))
+            if all(isinstance(values[w], Fraction) for w in deps):
+                break
+        diagnostics.extend(dict.fromkeys(notes))
+        for v in comp:
+            lo, hi = value_lo(bounds[0][v]), value_hi(bounds[-1][v])
+            values[v] = lo if lo == hi else Interval(lo, hi)
+            if v in irrational:
+                diagnostics.append(
+                    f"{var_name(v)}: least fixpoint is irrational; certified "
+                    f"to width {hi - lo}"
+                )
+    exact = not any(isinstance(val, Interval) for val in values.values())
     return MinSolution(values, exact, diagnostics)
 
 
-def _solve_scc_exact(
+def _solve_scc(
     local: dict[int, Poly],
     comp: list[int],
-    cfg: SolveConfig,
-    diagnostics: list[str],
+    notes: list[str],
+    irrational: set[int],
 ) -> dict[int, Value]:
+    """Solve a component whose dependencies are substituted by rationals.
+    Diagnostics go to `notes`; unknowns whose least root is irrational
+    go to `irrational`."""
     comp_set = set(comp)
     self_dep = any(
         w in comp_set for v in comp for w in local[v].variables()
@@ -315,29 +322,18 @@ def _solve_scc_exact(
 
     linear = all(local[v].degree_in(comp_set) <= 1 for v in comp)
     if linear:
-        return _solve_linear(local, comp, diagnostics)
+        return _solve_linear(local, comp, notes)
     if len(comp) == 1:
-        return _solve_univariate(local, comp[0], cfg, diagnostics)
-    return _solve_multivariate(local, comp, cfg, diagnostics)
+        return _solve_univariate(local, comp[0], notes, irrational)
+    return _solve_multivariate(local, comp, notes)
 
 
 def _solve_linear(
-    local: dict[int, Poly], comp: list[int], diagnostics: list[str]
+    local: dict[int, Poly], comp: list[int], notes: list[str]
 ) -> dict[int, Value]:
-    n = len(comp)
-    pos = {v: i for i, v in enumerate(comp)}
-    A = [[ZERO] * n for _ in range(n)]
-    b = [ZERO] * n
-    for v in comp:
-        i = pos[v]
-        b[i] = local[v].constant_term()
-        for m, c in local[v].terms.items():
-            if not m:
-                continue
-            sys_vars = [(vid, e) for vid, e in m if vid in pos]
-            assert len(sys_vars) <= 1 and all(e == 1 for _, e in sys_vars)
-            if sys_vars:
-                A[i][pos[sys_vars[0][0]]] += c
+    # A linear component's Jacobian is constant: w = A w + b.
+    A = jacobian(local, comp, {v: ZERO for v in comp})
+    b = [local[v].constant_term() for v in comp]
     if all(x == 0 for x in b):
         # x = A x with A >= 0: the least solution is identically zero.
         return {v: ZERO for v in comp}
@@ -346,8 +342,8 @@ def _solve_linear(
         # A finite nonnegative fixpoint exists, so the Kleene iterates
         # (partial sums of A^k b) stay below it; nonsingularity makes
         # the fixpoint unique, hence minimal.
-        return {v: sol[pos[v]] for v in comp}
-    diagnostics.append(
+        return dict(zip(comp, sol))
+    notes.append(
         "linear component without a nonnegative finite solution: "
         + ", ".join(var_name(v) for v in comp)
     )
@@ -357,23 +353,20 @@ def _solve_linear(
 
 
 def _solve_univariate(
-    local: dict[int, Poly], vid: int, cfg: SolveConfig, diagnostics: list[str]
+    local: dict[int, Poly], vid: int, notes: list[str], irrational: set[int]
 ) -> dict[int, Value]:
     """Least nonnegative root of P(y) - y: exact when rational, otherwise
-    a certified isolating interval."""
+    a certified isolating interval of width <= EPS."""
     f = [ZERO] * (local[vid].degree_in({vid}) + 1)
     for m, c in local[vid].terms.items():
         f[m[0][1] if m else 0] += c
     f[1] -= ONE
-    val = _least_nonneg_root(_trim(f), cfg.eps)
+    val = _least_nonneg_root(_trim(f))
     if val is None:
-        diagnostics.append(f"no nonnegative fixpoint for {var_name(vid)}")
+        notes.append(f"no nonnegative fixpoint for {var_name(vid)}")
         return {vid: Interval(ZERO, ONE)}
     if isinstance(val, Interval):
-        diagnostics.append(
-            f"{var_name(vid)}: least fixpoint is irrational; certified to "
-            f"width {val.width}"
-        )
+        irrational.add(vid)
     return {vid: val}
 
 
@@ -431,9 +424,9 @@ def _variations(seq: list[list[Fraction]], x: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _least_nonneg_root(f: list[Fraction], eps: Fraction) -> Value | None:
+def _least_nonneg_root(f: list[Fraction]) -> Value | None:
     """Least root >= 0 of f (degree >= 1): exact when rational, otherwise
-    an isolating interval of width <= eps; None when there is none."""
+    an isolating interval of width <= EPS; None when there is none."""
     g = _pdivmod(f, _pgcd(f, _pderiv(f)))[0]  # square-free, same roots
     if g[0] == 0:
         return ZERO
@@ -468,18 +461,9 @@ def _least_nonneg_root(f: list[Fraction], eps: Fraction) -> Value | None:
     cand = ((lo + hi) / 2).limit_denominator(L)
     if lo < cand <= hi and _peval(g, cand) == 0:
         return cand
-    while hi - lo > eps:
+    while hi - lo > EPS:
         halve()
     return Interval(lo, hi)
-
-
-def _jacobian_at(
-    local: dict[int, Poly], comp: list[int], point: dict[int, Fraction]
-) -> list[list[Fraction]]:
-    return [
-        [_poly_eval_rat(local[v].derivative(w), point) for w in comp]
-        for v in comp
-    ]
 
 
 def _spectral_radius_le_one(J: list[list[Fraction]]) -> bool:
@@ -510,29 +494,29 @@ def _irreducible_rho_le_one(J: list[list[Fraction]]) -> bool:
 
 
 def _solve_multivariate(
-    local: dict[int, Poly], comp: list[int], cfg: SolveConfig, diagnostics: list[str]
+    local: dict[int, Poly], comp: list[int], notes: list[str]
 ) -> dict[int, Value]:
     ones = {v: ONE for v in comp}
     if all(
-        _poly_eval_rat(local[v], ones) == ONE for v in comp
-    ) and _spectral_radius_le_one(_jacobian_at(local, comp, ones)):
+        _eval_rat(local[v], ones) == ONE for v in comp
+    ) and _spectral_radius_le_one(jacobian(local, comp, ones)):
         # Strongly connected, P(1) = 1, spectral radius of the Jacobian
         # at 1 at most 1: the least fixpoint is 1.
         return ones
     # Supercritical, or 1 is not a fixpoint: bracket the least one.
-    return _newton_bracket(local, comp, cfg, diagnostics)
+    return _newton_bracket(local, comp, notes)
 
 
 def _newton_bracket(
-    local: dict[int, Poly], comp: list[int], cfg: SolveConfig, diagnostics: list[str]
+    local: dict[int, Poly], comp: list[int], notes: list[str]
 ) -> dict[int, Value]:
     """Exact Newton iterations from below plus a rational pre-fixpoint
     search from above; returns intervals (possibly degenerate)."""
     pos = {v: i for i, v in enumerate(comp)}
     x = {v: ZERO for v in comp}
     for _ in range(50):
-        J = _jacobian_at(local, comp, x)
-        r = [_poly_eval_rat(local[v], x) - x[v] for v in comp]
+        J = jacobian(local, comp, x)
+        r = [_eval_rat(local[v], x) - x[v] for v in comp]
         d = gauss_solve(identity_minus(J), r)
         if d is None:
             break
@@ -543,7 +527,7 @@ def _newton_bracket(
             v: min(val, Fraction(val).limit_denominator(10**12))
             for v, val in nxt.items()
         }
-        if all(abs(nxt[v] - x[v]) < cfg.eps / 4 for v in comp):
+        if all(abs(nxt[v] - x[v]) < EPS / 4 for v in comp):
             x = nxt
             break
         x = nxt
@@ -554,15 +538,15 @@ def _newton_bracket(
     for j in range(4, 60, 4):
         margin = Fraction(1, 2**j)
         cand = {v: min(ONE, lo[v] + margin) for v in comp}
-        if not all(_poly_eval_rat(local[v], cand) <= cand[v] for v in comp):
+        if not all(_eval_rat(local[v], cand) <= cand[v] for v in comp):
             if best is not None:
                 break
             continue
         best = cand
-        if max(cand[v] - lo[v] for v in comp) <= cfg.eps:
+        if max(cand[v] - lo[v] for v in comp) <= EPS:
             break
     if best is None:
-        diagnostics.append(
+        notes.append(
             "inconclusive-width: no certified upper bound found for "
             + ", ".join(var_name(v) for v in comp)
         )
@@ -570,35 +554,6 @@ def _newton_bracket(
     return {
         v: lo[v] if lo[v] == best[v] else Interval(lo[v], best[v]) for v in comp
     }
-
-
-def _solve_scc_bounded(
-    eqs1: dict[int, Poly],
-    comp: list[int],
-    values: dict[int, Value],
-    cfg: SolveConfig,
-    diagnostics: list[str],
-) -> dict[int, Value]:
-    """Interval propagation when some dependency is itself an interval:
-    by monotonicity, solving with the dependency lows (highs) bounds the
-    component from below (above)."""
-    out: dict[int, Value] = {}
-    comp_set = set(comp)
-    bounds = {}
-    for pick, side in ((value_lo, 0), (value_hi, 1)):
-        sub = {}
-        for v in comp:
-            for w in eqs1[v].variables():
-                if w in values:
-                    sub[w] = Poly.const(pick(values[w]))
-        local = {v: eqs1[v].substitute(sub) for v in comp}
-        res = _solve_scc_exact(local, comp, cfg, diagnostics)
-        bounds[side] = res
-    for v in comp:
-        lo = value_lo(bounds[0][v])
-        hi = value_hi(bounds[1][v])
-        out[v] = lo if lo == hi else Interval(lo, hi)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -640,12 +595,8 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
         )
     z = z_vid()
     point[z] = ONE
-    J = [
-        [_poly_eval_rat(fas.eqs[v].derivative(w), point) for w in order]
-        for v in order
-    ]
-    g = [_poly_eval_rat(fas.eqs[v].derivative(z), point) for v in order]
-    IJ = identity_minus(J)
+    IJ = identity_minus(jacobian(fas.eqs, order, point))
+    g = [_eval_rat(fas.eqs[v].derivative(z), point) for v in order]
     d = gauss_solve(IJ, g)
     if d is None:
         u = kernel_vector(IJ)

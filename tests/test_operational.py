@@ -9,7 +9,6 @@ from phors_lab import load_bundled
 from phors_lab.interp import compile_scheme, reachable
 from phors_lab.operational import (
     ExecError,
-    RunStats,
     enumerate_terminations,
     monte_carlo,
     step,
@@ -22,6 +21,7 @@ from phors_lab.syntax import (
     Choice,
     NonTerm,
     Omega,
+    Proj,
     Unit,
     Var,
     parse,
@@ -54,6 +54,13 @@ class TestStep:
         s = parse("S : o ; S = pi_2 <omega, e> ;")
         res = step(s.nonterminals["S"].body, s)
         assert res.term == Unit()
+
+    def test_projection_of_a_normal_form(self):
+        s = parse("S : o ; S = pi_1 e ;")
+        assert step(Proj(1, Unit()), s).term == Unit()
+        assert step(Proj(1, Omega()), s).term == Omega()
+        with pytest.raises(ExecError):
+            step(Proj(2, Unit()), s)
 
     def test_under_application_is_an_error(self):
         s = parse("F x = x ; S = F e ;")
@@ -99,6 +106,29 @@ class TestEnumerate:
         assert probs == {}
 
 
+class TestProjections:
+    # Hand-derived: pi_1 e terminates at once; pi_1 (e [1/2] omega) makes
+    # one choice and terminates with probability 1/2.
+    @pytest.mark.parametrize(
+        "body, want",
+        [("pi_1 e", {0: F(1)}), ("pi_1 (e [1/2] omega)", {1: F(1, 2)})],
+    )
+    def test_enumeration_agrees_with_series(self, body, want):
+        scheme = parse(f"S : o ; S = {body} ;")
+        probs, budget_hit = enumerate_terminations(scheme, 4)
+        assert not budget_hit
+        assert probs == want
+        fas = reachable(compile_scheme(scheme))
+        coeffs = kleene_series(fas, 4)[fas.start].coeffs
+        assert list(coeffs) == [want.get(i, F(0)) for i in range(5)]
+
+    def test_monte_carlo_counts_the_choice(self):
+        stats = monte_carlo(parse("S : o ; S = pi_1 (e [1/2] omega) ;"), 200)
+        assert stats.censored == 0
+        assert stats.terminated + stats.diverged == 200
+        assert set(stats.histogram) == {1}
+
+
 class TestWilson:
     def test_degenerate_cases(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
@@ -130,20 +160,6 @@ class TestMonteCarlo:
         b = monte_carlo(s, 500, seed=2)
         assert a.histogram != b.histogram
 
-    def test_chunks_merge_to_whole(self):
-        s = load_bundled("eq3")
-        whole = monte_carlo(s, 600, seed=9)
-        first = monte_carlo(s, 600, seed=9, chunk=(0, 200))
-        rest = monte_carlo(s, 600, seed=9, chunk=(200, 600))
-        assert first.merge(rest).to_json() == whole.to_json()
-
-    def test_merge_requires_same_configuration(self):
-        s = load_bundled("unit")
-        a = monte_carlo(s, 10, seed=1)
-        b = monte_carlo(s, 10, seed=2)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_three_outcome_accounting(self):
         stats = monte_carlo(load_bundled("eq3"), 400, seed=5)
         assert stats.terminated + stats.diverged + stats.censored == 400
@@ -163,8 +179,6 @@ class TestMonteCarlo:
         data = json.loads(stats.to_json())
         assert data["trials"] == 300
         assert data["algorithm"] == "python-random-mt19937"
-        csv = stats.histogram_csv()
-        assert csv.startswith("choices,frequency\n")
         assert sum(stats.histogram.values()) == stats.terminated
 
     def test_mean_choices_matches_histogram(self):

@@ -10,9 +10,9 @@ from phors_lab.algebra import Poly, REGISTRY, TruncSeries
 from phors_lab.interp import compile_scheme, reachable, var_name, z_vid
 from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
 from phors_lab.solver import (
+    EPS,
     Interval,
     MonotonicityError,
-    SolveConfig,
     SolverError,
     expected_steps,
     gauss_solve,
@@ -232,7 +232,7 @@ class TestUnivariateRoots:
         val, notes = _univariate(F(1, 4), 0, F(1, 4))
         assert isinstance(val, Interval)
         assert (2 - val.lo) ** 2 >= 3 >= (2 - val.hi) ** 2
-        assert 0 < val.width <= SolveConfig().eps
+        assert 0 < val.width <= EPS
         assert len(notes) == 1 and "irrational" in notes[0]
 
     def test_no_nonnegative_root(self):
@@ -287,10 +287,50 @@ class TestNewtonBracket:
         val = verdict.p_term
         assert isinstance(val, Interval)
         assert val.lo <= F(1, 2) <= val.hi
-        assert val.width <= SolveConfig().eps
+        assert val.width <= EPS
         (cert,) = verdict.certificates
         assert isinstance(cert, PreFixpointBelowOne)
         assert verify_certificate(fas, cert)
+
+
+# Reduced dyck_lossy: at z = 1, l = (1/4) l^2 + 1/4, so p_L = 2 - sqrt(3)
+# is an interval, and G's component is solved with L's lower and upper
+# bounds substituted.
+_INTERVAL_FED = (
+    "L : !1 o -o o ; L x = A (L (L x)) [1/2] B x ; "
+    "A : !1 o -o o ; A x = x [1/2] omega ; "
+    "B : !1 o -o o ; B x = x [1/2] omega ; "
+    "G : !1 o -o o ; S : o ; S = G e ; "
+)
+
+
+def _interval_fed(g_rule: str):
+    """G's unknown and the least solution of the system."""
+    fas = reachable(compile_scheme(parse(_INTERVAL_FED + g_rule)))
+    sol = solve_at_one(fas)
+    (g,) = [v for v in fas.eqs if var_name(v).startswith("y[G;")]
+    return g, sol
+
+
+class TestIntervalFedComponents:
+    def test_linear_component(self):
+        # g = g/2 + p_L/2, so g = p_L.
+        g, sol = _interval_fed("G x = (G x) [1/2] (L x) ;")
+        val = sol.values[g]
+        assert isinstance(val, Interval)
+        assert (2 - val.lo) ** 2 >= 3 >= (2 - val.hi) ** 2
+
+    def test_univariate_component_is_noted_once(self):
+        # g = g^2/2 + p_L/2, so (1 - g)^2 = 1 - p_L = sqrt(3) - 1.
+        g, sol = _interval_fed("G x = (G (G x)) [1/2] (L x) ;")
+        val = sol.values[g]
+        assert isinstance(val, Interval)
+        assert ((1 - val.lo) ** 2 + 1) ** 2 >= 3 >= ((1 - val.hi) ** 2 + 1) ** 2
+        notes = [n for n in sol.diagnostics if n.startswith(var_name(g))]
+        assert notes == [
+            f"{var_name(g)}: least fixpoint is irrational; certified to "
+            f"width {val.width}"
+        ]
 
 
 class TestExpectedSteps:
@@ -326,10 +366,6 @@ class TestExpectedSteps:
 
 
 class TestSolveConfig:
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            SolveConfig(eps=F(0))
-
     def test_interval_invariants(self):
         with pytest.raises(ValueError):
             Interval(F(1), F(0))
