@@ -154,23 +154,6 @@ class Poly:
                 best = d
         return best
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
-    def coefficient_of(self, mono: Monomial) -> "Poly":
-        """Extract the coefficient (a polynomial in the remaining
-        variables) of an exact power product: monomials whose exponents
-        in mono's variables equal mono exactly."""
-        want = dict(mono)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            got = {vid: exp for vid, exp in m if vid in want}
-            if got != want:
-                continue
-            rest = tuple((vid, exp) for vid, exp in m if vid not in want)
-            out[rest] = out.get(rest, ZERO) + c
-        return Poly(out)
-
     # -- evaluation ----------------------------------------------------
 
     def eval(self, assignment: Mapping[int, object]) -> object:
@@ -313,45 +296,6 @@ class TruncSeries:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __le__(self, other: "TruncSeries") -> bool:
-        o = self._coerce(other)
-        return all(a <= b for a, b in zip(self.coeffs, o.coeffs))
-
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(z)) mod z^(N+1).
-
-        Requires inner's constant term to vanish (otherwise every outer
-        coefficient contributes to every output coefficient and the
-        truncated computation would be wrong), unless self is an exact
-        polynomial of degree within the bound — then plain Horner
-        evaluation is still exact.
-        """
-        inner = self._coerce(inner)
-        if inner.coeffs[0] != 0:
-            # Safe only when self really is a polynomial we hold in full:
-            # conservatively refuse; callers evaluate Poly instead.
-            raise ValueError("composition needs zero constant term in inner series")
-        acc = TruncSeries.zero(self.bound)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + TruncSeries.const(c, self.bound)
-        return acc
-
-    def derivative(self) -> "TruncSeries":
-        if self.bound == 0:
-            return TruncSeries([ZERO])
-        return TruncSeries(
-            Fraction(i) * self.coeffs[i] for i in range(1, self.bound + 1)
-        )
-
-    def eval_at(self, x: Fraction) -> Fraction:
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         parts = []

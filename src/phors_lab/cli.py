@@ -228,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemeError, InterpError, TransformError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
     except MonotonicityError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,8 +3,8 @@
 Three entry points:
 
 * `kleene_series` — exact coefficients of the least solution as
-  truncated power series in z (Kleene iteration in the truncated-series
-  semiring, with a built-in monotonicity assertion).
+  truncated power series in z, one coefficient layer at a time, after a
+  one-time check that P has no negative coefficient.
 * `solve_at_one` — the least nonnegative solution of w = P(w, 1), one
   strongly connected component at a time with its dependencies' values
   substituted (their lower, then their upper bounds when some are
@@ -40,8 +40,8 @@ class SolverError(ValueError):
 
 
 class MonotonicityError(AssertionError):
-    """A Kleene iterate decreased in some coefficient: the system is not
-    monotone, which indicates corrupted input or an internal bug."""
+    """The system has a negative coefficient, so it is not monotone:
+    corrupted input or an internal bug."""
 
 
 # Width to which irrational values are certified.
@@ -81,7 +81,7 @@ class MinSolution:
 
 
 # ---------------------------------------------------------------------------
-# Kleene iteration on truncated series
+# Series, one coefficient layer at a time
 
 
 def kleene_series(
@@ -89,49 +89,92 @@ def kleene_series(
     degree: int,
     params: dict[int, TruncSeries] | None = None,
 ) -> dict[int, TruncSeries]:
-    """Exact coefficients of the minimal solution up to z^degree."""
+    """Exact coefficients of the least solution up to z^max(degree, 1),
+    one layer at a time (Pivoteau, Salvy & Soria, JCTA 2012).
+
+    Layer 0 is the least solution y_0 of y = P(y, 0), by Kleene
+    iteration.  Pumping a repeated unknown in a derivation tree of
+    positive weight gives taller ones, so the iteration becomes
+    stationary, within len(eqs) + 1 rounds, iff no tree of positive
+    weight repeats an unknown on a path.  Layer k >= 1 is linear,
+    y_k = J y_k + r_k with J = dP/dy at (y_0, 0) and r_k given by the
+    lower layers.  It is solved along the components of J's graph,
+    dependencies first: y_k[v] is coefficient k of P_v, and a component
+    with a cycle must get input 0 and then stays 0, or it diverges.  A
+    negative coefficient in P raises MonotonicityError."""
     params = params or {}
     missing = fas.param_vids - set(params)
     if missing:
         names = ", ".join(sorted(var_name(v) for v in missing))
         raise SolverError(f"unassigned parameters: {names}")
-    env: dict[int, object] = {z_vid(): TruncSeries.z(max(degree, 1))}
-    for vid, s in params.items():
-        if s.bound < degree:
-            raise SolverError("parameter series truncated below requested degree")
-        env[vid] = TruncSeries(s.coeffs[: degree + 1]) if degree >= 1 else s
+    if any(s.bound < degree for s in params.values()):
+        raise SolverError("parameter series truncated below requested degree")
+    for vid, p in fas.eqs.items():
+        if any(c < 0 for c in p.terms.values()):
+            raise MonotonicityError(f"negative coefficient in the equation of {var_name(vid)}")
     n = max(degree, 1)
-    state = {vid: TruncSeries.zero(n) for vid in fas.eqs}
-    # Iterate k holds exactly the derivation trees of height at most k.
-    # On a root-to-leaf path, an unknown can repeat only if a choice (z)
-    # lies on or beside the segment between the repeats: otherwise that
-    # segment pumps into infinitely many trees of the same degree, and a
-    # scheme's coefficients are probabilities.  Trees with at most n
-    # choices are therefore at most (n + 1) * len(eqs) high, and one more
-    # round confirms.
-    max_iterations = (n + 1) * (len(fas.eqs) + 1)
-    prev = None
-    for _ in range(max_iterations + 1):
-        full_env = dict(env)
-        full_env.update(state)
-        new = {}
-        for vid, p in fas.eqs.items():
-            val = p.eval(full_env)
-            if not isinstance(val, TruncSeries):
-                val = TruncSeries.const(val, n)
-            if not (state[vid] <= val):
-                raise MonotonicityError(
-                    f"Kleene iterate decreased at {var_name(vid)}"
-                )
-            new[vid] = val
-        if new == state:
-            return state
-        prev, state = state, new
-    raise SolverError(
-        "Kleene iteration did not become stationary; last two iterates: "
-        f"{ {var_name(v): repr(s) for v, s in (prev or {}).items()} } / "
-        f"{ {var_name(v): repr(s) for v, s in state.items()} }"
-    )
+    z = z_vid()
+    series = {vid: list(s.coeffs[: n + 1]) for vid, s in params.items()}
+    point = {vid: s[0] for vid, s in series.items()} | {z: ZERO}
+    y0 = {vid: ZERO for vid in fas.eqs}
+    for _ in range(len(fas.eqs) + 1):
+        point.update(y0)
+        new = {vid: _eval_rat(p, point) for vid, p in fas.eqs.items()}
+        if new == y0:
+            break
+        y0 = new
+    else:
+        raise SolverError("the constant coefficients have infinitely many derivations")
+
+    order = list(fas.eqs)
+    graph = {
+        v: {w for w, x in zip(order, row) if x}
+        for v, row in zip(order, jacobian(fas.eqs, order, point))
+    }
+    blocks = [(comp, len(comp) > 1 or comp[0] in graph[comp[0]]) for comp in sccs(graph)]
+    y = {vid: [y0[vid]] for vid in fas.eqs}
+    series.update(y)
+    monos: dict[int, list] = {vid: [] for vid in fas.eqs}
+    for vid, p in fas.eqs.items():
+        for m, c in p.terms.items():
+            fs = [[c]] + ([series[w] for w, e in m if w != z for _ in range(e)] or [[ONE]])
+            monos[vid].append((dict(m).get(z, 0), fs, [[] for _ in fs[1:]]))
+    for k in range(1, n + 1):
+        for comp, cyclic in blocks:
+            # Coefficient k of P with the component's own coefficients k,
+            # not known yet, read as 0: its value, or its input if cyclic.
+            inputs = [_coeff(monos[v], k) for v in comp]
+            if cyclic and any(inputs):
+                names = ", ".join(var_name(v) for v in comp)
+                raise SolverError(f"coefficient {k} of {names} diverges")
+            for v, x in zip(comp, inputs):
+                y[v].append(x)
+    return {vid: TruncSeries(cs) for vid, cs in y.items()}
+
+
+def _coeff(monos: list, k: int) -> Fraction:
+    """Coefficient k of a sum of monomials c z^e f_1 ... f_m, each given
+    as (e, [[c], f_1, ..., f_m], the coefficient lists of its prefix
+    products c f_1, c f_1 f_2, ...).  A coefficient missing from an f_i
+    reads as 0.  Only z-free monomials read the unknowns' coefficient k,
+    which may be missing, so only they drop the coefficient k they
+    computed for their prefixes."""
+    total = ZERO
+    for e, fs, pres in monos:
+        t = k - e
+        for i in range(len(pres[0]), t + 1):
+            prev = fs[0]
+            for f, pre in zip(fs[1:], pres):
+                lo, hi = max(0, i + 1 - len(f)), min(i, len(prev) - 1)
+                pairs = zip(prev[lo : hi + 1], reversed(f[i - hi : i - lo + 1]))
+                pre.append(sum((a * b for a, b in pairs if a and b), ZERO))
+                prev = pre
+        if t >= 0:
+            total += pres[-1][t]
+        if e == 0:
+            for pre in pres:
+                pre.pop()
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,10 @@ class _Cursor:
 
 
 def _parse_rat(tok: Token) -> Fraction:
-    return Fraction(tok.text)
+    try:
+        return Fraction(tok.text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
 
 
 def _parse_type(c: _Cursor) -> GradedType:

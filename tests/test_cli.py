@@ -39,14 +39,16 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def _assert_input_error(*argv: str) -> None:
-    """A fresh CLI process exits 1 with one `error:` line and no output."""
+def _assert_input_error(*argv: str) -> str:
+    """A fresh CLI process exits 1 with one `error:` line and no output;
+    returns that line."""
     proc = _python("-m", "phors_lab.cli", *argv)
     assert proc.returncode == EXIT_INPUT
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 class TestCheck:
@@ -125,6 +127,19 @@ class TestAnalyze:
     )
     def test_negative_counts_are_input_errors(self, argv):
         _assert_input_error(*argv)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("S : o ; S = e [3/0] omega ;", "1:16: zero denominator in '3/0'"),
+            ("S : o ; S = " + "(" * 3000 + "e" + ")" * 3000 + " ;", "input nested too deeply"),
+        ],
+        ids=["zero-denominator", "deep-nesting"],
+    )
+    def test_malformed_input_is_an_input_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.phors"
+        path.write_text(text)
+        assert message in _assert_input_error("check", str(path))
 
 
 class TestTransform:

@@ -1,6 +1,7 @@
 """Kleene series, exact solving at z = 1, and expected-step analysis."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from phors_lab.solver import (
 from phors_lab.operational import enumerate_terminations
 from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
+
+from conftest import random_order1_scheme, random_order2_scheme
 
 F = Fraction
 
@@ -119,6 +122,50 @@ class TestKleeneSeries:
         probs, budget_hit = enumerate_terminations(scheme, 8)
         assert not budget_hit
         assert list(s.coeffs) == [probs.get(i, F(0)) for i in range(9)]
+
+    def test_cycle_fed_by_a_choice_diverges(self):
+        # w = w + z: coefficient 1 satisfies w_1 = w_1 + 1.
+        w, z = Poly.var(_v("w")), Poly.var(z_vid())
+        with pytest.raises(SolverError, match="coefficient 1"):
+            kleene_series(_make_system({"w": w + z}, "w"), 4)
+
+    def test_cycle_without_input_stays_zero(self):
+        # w = w + z w: the Jacobian at z = 0 has the cycle w -> w, fed 0.
+        w, z = Poly.var(_v("w")), Poly.var(z_vid())
+        s = kleene_series(_make_system({"w": w + z * w}, "w"), 5)[_v("w")]
+        assert s.coeffs == (F(0),) * 6
+
+    def test_integer_constant_layer_feeds_a_product(self):
+        # a = 2 and c = z/2 + (z/2) c, so c_k = 1/2^k and b = a c = 2 c.
+        a, c = Poly.var(_v("a")), Poly.var(_v("c"))
+        half_z = Poly.var(z_vid()).scale(F(1, 2))
+        fas = _make_system({"a": Poly.const(2), "c": half_z + half_z * c, "b": a * c}, "b")
+        s = kleene_series(fas, 10)[_v("b")]
+        assert s.coeffs == (F(0),) + tuple(F(2, 2**k) for k in range(1, 11))
+
+    def test_random_walk_to_degree_512(self):
+        fas = _fas("randomwalk")
+        s = kleene_series(fas, 512)[fas.start]
+        assert s.coeffs[0::2] == (F(0),) * 257
+        assert s.coeffs[1::2] == tuple(F(catalan(k), 2 ** (2 * k + 1)) for k in range(256))
+
+    def test_random_schemes_match_the_enumerator(self):
+        rng = random.Random(5)
+        exact = 0
+        for i in range(50):
+            scheme = (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            fas = reachable(compile_scheme(scheme))
+            probs, budget_hit = enumerate_terminations(scheme, 8, step_budget=2000)
+            want = [probs.get(k, F(0)) for k in range(9)]
+            got = list(kleene_series(fas, 8)[fas.start].coeffs)
+            # A run that loops without choices exhausts the step budget;
+            # the enumeration is then only a lower bound.
+            if budget_hit:
+                assert all(g >= w for g, w in zip(got, want))
+            else:
+                exact += 1
+                assert got == want
+        assert exact >= 40
 
 
 class TestLinearAlgebra:
