@@ -3,7 +3,11 @@
 For each bundled scheme, `analyze --degree 16`, `transform linearize`
 and `transform reduce` must give the exit code, the first stderr line
 and the stdout stored under `tests/golden/`.  The `file` entry of the
-analyze report is dropped, since it names the checkout's path.
+analyze report is dropped, since it names the checkout's path.  The
+operational oracle is pinned in `oracle.json`: `monte_carlo` and
+`enumerate_terminations` on every closed bundled scheme and on a few
+projection bodies, with the dict order of the enumeration and the
+`ExecError` an input raises.
 
 Run `PYTHONPATH=src python tests/test_golden.py` to rewrite the golden
 files from the current code; review the diff before committing it."""
@@ -16,8 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from phors_lab import bundled_names, scheme_path
+from phors_lab import bundled_names, load_bundled, scheme_path
 from phors_lab.cli import main
+from phors_lab.operational import ExecError, enumerate_terminations, monte_carlo
+from phors_lab.syntax import parse
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -26,6 +32,7 @@ COMMANDS = {
     "reduce": ["transform", "reduce"],
 }
 CASES = [(name, cmd) for name in bundled_names() for cmd in COMMANDS]
+PROJECTIONS = ["pi_1 e", "pi_1 omega", "pi_2 <omega, e>", "pi_1 (e [1/2] omega)", "pi_2 e"]
 
 
 def run(name: str, cmd: str) -> tuple[int, str, str]:
@@ -39,6 +46,42 @@ def run(name: str, cmd: str) -> tuple[int, str, str]:
         del report["file"]
         stdout = json.dumps(report, indent=2) + "\n"
     return code, (err.getvalue().splitlines() or [""])[0], stdout
+
+
+def _oracle_run(scheme) -> dict:
+    """Monte Carlo statistics and the enumeration to degree 10, or the
+    `ExecError` each raises."""
+    out = {}
+    try:
+        out["monte_carlo"] = json.loads(
+            monte_carlo(scheme, 2000, step_cap=1000, seed=20240817).to_json()
+        )
+    except ExecError as e:
+        out["monte_carlo"] = f"ExecError: {e}"
+    try:
+        probs, budget_hit = enumerate_terminations(scheme, 10)
+        out["enumerate"] = {
+            "probs": [[k, str(p)] for k, p in probs.items()],
+            "budget_hit": budget_hit,
+        }
+    except ExecError as e:
+        out["enumerate"] = f"ExecError: {e}"
+    return out
+
+
+def oracle_text() -> str:
+    doc = {}
+    for name in bundled_names():
+        scheme = load_bundled(name)
+        if scheme.is_closed():
+            doc[name] = _oracle_run(scheme)
+    for body in PROJECTIONS:
+        doc[body] = _oracle_run(parse(f"S : o ; S = {body} ;"))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_oracle_matches_golden():
+    assert oracle_text() == (GOLDEN / "oracle.json").read_text(encoding="utf-8")
 
 
 def _stored() -> dict:
@@ -66,6 +109,7 @@ def write_golden() -> None:
     (GOLDEN / "exits.json").write_text(
         json.dumps(exits, indent=2) + "\n", encoding="utf-8"
     )
+    (GOLDEN / "oracle.json").write_text(oracle_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":
