@@ -20,7 +20,7 @@ from .interp import (
     reachable,
     var_name,
 )
-from .operational import monte_carlo
+from .operational import ExecError, enumerate_terminations, monte_carlo
 from .solver import MonotonicityError, SolverError, kleene_series
 from .syntax import Scheme, SchemeError, is_finitary, parse, print_scheme
 from .transforms import TransformError, compose, linearize, reduce_inf
@@ -147,8 +147,6 @@ def cmd_transform(args) -> int:
             # The source of a reduction is not directly compilable, but
             # it can still be run: compare exhaustive operational
             # probabilities against the reduced scheme's coefficients.
-            from .operational import enumerate_terminations
-
             probs, budget_hit = enumerate_terminations(scheme, args.verify)
             coeffs = _series(result, args.verify)[1].coeffs
             ok = not budget_hit and all(
@@ -222,10 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SchemeError, InterpError, TransformError) as e:
+    except (FileNotFoundError, UnicodeDecodeError, SchemeError, InterpError,
+            TransformError, ExecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

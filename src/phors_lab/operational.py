@@ -1,12 +1,9 @@
-"""Operational oracle: call-by-name leftmost-outermost rewriting with
-probabilistic choice, an exhaustive enumerator for exact termination
-probabilities, and a reproducible Monte Carlo estimator.  Both drive the
-same `step`, so a choice counts wherever it sits, including under
-projections.
-
-The enumerator and the compiled generating function must agree
-coefficient by coefficient; this is the end-to-end sanity check of the
-whole pipeline."""
+"""Operational oracle: a call-by-name closure machine with probabilistic
+choice (Krivine, "A call-by-name lambda-calculus machine", HOSC 2007),
+driven by an exhaustive enumerator of exact termination probabilities
+and by a reproducible Monte Carlo estimator.  The enumerator and the
+compiled generating function must agree coefficient by coefficient; this
+is the end-to-end sanity check of the whole pipeline."""
 
 from __future__ import annotations
 
@@ -24,12 +21,10 @@ from .syntax import (
     Param,
     Proj,
     Scheme,
-    Term,
     Tuple_,
     Unit,
     Var,
     map_term,
-    spine,
 )
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -41,70 +36,92 @@ class ExecError(RuntimeError):
     pass
 
 
-def substitute(t: Term, env: dict[str, Term]) -> Term:
-    return map_term(t, lambda u: env[u.name] if isinstance(u, Var) else u)
+_E, _OMEGA, _CHOICE, _LIMIT = range(4)
 
 
-@dataclass(slots=True)
-class StepResult:
-    term: Term
-    choice: tuple[str, Fraction] | None  # ("l"|"r", branch probability)
-    normal: bool = False  # no step applied (e or omega at head)
+def _compile(scheme: Scheme) -> tuple[dict, set[int]]:
+    """Each rule as (arity, body), parameters renamed to their positions in
+    the env, and the ids of the compound arguments that mention one: only
+    their closures keep an env, so a loop passing closed terms on runs in
+    constant space."""
+    rules, open_args = {}, set()
+    for n, d in scheme.nonterminals.items():
+        pos = {p: Var(i) for i, p in enumerate(d.params)}
+        body = map_term(d.body, lambda u: pos[u.name] if type(u) is Var else u)
+        rules[n] = (len(d.params), body)
+        todo = [(body, ())]  # (subterm, ids of the compound arguments around it)
+        while todo:
+            t, around = todo.pop()
+            if type(t) is Var:
+                open_args.update(around)
+            elif type(t) is App:
+                a = t.arg
+                inner = around + (id(a),) if type(a) in (App, Choice, Tuple_, Proj) else around
+                todo += [(t.fun, around), (a, inner)]
+            elif type(t) is Choice:
+                todo += [(t.left, around), (t.right, around)]
+            elif type(t) in (Tuple_, Proj):
+                todo += [(u, around) for u in (t.items if type(t) is Tuple_ else [t.body])]
+    return rules, open_args
 
 
-def step(term: Term, scheme: Scheme, direction=None) -> StepResult:
-    """One leftmost-outermost step.  `direction` supplies the branch of
-    the choice the step takes, at the head or under projections: a
-    callable bias -> bool (True = left).  Without it the likelier branch
-    is taken."""
-    head, args = spine(term)
-    match head:
-        case Unit():
-            if args:
-                raise ExecError("terminal applied to arguments")
-            return StepResult(term, None, normal=True)
-        case Omega():
-            return StepResult(term, None, normal=True)
-        case NonTerm(n):
-            d = scheme.nonterminals[n]
-            arity = len(d.params)
-            if len(args) < arity:
-                raise ExecError(f"under-applied non-terminal {n!r} at head")
-            env = dict(zip(d.params, args[:arity]))
-            new = substitute(d.body, env)
-            for a in args[arity:]:
-                new = App(new, a)
-            return StepResult(new, None)
-        case Choice(l, bias, r):
-            go_left = direction(bias) if direction else bias >= Fraction(1, 2)
-            branch = l if go_left else r
-            for a in args:
-                branch = App(branch, a)
-            p = bias if go_left else 1 - bias
-            return StepResult(branch, ("l" if go_left else "r", p))
-        case Proj(i, b):
-            bh, bargs = spine(b)
-            if isinstance(bh, (Tuple_, Unit, Omega)) and not bargs:
-                # A normal form e or omega is a ground value of width 1.
-                items = bh.items if isinstance(bh, Tuple_) else (bh,)
-                if i > len(items):
-                    raise ExecError("projection index out of range")
-                new = items[i - 1]
-                for a in args:
-                    new = App(new, a)
-                return StepResult(new, None)
-            inner = step(b, scheme, direction)
-            new = Proj(i, inner.term)
-            for a in args:
-                new = App(new, a)
-            return StepResult(new, inner.choice)
-        case Tuple_():
+def _run(rules, open_args, t, env, stack, left):
+    """Run the state (t, env, stack) of a `_compile`d scheme to e or omega
+    (`_E`, `_OMEGA`), a `_CHOICE` (t is then the `Choice`), or the end of
+    its `left` steps (`_LIMIT`).  `env` holds the closures (term, env) of
+    the rule's parameters; `stack` is a cons list of argument closures and
+    `int` projection frames.  Steps are unfoldings, choices, and
+    projections meeting a tuple, e or omega; nothing else costs one."""
+    while left > 0:
+        while True:
+            k = type(t)
+            if k is App:
+                a = t.arg
+                if type(a) is Var:
+                    a = env[a.name]
+                else:
+                    a = (a, env if id(a) in open_args else None)
+                stack = (a, stack)
+                t = t.fun
+            elif k is Var:
+                t, env = env[t.name]
+            elif k is Proj:
+                stack = (t.index, stack)
+                t = t.body
+            else:
+                break
+        if k is NonTerm:
+            arity, body = rules[t.name]
+            env = ()
+            while len(env) < arity:
+                if stack is None or type(stack[0]) is int:
+                    raise ExecError(f"under-applied non-terminal {t.name!r} at head")
+                a, stack = stack
+                env += (a,)
+            t = body
+        elif k is Choice:
+            return _CHOICE, t, env, stack, left
+        elif stack is not None and type(stack[0]) is int and k in (Tuple_, Unit, Omega):
+            # A normal form e or omega is a ground value of width 1.
+            items = t.items if k is Tuple_ else (t,)
+            i, stack = stack
+            if i > len(items):
+                raise ExecError("projection index out of range")
+            t = items[i - 1]
+        elif k is Tuple_:
             raise ExecError("tuple in head position of a ground term")
-        case Param(n):
-            raise ExecError(f"open parameter {n!r} reached head position")
-        case Var(n):
-            raise ExecError(f"unbound variable {n!r} reached head position")
-    raise TypeError(head)
+        elif k is Param:
+            raise ExecError(f"open parameter {t.name!r} reached head position")
+        else:  # e or omega: drop its arguments, up to a projection frame
+            while stack is not None and type(stack[0]) is not int:
+                stack = stack[1]
+            if stack is None:
+                return (_E if k is Unit else _OMEGA), t, env, stack, left
+            if k is Unit:
+                raise ExecError("terminal applied to arguments")
+            return _LIMIT, t, env, stack, 0  # under a projection it steps in place forever
+        left -= 1
+    return _LIMIT, t, env, stack, left
 
 
 def enumerate_terminations(
@@ -118,36 +135,21 @@ def enumerate_terminations(
     which case the result is only a certified lower bound."""
     probs: dict[int, Fraction] = {}
     budget_hit = False
-    # Depth-first over (term, prob, choices made).
-    stack: list[tuple[Term, Fraction, int]] = [
-        (NonTerm(scheme.start), Fraction(1), 0)
-    ]
-    while stack:
-        term, prob, used = stack.pop()
-        steps = 0
-        while True:
-            head, _ = spine(term)
-            if isinstance(head, Unit):
-                probs[used] = probs.get(used, Fraction(0)) + prob
-                break
-            if isinstance(head, Omega):
-                break
-            left = step(term, scheme, direction=lambda bias: True)
-            if left.choice is not None:
-                # The step takes a choice, wherever it sits: follow both
-                # branches.
-                if used < max_choices:
-                    right = step(term, scheme, direction=lambda bias: False)
-                    for res in (left, right):
-                        p = res.choice[1]
-                        if p > 0:
-                            stack.append((res.term, prob * p, used + 1))
-                break
-            if steps >= step_budget:
-                budget_hit = True
-                break
-            term = left.term
-            steps += 1
+    rules, open_args = _compile(scheme)
+    # Depth-first over (state, prob, choices made).  A branch may take
+    # step_budget deterministic steps and is cut at the next one.
+    work = [(NonTerm(scheme.start), (), None, Fraction(1), 0)]
+    while work:
+        t, env, stack, prob, used = work.pop()
+        outcome, t, env, stack, _ = _run(rules, open_args, t, env, stack, step_budget + 1)
+        if outcome == _E:
+            probs[used] = probs.get(used, Fraction(0)) + prob
+        elif outcome == _LIMIT:
+            budget_hit = True
+        elif outcome == _CHOICE and used < max_choices:
+            for branch, p in ((t.left, t.bias), (t.right, 1 - t.bias)):
+                if p > 0:
+                    work.append((branch, env, stack, prob * p, used + 1))
     return probs, budget_hit
 
 
@@ -218,32 +220,34 @@ def monte_carlo(
     seed: int = 0,
 ) -> RunStats:
     """Reproducible estimate of the termination behaviour.  Each trial
-    derives its generator from (seed, trial index)."""
+    derives its generator from (seed, trial index) and draws once per
+    choice; a choice is a step like any other."""
     terminated = diverged = censored = 0
     histogram: dict[int, int] = {}
+    rules, open_args = _compile(scheme)
     start = NonTerm(scheme.start)
     for i in range(trials):
         rng = random.Random((seed << 32) ^ i)
-        term = start
+        t, env, stack, left = start, (), None, step_cap
         choices = 0
-        steps = 0
         while True:
-            if steps >= step_cap:
-                censored += 1
+            outcome, t, env, stack, left = _run(rules, open_args, t, env, stack, left)
+            if outcome != _CHOICE:
                 break
-            head, args = spine(term)
-            if isinstance(head, Unit):
-                terminated += 1
-                histogram[choices] = histogram.get(choices, 0) + 1
-                break
-            if isinstance(head, Omega):
-                diverged += 1
-                break
-            res = step(term, scheme, direction=lambda bias: rng.random() < bias)
-            if res.choice is not None:
-                choices += 1
-            term = res.term
-            steps += 1
+            # random() is m / 2**53, so it is below the bias n/d exactly
+            # when m*d < n * 2**53.
+            bias = t.bias
+            m = int(rng.random() * 9007199254740992.0)
+            t = t.left if m * bias.denominator < bias.numerator << 53 else t.right
+            choices += 1
+            left -= 1
+        if outcome == _E:
+            terminated += 1
+            histogram[choices] = histogram.get(choices, 0) + 1
+        elif outcome == _OMEGA:
+            diverged += 1
+        else:
+            censored += 1
     total_choices = sum(k * v for k, v in histogram.items())
     return RunStats(
         trials,

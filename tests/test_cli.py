@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phors_lab
-from phors_lab import scheme_path
+from phors_lab import bundled_names, scheme_path
 from phors_lab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -141,6 +145,12 @@ class TestAnalyze:
         path.write_text(text)
         assert message in _assert_input_error("check", str(path))
 
+    @pytest.mark.parametrize("command", ["check", "analyze", "simulate"])
+    def test_non_utf8_input_is_an_input_error(self, tmp_path, command):
+        path = tmp_path / "bad.phors"
+        path.write_bytes(b"S = e \xff ;")
+        assert "can't decode byte 0xff" in _assert_input_error(command, str(path))
+
 
 class TestTransform:
     def test_linearize_verify(self, capsys):
@@ -207,6 +217,58 @@ class TestSimulate:
         first = capsys.readouterr().out
         main(["simulate", _path("eq3"), "--trials", "200", "--seed", "4"])
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("F x = x ; S = F ;", "under-applied non-terminal 'F'"),
+            ("S : o ; S = pi_2 e ;", "projection index out of range"),
+        ],
+        ids=["under-applied", "projection"],
+    )
+    def test_stuck_run_is_an_input_error(self, tmp_path, text, message):
+        path = tmp_path / "stuck.phors"
+        path.write_text(text)
+        assert message in _assert_input_error("simulate", str(path))
+
+
+# Byte edits of a bundled file: (kind, position, byte).
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 10**6),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_COMMANDS = [
+    ["check"],
+    ["analyze", "--degree", "6"],
+    ["simulate", "--trials", "5", "--cap", "200"],
+]
+
+
+class TestErrorBoundary:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(bundled_names()),
+        edits=_EDITS,
+        command=st.sampled_from(_COMMANDS),
+    )
+    def test_byte_edits_end_in_an_exit_code(self, tmp_path_factory, name, edits, command):
+        data = bytearray(scheme_path(name).read_bytes())
+        for kind, pos, byte in edits:
+            pos %= len(data) + 1
+            if kind == "insert":
+                data.insert(pos, byte)
+            else:
+                data[pos : pos + 1] = bytes([byte]) if kind == "replace" else b""
+        path = tmp_path_factory.mktemp("fuzz") / f"{name}.phors"
+        path.write_bytes(bytes(data))
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main([command[0], str(path), *command[1:]])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
 
 
 class TestColdStart:

@@ -1,6 +1,8 @@
-"""Rewriting, exhaustive enumeration, and Monte Carlo estimation."""
+"""The call-by-name machine through its two entry points: exhaustive
+enumeration and Monte Carlo estimation."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,66 +13,68 @@ from phors_lab.operational import (
     ExecError,
     enumerate_terminations,
     monte_carlo,
-    step,
-    substitute,
     wilson_interval,
 )
 from phors_lab.solver import kleene_series
-from phors_lab.syntax import (
-    App,
-    Choice,
-    NonTerm,
-    Omega,
-    Proj,
-    Unit,
-    Var,
-    parse,
-)
+from phors_lab.syntax import parse
 
 F = Fraction
 
 
 class TestStep:
+    # A step is one rewrite: an unfolding, a choice, or a projection
+    # meeting a value.  Step budgets and caps make the count visible.
+
     def test_unit_and_omega_are_normal(self):
-        s = parse("S = e ;")
-        assert step(Unit(), s).normal
-        assert step(Omega(), s).normal
+        # Unfolding S is the only step: a further one would trip the budget.
+        assert enumerate_terminations(parse("S = e ;"), 0, step_budget=1) == ({0: F(1)}, False)
+        assert enumerate_terminations(parse("S = omega ;"), 0, step_budget=1) == ({}, False)
+        stats = monte_carlo(parse("S = omega ;"), 10, step_cap=2)
+        assert stats.diverged == 10
 
     def test_nonterminal_unfolds(self):
         s = parse("F x = x ; S = F e ;")
-        res = step(App(NonTerm("F"), Unit()), s)
-        assert res.term == Unit()
-        assert res.choice is None
+        assert enumerate_terminations(s, 0, step_budget=2) == ({0: F(1)}, False)
+        assert enumerate_terminations(s, 0, step_budget=1) == ({}, True)
+        assert monte_carlo(s, 10, step_cap=2).censored == 10
+        assert monte_carlo(s, 10, step_cap=3).histogram == {0: 10}
 
     def test_choice_records_branch_probability(self):
-        s = parse("S = e [1/4] omega ;")
-        body = s.nonterminals["S"].body
-        left = step(body, s, direction=lambda bias: True)
-        right = step(body, s, direction=lambda bias: False)
-        assert left.term == Unit() and left.choice == ("l", F(1, 4))
-        assert right.term == Omega() and right.choice == ("r", F(3, 4))
+        assert enumerate_terminations(parse("S = e [1/4] omega ;"), 1) == ({1: F(1, 4)}, False)
+        assert enumerate_terminations(parse("S = omega [1/4] e ;"), 1) == ({1: F(3, 4)}, False)
+        stats = monte_carlo(parse("S = e [1/4] omega ;"), 4000, seed=1)
+        lo, hi = stats.p_term_bounds()
+        assert lo <= 1 / 4 <= hi and stats.histogram == {1: stats.terminated}
 
     def test_projection_reduces_tuple(self):
         s = parse("S : o ; S = pi_2 <omega, e> ;")
-        res = step(s.nonterminals["S"].body, s)
-        assert res.term == Unit()
+        assert enumerate_terminations(s, 0, step_budget=2) == ({0: F(1)}, False)
+        assert enumerate_terminations(s, 0, step_budget=1) == ({}, True)
 
     def test_projection_of_a_normal_form(self):
         s = parse("S : o ; S = pi_1 e ;")
-        assert step(Proj(1, Unit()), s).term == Unit()
-        assert step(Proj(1, Omega()), s).term == Omega()
-        with pytest.raises(ExecError):
-            step(Proj(2, Unit()), s)
+        assert enumerate_terminations(s, 0, step_budget=2) == ({0: F(1)}, False)
+        s = parse("S : o ; S = pi_1 omega ;")
+        assert enumerate_terminations(s, 0, step_budget=2) == ({}, False)
+        assert monte_carlo(s, 10).diverged == 10
+        s = parse("S : o ; S = pi_2 e ;")
+        with pytest.raises(ExecError, match="projection index out of range"):
+            enumerate_terminations(s, 0)
+        with pytest.raises(ExecError, match="projection index out of range"):
+            monte_carlo(s, 1)
 
     def test_under_application_is_an_error(self):
-        s = parse("F x = x ; S = F e ;")
-        with pytest.raises(ExecError):
-            step(NonTerm("F"), s)
+        s = parse("F x = x ; S = F ;")
+        with pytest.raises(ExecError, match="under-applied non-terminal 'F'"):
+            enumerate_terminations(s, 0)
+        with pytest.raises(ExecError, match="under-applied non-terminal 'F'"):
+            monte_carlo(s, 1)
 
-    def test_substitute_replaces_free_variables(self):
-        t = App(Var("x"), Choice(Var("y"), F(1, 2), Unit()))
-        out = substitute(t, {"x": NonTerm("G"), "y": Omega()})
-        assert out == App(NonTerm("G"), Choice(Omega(), F(1, 2), Unit()))
+    def test_arguments_bind_parameters(self):
+        # x is bound to G and y to omega, also inside the choice: G
+        # returns the choice, whose right branch is the only way to e.
+        s = parse("F x y = x (y [1/2] e) ; G z = z ; S = F G omega ;")
+        assert enumerate_terminations(s, 1) == ({1: F(1, 2)}, False)
 
 
 class TestEnumerate:
@@ -104,6 +108,23 @@ class TestEnumerate:
         probs, budget_hit = enumerate_terminations(s, 3, step_budget=100)
         assert budget_hit
         assert probs == {}
+
+    @pytest.mark.parametrize(
+        "text",
+        ["F x y = F e x ; S = F e e ;", "F x y = F (G e) x ; G z = z ; S = F e e ;"],
+        ids=["parameter", "closed-compound"],
+    )
+    def test_loop_passing_arguments_on_runs_in_constant_space(self, text):
+        # A passed-on parameter shares its closure and a closed argument
+        # keeps no env, so no chain of envs builds up over the steps.
+        tracemalloc.start()
+        try:
+            result = enumerate_terminations(parse(text), 0, step_budget=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == ({}, True)
+        assert peak < 200_000
 
 
 class TestProjections:
