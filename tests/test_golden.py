@@ -7,12 +7,16 @@ analyze report is dropped, since it names the checkout's path.  The
 operational oracle is pinned in `oracle.json`: `monte_carlo` and
 `enumerate_terminations` on every closed bundled scheme and on a few
 projection bodies, with the dict order of the enumeration and the
-`ExecError` an input raises.
+`ExecError` an input raises.  The compiled fixpoint systems are pinned
+in `fas.json`: `Fas.render()`, the sorted names of the eliminated zero
+unknowns and the reachable system's `render()`, for every bundled scheme
+(infinitary ones after `reduce_inf`) and for 200 generated schemes.
 
 Run `PYTHONPATH=src python tests/test_golden.py` to rewrite the golden
 files from the current code; review the diff before committing it."""
 
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -22,8 +26,12 @@ import pytest
 
 from phors_lab import bundled_names, load_bundled, scheme_path
 from phors_lab.cli import main
+from phors_lab.interp import InterpError, compile_scheme, reachable, var_name
 from phors_lab.operational import ExecError, enumerate_terminations, monte_carlo
-from phors_lab.syntax import parse
+from phors_lab.syntax import is_finitary, parse
+from phors_lab.transforms import TransformError, reduce_inf
+
+from conftest import random_order1_scheme, random_order2_scheme
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -84,6 +92,34 @@ def test_oracle_matches_golden():
     assert oracle_text() == (GOLDEN / "oracle.json").read_text(encoding="utf-8")
 
 
+def _fas_record(scheme) -> dict | str:
+    """The compiled system of a scheme, or the error compiling it raises."""
+    try:
+        if not all(is_finitary(d.ty) for d in scheme.nonterminals.values()):
+            scheme = reduce_inf(scheme)
+        fas = compile_scheme(scheme)
+    except (InterpError, TransformError) as e:
+        return f"{type(e).__name__}: {e}"
+    return {
+        "render": fas.render(),
+        "zeros": sorted(var_name(v) for v in fas.zeros),
+        "reachable": reachable(fas).render(),
+    }
+
+
+def fas_text() -> str:
+    doc = {name: _fas_record(load_bundled(name)) for name in bundled_names()}
+    rng = random.Random(20240818)
+    for i in range(200):
+        scheme = (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+        doc[f"random {i}"] = _fas_record(scheme)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_fas_matches_golden():
+    assert fas_text() == (GOLDEN / "fas.json").read_text(encoding="utf-8")
+
+
 def _stored() -> dict:
     return json.loads((GOLDEN / "exits.json").read_text(encoding="utf-8"))
 
@@ -110,6 +146,7 @@ def write_golden() -> None:
         json.dumps(exits, indent=2) + "\n", encoding="utf-8"
     )
     (GOLDEN / "oracle.json").write_text(oracle_text(), encoding="utf-8")
+    (GOLDEN / "fas.json").write_text(fas_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":
