@@ -229,12 +229,14 @@ def verify_certificate(fas: Fas, cert: Certificate) -> bool:
         return False
     z = z_vid()
     point = {**cert.solution, z: ONE}
+    column = {w: j for j, w in enumerate(order)}
 
     def residual(x: list[Fraction]) -> list[Fraction]:
-        """(I - J) x."""
+        """(I - J) x; row v differentiates only along the unknowns P_v
+        mentions, since every other entry is 0."""
         return [
-            x[i] - sum(_eval_at(sub.eqs[v].derivative(w), point) * x[j]
-                       for j, w in enumerate(order))
+            x[i] - sum(_eval_at(sub.eqs[v].derivative(w), point) * x[column[w]]
+                       for w in sub.eqs[v].variables() if w in column)
             for i, v in enumerate(order)
         ]
 

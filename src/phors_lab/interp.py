@@ -12,10 +12,16 @@ Variables of the compiled system (registered in algebra.REGISTRY):
     ("bv", rule, x, index_key) transient bound-variable atoms, removed
                                by coefficient extraction
 
-Compilation interprets each rule body once per result index, with one
-memo shared by all indexes of the rule's declared type.  The body
-polynomial is split once by its bound-variable power product, and the
-equation of each index is the part matching its argument profile.
+Compilation visits the rules' call graph one strongly connected
+component at a time, callees first, and interprets the bodies with the
+unknowns not yet known to be nonzero read as 0, so a product never
+carries an unknown that is zero in the least fixpoint.  A component
+without recursion is interpreted once; a recursive one again until its
+set of nonzero unknowns stops growing (Kleene iteration, over the
+Boolean semiring, of "some monomial has only nonzero unknowns").  One
+interpreter serves all indexes of a rule's declared type in a pass: the
+body polynomial is split once by its bound-variable power product, and
+the equation of each index is the part matching its argument profile.
 While multiplying, monomials in which a bound variable's exponent
 exceeds the declared grade are dropped, since no index can extract them.
 """
@@ -28,6 +34,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TypeVar
 
 from .algebra import Monomial, Poly, REGISTRY
 from .syntax import (
@@ -47,6 +54,7 @@ from .syntax import (
     Var,
     arg_types,
     is_finitary,
+    map_term,
     order,
     type_of,
 )
@@ -186,10 +194,15 @@ def var_name(vid: int) -> str:
 
 
 class _Interp:
-    def __init__(self, scheme: Scheme, rule: str, cap: int) -> None:
+    def __init__(
+        self, scheme: Scheme, rule: str, cap: int, nonzero: set[int] | None = None
+    ) -> None:
         self.scheme = scheme
         self.rule = rule
         self.cap = cap
+        # The unknowns known to be nonzero; the others read as 0.  None
+        # reads every unknown as itself.
+        self.nonzero = nonzero
         d = scheme.nonterminals[rule]
         self.bound_types = dict(zip(d.params, (t for _, t in arg_types(d.ty))))
         self.memo: dict[tuple[Term, tuple], Poly] = {}
@@ -217,7 +230,10 @@ class _Interp:
             case Var(n):
                 return Poly.var(bv_vid(self.rule, n, idx))
             case NonTerm(n):
-                return Poly.var(nt_vid(n, idx))
+                vid = nt_vid(n, idx)
+                if self.nonzero is not None and vid not in self.nonzero:
+                    return Poly()
+                return Poly.var(vid)
             case Param(n):
                 return Poly.var(pm_vid(n, idx))
             case Choice(l, bias, r):
@@ -293,16 +309,21 @@ def interpret_body(
 
 
 def _rule_equations(
-    scheme: Scheme, rule: str, targets: list[Index], cap: int
+    scheme: Scheme,
+    rule: str,
+    targets: list[Index],
+    cap: int,
+    nonzero: set[int] | None = None,
 ) -> Iterator[Poly]:
-    """The rule's polynomial at each target index, in order.
+    """The rule's polynomial at each target index, in order, with the
+    unknowns outside `nonzero` read as 0 (none when it is None).
 
     One interpreter serves all targets, so the body is interpreted once
     per result index.  Its polynomial is split once by the power product
     of bound variables; a target's equation is the bucket of its
     argument profile (exact coefficient extraction)."""
     d = scheme.nonterminals[rule]
-    interp = _Interp(scheme, rule, cap)
+    interp = _Interp(scheme, rule, cap, nonzero)
     # Unwind each target through the rule's abstractions.
     unwound: list[tuple[Index, Monomial]] = []
     for idx in targets:
@@ -323,11 +344,10 @@ def _rule_equations(
         for vid, m in profile:
             interp.caps[vid] = max(interp.caps[vid], m)
 
-    # Note the body polynomial may still exceed the declared grade in a
-    # binding's variables taken together: the excess monomials all carry
-    # unknowns that are zero in the least fixpoint, and disappear with
-    # them.  The grade bound is checked as a property after zero
-    # elimination.
+    # Unfiltered, the body polynomial may still exceed the declared grade
+    # in a binding's variables taken together: the excess monomials all
+    # carry unknowns that are zero in the least fixpoint, which compiling
+    # reads as 0.
     split: dict[tuple, dict[Monomial, dict[Monomial, Fraction]]] = {}
     for idx, profile in unwound:
         buckets = split.get(idx.key())
@@ -345,6 +365,62 @@ def _split(p: Poly, domain: set[int]) -> dict[Monomial, dict[Monomial, Fraction]
         rest = tuple(ve for ve in m if ve[0] not in domain)
         buckets.setdefault(bound, {})[rest] = c
     return buckets
+
+
+# ---------------------------------------------------------------------------
+# Strongly connected components (Tarjan, iterative)
+
+Node = TypeVar("Node", int, str)
+
+
+def sccs(graph: dict[Node, set[Node]]) -> list[list[Node]]:
+    """SCCs in reverse topological order: every edge leaves a component
+    emitted later toward one emitted earlier."""
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    out: list[list[Node]] = []
+    counter = 0
+
+    for root in graph:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(graph[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(graph[w]))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(sorted(comp))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +479,22 @@ def _is_proper(p: Poly, system_vids: set[int]) -> bool:
     return True
 
 
+def _callees(body: Term) -> set[str]:
+    """The non-terminals a rule body mentions."""
+    names: set[str] = set()
+
+    def leaf(t: Term) -> Term:
+        if isinstance(t, NonTerm):
+            names.add(t.name)
+        return t
+
+    map_term(body, leaf)
+    return names
+
+
 def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
     """Compile a finitary scheme (closed or parametric) to its fixpoint
-    system, eliminating unknowns whose least-fixpoint value is zero."""
+    system, without the unknowns whose least-fixpoint value is zero."""
     report = check_fin(scheme) if scheme.is_closed() else check_inf(scheme)
     if not report.accepted:
         msgs = "; ".join(d.message for d in report.diagnostics)
@@ -416,57 +505,48 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
                 f"non-terminal {name!r} has an infinitary type; reduce first"
             )
 
-    eqs: dict[int, Poly] = {}
     param_vids: set[int] = set()
     for pname, pty in scheme.params.items():
         for idx in index_set(pty, cap):
             param_vids.add(pm_vid(pname, idx))
 
-    for name, d in scheme.nonterminals.items():
-        targets = index_set(d.ty, cap)
-        for idx, p in zip(targets, _rule_equations(scheme, name, targets, cap)):
-            eqs[nt_vid(name, idx)] = p
+    targets = {name: index_set(d.ty, cap) for name, d in scheme.nonterminals.items()}
+    calls = {name: _callees(d.body) for name, d in scheme.nonterminals.items()}
+    # Callees first, so every unknown outside the component being
+    # interpreted is settled.  Reading an unknown not yet known to be
+    # nonzero as 0 drops exactly the monomials that carry it, and
+    # products only add unknowns, so once the nonzero set of a component
+    # stops growing its last pass gives the equations with the zero
+    # unknowns eliminated.  Parameters and z always count as nonzero.
+    nonzero: set[int] = set()
+    found: dict[int, Poly] = {}
+    for comp in sccs(calls):
+        recursive = len(comp) > 1 or comp[0] in calls[comp[0]]
+        while True:
+            before = len(nonzero)
+            for name in comp:
+                # All of a rule's targets read the same nonzero set.
+                ps = list(_rule_equations(scheme, name, targets[name], cap, nonzero))
+                for idx, p in zip(targets[name], ps):
+                    vid = nt_vid(name, idx)
+                    found[vid] = p
+                    if not p.is_zero():
+                        nonzero.add(vid)
+            if not recursive or len(nonzero) == before:
+                break
 
     start = nt_vid(scheme.start, GroundPoint(1))
-
-    # Eliminate unknowns that are zero in the least fixpoint: an unknown
-    # can generate a nonzero coefficient only if some monomial of its
-    # right-hand side mentions only generating unknowns (z, parameters
-    # and constants always generate).
-    generating: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for vid, p in eqs.items():
-            if vid in generating:
-                continue
-            for m in p.terms:
-                if all(
-                    (v not in eqs) or (v in generating) for v, _ in m
-                ):
-                    generating.add(vid)
-                    changed = True
-                    break
-    zeros = {vid for vid in eqs if vid not in generating}
-
-    kept: dict[int, Poly] = {}
-    for vid, p in eqs.items():
-        if vid in zeros and vid != start:
-            continue
-        if vid in zeros:
-            kept[vid] = Poly()
-            continue
-        kept[vid] = _drop_vars(p, zeros)
-
-    system_vids = set(kept)
-    proper = {vid: _is_proper(p, system_vids) for vid, p in kept.items()}
-    fas = Fas(kept, start, param_vids, zeros - {start}, proper)
+    declared = (nt_vid(name, idx) for name in scheme.nonterminals for idx in targets[name])
+    eqs = {vid: found[vid] for vid in declared if vid in nonzero or vid == start}
+    system_vids = set(eqs)
+    proper = {vid: _is_proper(p, system_vids) for vid, p in eqs.items()}
+    fas = Fas(eqs, start, param_vids, set(found) - system_vids, proper)
 
     if max(order(d.ty) for d in scheme.nonterminals.values()) <= 1:
         # At order 1 a ground argument can reach head position at most
         # once per run, so every surviving unknown is affine in its
         # arguments; the zero analysis must have removed the rest.
-        for vid in kept:
+        for vid in eqs:
             key = REGISTRY.key_of(vid)
             if key[0] == "nt":
                 assert _spine_multiplicity(key[2]) <= 1, (
@@ -481,15 +561,6 @@ def _spine_multiplicity(ikey) -> int:
         return 0
     _, mu, rkey = ikey
     return sum(m for _, m in mu) + _spine_multiplicity(rkey)
-
-
-def _drop_vars(p: Poly, zeros: set[int]) -> Poly:
-    out = {
-        m: c
-        for m, c in p.terms.items()
-        if not any(v in zeros for v, _ in m)
-    }
-    return Poly(out)
 
 
 def reachable(fas: Fas) -> Fas:

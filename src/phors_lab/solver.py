@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Poly, TruncSeries
-from .interp import Fas, var_name, z_vid
+from .interp import Fas, sccs, var_name, z_vid
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -237,60 +237,6 @@ def kernel_vector(A: list[list[Fraction]]) -> list[Fraction] | None:
 
 
 # ---------------------------------------------------------------------------
-# Strongly connected components (Tarjan, iterative)
-
-
-def sccs(graph: dict[int, set[int]]) -> list[list[int]]:
-    """SCCs in reverse topological order: every edge leaves a component
-    emitted later toward one emitted earlier."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-
-    for root in graph:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(graph[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Solving at z = 1
 
 
@@ -304,8 +250,28 @@ def _eval_rat(p: Poly, point: dict[int, Fraction]) -> Fraction:
 def jacobian(
     eqs: dict[int, Poly], order: list[int], point: dict[int, Fraction]
 ) -> list[list[Fraction]]:
-    """The matrix of dP_v/dw at `point`, rows v and columns w in `order`."""
-    return [[_eval_rat(eqs[v].derivative(w), point) for w in order] for v in order]
+    """The matrix of dP_v/dw at `point`, rows v and columns w in `order`.
+    Row v takes one pass over P_v's monomials: c * prod u^e adds
+    c * e * w^(e-1) * prod_{u != w} u^e at point to each column w it
+    mentions."""
+    column = {w: j for j, w in enumerate(order)}
+    J = []
+    for v in order:
+        row = [ZERO] * len(order)
+        for m, c in eqs[v].terms.items():
+            for w, e in m:
+                j = column.get(w)
+                if j is None:
+                    continue
+                x = c * e
+                for u, f in m:
+                    if u == w:
+                        f -= 1
+                    if f:
+                        x *= point[u] ** f
+                row[j] += x
+        J.append(row)
+    return J
 
 
 def solve_at_one(fas: Fas) -> MinSolution:

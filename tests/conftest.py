@@ -18,6 +18,7 @@ from phors_lab.syntax import (
     Term,
     Unit,
     Var,
+    parse,
 )
 
 CLOSED_TYPABLE = [
@@ -151,6 +152,18 @@ def random_order2_scheme(rng: random.Random) -> Scheme:
         "S": NonTermDef(O, (), tail if recurse else App(App(NonTerm("C"), NonTerm("A")), Unit())),
     }
     return Scheme(nts, {}, "S")
+
+
+def chain_tower(k: int) -> Scheme:
+    """The chain-style tower of grade 2^k: F1 f x = f (f x), and each
+    Fi f x = (F(i-1) (C1 f) x) [1/2] (Fi f x) uses f 2^i times.  k = 2
+    is the bundled chain."""
+    fn = "(!1 o -o o)"
+    lines = [f"F{i} : !{2**i} {fn} -o {fn} ;" for i in range(1, k + 1)]
+    lines += [f"C1 : !2 {fn} -o {fn} ;", "I : !1 o -o o ;", "F1 f x = f (f x) ;"]
+    lines += [f"F{i} f x = (F{i - 1} (C1 f) x) [1/2] (F{i} f x) ;" for i in range(2, k + 1)]
+    lines += ["C1 f x = f (f x) ;", "I x = x ;", f"S = F{k} I e ;"]
+    return parse("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------

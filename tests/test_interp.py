@@ -1,6 +1,8 @@
 """Index sets and compilation to fixpoint systems."""
 
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,10 +23,12 @@ from phors_lab.interp import (
     var_name,
     z_vid,
 )
+from phors_lab.operational import enumerate_terminations
+from phors_lab.solver import kleene_series
 from phors_lab.syntax import Arrow, Ground, O, parse
 from phors_lab.algebra import REGISTRY
 
-from conftest import CLOSED_TYPABLE, random_order1_scheme, random_order2_scheme
+from conftest import CLOSED_TYPABLE, chain_tower, random_order1_scheme, random_order2_scheme
 
 
 FN = Arrow(1, O, O)  # !1 o -o o
@@ -221,20 +225,65 @@ class TestCompile:
                     )
                     assert live == fas.eqs[vid], var_name(vid)
 
-    def test_one_interpreter_per_rule(self, monkeypatch):
+    def test_interpreters_per_rule(self, monkeypatch):
+        # Compiling visits the call graph callees first: a rule outside
+        # every recursive component is interpreted once, a recursive
+        # component until its nonzero unknowns stop growing, so at most
+        # once more than it has nonzero unknowns.
         import phors_lab.interp as interp
 
         built = []
 
         class Counting(interp._Interp):
-            def __init__(self, scheme, rule, cap):
+            def __init__(self, scheme, rule, cap, nonzero=None):
                 built.append(rule)
-                super().__init__(scheme, rule, cap)
+                super().__init__(scheme, rule, cap, nonzero)
 
         monkeypatch.setattr(interp, "_Interp", Counting)
-        scheme = load_bundled("chain")
-        compile_scheme(scheme)
-        assert sorted(built) == sorted(scheme.nonterminals)
+
+        def check(scheme):
+            built.clear()
+            fas = compile_scheme(scheme)
+            nonzero = Counter(
+                REGISTRY.key_of(v)[1] for v, p in fas.eqs.items() if not p.is_zero()
+            )
+            calls = {n: interp._callees(d.body) for n, d in scheme.nonterminals.items()}
+            for comp in interp.sccs(calls):
+                if len(comp) == 1 and comp[0] not in calls[comp[0]]:
+                    assert built.count(comp[0]) == 1, comp
+                else:
+                    most = sum(nonzero[n] for n in comp) + 1
+                    assert all(1 <= built.count(n) <= most for n in comp), comp
+            return nonzero
+
+        nonzero = check(load_bundled("chain"))
+        assert [built.count(n) for n in ("F1", "C1", "I", "S")] == [1, 1, 1, 1]
+        assert 2 <= built.count("F2") <= nonzero["F2"] + 1
+        rng = random.Random(808)
+        for i in range(50):
+            check((random_order1_scheme if i % 2 else random_order2_scheme)(rng))
+
+
+class TestGradeTower:
+    """The chain-style tower at grades 8 and 16: nearly all of its
+    unknowns are zero in the least fixpoint."""
+
+    def test_grade_8(self):
+        scheme = chain_tower(3)
+        fas = compile_scheme(scheme)
+        sub = reachable(fas)
+        assert (len(fas.eqs), len(fas.zeros), len(sub.eqs)) == (22, 229, 6)
+        series = kleene_series(sub, 8)[sub.start]
+        probs, budget_hit = enumerate_terminations(scheme, 8, step_budget=10**5)
+        assert not budget_hit
+        assert [probs.get(k, 0) for k in range(9)] == list(series.coeffs[:9])
+
+    def test_grade_16_compiles_within_10_s(self):
+        start = time.perf_counter()
+        fas = compile_scheme(chain_tower(4))
+        elapsed = time.perf_counter() - start
+        assert (len(fas.eqs), len(fas.zeros), len(reachable(fas).eqs)) == (39, 790, 7)
+        assert elapsed < 10, elapsed
 
 
 def _compilable(scheme):

@@ -8,7 +8,7 @@ import pytest
 
 from phors_lab import load_bundled
 from phors_lab.algebra import Poly, REGISTRY, TruncSeries
-from phors_lab.interp import compile_scheme, reachable, var_name, z_vid
+from phors_lab.interp import compile_scheme, reachable, sccs, var_name, z_vid
 from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
 from phors_lab.solver import (
     EPS,
@@ -19,7 +19,6 @@ from phors_lab.solver import (
     gauss_solve,
     kernel_vector,
     kleene_series,
-    sccs,
     solve_at_one,
     _spectral_radius_le_one,
 )
