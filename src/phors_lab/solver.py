@@ -8,18 +8,20 @@ Three entry points:
 * `solve_at_one` — the least nonnegative solution of w = P(w, 1), one
   strongly connected component at a time with its dependencies' values
   substituted (their lower, then their upper bounds when some are
-  intervals).  Linear components are solved by exact Gaussian
-  elimination; univariate nonlinear ones by Sturm-sequence bisection on
-  the square-free part of P(y) - y, with a rational-root test on the
+  intervals).  Linear components are solved exactly by sparse forward
+  elimination and back-substitution over the nonzero entries of I - J;
+  univariate nonlinear ones by Sturm-sequence bisection on the
+  square-free part of P(y) - y, with a rational-root test on the
   isolating interval; multivariate nonlinear ones by a spectral test at
-  the all-ones candidate (one Gaussian solve of (I - J) x = 1, or the
-  sign of a kernel vector when I - J is singular) with a
+  the all-ones candidate (one factorisation of I - J gives the solution
+  of (I - J) x = 1, or a kernel vector when I - J is singular) with a
   Newton/pre-fixpoint fallback.  Results are exact rationals wherever
   possible, otherwise intervals certified to width EPS.
 * `expected_steps` — the derivative of the start series at z = 1 via
   implicit differentiation of the fixpoint identity at the least
   solution; a singular linear system is precisely the
-  diverging-expectation boundary.
+  diverging-expectation boundary, and the same factorisation gives its
+  kernel vector.
 """
 
 from __future__ import annotations
@@ -128,8 +130,7 @@ def kleene_series(
 
     order = list(fas.eqs)
     graph = {
-        v: {w for w, x in zip(order, row) if x}
-        for v, row in zip(order, jacobian(fas.eqs, order, point))
+        v: {order[j] for j in row} for v, row in zip(order, jacobian(fas.eqs, order, point))
     }
     blocks = [(comp, len(comp) > 1 or comp[0] in graph[comp[0]]) for comp in sccs(graph)]
     y = {vid: [y0[vid]] for vid in fas.eqs}
@@ -181,59 +182,82 @@ def _coeff(monos: list, k: int) -> Fraction:
 # Exact linear algebra over Q
 
 
-def identity_minus(J: list[list[Fraction]]) -> list[list[Fraction]]:
-    """The matrix I - J."""
-    n = len(J)
-    return [[(ONE if i == j else ZERO) - J[i][j] for j in range(n)] for i in range(n)]
+def identity_minus(J: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """The matrix I - J, in J's rows of nonzero entries."""
+    rows = []
+    for i, row in enumerate(J):
+        r = {j: -x for j, x in row.items()}
+        r[i] = ONE - row.get(i, ZERO)
+        if not r[i]:
+            del r[i]
+        rows.append(r)
+    return rows
 
 
-def _eliminate(M: list[list[Fraction]], ncols: int) -> dict[int, int]:
-    """Gauss-Jordan elimination of M in place over its first ncols
-    columns; returns the pivot row of each pivot column.  Row updates
-    touch only the nonzero entries of the pivot row."""
-    pivots: dict[int, int] = {}
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(M)) if M[r][col] != 0), None)
-        if pivot is None:
+def _solve_or_kernel(
+    A: list[dict[int, Fraction]], b: list[Fraction]
+) -> tuple[list[Fraction] | None, list[Fraction] | None]:
+    """One factorisation of the square A: (x, None) with A x = b when A
+    is nonsingular, else (None, u) with u the kernel vector that is 1 at
+    the first free column and 0 at the others.
+
+    Forward elimination takes the columns in order and, among the rows
+    left that are nonzero in a column, the shortest as its pivot; it
+    touches only nonzero entries and eliminates nothing above a pivot.
+    Back-substitution then gives x or u."""
+    n = len(A)
+    rows = [dict(r) for r in A]
+    for r, x in zip(rows, b):
+        if x:
+            r[n] = x
+    # The rows not yet used as pivots that are nonzero in each column.
+    where: dict[int, set[int]] = {}
+    for i, r in enumerate(rows):
+        for j in r:
+            where.setdefault(j, set()).add(i)
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    free = []
+    for col in range(n):
+        cand = where.get(col)
+        if not cand:
+            free.append(col)
             continue
-        M[row], M[pivot] = M[pivot], M[row]
-        pv = M[row][col]
-        M[row] = [x / pv if x else x for x in M[row]]
-        nonzero = [(j, x) for j, x in enumerate(M[row]) if x]
-        for r, other in enumerate(M):
-            f = other[col]
-            if r != row and f:
-                for j, x in nonzero:
-                    other[j] -= f * x
-        pivots[col] = row
-        row += 1
-    return pivots
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        for j in rows[p]:
+            where[j].discard(p)
+        pv = rows[p][col]
+        prow = {j: x / pv for j, x in rows[p].items()}
+        for i in list(cand):
+            r, f = rows[i], rows[i][col]
+            for j, x in prow.items():
+                y = r.get(j, ZERO) - f * x
+                if y:
+                    if j not in r:
+                        where.setdefault(j, set()).add(i)
+                    r[j] = y
+                else:
+                    del r[j]
+                    where[j].discard(i)
+        pivots.append((col, prow))
+    # Each pivot row is 1 at its column and 0 left of it.
+    x = [ZERO] * (n + 1)
+    if free:
+        x[free[0]] = ONE
+    else:
+        x[n] = -ONE
+    for col, prow in reversed(pivots):
+        x[col] = -sum((v * x[j] for j, v in prow.items() if j != col), ZERO)
+    return (None, x[:n]) if free else (x[:n], None)
 
 
-def gauss_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+def gauss_solve(A: list[dict[int, Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Solve A x = b exactly; None when A is singular."""
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    if len(_eliminate(M, n)) < n:
-        return None
-    return [M[i][n] for i in range(n)]
+    return _solve_or_kernel(A, b)[0]
 
 
-def kernel_vector(A: list[list[Fraction]]) -> list[Fraction] | None:
+def kernel_vector(A: list[dict[int, Fraction]]) -> list[Fraction] | None:
     """A nonzero u with A u = 0, or None when A is nonsingular."""
-    n = len(A)
-    M = [row[:] for row in A]
-    pivots = _eliminate(M, n)
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    f0 = free[0]
-    u = [ZERO] * n
-    u[f0] = ONE
-    for col, r in pivots.items():
-        u[col] = -M[r][f0]
-    return u
+    return _solve_or_kernel(A, [ZERO] * len(A))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +273,16 @@ def _eval_rat(p: Poly, point: dict[int, Fraction]) -> Fraction:
 
 def jacobian(
     eqs: dict[int, Poly], order: list[int], point: dict[int, Fraction]
-) -> list[list[Fraction]]:
-    """The matrix of dP_v/dw at `point`, rows v and columns w in `order`.
+) -> list[dict[int, Fraction]]:
+    """The matrix of dP_v/dw at `point`, rows v and columns w in `order`;
+    each row maps a column to its entry and stores only nonzero ones.
     Row v takes one pass over P_v's monomials: c * prod u^e adds
     c * e * w^(e-1) * prod_{u != w} u^e at point to each column w it
     mentions."""
     column = {w: j for j, w in enumerate(order)}
     J = []
     for v in order:
-        row = [ZERO] * len(order)
+        row: dict[int, Fraction] = {}
         for m, c in eqs[v].terms.items():
             for w, e in m:
                 j = column.get(w)
@@ -269,8 +294,8 @@ def jacobian(
                         f -= 1
                     if f:
                         x *= point[u] ** f
-                row[j] += x
-        J.append(row)
+                row[j] = row.get(j, ZERO) + x
+        J.append({j: x for j, x in row.items() if x})
     return J
 
 
@@ -296,7 +321,7 @@ def solve_at_one(fas: Fas) -> MinSolution:
         bounds = []
         for pick in (value_lo, value_hi):
             sub = {w: Poly.const(pick(values[w])) for w in deps}
-            local = {v: eqs1[v].substitute(sub) for v in comp}
+            local = {v: eqs1[v].substitute(sub) if deps else eqs1[v] for v in comp}
             bounds.append(_solve_scc(local, comp, notes, irrational))
             if all(isinstance(values[w], Fraction) for w in deps):
                 break
@@ -475,21 +500,22 @@ def _least_nonneg_root(f: list[Fraction]) -> Value | None:
     return Interval(lo, hi)
 
 
-def _spectral_radius_le_one(J: list[list[Fraction]]) -> bool:
+def _spectral_radius_le_one(J: list[dict[int, Fraction]]) -> bool:
     """Whether rho(J) <= 1, for J nonnegative."""
-    n = len(J)
-    graph = {i: {j for j in range(n) if J[i][j]} for i in range(n)}
+    graph = {i: set(row) for i, row in enumerate(J)}
     # rho(J) is the largest rho of the diagonal blocks on the strongly
     # connected components of J's graph, and each block is irreducible.
+    blocks = [{i: k for k, i in enumerate(block)} for block in sccs(graph)]
     return all(
-        _irreducible_rho_le_one([[J[i][j] for j in block] for i in block])
-        for block in sccs(graph)
+        _irreducible_rho_le_one(
+            [{pos[j]: x for j, x in J[i].items() if j in pos} for i in pos]
+        )
+        for pos in blocks
     )
 
 
-def _irreducible_rho_le_one(J: list[list[Fraction]]) -> bool:
-    IJ = identity_minus(J)
-    x = gauss_solve(IJ, [ONE] * len(J))
+def _irreducible_rho_le_one(J: list[dict[int, Fraction]]) -> bool:
+    x, u = _solve_or_kernel(identity_minus(J), [ONE] * len(J))
     if x is not None:
         # x > 0 with J x = x - 1 < x gives rho < 1 (Collatz-Wielandt);
         # conversely rho < 1 makes (I - J)^-1 = sum J^k >= I, so x >= 1.
@@ -498,7 +524,6 @@ def _irreducible_rho_le_one(J: list[list[Fraction]]) -> bool:
         return all(v > 0 for v in x)
     # 1 is an eigenvalue.  By Perron-Frobenius it is rho iff it has a
     # positive eigenvector, and then its eigenspace is a line.
-    u = kernel_vector(IJ)
     return all(v > 0 for v in u) or all(v < 0 for v in u)
 
 
@@ -606,9 +631,8 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
     point[z] = ONE
     IJ = identity_minus(jacobian(fas.eqs, order, point))
     g = [_eval_rat(fas.eqs[v].derivative(z), point) for v in order]
-    d = gauss_solve(IJ, g)
+    d, u = _solve_or_kernel(IJ, g)
     if d is None:
-        u = kernel_vector(IJ)
         assert u is not None
         return DerivativeResult(math.inf, u, None, order)
     if any(x < 0 for x in d):

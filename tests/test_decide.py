@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,17 @@ def _fas(name: str):
     if name in ("dyck", "dyck_lossy"):
         scheme = reduce_inf(scheme)
     return reachable(compile_scheme(scheme))
+
+
+def _ring(n: int, bias: Fraction):
+    """n rules; rule i is Fi x = (Fj (Fj x)) [bias] x with j = i+1 mod n.
+    Every rule is the walk y = z (bias y^2 + 1 - bias), which terminates
+    with probability min(1, (1 - bias) / bias)."""
+    rules = "".join(
+        f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) [{bias}] x ; "
+        for i in range(n)
+    )
+    return reachable(compile_scheme(parse(rules + "S = F0 e ;")))
 
 
 class TestVerdicts:
@@ -104,6 +116,23 @@ class TestVerdicts:
                 coeffs = kleene_series(fas, 40)[fas.start].coeffs
                 assert sum(k * c for k, c in enumerate(coeffs)) <= v.expected
         assert finite
+
+    def test_large_rings(self):
+        # I - J of a ring of n rules has 2n nonzero entries; deciding the
+        # three 200-rings must not cost a dense elimination.
+        rings = [_ring(200, b) for b in (F(1, 2), F(1, 3), F(2, 3))]
+        t0 = time.perf_counter()
+        critical, sub, sup = [decide_past(fas) for fas in rings]
+        elapsed = time.perf_counter() - t0
+        assert (critical.ast, critical.past, critical.expected) == ("yes", "no", math.inf)
+        assert (sub.ast, sub.past, sub.expected) == ("yes", "yes", 3)
+        assert (sup.ast, sup.past) == ("no", "no")
+        assert isinstance(sup.p_term, Interval)
+        assert sup.p_term.lo <= F(1, 2) <= sup.p_term.hi
+        for fas, v in zip(rings, (critical, sub, sup)):
+            assert v.certificates
+            assert all(verify_certificate(fas, c) for c in v.certificates)
+        assert elapsed < 3.0
 
     def test_past_implies_ast_enforced(self):
         with pytest.raises(ValueError):
@@ -188,7 +217,10 @@ class TestCertificateVerification:
         order = sorted(fas.eqs)
         point = {v: F(1, 2) for v in order}
         point[z_vid()] = F(1)
-        J = [[F(fas.eqs[v].derivative(w).eval(point)) for w in order] for v in order]
+        J = [
+            {j: x for j, w in enumerate(order) if (x := F(fas.eqs[v].derivative(w).eval(point)))}
+            for v in order
+        ]
         g = [F(fas.eqs[v].derivative(z_vid()).eval(point)) for v in order]
         d = gauss_solve(identity_minus(J), g)
         solution = {v: F(1, 2) for v in order}

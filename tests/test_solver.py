@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phors_lab import load_bundled
 from phors_lab.algebra import Poly, REGISTRY, TruncSeries
@@ -167,23 +169,119 @@ class TestKleeneSeries:
         assert exact >= 40
 
 
+def rows(M: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    """A dense matrix as the solver's rows of nonzero entries."""
+    return [{j: x for j, x in enumerate(r) if x} for r in M]
+
+
+# Dense Gauss-Jordan elimination: the reference the sparse elimination
+# must reproduce exactly.
+
+
+def _dense_eliminate(M: list[list[Fraction]], ncols: int) -> dict[int, int]:
+    """Gauss-Jordan elimination of M in place over its first ncols
+    columns; returns the pivot row of each pivot column.  Row updates
+    touch only the nonzero entries of the pivot row."""
+    pivots: dict[int, int] = {}
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(M)) if M[r][col] != 0), None)
+        if pivot is None:
+            continue
+        M[row], M[pivot] = M[pivot], M[row]
+        pv = M[row][col]
+        M[row] = [x / pv if x else x for x in M[row]]
+        nonzero = [(j, x) for j, x in enumerate(M[row]) if x]
+        for r, other in enumerate(M):
+            f = other[col]
+            if r != row and f:
+                for j, x in nonzero:
+                    other[j] -= f * x
+        pivots[col] = row
+        row += 1
+    return pivots
+
+
+def dense_solve(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    n = len(A)
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    if len(_dense_eliminate(M, n)) < n:
+        return None
+    return [M[i][n] for i in range(n)]
+
+
+def dense_kernel(A: list[list[Fraction]]) -> list[Fraction] | None:
+    n = len(A)
+    M = [row[:] for row in A]
+    pivots = _dense_eliminate(M, n)
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return None
+    u = [F(0)] * n
+    u[free[0]] = F(1)
+    for col, r in pivots.items():
+        u[col] = -M[r][free[0]]
+    return u
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices with small rational entries, from dense to mostly
+    zero; some columns are combinations of earlier ones, so the matrix
+    can be singular with several free columns."""
+    n = draw(st.integers(1, 7))
+    zero_weight = draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.just(F(0)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ) if zero_weight == 0 else st.sampled_from(
+        [F(0)] * zero_weight + [F(1), F(-1), F(1, 2), F(-2, 3), F(3)]
+    )
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for j in range(1, n):
+        if draw(st.integers(0, 3)) == 0:
+            cs = [draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2)])) for _ in range(j)]
+            for r in M:
+                r[j] = sum((c * x for c, x in zip(cs, r)), F(0))
+    b = [draw(entry) for _ in range(n)]
+    return M, b
+
+
 class TestLinearAlgebra:
     def test_gauss_solves(self):
-        A = [[F(2), F(1)], [F(1), F(3)]]
+        A = rows([[F(2), F(1)], [F(1), F(3)]])
         x = gauss_solve(A, [F(5), F(10)])
         assert x == [F(1), F(3)]
 
     def test_gauss_singular_returns_none(self):
-        assert gauss_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
+        assert gauss_solve(rows([[F(1), F(1)], [F(2), F(2)]]), [F(1), F(2)]) is None
 
     def test_kernel_vector(self):
         A = [[F(1), F(1)], [F(2), F(2)]]
-        u = kernel_vector(A)
+        u = kernel_vector(rows(A))
         assert u is not None and any(x != 0 for x in u)
         assert all(sum(a * b for a, b in zip(row, u)) == 0 for row in A)
 
     def test_kernel_of_nonsingular_is_none(self):
-        assert kernel_vector([[F(2), F(0)], [F(0), F(3)]]) is None
+        assert kernel_vector(rows([[F(2), F(0)], [F(0), F(3)]])) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_sparse_elimination_matches_dense_gauss_jordan(self, Mb):
+        # The same vector, not just some kernel element: critical-jacobian
+        # kernels are pinned in the golden reports.
+        M, b = Mb
+        A = rows(M)
+        assert gauss_solve(A, b) == dense_solve(M, b)
+        assert kernel_vector(A) == dense_kernel(M)
+        assert A == rows(M)  # the input is left as it was
+
+    def test_oracle_sees_several_free_columns(self):
+        M = [[F(1), F(2), F(0), F(2)], [F(0), F(0), F(1), F(1)],
+             [F(1), F(2), F(1), F(3)], [F(0), F(0), F(0), F(0)]]
+        assert dense_kernel(M) == [F(-2), F(1), F(0), F(0)]
+        assert kernel_vector(rows(M)) == dense_kernel(M)
+        assert gauss_solve(rows(M), [F(1)] * 4) is None
 
 
 class TestSccs:
@@ -300,7 +398,7 @@ class TestSpectralRadius:
         ],
     )
     def test_symmetric_2x2(self, a, b, expected):
-        assert _spectral_radius_le_one([[a, b], [b, a]]) is expected
+        assert _spectral_radius_le_one(rows([[a, b], [b, a]])) is expected
 
     # A weighted 3-cycle with weight product c has J^3 = c I, so rho is
     # the real cube root of c.
@@ -309,14 +407,14 @@ class TestSpectralRadius:
     )
     def test_irreducible_3_cycle(self, c, expected):
         J = [[F(0), F(1, 2), F(0)], [F(0), F(0), 2 * c], [F(1), F(0), F(0)]]
-        assert _spectral_radius_le_one(J) is expected
+        assert _spectral_radius_le_one(rows(J)) is expected
 
     # Triangular: the eigenvalues are the diagonal entries.
     @pytest.mark.parametrize(
         "a, d, expected", [(F(1), F(1, 2), True), (F(1, 2), F(2), False)]
     )
     def test_reducible_2x2(self, a, d, expected):
-        assert _spectral_radius_le_one([[a, F(1, 2)], [F(0), d]]) is expected
+        assert _spectral_radius_le_one(rows([[a, F(1, 2)], [F(0), d]])) is expected
 
 
 class TestNewtonBracket:
