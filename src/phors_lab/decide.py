@@ -90,6 +90,11 @@ class Verdict:
                 return f"{x.numerator}/{x.denominator}"
             return x
 
+        def by_name(m: dict[int, Fraction]) -> dict[str, str]:
+            # Name order, so a report does not depend on the order in
+            # which the process interned its variables.
+            return dict(sorted((var_name(v), rat(x)) for v, x in m.items()))
+
         def val(x):
             if x is None:
                 return None
@@ -105,18 +110,14 @@ class Verdict:
                 certs.append(
                     {
                         "kind": "fixpoint-at-one",
-                        "assignment": {
-                            var_name(v): rat(x) for v, x in c.assignment.items()
-                        },
+                        "assignment": by_name(c.assignment),
                     }
                 )
             elif isinstance(c, PreFixpointBelowOne):
                 certs.append(
                     {
                         "kind": "pre-fixpoint-below-one",
-                        "assignment": {
-                            var_name(v): rat(x) for v, x in c.assignment.items()
-                        },
+                        "assignment": by_name(c.assignment),
                     }
                 )
             elif isinstance(c, CriticalJacobian):
@@ -131,7 +132,7 @@ class Verdict:
                 certs.append(
                     {
                         "kind": "nonsingular-linear-solve",
-                        "d": {var_name(v): rat(x) for v, x in c.d_vector.items()},
+                        "d": by_name(c.d_vector),
                     }
                 )
         return {

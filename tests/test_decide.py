@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import phors_lab
 from phors_lab import load_bundled
 from phors_lab.decide import (
     CriticalJacobian,
@@ -44,6 +49,40 @@ def _ring(n: int, bias: Fraction):
         for i in range(n)
     )
     return reachable(compile_scheme(parse(rules + "S = F0 e ;")))
+
+
+# Prints the 20-ring's report after compiling the rings of the sizes
+# given as arguments.
+RING_REPORT = """
+import sys
+from phors_lab.decide import decide_past
+from phors_lab.interp import compile_scheme, reachable
+from phors_lab.syntax import parse
+
+def ring(n):
+    return parse("".join(
+        f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) [1/3] x ; "
+        for i in range(n)
+    ) + "S = F0 e ;")
+
+for n in sys.argv[1:]:
+    compile_scheme(ring(int(n)))
+print(decide_past(reachable(compile_scheme(ring(20)))).to_json())
+"""
+
+
+def _ring_report(*first: str) -> str:
+    """The 20-ring's report from a fresh interpreter."""
+    src = str(Path(phors_lab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", RING_REPORT, *first],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestVerdicts:
@@ -133,6 +172,11 @@ class TestVerdicts:
             assert v.certificates
             assert all(verify_certificate(fas, c) for c in v.certificates)
         assert elapsed < 3.0
+
+    def test_report_does_not_depend_on_what_was_compiled_before(self):
+        # Compiling the 7-ring first interns the 20-ring's unknowns in
+        # another order.
+        assert _ring_report() == _ring_report("7")
 
     def test_past_implies_ast_enforced(self):
         with pytest.raises(ValueError):
