@@ -27,6 +27,7 @@ Three entry points:
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -211,14 +212,14 @@ def _solve_or_kernel(
         if x:
             r[n] = x
     # The rows not yet used as pivots that are nonzero in each column.
-    where: dict[int, set[int]] = {}
+    where: defaultdict[int, set[int]] = defaultdict(set)
     for i, r in enumerate(rows):
         for j in r:
-            where.setdefault(j, set()).add(i)
+            where[j].add(i)
     pivots: list[tuple[int, dict[int, Fraction]]] = []
     free = []
     for col in range(n):
-        cand = where.get(col)
+        cand = where[col]
         if not cand:
             free.append(col)
             continue
@@ -233,13 +234,14 @@ def _solve_or_kernel(
                 y = r.get(j, ZERO) - f * x
                 if y:
                     if j not in r:
-                        where.setdefault(j, set()).add(i)
+                        where[j].add(i)
                     r[j] = y
                 else:
                     del r[j]
                     where[j].discard(i)
         pivots.append((col, prow))
-    # Each pivot row is 1 at its column and 0 left of it.
+    # Each pivot row is 1 at its column and 0 left of it; its entry in
+    # column n is b's, which x[n] = -1 brings in and x[n] = 0 leaves out.
     x = [ZERO] * (n + 1)
     if free:
         x[free[0]] = ONE

@@ -40,7 +40,7 @@ def _fas(name: str):
     return reachable(compile_scheme(scheme))
 
 
-def _ring(n: int, bias: Fraction):
+def _ring_text(n: int, bias: Fraction) -> str:
     """n rules; rule i is Fi x = (Fj (Fj x)) [bias] x with j = i+1 mod n.
     Every rule is the walk y = z (bias y^2 + 1 - bias), which terminates
     with probability min(1, (1 - bias) / bias)."""
@@ -48,34 +48,28 @@ def _ring(n: int, bias: Fraction):
         f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) [{bias}] x ; "
         for i in range(n)
     )
-    return reachable(compile_scheme(parse(rules + "S = F0 e ;")))
+    return rules + "S = F0 e ;"
 
 
-# Prints the 20-ring's report after compiling the rings of the sizes
-# given as arguments.
-RING_REPORT = """
+# Compiles the schemes given as arguments, in order, and prints the last
+# one's report.
+REPORT_AFTER = """
 import sys
 from phors_lab.decide import decide_past
 from phors_lab.interp import compile_scheme, reachable
 from phors_lab.syntax import parse
 
-def ring(n):
-    return parse("".join(
-        f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) [1/3] x ; "
-        for i in range(n)
-    ) + "S = F0 e ;")
-
-for n in sys.argv[1:]:
-    compile_scheme(ring(int(n)))
-print(decide_past(reachable(compile_scheme(ring(20)))).to_json())
+*_, fas = [compile_scheme(parse(text)) for text in sys.argv[1:]]
+print(decide_past(reachable(fas)).to_json())
 """
 
 
-def _ring_report(*first: str) -> str:
-    """The 20-ring's report from a fresh interpreter."""
+def _report_after(*texts: str) -> str:
+    """The last scheme's report from a fresh interpreter that compiled
+    the others first."""
     src = str(Path(phors_lab.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", RING_REPORT, *first],
+        [sys.executable, "-c", REPORT_AFTER, *texts],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
@@ -159,7 +153,10 @@ class TestVerdicts:
     def test_large_rings(self):
         # I - J of a ring of n rules has 2n nonzero entries; deciding the
         # three 200-rings must not cost a dense elimination.
-        rings = [_ring(200, b) for b in (F(1, 2), F(1, 3), F(2, 3))]
+        rings = [
+            reachable(compile_scheme(parse(_ring_text(200, b))))
+            for b in (F(1, 2), F(1, 3), F(2, 3))
+        ]
         t0 = time.perf_counter()
         critical, sub, sup = [decide_past(fas) for fas in rings]
         elapsed = time.perf_counter() - t0
@@ -176,7 +173,8 @@ class TestVerdicts:
     def test_report_does_not_depend_on_what_was_compiled_before(self):
         # Compiling the 7-ring first interns the 20-ring's unknowns in
         # another order.
-        assert _ring_report() == _ring_report("7")
+        ring = _ring_text(20, F(1, 3))
+        assert _report_after(ring) == _report_after(_ring_text(7, F(1, 3)), ring)
 
     def test_past_implies_ast_enforced(self):
         with pytest.raises(ValueError):

@@ -265,7 +265,7 @@ class TestLinearAlgebra:
     def test_kernel_of_nonsingular_is_none(self):
         assert kernel_vector(rows([[F(2), F(0)], [F(0), F(3)]])) is None
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(square_matrices())
     def test_sparse_elimination_matches_dense_gauss_jordan(self, Mb):
         # The same vector, not just some kernel element: critical-jacobian
