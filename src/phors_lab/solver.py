@@ -185,13 +185,11 @@ def _coeff(monos: list, k: int) -> Fraction:
 
 def identity_minus(J: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
     """The matrix I - J, in J's rows of nonzero entries."""
-    rows = []
-    for i, row in enumerate(J):
-        r = {j: -x for j, x in row.items()}
-        r[i] = ONE - row.get(i, ZERO)
+    rows = [{j: -x for j, x in row.items()} for row in J]
+    for i, r in enumerate(rows):
+        r[i] = r.get(i, ZERO) + ONE
         if not r[i]:
             del r[i]
-        rows.append(r)
     return rows
 
 
@@ -207,10 +205,7 @@ def _solve_or_kernel(
     touches only nonzero entries and eliminates nothing above a pivot.
     Back-substitution then gives x or u."""
     n = len(A)
-    rows = [dict(r) for r in A]
-    for r, x in zip(rows, b):
-        if x:
-            r[n] = x
+    rows = [{**r, n: x} if x else dict(r) for r, x in zip(A, b)]
     # The rows not yet used as pivots that are nonzero in each column.
     where: defaultdict[int, set[int]] = defaultdict(set)
     for i, r in enumerate(rows):
@@ -509,9 +504,7 @@ def _spectral_radius_le_one(J: list[dict[int, Fraction]]) -> bool:
     # connected components of J's graph, and each block is irreducible.
     blocks = [{i: k for k, i in enumerate(block)} for block in sccs(graph)]
     return all(
-        _irreducible_rho_le_one(
-            [{pos[j]: x for j, x in J[i].items() if j in pos} for i in pos]
-        )
+        _irreducible_rho_le_one([{pos[j]: x for j, x in J[i].items() if j in pos} for i in pos])
         for pos in blocks
     )
 

@@ -230,13 +230,9 @@ def square_matrices(draw):
     zero; some columns are combinations of earlier ones, so the matrix
     can be singular with several free columns."""
     n = draw(st.integers(1, 7))
-    zero_weight = draw(st.integers(0, 6))
-    entry = st.one_of(
-        st.just(F(0)),
-        st.fractions(min_value=-3, max_value=3, max_denominator=4),
-    ) if zero_weight == 0 else st.sampled_from(
-        [F(0)] * zero_weight + [F(1), F(-1), F(1, 2), F(-2, 3), F(3)]
-    )
+    zeros = draw(st.integers(0, 5))  # the weight of 0 among the entries
+    nonzero = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(3), F(5, 4)])
+    entry = st.one_of(*[st.just(F(0))] * zeros, nonzero)
     M = [[draw(entry) for _ in range(n)] for _ in range(n)]
     for j in range(1, n):
         if draw(st.integers(0, 3)) == 0:
