@@ -241,7 +241,8 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]]) -> None:
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        # A Fraction is immutable, so it is kept rather than copied.
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("series needs at least the constant coefficient")
 

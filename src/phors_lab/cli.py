@@ -85,6 +85,9 @@ def cmd_analyze(args) -> int:
     if _below("--degree", args.degree, 0):
         return EXIT_INPUT
     scheme = _load(args.file)
+    if not scheme.is_closed():
+        print("error: analysis requires a closed scheme", file=sys.stderr)
+        return EXIT_INPUT
     notes = []
     if not _scheme_is_finitary(scheme):
         scheme = reduce_inf(scheme)

@@ -4,7 +4,10 @@ Three entry points:
 
 * `kleene_series` — exact coefficients of the least solution as
   truncated power series in z, one coefficient layer at a time, after a
-  one-time check that P has no negative coefficient.
+  one-time check that P has no negative coefficient.  The layers add
+  and multiply integers: with B the lcm of the denominators of the
+  coefficients of the monomials that carry z, coefficient k is carried
+  times B^k, and each result is divided by B^k once at the end.
 * `solve_at_one` — the least nonnegative solution of w = P(w, 1), one
   strongly connected component at a time with its dependencies' values
   substituted (their lower, then their upper bounds when some are
@@ -104,7 +107,16 @@ def kleene_series(
     lower layers.  It is solved along the components of J's graph,
     dependencies first: y_k[v] is coefficient k of P_v, and a component
     with a cycle must get input 0 and then stays 0, or it diverges.  A
-    negative coefficient in P raises MonotonicityError."""
+    negative coefficient in P raises MonotonicityError.
+
+    Layer k is carried times B^k, with B the lcm of the denominators of
+    the coefficients of the monomials that carry z: these are the layers
+    of y(B z), the least solution of y = P(y, B z) with the parameters'
+    series read at B z too.  A monomial c z^e m then carries c B^e, an
+    integer, so where the z-free coefficients, layer 0 and the
+    parameters are integers the layers add and multiply ints, without a
+    gcd per operation; other values stay Fractions and mix in.
+    Coefficient k is divided by B^k once, at the end."""
     params = params or {}
     missing = fas.param_vids - set(params)
     if missing:
@@ -117,8 +129,7 @@ def kleene_series(
             raise MonotonicityError(f"negative coefficient in the equation of {var_name(vid)}")
     n = max(degree, 1)
     z = z_vid()
-    series = {vid: list(s.coeffs[: n + 1]) for vid, s in params.items()}
-    point = {vid: s[0] for vid, s in series.items()} | {z: ZERO}
+    point = {vid: s.coeffs[0] for vid, s in params.items()} | {z: ZERO}
     y0 = {vid: ZERO for vid in fas.eqs}
     for _ in range(len(fas.eqs) + 1):
         point.update(y0)
@@ -134,13 +145,21 @@ def kleene_series(
         v: {order[j] for j in row} for v, row in zip(order, jacobian(fas.eqs, order, point))
     }
     blocks = [(comp, len(comp) > 1 or comp[0] in graph[comp[0]]) for comp in sccs(graph)]
-    y = {vid: [y0[vid]] for vid in fas.eqs}
+    B = math.lcm(
+        *(c.denominator for p in fas.eqs.values() for m, c in p.terms.items() if z in dict(m))
+    )
+    scale = [B**k for k in range(n + 1)]
+    series = {vid: [_int(c * b) for c, b in zip(s.coeffs, scale)] for vid, s in params.items()}
+    y = {vid: [_int(y0[vid])] for vid in fas.eqs}
     series.update(y)
     monos: dict[int, list] = {vid: [] for vid in fas.eqs}
     for vid, p in fas.eqs.items():
         for m, c in p.terms.items():
-            fs = [[c]] + ([series[w] for w, e in m if w != z for _ in range(e)] or [[ONE]])
-            monos[vid].append((dict(m).get(z, 0), fs, [[] for _ in fs[1:]]))
+            e = dict(m).get(z, 0)
+            fs = [[_int(c * B**e)]] + (
+                [series[w] for w, f in m if w != z for _ in range(f)] or [[1]]
+            )
+            monos[vid].append((e, fs, [[] for _ in fs[1:]]))
     for k in range(1, n + 1):
         for comp, cyclic in blocks:
             # Coefficient k of P with the component's own coefficients k,
@@ -151,17 +170,25 @@ def kleene_series(
                 raise SolverError(f"coefficient {k} of {names} diverges")
             for v, x in zip(comp, inputs):
                 y[v].append(x)
-    return {vid: TruncSeries(cs) for vid, cs in y.items()}
+    # Free each scaled layer list as its Fractions are made.
+    del series, monos
+    return {vid: TruncSeries(Fraction(c, b) for c, b in zip(y.pop(vid), scale)) for vid in list(y)}
 
 
-def _coeff(monos: list, k: int) -> Fraction:
+def _int(q: Fraction) -> int | Fraction:
+    """q as an int when it is one, so that sums and products of such
+    values stay in int arithmetic."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _coeff(monos: list, k: int) -> int | Fraction:
     """Coefficient k of a sum of monomials c z^e f_1 ... f_m, each given
     as (e, [[c], f_1, ..., f_m], the coefficient lists of its prefix
     products c f_1, c f_1 f_2, ...).  A coefficient missing from an f_i
     reads as 0.  Only z-free monomials read the unknowns' coefficient k,
     which may be missing, so only they drop the coefficient k they
     computed for their prefixes."""
-    total = ZERO
+    total = 0
     for e, fs, pres in monos:
         t = k - e
         for i in range(len(pres[0]), t + 1):
@@ -169,7 +196,7 @@ def _coeff(monos: list, k: int) -> Fraction:
             for f, pre in zip(fs[1:], pres):
                 lo, hi = max(0, i + 1 - len(f)), min(i, len(prev) - 1)
                 pairs = zip(prev[lo : hi + 1], reversed(f[i - hi : i - lo + 1]))
-                pre.append(sum((a * b for a, b in pairs if a and b), ZERO))
+                pre.append(sum(a * b for a, b in pairs if a and b))
                 prev = pre
         if t >= 0:
             total += pres[-1][t]

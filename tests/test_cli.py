@@ -117,6 +117,10 @@ class TestAnalyze:
     def test_ill_typed_input(self):
         assert main(["analyze", _path("nonalg")]) == EXIT_INPUT
 
+    def test_open_scheme_is_an_input_error(self):
+        message = _assert_input_error("analyze", _path("dyck_core"))
+        assert message == "error: analysis requires a closed scheme\n"
+
     def test_negative_degree_is_an_input_error(self):
         _assert_input_error("analyze", _path("unit"), "--degree", "-1")
 

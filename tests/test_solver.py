@@ -58,7 +58,57 @@ def _v(n: str) -> int:
     return REGISTRY.intern(("test-sys", n))
 
 
+def _reference_series(fas, degree, params=None):
+    """Plain Kleene iteration y <- P(y, z) over truncated series, run
+    until it stops changing."""
+    n = max(degree, 1)
+    env = {z_vid(): TruncSeries.z(n)}
+    env.update({v: TruncSeries(s.coeffs[: n + 1]) for v, s in (params or {}).items()})
+    y = {v: TruncSeries.zero(n) for v in fas.eqs}
+    for _ in range(1000):
+        env.update(y)
+        new = {v: TruncSeries.zero(n) + p.eval(env) for v, p in fas.eqs.items()}
+        if new == y:
+            return y
+        y = new
+    raise AssertionError("the reference iteration did not stop")
+
+
+def _scaling_cases():
+    """Hand-made systems whose coefficients are not all integers after
+    scaling z by the common denominator of its coefficients."""
+    a, b, c, w = (Poly.var(_v(n)) for n in "abcw")
+    z = Poly.var(z_vid())
+    half_z = z.scale(F(1, 2))
+    return {
+        "rational-constant": {"a": Poly.const(F(1, 3)), "c": half_z + half_z * c,
+                              "b": a * c + Poly.const(F(2, 5))},
+        "z2-beside-z": {"w": z.scale(F(1, 4)) + (z * z).scale(F(1, 6)) * w * w,
+                        "b": w * w + z.scale(F(1, 3)) * w},
+        "rational-product": {"a": Poly.const(F(1, 3)), "c": half_z + half_z * c,
+                             "b": (a * c).scale(F(3, 7)) + (c * c).scale(F(2, 9))},
+        "without-z": {"a": Poly.const(F(1, 3)), "b": (a * a).scale(F(2, 5)) + Poly.const(F(1, 7))},
+    }
+
+
 class TestKleeneSeries:
+    @pytest.mark.parametrize("degree", [0, 1, 7])
+    @pytest.mark.parametrize("case", sorted(_scaling_cases()))
+    def test_scaled_layers_match_plain_iteration(self, case, degree):
+        fas = _make_system(_scaling_cases()[case], "b")
+        assert kleene_series(fas, degree) == _reference_series(fas, degree)
+
+    @pytest.mark.parametrize("degree", [0, 4])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[0, F(1, 3), F(1, 5), 0, 0], [F(1, 2), 0, F(2, 7), F(1, 9), 0]],
+        ids=["z-thirds-fifths", "rational-constant"],
+    )
+    def test_rational_parameters_match_plain_iteration(self, coeffs, degree):
+        fas = reachable(compile_scheme(load_bundled("dyck_core")))
+        params = {v: TruncSeries(coeffs) for v in fas.param_vids}
+        assert kleene_series(fas, degree, params) == _reference_series(fas, degree, params)
+
     def test_random_walk_coefficients(self):
         fas = _fas("randomwalk")
         s = kleene_series(fas, 9)[fas.start]
