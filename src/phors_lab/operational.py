@@ -132,24 +132,37 @@ def enumerate_terminations(
     """Exact probability of terminating in exactly i choices, i <=
     max_choices, by exhausting the choice tree.  The second component is
     True when some branch exhausted its deterministic step budget, in
-    which case the result is only a certified lower bound."""
-    probs: dict[int, Fraction] = {}
+    which case the result is only a certified lower bound.
+
+    A branch carries its probability as an integer numerator and
+    denominator: a choice of bias n/d multiplies both by (n, d) on the
+    left and by (d - n, d) on the right, and a branch of probability 0
+    is not explored.  Terminations are summed per choice count and per
+    denominator in `int`s; each count's sum becomes one `Fraction` at
+    the end."""
+    if max_choices < 0:
+        raise ValueError(f"max_choices must be >= 0, got {max_choices}")
+    sums: dict[int, dict[int, int]] = {}  # choices -> denominator -> numerator
     budget_hit = False
     rules, open_args = _compile(scheme)
-    # Depth-first over (state, prob, choices made).  A branch may take
+    # Depth-first over (state, num, den, choices made).  A branch may take
     # step_budget deterministic steps and is cut at the next one.
-    work = [(NonTerm(scheme.start), (), None, Fraction(1), 0)]
+    work = [(NonTerm(scheme.start), (), None, 1, 1, 0)]
     while work:
-        t, env, stack, prob, used = work.pop()
+        t, env, stack, num, den, used = work.pop()
         outcome, t, env, stack, _ = _run(rules, open_args, t, env, stack, step_budget + 1)
         if outcome == _E:
-            probs[used] = probs.get(used, Fraction(0)) + prob
+            by_den = sums.setdefault(used, {})
+            by_den[den] = by_den.get(den, 0) + num
         elif outcome == _LIMIT:
             budget_hit = True
         elif outcome == _CHOICE and used < max_choices:
-            for branch, p in ((t.left, t.bias), (t.right, 1 - t.bias)):
-                if p > 0:
-                    work.append((branch, env, stack, prob * p, used + 1))
+            n, d = t.bias.numerator, t.bias.denominator
+            if n:
+                work.append((t.left, env, stack, num * n, den * d, used + 1))
+            if d - n:
+                work.append((t.right, env, stack, num * (d - n), den * d, used + 1))
+    probs = {used: sum(Fraction(n, d) for d, n in by_den.items()) for used, by_den in sums.items()}
     return probs, budget_hit
 
 

@@ -2,6 +2,7 @@
 enumeration and Monte Carlo estimation."""
 
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -10,15 +11,61 @@ import pytest
 from phors_lab import load_bundled
 from phors_lab.interp import compile_scheme, reachable
 from phors_lab.operational import (
+    _CHOICE,
+    _E,
+    _LIMIT,
+    DEFAULT_STEP_BUDGET,
     ExecError,
+    _compile,
+    _run,
     enumerate_terminations,
     monte_carlo,
     wilson_interval,
 )
 from phors_lab.solver import kleene_series
-from phors_lab.syntax import parse
+from phors_lab.syntax import NonTerm, parse
+
+from conftest import random_order1_scheme, random_order2_scheme
 
 F = Fraction
+
+
+def reference_enumerate(scheme, max_choices, step_budget=DEFAULT_STEP_BUDGET):
+    """The enumerator with a `Fraction` weight per branch, added up leaf by
+    leaf: the reference for `enumerate_terminations`' values, dict order
+    and budget flag."""
+    probs = {}
+    budget_hit = False
+    rules, open_args = _compile(scheme)
+    work = [(NonTerm(scheme.start), (), None, F(1), 0)]
+    while work:
+        t, env, stack, prob, used = work.pop()
+        outcome, t, env, stack, _ = _run(rules, open_args, t, env, stack, step_budget + 1)
+        if outcome == _E:
+            probs[used] = probs.get(used, F(0)) + prob
+        elif outcome == _LIMIT:
+            budget_hit = True
+        elif outcome == _CHOICE and used < max_choices:
+            for branch, p in ((t.left, t.bias), (t.right, 1 - t.bias)):
+                if p > 0:
+                    work.append((branch, env, stack, prob * p, used + 1))
+    return probs, budget_hit
+
+
+def enumeration_record(enumerate_, scheme, *args):
+    """The items of an enumeration in dict order, with each value's type,
+    and the budget flag; or the `ExecError` message."""
+    try:
+        probs, budget_hit = enumerate_(scheme, *args)
+    except ExecError as e:
+        return f"ExecError: {e}"
+    return [(k, type(p), p) for k, p in probs.items()], budget_hit
+
+
+def assert_matches_reference(scheme, *args):
+    got = enumeration_record(enumerate_terminations, scheme, *args)
+    assert got == enumeration_record(reference_enumerate, scheme, *args)
+    return got
 
 
 class TestStep:
@@ -125,6 +172,46 @@ class TestEnumerate:
             tracemalloc.stop()
         assert result == ({}, True)
         assert peak < 200_000
+
+
+class TestIntegerWeights:
+    # The enumerator carries each branch's weight as an integer numerator
+    # and denominator; it must give what Fraction weights give.
+
+    def test_mixed_denominators_on_paths_of_equal_length(self):
+        # Two-choice paths of denominators 15, 15 and 35 add up under one
+        # choice count; the right subtree is explored first.
+        s = parse("S = (e [1/3] e) [2/5] (e [3/7] (e [1/2] omega)) ;")
+        items, budget_hit = assert_matches_reference(s, 5)
+        assert items == [(3, F, F(6, 35)), (2, F, F(23, 35))]
+        assert not budget_hit
+
+    def test_biases_zero_and_one_explore_one_branch(self):
+        # The branch of probability 0 loops without a choice: exploring it
+        # would trip the budget.
+        for text in ("S = e [1] L ; L = L ;", "S = L [0] e ; L = L ;"):
+            items, budget_hit = assert_matches_reference(parse(text), 3, 100)
+            assert items == [(1, F, F(1))] and not budget_hit
+
+    @pytest.mark.parametrize("max_choices", range(8))
+    def test_max_choices_cuts_the_tree(self, max_choices):
+        items, _ = assert_matches_reference(load_bundled("randomwalk"), max_choices)
+        assert all(k <= max_choices for k, _, _ in items)
+
+    def test_budget_hit_on_one_branch(self):
+        s = parse("S = e [1/3] L ; L = L ;")
+        assert assert_matches_reference(s, 4, 50) == ([(1, F, F(1, 3))], True)
+
+    def test_generated_schemes(self):
+        rng = random.Random(11)
+        for i in range(50):
+            scheme = (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            for args in ((6, 2000), (3, 7)):
+                assert_matches_reference(scheme, *args)
+
+    def test_negative_max_choices_is_refused(self):
+        with pytest.raises(ValueError, match="max_choices"):
+            enumerate_terminations(parse("S = e ;"), -1)
 
 
 class TestProjections:
