@@ -29,7 +29,7 @@ from .syntax import (
 
 DEFAULT_STEP_BUDGET = 10**6
 
-PRNG_ALGORITHM = "python-random-mt19937"
+PRNG_ALGORITHM = "python-random-mt19937-one-stream"
 
 
 class ExecError(RuntimeError):
@@ -232,15 +232,17 @@ def monte_carlo(
     step_cap: int = 10**4,
     seed: int = 0,
 ) -> RunStats:
-    """Reproducible estimate of the termination behaviour.  Each trial
-    derives its generator from (seed, trial index) and draws once per
+    """Reproducible estimate of the termination behaviour.  All trials
+    draw, one after another, from one `random.Random(seed)`, once per
     choice; a choice is a step like any other."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     terminated = diverged = censored = 0
     histogram: dict[int, int] = {}
     rules, open_args = _compile(scheme)
     start = NonTerm(scheme.start)
-    for i in range(trials):
-        rng = random.Random((seed << 32) ^ i)
+    rng = random.Random(seed)
+    for _ in range(trials):
         t, env, stack, left = start, (), None, step_cap
         choices = 0
         while True:

@@ -15,6 +15,7 @@ from phors_lab.operational import (
     _E,
     _LIMIT,
     DEFAULT_STEP_BUDGET,
+    PRNG_ALGORITHM,
     ExecError,
     _compile,
     _run,
@@ -286,10 +287,22 @@ class TestMonteCarlo:
         stats = monte_carlo(load_bundled("geometric"), 300, seed=3)
         data = json.loads(stats.to_json())
         assert data["trials"] == 300
-        assert data["algorithm"] == "python-random-mt19937"
+        assert data["algorithm"] == PRNG_ALGORITHM
         assert sum(stats.histogram.values()) == stats.terminated
 
     def test_mean_choices_matches_histogram(self):
         stats = monte_carlo(load_bundled("geometric"), 300, seed=3)
         want = sum(k * v for k, v in stats.histogram.items()) / stats.terminated
         assert stats.mean_choices == pytest.approx(want)
+
+    def test_trials_draw_from_one_stream(self):
+        # Each trial makes one draw m = int(random() * 2**53) and
+        # terminates when m * 2 < 2**53, i.e. when m / 2**53 < 1/2.
+        rng = random.Random(9)
+        want = sum(int(rng.random() * 2**53) * 2 < 2**53 for _ in range(300))
+        stats = monte_carlo(parse("S = e [1/2] omega ;"), 300, seed=9)
+        assert stats.terminated == want and stats.diverged == 300 - want
+
+    def test_negative_trials_are_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo(parse("S = e ;"), -3)
