@@ -165,7 +165,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if _below("--trials", args.trials, 1) or _below("--cap", args.cap, 0):
+    bad = _below("--trials", args.trials, 1) or _below("--cap", args.cap, 0)
+    if bad or _below("--seed", args.seed, 0):
         return EXIT_INPUT
     scheme = _load(args.file)
     stats = monte_carlo(scheme, args.trials, step_cap=args.cap, seed=args.seed)

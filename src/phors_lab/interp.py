@@ -6,11 +6,15 @@ generating functions.
 
 Variables of the compiled system (registered in algebra.REGISTRY):
 
-    ("z",)                     counts probabilistic choices
-    ("nt", L, index_key)       one unknown per (non-terminal, index)
-    ("pm", w, index_key)       free variable per (parameter, index)
-    ("bv", rule, x, index_key) transient bound-variable atoms, removed
-                               by coefficient extraction
+    ("z",)                 counts probabilistic choices
+    ("nt", L, index)       one unknown per (non-terminal, index)
+    ("pm", w, index)       free variable per (parameter, index)
+    ("bv", rule, x, index) transient bound-variable atoms, removed by
+                           coefficient extraction
+
+An index is a tuple: (0, i) for the point i of o^n, and
+(1, ((point, mult), ...), result) for an arrow point.  A compile
+enumerates each type's index set once.
 
 Compilation visits the rules' call graph one strongly connected
 component at a time, callees first, and interprets the bodies with the
@@ -77,44 +81,48 @@ class IndexCapExceeded(InterpError):
 # Index sets
 
 
-@dataclass(frozen=True)
-class GroundPoint:
-    i: int  # 1..n within o^n
-
-    def key(self):
-        return (0, self.i)
+Index = tuple  # the tuple form of the module docstring; tuple order is canonical
 
 
-@dataclass(frozen=True)
-class ArrowPoint:
-    arg_uses: tuple[tuple["Index", int], ...]  # multiset, canonically sorted
-    result: "Index"
-
-    def key(self):
-        return (1, tuple((p.key(), m) for p, m in self.arg_uses), self.result.key())
+def GroundPoint(i: int) -> Index:
+    return (0, i)
 
 
-Index = GroundPoint | ArrowPoint
+def ArrowPoint(arg_uses: tuple[tuple[Index, int], ...], result: Index) -> Index:
+    return (1, arg_uses, result)
 
 
-def multisets(points: list, max_mult: int) -> list[tuple]:
-    """All multisets over `points` with per-element multiplicity at most
-    max_mult, as canonically sorted ((point, mult), ...) tuples."""
-    out = []
-    for mults in itertools.product(range(max_mult + 1), repeat=len(points)):
-        out.append(tuple((p, m) for p, m in zip(points, mults) if m > 0))
-    out.sort(key=lambda mu: tuple((p.key(), m) for p, m in mu))
-    return out
-
-
-def index_set(ty: GradedType, cap: int = DEFAULT_VAR_CAP) -> list[Index]:
-    """Complete canonical enumeration of the index set of a finitary type."""
-    if not is_finitary(ty):
-        raise InterpError("cannot enumerate the index set of an infinitary type")
-    size = index_size(ty)
-    if size > cap:
+def index_set(
+    ty: GradedType, cap: float = DEFAULT_VAR_CAP, sets: dict | None = None
+) -> list[Index]:
+    """Complete canonical enumeration of the index set of a finitary type,
+    memoised by type in `sets`: a compile sharing one dict enumerates each
+    type once."""
+    sets = {} if sets is None else sets
+    pts = sets.get(ty)
+    if pts is None:
+        if not is_finitary(ty):
+            raise InterpError("cannot enumerate the index set of an infinitary type")
+        if index_size(ty) > cap:
+            raise IndexCapExceeded(cap)
+        pts = sets[ty] = _enum(ty, sets)
+    elif len(pts) > cap:
         raise IndexCapExceeded(cap)
-    return _enum(ty)
+    return pts
+
+
+def _multisets(ty: GradedType, grade: int, sets: dict, cap: float = math.inf) -> list:
+    """All multisets over index_set(ty, cap, sets) with per-element
+    multiplicity at most grade, as canonically sorted ((point, mult), ...)
+    tuples, memoised in `sets`."""
+    pts = index_set(ty, cap, sets)
+    mus = sets.get((ty, grade))
+    if mus is None:
+        mus = sets[ty, grade] = sorted(
+            tuple((p, m) for p, m in zip(pts, mults) if m > 0)
+            for mults in itertools.product(range(grade + 1), repeat=len(pts))
+        )
+    return mus
 
 
 def index_size(ty: GradedType) -> int:
@@ -126,20 +134,14 @@ def index_size(ty: GradedType) -> int:
     raise TypeError(ty)
 
 
-def _enum(ty: GradedType) -> list[Index]:
+def _enum(ty: GradedType, sets: dict) -> list[Index]:
     match ty:
         case Ground(n):
             return [GroundPoint(i) for i in range(1, n + 1)]
         case Arrow(k, a, r):
-            pts_a = _enum(a)
-            pts_r = _enum(r)
-            out: list[Index] = [
-                ArrowPoint(mu, res)
-                for mu in multisets(pts_a, int(k))
-                for res in pts_r
-            ]
-            out.sort(key=lambda p: p.key())
-            return out
+            # Both factors are sorted, so the product is too.
+            mus, pts_r = _multisets(a, int(k), sets), index_set(r, math.inf, sets)
+            return [ArrowPoint(mu, res) for mu in mus for res in pts_r]
     raise TypeError(ty)
 
 
@@ -152,25 +154,25 @@ def z_vid() -> int:
 
 
 def nt_vid(name: str, idx: Index) -> int:
-    return REGISTRY.intern(("nt", name, idx.key()))
+    return REGISTRY.intern(("nt", name, idx))
 
 
 def pm_vid(name: str, idx: Index) -> int:
-    return REGISTRY.intern(("pm", name, idx.key()))
+    return REGISTRY.intern(("pm", name, idx))
 
 
 def bv_vid(rule: str, var: str, idx: Index) -> int:
-    return REGISTRY.intern(("bv", rule, var, idx.key()))
+    return REGISTRY.intern(("bv", rule, var, idx))
 
 
-def _render_index(key: tuple) -> str:
-    """The text form of an index, from its key: i for the point i of o^n,
-    ([mu]->r) for an arrow point."""
-    if key[0] == 0:
-        return str(key[1])
-    _, arg_uses, result = key
+def _render_index(idx: Index) -> str:
+    """The text form of an index: i for the point i of o^n, ([mu]->r) for
+    an arrow point."""
+    if idx[0] == 0:
+        return str(idx[1])
+    _, arg_uses, result = idx
     mu = ",".join(
-        _render_index(k) if m == 1 else f"{_render_index(k)}^{m}" for k, m in arg_uses
+        _render_index(p) if m == 1 else f"{_render_index(p)}^{m}" for p, m in arg_uses
     )
     return f"([{mu}]->{_render_index(result)})"
 
@@ -205,7 +207,9 @@ class _Interp:
         self.nonzero = nonzero
         d = scheme.nonterminals[rule]
         self.bound_types = dict(zip(d.params, (t for _, t in arg_types(d.ty))))
-        self.memo: dict[tuple[Term, tuple], Poly] = {}
+        self.memo: dict[tuple[Term, Index], Poly] = {}
+        # Index sets and argument multisets by type, as in _multisets.
+        self.sets: dict = {}
         # Bound-variable id -> the largest exponent any requested target
         # extracts.  Products drop monomials beyond it: multiplication
         # only raises exponents, so they could never be extracted.
@@ -213,12 +217,9 @@ class _Interp:
         self.caps: dict[int, int] = {}
 
     def sem(self, t: Term, idx: Index) -> Poly:
-        key = (t, idx.key())
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        p = self._sem(t, idx)
-        self.memo[key] = p
+        p = self.memo.get((t, idx))
+        if p is None:
+            p = self.memo[t, idx] = self._sem(t, idx)
         return p
 
     def _sem(self, t: Term, idx: Index) -> Poly:
@@ -237,16 +238,16 @@ class _Interp:
             case Param(n):
                 return Poly.var(pm_vid(n, idx))
             case Choice(l, bias, r):
-                if not isinstance(idx, GroundPoint):
+                if idx[0] != 0:
                     return Poly()
                 z = Poly.var(z_vid())
                 return (z * self.sem(l, idx)).scale(bias) + (
                     z * self.sem(r, idx)
                 ).scale(1 - bias)
             case Tuple_(items):
-                if not isinstance(idx, GroundPoint) or idx.i > len(items):
+                if idx[0] != 0 or idx[1] > len(items):
                     return Poly()
-                return self.sem(items[idx.i - 1], GroundPoint(1))
+                return self.sem(items[idx[1] - 1], GroundPoint(1))
             case Proj(i, b):
                 if idx != GroundPoint(1):
                     return Poly()
@@ -258,9 +259,8 @@ class _Interp:
                         "cannot compile an unbounded application directly; "
                         "reduce the scheme to finitary form first"
                     )
-                arg_points = index_set(fty.arg, self.cap)
                 total = Poly()
-                for mu in multisets(arg_points, int(fty.grade)):
+                for mu in _multisets(fty.arg, int(fty.grade), self.sets, self.cap):
                     fpart = self.sem(f, ArrowPoint(mu, idx))
                     if fpart.is_zero():
                         continue
@@ -314,9 +314,11 @@ def _rule_equations(
     targets: list[Index],
     cap: int,
     nonzero: set[int] | None = None,
+    sets: dict | None = None,
 ) -> Iterator[Poly]:
     """The rule's polynomial at each target index, in order, with the
-    unknowns outside `nonzero` read as 0 (none when it is None).
+    unknowns outside `nonzero` read as 0 (none when it is None), and the
+    index sets memoised in `sets` as for index_set.
 
     One interpreter serves all targets, so the body is interpreted once
     per result index.  Its polynomial is split once by the power product
@@ -324,20 +326,21 @@ def _rule_equations(
     argument profile (exact coefficient extraction)."""
     d = scheme.nonterminals[rule]
     interp = _Interp(scheme, rule, cap, nonzero)
+    interp.sets = {} if sets is None else sets
     # Unwind each target through the rule's abstractions.
     unwound: list[tuple[Index, Monomial]] = []
     for idx in targets:
         profile: list[tuple[int, int]] = []
         for pname in d.params:
-            if not isinstance(idx, ArrowPoint):
+            if idx[0] != 1:
                 raise InterpError(f"index too shallow for rule {rule!r}")
-            profile.extend((bv_vid(rule, pname, pt), m) for pt, m in idx.arg_uses)
-            idx = idx.result
+            _, arg_uses, idx = idx
+            profile.extend((bv_vid(rule, pname, pt), m) for pt, m in arg_uses)
         unwound.append((idx, tuple(sorted(profile))))
 
     domain: set[int] = set()
     for pname in d.params:
-        for pt in index_set(interp.bound_types[pname], cap):
+        for pt in index_set(interp.bound_types[pname], cap, interp.sets):
             domain.add(bv_vid(rule, pname, pt))
     interp.caps = dict.fromkeys(domain, 0)
     for _, profile in unwound:
@@ -350,9 +353,9 @@ def _rule_equations(
     # reads as 0.
     split: dict[tuple, dict[Monomial, dict[Monomial, Fraction]]] = {}
     for idx, profile in unwound:
-        buckets = split.get(idx.key())
+        buckets = split.get(idx)
         if buckets is None:
-            buckets = split[idx.key()] = _split(interp.sem(d.body, idx), domain)
+            buckets = split[idx] = _split(interp.sem(d.body, idx), domain)
         yield Poly(buckets.get(profile, {}))
 
 
@@ -505,12 +508,13 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
                 f"non-terminal {name!r} has an infinitary type; reduce first"
             )
 
+    sets: dict = {}  # index sets, shared by the whole compile
     param_vids: set[int] = set()
     for pname, pty in scheme.params.items():
-        for idx in index_set(pty, cap):
+        for idx in index_set(pty, cap, sets):
             param_vids.add(pm_vid(pname, idx))
 
-    targets = {name: index_set(d.ty, cap) for name, d in scheme.nonterminals.items()}
+    targets = {n: index_set(d.ty, cap, sets) for n, d in scheme.nonterminals.items()}
     calls = {name: _callees(d.body) for name, d in scheme.nonterminals.items()}
     # Callees first, so every unknown outside the component being
     # interpreted is settled.  Reading an unknown not yet known to be
@@ -526,7 +530,9 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
             before = len(nonzero)
             for name in comp:
                 # All of a rule's targets read the same nonzero set.
-                ps = list(_rule_equations(scheme, name, targets[name], cap, nonzero))
+                ps = list(
+                    _rule_equations(scheme, name, targets[name], cap, nonzero, sets)
+                )
                 for idx, p in zip(targets[name], ps):
                     vid = nt_vid(name, idx)
                     found[vid] = p
@@ -547,20 +553,18 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
         # once per run, so every surviving unknown is affine in its
         # arguments; the zero analysis must have removed the rest.
         for vid in eqs:
-            key = REGISTRY.key_of(vid)
-            if key[0] == "nt":
-                assert _spine_multiplicity(key[2]) <= 1, (
-                    f"order-1 unknown {var_name(vid)} uses arguments "
-                    "more than once"
-                )
+            assert _spine_multiplicity(REGISTRY.key_of(vid)[2]) <= 1, (
+                f"order-1 unknown {var_name(vid)} uses arguments "
+                "more than once"
+            )
     return fas
 
 
-def _spine_multiplicity(ikey) -> int:
-    if ikey[0] == 0:
+def _spine_multiplicity(idx: Index) -> int:
+    if idx[0] == 0:
         return 0
-    _, mu, rkey = ikey
-    return sum(m for _, m in mu) + _spine_multiplicity(rkey)
+    _, mu, result = idx
+    return sum(m for _, m in mu) + _spine_multiplicity(result)
 
 
 def reachable(fas: Fas) -> Fas:

@@ -234,9 +234,12 @@ def monte_carlo(
 ) -> RunStats:
     """Reproducible estimate of the termination behaviour.  All trials
     draw, one after another, from one `random.Random(seed)`, once per
-    choice; a choice is a step like any other."""
+    choice; a choice is a step like any other.  The seed must be >= 0,
+    since `random.Random` draws the same stream for seed and -seed."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     terminated = diverged = censored = 0
     histogram: dict[int, int] = {}
     rules, open_args = _compile(scheme)

@@ -130,8 +130,9 @@ class TestAnalyze:
             ("transform", "linearize", _path("eq3"), "--verify", "-1"),
             ("simulate", _path("eq3"), "--trials", "-5"),
             ("simulate", _path("eq3"), "--cap", "-1"),
+            ("simulate", _path("eq3"), "--seed", "-7"),
         ],
-        ids=["verify", "trials", "cap"],
+        ids=["verify", "trials", "cap", "seed"],
     )
     def test_negative_counts_are_input_errors(self, argv):
         _assert_input_error(*argv)

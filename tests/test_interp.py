@@ -47,12 +47,39 @@ class TestIndexSets:
         for ty in (O, Ground(2), FN, Arrow(2, FN, FN)):
             pts = index_set(ty)
             assert len(pts) == index_size(ty)
-            assert len({p.key() for p in pts}) == len(pts)
+            assert len(set(pts)) == len(pts)
 
     def test_enumeration_is_sorted_and_deterministic(self):
         pts = index_set(Arrow(2, FN, FN))
         assert pts == index_set(Arrow(2, FN, FN))
-        assert [p.key() for p in pts] == sorted(p.key() for p in pts)
+        assert pts == sorted(pts)
+
+    def test_enumeration_order_is_pinned(self):
+        # An index is its own key, and this order is the order in which
+        # unknowns are interned and equations built, so it must not drift.
+        g = (0, 1)
+        empty, used = (1, (), g), (1, ((g, 1),), g)
+        assert index_set(Arrow(2, FN, FN)) == [
+            (1, (), empty),
+            (1, (), used),
+            (1, ((empty, 1),), empty),
+            (1, ((empty, 1),), used),
+            (1, ((empty, 1), (used, 1)), empty),
+            (1, ((empty, 1), (used, 1)), used),
+            (1, ((empty, 1), (used, 2)), empty),
+            (1, ((empty, 1), (used, 2)), used),
+            (1, ((empty, 2),), empty),
+            (1, ((empty, 2),), used),
+            (1, ((empty, 2), (used, 1)), empty),
+            (1, ((empty, 2), (used, 1)), used),
+            (1, ((empty, 2), (used, 2)), empty),
+            (1, ((empty, 2), (used, 2)), used),
+            (1, ((used, 1),), empty),
+            (1, ((used, 1),), used),
+            (1, ((used, 2),), empty),
+            (1, ((used, 2),), used),
+        ]
+        assert (GroundPoint(1), ArrowPoint(((g, 1),), g)) == (g, used)
 
     def test_cap_enforced(self):
         big = Arrow(9, Arrow(9, Ground(3), Ground(3)), O)
@@ -60,10 +87,10 @@ class TestIndexSets:
             index_set(big, cap=1000)
 
     def test_multiplicities_bounded_by_grade(self):
-        for p in index_set(Arrow(2, FN, FN)):
-            assert isinstance(p, ArrowPoint)
-            assert all(m <= 2 for _, m in p.arg_uses)
-            assert sum(m for _, m in p.arg_uses) <= 2 * index_size(FN)
+        for tag, arg_uses, _ in index_set(Arrow(2, FN, FN)):
+            assert tag == 1
+            assert all(m <= 2 for _, m in arg_uses)
+            assert sum(m for _, m in arg_uses) <= 2 * index_size(FN)
 
 
 class TestInterpretBody:
@@ -224,6 +251,28 @@ class TestCompile:
                         }
                     )
                     assert live == fas.eqs[vid], var_name(vid)
+
+    def test_each_type_enumerated_once_per_compile(self, monkeypatch):
+        # One compile shares its index sets among all its interpreters;
+        # a second compile enumerates again, since nothing outlives one.
+        import phors_lab.interp as interp
+
+        enumerated = Counter()
+        enum = interp._enum
+
+        def counting(ty, sets):
+            enumerated[ty] += 1
+            return enum(ty, sets)
+
+        monkeypatch.setattr(interp, "_enum", counting)
+        for scheme in (chain_tower(3), load_bundled("chain")):
+            enumerated.clear()
+            compile_scheme(scheme)
+            first = Counter(enumerated)
+            assert first and max(first.values()) == 1, first
+            enumerated.clear()
+            compile_scheme(scheme)
+            assert enumerated == first
 
     def test_interpreters_per_rule(self, monkeypatch):
         # Compiling visits the call graph callees first: a rule outside

@@ -306,3 +306,8 @@ class TestMonteCarlo:
     def test_negative_trials_are_refused(self):
         with pytest.raises(ValueError, match="trials"):
             monte_carlo(parse("S = e ;"), -3)
+
+    def test_negative_seed_is_refused(self):
+        # random.Random(-7) draws the stream of random.Random(7).
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo(parse("S = e ;"), 3, seed=-7)
