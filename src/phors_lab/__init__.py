@@ -3,13 +3,12 @@ schemes: graded type checking, compilation to finite monotone polynomial
 fixpoint systems via the weighted relational semantics, exact solving,
 and AST/PAST verdicts with machine-checkable certificates."""
 
-from importlib import resources
-
 __version__ = "0.1.0"
 
 
 def scheme_path(name: str):
     """Path-like handle to a bundled example scheme (without extension)."""
+    from importlib import resources
     return resources.files(__package__).joinpath("schemes", f"{name}.phors")
 
 
@@ -20,6 +19,7 @@ def load_bundled(name: str):
 
 
 def bundled_names() -> list[str]:
+    from importlib import resources
     root = resources.files(__package__).joinpath("schemes")
     return sorted(
         p.name.removesuffix(".phors")

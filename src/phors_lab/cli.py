@@ -20,10 +20,9 @@ from .interp import (
     reachable,
     var_name,
 )
-from .operational import ExecError, enumerate_terminations, monte_carlo
 from .solver import MonotonicityError, SolverError, kleene_series
-from .syntax import Scheme, SchemeError, is_finitary, parse, print_scheme
-from .transforms import TransformError, compose, linearize, reduce_inf
+from .syntax import ExecError, Scheme, SchemeError, TransformError
+from .syntax import is_finitary, parse, print_scheme
 from .typesys import check_fin, check_inf
 
 EXIT_OK = 0
@@ -90,6 +89,7 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT
     notes = []
     if not _scheme_is_finitary(scheme):
+        from .transforms import reduce_inf
         scheme = reduce_inf(scheme)
         notes.append("scheme had unbounded grades; analyzed its finitary reduction")
     fas, series = _series(scheme, args.degree, args.var_cap)
@@ -120,6 +120,7 @@ def cmd_analyze(args) -> int:
 def cmd_transform(args) -> int:
     if _below("--verify", args.verify, 0):
         return EXIT_INPUT
+    from .transforms import compose, linearize, reduce_inf
     scheme = _load(args.file)
     if args.kind == "linearize":
         result = linearize(scheme)
@@ -150,6 +151,7 @@ def cmd_transform(args) -> int:
             # The source of a reduction is not directly compilable, but
             # it can still be run: compare exhaustive operational
             # probabilities against the reduced scheme's coefficients.
+            from .operational import enumerate_terminations
             probs, budget_hit = enumerate_terminations(scheme, args.verify)
             coeffs = _series(result, args.verify)[1].coeffs
             ok = not budget_hit and all(
@@ -168,6 +170,7 @@ def cmd_simulate(args) -> int:
     bad = _below("--trials", args.trials, 1) or _below("--cap", args.cap, 0)
     if bad or _below("--seed", args.seed, 0):
         return EXIT_INPUT
+    from .operational import monte_carlo
     scheme = _load(args.file)
     stats = monte_carlo(scheme, args.trials, step_cap=args.cap, seed=args.seed)
     print(stats.to_json())

@@ -13,7 +13,6 @@ import json
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Poly
@@ -31,58 +30,58 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-@dataclass
 class FixpointAtOne:
     """v with P(v, 1) = v exactly and v_start = 1."""
 
-    assignment: dict[int, Fraction]
+    def __init__(self, assignment: dict[int, Fraction]) -> None:
+        self.assignment = assignment
 
 
-@dataclass
 class PreFixpointBelowOne:
     """v with P(v, 1) <= v componentwise and v_start < 1: by
     Knaster-Tarski the least fixpoint is below v, so AST fails."""
 
-    assignment: dict[int, Fraction]
+    def __init__(self, assignment: dict[int, Fraction]) -> None:
+        self.assignment = assignment
 
 
-@dataclass
 class CriticalJacobian:
     """Nonzero u with (I - J)u = 0 at (w*, 1): the linearized system is
     singular, so the expected choice count diverges."""
 
-    order: list[int]
-    kernel: list[Fraction]
-    solution: dict[int, Fraction]
+    def __init__(self, order: list[int], kernel: list[Fraction],
+                 solution: dict[int, Fraction]) -> None:
+        self.order = order
+        self.kernel = kernel
+        self.solution = solution
 
 
-@dataclass
 class NonsingularLinearSolve:
     """d with (I - J)d = g at (w*, 1): the expected choice count."""
 
-    order: list[int]
-    d_vector: dict[int, Fraction]
-    solution: dict[int, Fraction]
+    def __init__(self, order: list[int], d_vector: dict[int, Fraction],
+                 solution: dict[int, Fraction]) -> None:
+        self.order = order
+        self.d_vector = d_vector
+        self.solution = solution
 
 
 Certificate = FixpointAtOne | PreFixpointBelowOne | CriticalJacobian | NonsingularLinearSolve
 
 
-@dataclass
 class Verdict:
-    ast: str = "inconclusive"  # "yes" | "no" | "inconclusive"
-    past: str = "inconclusive"
-    p_term: Value | None = None
-    expected: Fraction | float | Interval | None = None
-    certificates: list[Certificate] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._check()
-
-    def _check(self) -> None:
-        if self.past == "yes" and self.ast != "yes":
+    def __init__(self, ast: str = "inconclusive", past: str = "inconclusive",
+                 p_term: Value | None = None, expected: Fraction | float | Interval | None = None,
+                 certificates: list[Certificate] | None = None,
+                 notes: list[str] | None = None) -> None:
+        if past == "yes" and ast != "yes":
             raise ValueError("PAST implies AST: inconsistent verdict")
+        self.ast = ast  # "yes" | "no" | "inconclusive"
+        self.past = past
+        self.p_term = p_term
+        self.expected = expected
+        self.certificates = [] if certificates is None else certificates
+        self.notes = [] if notes is None else notes
 
     def to_jsonable(self) -> dict:
         def rat(x):

@@ -36,7 +36,6 @@ import itertools
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TypeVar
 
@@ -430,15 +429,16 @@ def sccs(graph: dict[Node, set[Node]]) -> list[list[Node]]:
 # The compiled fixpoint system
 
 
-@dataclass
 class Fas:
     """Finite monotone polynomial fixpoint system w = P(w, z)."""
 
-    eqs: dict[int, Poly]  # unknown vid -> right-hand side
-    start: int
-    param_vids: set[int] = field(default_factory=set)
-    zeros: set[int] = field(default_factory=set)  # eliminated zero unknowns
-    proper: dict[int, bool] = field(default_factory=dict)
+    def __init__(self, eqs: dict[int, Poly], start: int, param_vids: set[int] | None = None,
+                 zeros: set[int] | None = None, proper: dict[int, bool] | None = None) -> None:
+        self.eqs = eqs  # unknown vid -> right-hand side
+        self.start = start
+        self.param_vids = set() if param_vids is None else param_vids
+        self.zeros = set() if zeros is None else zeros  # eliminated zero unknowns
+        self.proper = {} if proper is None else proper
 
     def is_closed(self) -> bool:
         return not self.param_vids

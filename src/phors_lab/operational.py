@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .syntax import (
     App,
     Choice,
+    ExecError,
     NonTerm,
     Omega,
     Param,
@@ -30,10 +30,6 @@ from .syntax import (
 DEFAULT_STEP_BUDGET = 10**6
 
 PRNG_ALGORITHM = "python-random-mt19937-one-stream"
-
-
-class ExecError(RuntimeError):
-    pass
 
 
 _E, _OMEGA, _CHOICE, _LIMIT = range(4)
@@ -182,17 +178,19 @@ def wilson_interval(k: int, n: int, z: float = 3.0) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass
 class RunStats:
-    trials: int
-    terminated: int
-    diverged: int  # reached a bare diverging head: certainly no e
-    censored: int  # step cap hit: outcome unknown
-    histogram: dict[int, int]  # choice count -> frequency (terminated runs)
-    mean_choices: float | None
-    seed: int
-    step_cap: int
-    algorithm: str = PRNG_ALGORITHM
+    def __init__(self, trials: int, terminated: int, diverged: int, censored: int,
+                 histogram: dict[int, int], mean_choices: float | None, seed: int,
+                 step_cap: int, algorithm: str = PRNG_ALGORITHM) -> None:
+        self.trials = trials
+        self.terminated = terminated
+        self.diverged = diverged  # reached a bare diverging head: certainly no e
+        self.censored = censored  # step cap hit: outcome unknown
+        self.histogram = histogram  # choice count -> frequency (terminated runs)
+        self.mean_choices = mean_choices
+        self.seed = seed
+        self.step_cap = step_cap
+        self.algorithm = algorithm
 
     @property
     def p_term_estimate(self) -> float:

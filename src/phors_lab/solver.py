@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Poly, TruncSeries
 from .interp import Fas, sccs, var_name, z_vid
+from .syntax import Frozen
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,14 +54,13 @@ class MonotonicityError(AssertionError):
 EPS = Fraction(1, 10**9)
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
+class Interval(Frozen):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        if lo > hi:
             raise ValueError("empty interval")
+        super().__init__(lo, hi)
 
     @property
     def width(self) -> Fraction:
@@ -79,11 +78,12 @@ def value_hi(v: Value) -> Fraction:
     return v.hi if isinstance(v, Interval) else v
 
 
-@dataclass
 class MinSolution:
-    values: dict[int, Value]
-    exact: bool
-    diagnostics: list[str] = field(default_factory=list)
+    def __init__(self, values: dict[int, Value], exact: bool,
+                 diagnostics: list[str] | None = None) -> None:
+        self.values = values
+        self.exact = exact
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +616,13 @@ def _newton_bracket(
 # Expected number of probabilistic steps
 
 
-@dataclass
 class DerivativeResult:
-    value: Fraction | float  # exact expectation, or math.inf
-    kernel: list[Fraction] | None  # singularity witness when infinite
-    d_vector: dict[int, Fraction] | None  # solution when finite
-    order: list[int]  # variable order used for matrices
+    def __init__(self, value: Fraction | float, kernel: list[Fraction] | None,
+                 d_vector: dict[int, Fraction] | None, order: list[int]) -> None:
+        self.value = value  # exact expectation, or math.inf
+        self.kernel = kernel  # singularity witness when infinite
+        self.d_vector = d_vector  # solution when finite
+        self.order = order  # variable order used for matrices
 
 
 def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:

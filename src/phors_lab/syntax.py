@@ -19,42 +19,73 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 INF = math.inf
 
 Grade = Union[int, float]  # a natural number or math.inf
+_set = object.__setattr__  # assigns a field of a Frozen value
+
+
+class Frozen:
+    """Immutable value with its __slots__ as fields: class-strict ==, hash computed once."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._key = attrgetter("__class__", *cls.__slots__)  # called as self._key(self)
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        same_class = other.__class__ is self.__class__
+        return self._key(self) == self._key(other) if same_class else NotImplemented
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._key(self)))
+            return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-class GradedType:
+class GradedType(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Ground(GradedType):
-    width: int = 1
+    __slots__ = ("width",)
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
+    def __init__(self, width: int = 1) -> None:
+        if width < 1:
             raise ValueError("ground type width must be >= 1")
+        super().__init__(width)
 
 
-@dataclass(frozen=True)
 class Arrow(GradedType):
-    grade: Grade
-    arg: GradedType
-    result: GradedType
+    __slots__ = ("grade", "arg", "result")
 
-    def __post_init__(self) -> None:
-        g = self.grade
-        if g != INF and (not isinstance(g, int) or g < 0):
-            raise ValueError(f"grade must be a natural number or inf, got {g!r}")
+    def __init__(self, grade: Grade, arg: GradedType, result: GradedType) -> None:
+        if grade != INF and (not isinstance(grade, int) or grade < 0):
+            raise ValueError(f"grade must be a natural number or inf, got {grade!r}")
+        super().__init__(grade, arg, result)
 
 
 O = Ground(1)
@@ -91,65 +122,54 @@ def arg_types(ty: GradedType) -> list[tuple[Grade, GradedType]]:
 # Terms
 
 
-class Term:
+class Term(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class NonTerm(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Param(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Unit(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Omega(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = ("fun", "arg")
 
 
-@dataclass(frozen=True)
 class Choice(Term):
-    left: Term
-    bias: Fraction
-    right: Term
+    __slots__ = ("left", "bias", "right")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.bias <= 1):
-            raise ValueError(f"choice bias {self.bias} outside [0, 1]")
+    def __init__(self, left: Term, bias: Fraction, right: Term) -> None:
+        if not (0 <= bias <= 1):
+            raise ValueError(f"choice bias {bias} outside [0, 1]")
+        super().__init__(left, bias, right)
 
 
-@dataclass(frozen=True)
 class Tuple_(Term):
-    items: tuple[Term, ...]
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
 class Proj(Term):
-    index: int
-    body: Term
+    __slots__ = ("index", "body")
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
+    def __init__(self, index: int, body: Term) -> None:
+        if index < 1:
             raise ValueError("projection index must be >= 1")
+        super().__init__(index, body)
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:
@@ -204,18 +224,19 @@ def type_of(t: Term, scheme: Scheme, bound: dict[str, GradedType]) -> GradedType
 # Schemes
 
 
-@dataclass
 class NonTermDef:
-    ty: GradedType
-    params: tuple[str, ...]
-    body: Term
+    def __init__(self, ty: GradedType, params: tuple[str, ...], body: Term) -> None:
+        self.ty = ty
+        self.params = params
+        self.body = body
 
 
-@dataclass
 class Scheme:
-    nonterminals: dict[str, NonTermDef]
-    params: dict[str, GradedType] = field(default_factory=dict)
-    start: str = "S"
+    def __init__(self, nonterminals: dict[str, NonTermDef],
+                 params: dict[str, GradedType] | None = None, start: str = "S") -> None:
+        self.nonterminals = nonterminals
+        self.params = {} if params is None else params
+        self.start = start
 
     def is_closed(self) -> bool:
         return not self.params
@@ -255,6 +276,14 @@ class SchemeError(ValueError):
     pass
 
 
+class TransformError(ValueError):
+    pass
+
+
+class ExecError(RuntimeError):
+    pass
+
+
 class ParseError(SchemeError):
     def __init__(self, msg: str, line: int, col: int) -> None:
         super().__init__(f"{line}:{col}: {msg}")
@@ -277,12 +306,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'rat' | 'ident' | one of the punct/arrow literals
-    text: str
-    line: int
-    col: int
+class Token(Frozen):
+    __slots__ = ("kind", "text", "line", "col")  # kind: 'rat', 'ident' or a punct/arrow literal
 
 
 def _lex(src: str) -> list[Token]:

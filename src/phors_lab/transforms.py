@@ -13,13 +13,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     INF,
     App,
     Arrow,
     Choice,
+    Frozen,
     Ground,
     GradedType,
     NonTerm,
@@ -29,6 +28,7 @@ from .syntax import (
     Proj,
     Scheme,
     Term,
+    TransformError,
     Tuple_,
     Unit,
     Var,
@@ -39,10 +39,6 @@ from .syntax import (
     type_of,
 )
 from .typesys import check_fin, check_inf, subtype
-
-
-class TransformError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +192,8 @@ def compose(g1: Scheme, g2: Scheme, hole: str, plug: str) -> Scheme:
 # Reduction of unbounded grades
 
 
-@dataclass(frozen=True)
-class _Inst:
-    name: str
-    gamma: tuple[str, ...]
+class _Inst(Frozen):
+    __slots__ = ("name", "gamma")
 
     def rendered(self) -> str:
         if not self.gamma:

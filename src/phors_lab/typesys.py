@@ -16,13 +16,14 @@ the declared bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .syntax import (
     INF,
+    O,
     App,
     Arrow,
     Choice,
+    Frozen,
     Ground,
     GradedType,
     NonTerm,
@@ -62,12 +63,14 @@ class CtxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedCtx:
+class GradedCtx(Frozen):
     """Map from variable name to (grade, type); + and scaling act
     pointwise on grades and are partial: the types must agree."""
 
-    bindings: tuple[tuple[str, int, GradedType], ...] = ()
+    __slots__ = ("bindings",)
+
+    def __init__(self, bindings: tuple[tuple[str, int, GradedType], ...] = ()) -> None:
+        object.__setattr__(self, "bindings", bindings)  # hot: one per typed subterm
 
     @staticmethod
     def of(d: dict[str, tuple[int, GradedType]]) -> "GradedCtx":
@@ -106,24 +109,29 @@ class GradedCtx:
         return 0
 
 
+_EMPTY = GradedCtx()
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
 
-@dataclass
 class Diagnostic:
-    rule: str
-    message: str
-    inferred: str | None = None
-    declared: str | None = None
+    def __init__(self, rule: str, message: str, inferred: str | None = None,
+                 declared: str | None = None) -> None:
+        self.rule = rule
+        self.message = message
+        self.inferred = inferred
+        self.declared = declared
 
 
-@dataclass
 class TypingReport:
-    status: str  # "accepted" | "rejected"
-    system: str  # "finitary" | "infinitary"
-    derived: dict[str, GradedType] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, status: str, system: str, derived: dict[str, GradedType] | None = None,
+                 diagnostics: list[Diagnostic] | None = None) -> None:
+        self.status = status  # "accepted" | "rejected"
+        self.system = system  # "finitary" | "infinitary"
+        self.derived = {} if derived is None else derived
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def accepted(self) -> bool:
@@ -135,15 +143,7 @@ class TypingReport:
                 "status": self.status,
                 "system": self.system,
                 "derived": {n: render_type(t) for n, t in self.derived.items()},
-                "diagnostics": [
-                    {
-                        "rule": d.rule,
-                        "message": d.message,
-                        "inferred": d.inferred,
-                        "declared": d.declared,
-                    }
-                    for d in self.diagnostics
-                ],
+                "diagnostics": [vars(d) for d in self.diagnostics],
             },
             indent=2,
         )
@@ -242,19 +242,19 @@ class _Checker:
     ) -> tuple[GradedType, GradedCtx]:
         match t:
             case Unit():
-                return Ground(1), GradedCtx()
+                return O, _EMPTY
             case Omega():
                 # Divergence inhabits the ground type only: rule bodies
                 # never demand it at higher type in head position.
-                return Ground(1), GradedCtx()
+                return O, _EMPTY
             case Var(n):
                 if n in unbounded:
-                    return bound[n], GradedCtx()
+                    return bound[n], _EMPTY
                 return bound[n], GradedCtx.of({n: (1, bound[n])})
             case NonTerm(n):
-                return self.scheme.nonterminals[n].ty, GradedCtx()
+                return self.scheme.nonterminals[n].ty, _EMPTY
             case Param(n):
-                return self.scheme.params[n], GradedCtx()
+                return self.scheme.params[n], _EMPTY
             case App(f, a):
                 fty, fuse = self.synth(rule, f, bound, unbounded)
                 if not isinstance(fty, Arrow):
@@ -295,16 +295,16 @@ class _Checker:
             case Choice(l, _, r):
                 lt, lu = self.synth(rule, l, bound, unbounded)
                 rt, ru = self.synth(rule, r, bound, unbounded)
-                if lt != Ground(1) or rt != Ground(1):
+                if lt != O or rt != O:
                     raise _Reject(
                         Diagnostic(rule, "probabilistic choice requires type o")
                     )
-                return Ground(1), lu.max(ru)
+                return O, lu.max(ru)
             case Tuple_(items):
-                use = GradedCtx()
+                use = _EMPTY
                 for it in items:
                     ity, iu = self.synth(rule, it, bound, unbounded)
-                    if ity != Ground(1):
+                    if ity != O:
                         raise _Reject(
                             Diagnostic(rule, "tuple components must have type o")
                         )
@@ -320,7 +320,7 @@ class _Checker:
                             inferred=render_type(bty),
                         )
                     )
-                return Ground(1), bu
+                return O, bu
         raise TypeError(t)
 
 

@@ -277,11 +277,34 @@ class TestErrorBoundary:
 
 
 class TestColdStart:
+    # Modules a launch should not pay for until a subcommand runs them.
+    DEFERRED = ("dataclasses", "inspect", "importlib.resources",
+                "phors_lab.operational", "phors_lab.transforms")
+
+    def _loaded_after(self, statements: str) -> list[str]:
+        """The deferred modules loaded after running statements in a fresh
+        interpreter started with -S, so that site's own imports cannot
+        hide one."""
+        code = (f"import json, sys\n{statements}\n"
+                f"print(json.dumps([m for m in {self.DEFERRED!r} if m in sys.modules]))")
+        proc = _python("-S", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
     def test_cli_import_does_not_load_sympy(self):
         proc = _python(
             "-c", "import phors_lab.cli, sys; assert 'sympy' not in sys.modules"
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_deferred_module(self):
+        assert self._loaded_after("import phors_lab.cli") == []
+
+    def test_analyze_loads_transforms_only_for_an_infinitary_scheme(self):
+        run = "from phors_lab.cli import main\nassert main(['analyze', {!r}]) == {}"
+        assert self._loaded_after(run.format(_path("unit"), EXIT_OK)) == []
+        loaded = self._loaded_after(run.format(_path("dyck"), EXIT_NEGATIVE))
+        assert loaded == ["phors_lab.transforms"]
 
 
 class TestExitCodes:

@@ -180,6 +180,12 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             Verdict(ast="no", past="yes")
 
+    def test_verdicts_get_fresh_lists(self):
+        a, b = Verdict(), Verdict("yes", "yes", F(1), F(2))
+        a.notes.append("x")
+        a.certificates.append(FixpointAtOne({}))
+        assert (b.notes, b.certificates, Verdict().notes) == ([], [], [])
+
     def test_json_round_trips(self):
         v = decide_past(_fas("randomwalk"))
         data = json.loads(v.to_json())

@@ -560,3 +560,11 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             Interval(F(1), F(0))
         assert Interval(F(1, 3), F(1, 2)).width == F(1, 6)
+
+    def test_interval_is_a_frozen_value(self):
+        a, b = Interval(F(1, 3), F(1, 2)), Interval(F(1, 3), F(1, 2))
+        assert a == b and hash(a) == hash(b) and a != Interval(F(1, 3), F(1))
+        assert a != (F(1, 3), F(1, 2))
+        assert repr(a) == "Interval(lo=Fraction(1, 3), hi=Fraction(1, 2))"
+        with pytest.raises(AttributeError):
+            a.lo = F(0)

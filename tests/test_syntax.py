@@ -1,5 +1,6 @@
 """Parser, printer and scheme well-formedness."""
 
+import cProfile
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,12 @@ from phors_lab.syntax import (
     NonTerm,
     O,
     Omega,
+    Param,
     ParseError,
+    Proj,
+    Scheme,
     SchemeError,
+    Tuple_,
     Unit,
     Var,
     arg_types,
@@ -153,3 +158,76 @@ class TestTypes:
     def test_invalid_grade(self):
         with pytest.raises(ValueError):
             Arrow(-1, O, O)
+
+
+class TestRecords:
+    def test_equality_is_strict_about_the_class(self):
+        assert Var("x") == Var("x")
+        assert Var("x") != NonTerm("x")
+        assert NonTerm("x") != Param("x")
+        assert Unit() == Unit() and Unit() != Omega()
+        assert Ground(1) == O and Ground(1) != Ground(2)
+        assert Arrow(1, O, O) != Arrow(2, O, O)
+
+    def test_equal_values_have_equal_hashes(self):
+        def term():
+            return App(NonTerm("F"), Choice(Var("x"), Fraction(1, 2), Tuple_((Unit(), Omega()))))
+
+        assert term() is not term() and term() == term()
+        assert hash(term()) == hash(term())
+        assert hash(Arrow(2, Ground(3), O)) == hash(Arrow(2, Ground(3), O))
+        assert len({term(), term(), Proj(1, Unit()), Proj(1, Unit())}) == 2
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        t = App(NonTerm("F"), Unit())
+        with pytest.raises(AttributeError):
+            t.fun = Unit()
+        with pytest.raises(AttributeError):
+            del t.arg
+        with pytest.raises(AttributeError):
+            O.width = 2
+        with pytest.raises(AttributeError):
+            t.extra = 1
+        assert t == App(NonTerm("F"), Unit())
+
+    def test_repr_is_the_dataclass_form(self):
+        assert repr(App(NonTerm("F"), Unit())) == "App(fun=NonTerm(name='F'), arg=Unit())"
+        assert repr(Arrow(INF, O, Ground(2))) == (
+            "Arrow(grade=inf, arg=Ground(width=1), result=Ground(width=2))"
+        )
+        assert repr(Choice(Unit(), Fraction(1, 3), Omega())) == (
+            "Choice(left=Unit(), bias=Fraction(1, 3), right=Omega())"
+        )
+
+    def test_positional_patterns_match_the_fields(self):
+        match Choice(Var("x"), Fraction(1, 4), Proj(2, Unit())):
+            case Choice(Var(n), p, Proj(i, Unit())):
+                assert (n, p, i) == ("x", Fraction(1, 4), 2)
+            case _:
+                pytest.fail("no match")
+
+    def test_invalid_values_are_rejected(self):
+        for make in (
+            lambda: Ground(0),
+            lambda: Arrow(-1, O, O),
+            lambda: Arrow(Fraction(1, 2), O, O),
+            lambda: Choice(Unit(), Fraction(3, 2), Unit()),
+            lambda: Proj(0, Unit()),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
+    def test_a_hash_is_computed_once_per_node(self):
+        t = Unit()
+        for i in range(50):
+            t = App(NonTerm(f"F{i}"), t)  # 101 nodes
+        profile = cProfile.Profile()
+        profile.runcall(lambda: (hash(t), hash(t)))
+        calls = sum(s.callcount for s in profile.getstats()
+                    if getattr(s.code, "co_name", None) == "__hash__")
+        assert calls == 101 + 1  # the second hash reads the root's cached value
+
+    def test_mutable_records_get_fresh_defaults(self):
+        a, b = Scheme({}), Scheme({})
+        a.params["w"] = O
+        assert b.params == {}

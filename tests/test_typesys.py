@@ -66,6 +66,14 @@ class TestGradedCtx:
         with pytest.raises(CtxError):
             a + b
 
+    def test_contexts_are_frozen_values(self):
+        a = GradedCtx.of({"x": (1, O)})
+        assert a == GradedCtx((("x", 1, O),)) and hash(a) == hash(GradedCtx.of({"x": (1, O)}))
+        assert GradedCtx() == GradedCtx(()) != a
+        assert repr(a) == "GradedCtx(bindings=(('x', 1, Ground(width=1)),))"
+        with pytest.raises(AttributeError):
+            a.bindings = ()
+
     def test_absent_binding_counts_as_zero(self):
         a = GradedCtx.of({"x": (2, O)})
         assert (a + GradedCtx()).as_dict() == a.as_dict()
