@@ -154,6 +154,17 @@ def random_order2_scheme(rng: random.Random) -> Scheme:
     return Scheme(nts, {}, "S")
 
 
+def ring_text(n: int, bias: Fraction) -> str:
+    """n rules; rule i is Fi x = (Fj (Fj x)) [bias] x with j = i+1 mod n.
+    Every rule is the walk y = z (bias y^2 + 1 - bias), which terminates
+    with probability min(1, (1 - bias) / bias)."""
+    rules = "".join(
+        f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) [{bias}] x ; "
+        for i in range(n)
+    )
+    return rules + "S = F0 e ;"
+
+
 def chain_tower(k: int) -> Scheme:
     """The chain-style tower of grade 2^k: F1 f x = f (f x), and each
     Fi f x = (F(i-1) (C1 f) x) [1/2] (Fi f x) uses f 2^i times.  k = 2

@@ -28,7 +28,7 @@ from phors_lab.solver import Interval, gauss_solve, identity_minus, kleene_serie
 from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
 
-from conftest import random_order1_scheme, random_order2_scheme
+from conftest import random_order1_scheme, random_order2_scheme, ring_text
 
 F = Fraction
 
@@ -38,17 +38,6 @@ def _fas(name: str):
     if name in ("dyck", "dyck_lossy"):
         scheme = reduce_inf(scheme)
     return reachable(compile_scheme(scheme))
-
-
-def _ring_text(n: int, bias: Fraction) -> str:
-    """n rules; rule i is Fi x = (Fj (Fj x)) [bias] x with j = i+1 mod n.
-    Every rule is the walk y = z (bias y^2 + 1 - bias), which terminates
-    with probability min(1, (1 - bias) / bias)."""
-    rules = "".join(
-        f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) [{bias}] x ; "
-        for i in range(n)
-    )
-    return rules + "S = F0 e ;"
 
 
 # Compiles the schemes given as arguments, in order, and prints the last
@@ -154,7 +143,7 @@ class TestVerdicts:
         # I - J of a ring of n rules has 2n nonzero entries; deciding the
         # three 200-rings must not cost a dense elimination.
         rings = [
-            reachable(compile_scheme(parse(_ring_text(200, b))))
+            reachable(compile_scheme(parse(ring_text(200, b))))
             for b in (F(1, 2), F(1, 3), F(2, 3))
         ]
         t0 = time.perf_counter()
@@ -173,8 +162,8 @@ class TestVerdicts:
     def test_report_does_not_depend_on_what_was_compiled_before(self):
         # Compiling the 7-ring first interns the 20-ring's unknowns in
         # another order.
-        ring = _ring_text(20, F(1, 3))
-        assert _report_after(ring) == _report_after(_ring_text(7, F(1, 3)), ring)
+        ring = ring_text(20, F(1, 3))
+        assert _report_after(ring) == _report_after(ring_text(7, F(1, 3)), ring)
 
     def test_past_implies_ast_enforced(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,11 @@ projection bodies, with the dict order of the enumeration and the
 `ExecError` an input raises.  The compiled fixpoint systems are pinned
 in `fas.json`: `Fas.render()`, the sorted names of the eliminated zero
 unknowns and the reachable system's `render()`, for every bundled scheme
-(infinitary ones after `reduce_inf`) and for 200 generated schemes.
+(infinitary ones after `reduce_inf`) and for 200 generated schemes.  The
+decisions are pinned in `verdicts.json`: for the same 200 generated
+schemes and for rings of 1, 2, 5 and 10 rules at biases 1/2, 1/3 and
+2/3, the degree-16 start coefficients, `decide_past(...).to_jsonable()`
+(exact interval ends included) and whether each certificate verifies.
 
 Run `PYTHONPATH=src python tests/test_golden.py` to rewrite the golden
 files from the current code; review the diff before committing it."""
@@ -19,6 +23,7 @@ import json
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -26,12 +31,14 @@ import pytest
 
 from phors_lab import bundled_names, load_bundled, scheme_path
 from phors_lab.cli import main
+from phors_lab.decide import decide_past, verify_certificate
 from phors_lab.interp import InterpError, compile_scheme, reachable, var_name
 from phors_lab.operational import ExecError, enumerate_terminations, monte_carlo
+from phors_lab.solver import SolverError, kleene_series
 from phors_lab.syntax import is_finitary, parse
 from phors_lab.transforms import TransformError, reduce_inf
 
-from conftest import random_order1_scheme, random_order2_scheme
+from conftest import random_order1_scheme, random_order2_scheme, ring_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -107,13 +114,49 @@ def _fas_record(scheme) -> dict | str:
     }
 
 
-def fas_text() -> str:
-    doc = {name: _fas_record(load_bundled(name)) for name in bundled_names()}
+def _random_schemes():
+    """The 200 generated schemes of fas.json and verdicts.json."""
     rng = random.Random(20240818)
     for i in range(200):
-        scheme = (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
-        doc[f"random {i}"] = _fas_record(scheme)
+        yield f"random {i}", (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+
+
+def fas_text() -> str:
+    doc = {name: _fas_record(load_bundled(name)) for name in bundled_names()}
+    for key, scheme in _random_schemes():
+        doc[key] = _fas_record(scheme)
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _verdict_record(scheme) -> dict | str:
+    """The degree-16 start series, the verdict and whether each of its
+    certificates verifies, or the error compiling the scheme raises."""
+    try:
+        fas = reachable(compile_scheme(scheme))
+    except InterpError as e:
+        return f"{type(e).__name__}: {e}"
+    try:
+        series = " ".join(map(str, kleene_series(fas, 16)[fas.start].coeffs))
+    except SolverError as e:
+        series = f"{type(e).__name__}: {e}"
+    verdict = decide_past(fas)
+    return {
+        "series": series,
+        "verdict": verdict.to_jsonable(),
+        "verifies": [verify_certificate(fas, c) for c in verdict.certificates],
+    }
+
+
+def verdicts_text() -> str:
+    doc = {key: _verdict_record(scheme) for key, scheme in _random_schemes()}
+    for n in (1, 2, 5, 10):
+        for bias in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
+            doc[f"ring {n} {bias}"] = _verdict_record(parse(ring_text(n, bias)))
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_verdicts_match_golden():
+    assert verdicts_text() == (GOLDEN / "verdicts.json").read_text(encoding="utf-8")
 
 
 def test_fas_matches_golden():
@@ -147,6 +190,7 @@ def write_golden() -> None:
     )
     (GOLDEN / "oracle.json").write_text(oracle_text(), encoding="utf-8")
     (GOLDEN / "fas.json").write_text(fas_text(), encoding="utf-8")
+    (GOLDEN / "verdicts.json").write_text(verdicts_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":
