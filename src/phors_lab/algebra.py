@@ -159,7 +159,7 @@ class Poly:
     def eval(self, assignment: Mapping[int, object]) -> object:
         """Substitute every variable; values may be Fractions/ints or
         TruncSeries (anything closed under + and *)."""
-        total: object = ZERO
+        total: object = 0
         for m, c in self.terms.items():
             acc: object = c
             for vid, exp in m:
@@ -174,19 +174,21 @@ class Poly:
             total = total + acc
         return total
 
-    def substitute(self, assignment: Mapping[int, "Poly"]) -> "Poly":
-        """Replace some variables by polynomials; others stay."""
-        total = Poly()
+    def substitute(self, values: Mapping[int, Fraction]) -> Poly:
+        """Partial evaluation: the variables in `values` take those
+        rational values, the others stay."""
+        out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            acc = Poly.const(c)
+            rest = []
             for vid, exp in m:
-                rep = assignment.get(vid)
-                if rep is None:
-                    rep = Poly.var(vid)
-                for _ in range(exp):
-                    acc = acc * rep
-            total = total + acc
-        return total
+                val = values.get(vid)
+                if val is None:
+                    rest.append((vid, exp))
+                else:
+                    c *= val if exp == 1 else val**exp
+            rest = tuple(rest)
+            out[rest] = out.get(rest, ZERO) + c
+        return Poly(out)
 
     def derivative(self, vid: int) -> "Poly":
         out: dict[Monomial, Fraction] = {}

@@ -239,10 +239,8 @@ class _Interp:
             case Choice(l, bias, r):
                 if idx[0] != 0:
                     return Poly()
-                z = Poly.var(z_vid())
-                return (z * self.sem(l, idx)).scale(bias) + (
-                    z * self.sem(r, idx)
-                ).scale(1 - bias)
+                z = ((z_vid(), 1),)
+                return Poly({z: bias}) * self.sem(l, idx) + Poly({z: 1 - bias}) * self.sem(r, idx)
             case Tuple_(items):
                 if idx[0] != 0 or idx[1] > len(items):
                     return Poly()
@@ -279,13 +277,10 @@ class _Interp:
         caps = self.caps
         if not caps:
             return p
-        return Poly(
-            {
-                m: c
-                for m, c in p.terms.items()
-                if all(e <= caps.get(v, e) for v, e in m)
-            }
-        )
+        # p has no zero coefficient, so neither has its restriction.
+        out = Poly.__new__(Poly)
+        out.terms = {m: c for m, c in p.terms.items() if all(e <= caps.get(v, e) for v, e in m)}
+        return out
 
 
 def interpret_body(

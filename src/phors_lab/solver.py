@@ -30,6 +30,7 @@ Three entry points:
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 
@@ -195,8 +196,11 @@ def _coeff(monos: list, k: int) -> int | Fraction:
             prev = fs[0]
             for f, pre in zip(fs[1:], pres):
                 lo, hi = max(0, i + 1 - len(f)), min(i, len(prev) - 1)
-                pairs = zip(prev[lo : hi + 1], reversed(f[i - hi : i - lo + 1]))
-                pre.append(sum(a * b for a, b in pairs if a and b))
+                if lo > hi:  # no two indices sum to i
+                    pre.append(0)
+                else:
+                    pairs = map(operator.mul, prev[lo : hi + 1], f[i - hi : i - lo + 1][::-1])
+                    pre.append(sum(pairs))
                 prev = pre
         if t >= 0:
             total += pres[-1][t]
@@ -330,7 +334,7 @@ def solve_at_one(fas: Fas) -> MinSolution:
         raise SolverError("cannot solve an open system; assign its parameters")
 
     z = z_vid()
-    eqs1 = {vid: p.substitute({z: Poly.const(1)}) for vid, p in fas.eqs.items()}
+    eqs1 = {vid: p.substitute({z: ONE}) for vid, p in fas.eqs.items()}
     graph = {vid: {w for w in p.variables() if w in eqs1} for vid, p in eqs1.items()}
 
     values: dict[int, Value] = {}
@@ -344,7 +348,7 @@ def solve_at_one(fas: Fas) -> MinSolution:
         irrational: set[int] = set()
         bounds = []
         for pick in (value_lo, value_hi):
-            sub = {w: Poly.const(pick(values[w])) for w in deps}
+            sub = {w: pick(values[w]) for w in deps}
             local = {v: eqs1[v].substitute(sub) if deps else eqs1[v] for v in comp}
             bounds.append(_solve_scc(local, comp, notes, irrational))
             if all(isinstance(values[w], Fraction) for w in deps):

@@ -74,8 +74,26 @@ class TestPolyEval:
     @given(polys(), rationals, rationals, rationals)
     def test_substitute_then_eval(self, p, a, b, c):
         env = {X: a, Y: b, Z: c}
-        partial = p.substitute({X: Poly.const(a)})
+        partial = p.substitute({X: a})
+        assert X not in partial.variables()
         assert partial.eval(env) == p.eval(env)
+
+    @given(polys(vids=(Y, Z)), rationals)
+    def test_substitute_absent_variable_keeps_p(self, p, a):
+        assert p.substitute({X: a}) == p
+
+    @given(polys(), rationals, rationals, rationals)
+    def test_substitute_every_variable_gives_the_value(self, p, a, b, c):
+        env = {X: a, Y: b, Z: c}
+        full = p.substitute(env)
+        assert full.variables() == set()
+        assert full.constant_term() == p.eval(env)
+
+    def test_substitute_drops_cancelled_sums(self):
+        x, y = Poly.var(X), Poly.var(Y)
+        p = (x * y).scale(2) + y.scale(-4) + Poly.const(3)
+        q = p.substitute({X: Fraction(2)})
+        assert q == Poly.const(3) and list(q.terms) == [()]
 
     def test_eval_missing_variable(self):
         with pytest.raises(KeyError):

@@ -109,6 +109,15 @@ class TestKleeneSeries:
         params = {v: TruncSeries(coeffs) for v in fas.param_vids}
         assert kleene_series(fas, degree, params) == _reference_series(fas, degree, params)
 
+    @pytest.mark.parametrize("degree", [2, 9])
+    def test_factor_shorter_than_the_index(self, degree):
+        # y = z/3 + (2/3) y^2 reads y, whose coefficient k is not known
+        # yet, in a z-free product: at index k the constant [2/3] and y's
+        # k coefficients have no pair of indices summing to k.
+        y, z = Poly.var(_v("y")), Poly.var(z_vid())
+        fas = _make_system({"y": z.scale(F(1, 3)) + (y * y).scale(F(2, 3))}, "y")
+        assert kleene_series(fas, degree) == _reference_series(fas, degree)
+
     def test_random_walk_coefficients(self):
         fas = _fas("randomwalk")
         s = kleene_series(fas, 9)[fas.start]
