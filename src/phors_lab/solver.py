@@ -173,7 +173,10 @@ def kleene_series(
                 y[v].append(x)
     # Free each scaled layer list as its Fractions are made.
     del series, monos
-    return {vid: TruncSeries(Fraction(c, b) for c, b in zip(y.pop(vid), scale)) for vid in list(y)}
+    return {
+        vid: TruncSeries(Fraction(c, b) if c else ZERO for c, b in zip(y.pop(vid), scale))
+        for vid in list(y)
+    }
 
 
 def _int(q: Fraction) -> int | Fraction:
