@@ -8,8 +8,8 @@ registry, so monomials can be stored as small sorted tuples.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Union
 
 Rat = Fraction
 
@@ -73,7 +73,7 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def const(c: Union[int, Fraction]) -> "Poly":
+    def const(c: int | Fraction) -> "Poly":
         c = Fraction(c)
         return Poly({_EMPTY: c}) if c else Poly()
 
@@ -113,7 +113,7 @@ class Poly:
         p.terms = out
         return p
 
-    def scale(self, c: Union[int, Fraction]) -> "Poly":
+    def scale(self, c: int | Fraction) -> "Poly":
         c = Fraction(c)
         if not c:
             return Poly()
@@ -242,7 +242,7 @@ class TruncSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]]) -> None:
+    def __init__(self, coeffs: Iterable[int | Fraction]) -> None:
         # A Fraction is immutable, so it is kept rather than copied.
         self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if not self.coeffs:
@@ -253,7 +253,7 @@ class TruncSeries:
         return TruncSeries([ZERO] * (n + 1))
 
     @staticmethod
-    def const(c: Union[int, Fraction], n: int) -> "TruncSeries":
+    def const(c: int | Fraction, n: int) -> "TruncSeries":
         return TruncSeries([Fraction(c)] + [ZERO] * n)
 
     @staticmethod

@@ -37,7 +37,6 @@ import json
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from typing import TypeVar
 
 from .algebra import Monomial, Poly, REGISTRY
 from .syntax import (
@@ -57,7 +56,7 @@ from .syntax import (
     Var,
     arg_types,
     is_finitary,
-    map_term,
+    leaves,
     order,
     type_of,
 )
@@ -367,7 +366,7 @@ def _split(p: Poly, domain: set[int]) -> dict[Monomial, dict[Monomial, Fraction]
 # ---------------------------------------------------------------------------
 # Strongly connected components (Tarjan, iterative)
 
-Node = TypeVar("Node", int, str)
+Node = int | str  # an unknown's id or a rule's name
 
 
 def sccs(graph: dict[Node, set[Node]]) -> list[list[Node]]:
@@ -479,15 +478,7 @@ def _is_proper(p: Poly, system_vids: set[int]) -> bool:
 
 def _callees(body: Term) -> set[str]:
     """The non-terminals a rule body mentions."""
-    names: set[str] = set()
-
-    def leaf(t: Term) -> Term:
-        if isinstance(t, NonTerm):
-            names.add(t.name)
-        return t
-
-    map_term(body, leaf)
-    return names
+    return {t.name for t in leaves(body) if isinstance(t, NonTerm)}
 
 
 def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:

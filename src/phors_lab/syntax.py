@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
 
 INF = math.inf
 
-Grade = Union[int, float]  # a natural number or math.inf
+Grade = int | float  # a natural number or math.inf
 _set = object.__setattr__  # assigns a field of a Frozen value
 
 
@@ -197,6 +196,24 @@ def map_term(t: Term, leaf: Callable[[Term], Term]) -> Term:
     return leaf(t)
 
 
+def leaves(t: Term) -> Iterator[Term]:
+    """The nodes of t other than App, Choice, Tuple_ and Proj, left to
+    right, by an explicit stack, so that no depth raises RecursionError."""
+    stack = [t]
+    while stack:
+        match stack.pop():
+            case App(f, a):
+                stack += (a, f)
+            case Choice(l, _, r):
+                stack += (r, l)
+            case Tuple_(items):
+                stack += reversed(items)
+            case Proj(_, b):
+                stack.append(b)
+            case leaf:
+                yield leaf
+
+
 def type_of(t: Term, scheme: Scheme, bound: dict[str, GradedType]) -> GradedType:
     """Synthesized type of a subterm of a rule body whose parameters have
     the types in `bound` (bodies are applicative, so the head determines
@@ -259,7 +276,7 @@ class Scheme:
             self._check_names(name, d)
 
     def _check_names(self, rule: str, d: NonTermDef) -> None:
-        def leaf(t: Term) -> Term:
+        for t in leaves(d.body):
             match t:
                 case Var(n) if n not in d.params:
                     raise SchemeError(f"rule {rule!r}: unbound variable {n!r}")
@@ -267,9 +284,6 @@ class Scheme:
                     raise SchemeError(f"rule {rule!r}: unknown non-terminal {n!r}")
                 case Param(n) if n not in self.params:
                     raise SchemeError(f"rule {rule!r}: unknown parameter {n!r}")
-            return t
-
-        map_term(d.body, leaf)
 
 
 class SchemeError(ValueError):

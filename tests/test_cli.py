@@ -278,7 +278,7 @@ class TestErrorBoundary:
 
 class TestColdStart:
     # Modules a launch should not pay for until a subcommand runs them.
-    DEFERRED = ("dataclasses", "inspect", "importlib.resources",
+    DEFERRED = ("dataclasses", "inspect", "importlib.resources", "typing",
                 "phors_lab.operational", "phors_lab.transforms")
 
     def _loaded_after(self, statements: str) -> list[str]:

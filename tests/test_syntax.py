@@ -13,6 +13,7 @@ from phors_lab.syntax import (
     Choice,
     Ground,
     NonTerm,
+    NonTermDef,
     O,
     Omega,
     Param,
@@ -25,6 +26,7 @@ from phors_lab.syntax import (
     Var,
     arg_types,
     is_finitary,
+    leaves,
     order,
     parse,
     print_scheme,
@@ -122,6 +124,24 @@ class TestParseErrors:
     def test_arity_must_match_declaration(self):
         with pytest.raises(SchemeError):
             parse("F : !1 o -o o ; F = e ; S = F e ;")
+
+
+class TestLeaves:
+    def test_left_to_right(self):
+        body = App(
+            App(NonTerm("F"), Choice(Var("x"), Fraction(1, 2), Tuple_((Unit(), Proj(1, Omega()))))),
+            Param("w"),
+        )
+        assert list(leaves(body)) == [NonTerm("F"), Var("x"), Unit(), Omega(), Param("w")]
+
+    def test_deep_bodies_do_not_recurse(self):
+        body = Var("y")
+        for _ in range(100_000):
+            body = Choice(App(NonTerm("S"), Unit()), Fraction(1, 2), body)
+        assert sum(1 for _ in leaves(body)) == 200_001
+        scheme = Scheme({"S": NonTermDef(O, (), body)})
+        with pytest.raises(SchemeError, match="unbound variable 'y'"):
+            scheme.validate()
 
 
 class TestRoundTrip:
