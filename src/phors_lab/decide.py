@@ -194,7 +194,7 @@ def decide_past(fas: Fas) -> Verdict:
 def _eval_at(p: Poly, env: dict[int, Fraction]) -> Fraction:
     v = p.eval(env)
     assert isinstance(v, (int, Fraction))
-    return Fraction(v)
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def _holds(

@@ -299,7 +299,7 @@ def _eval_rat(p: Poly, point: dict[int, Fraction]) -> Fraction:
     """p at a rational point that assigns every variable of p."""
     v = p.eval(point)
     assert isinstance(v, (Fraction, int))
-    return Fraction(v)
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def jacobian(
@@ -324,7 +324,7 @@ def jacobian(
                     if u == w:
                         f -= 1
                     if f:
-                        x *= point[u] ** f
+                        x *= point[u] if f == 1 else point[u] ** f
                 row[j] = row.get(j, ZERO) + x
         J.append({j: x for j, x in row.items() if x})
     return J
