@@ -113,14 +113,6 @@ class Poly:
         p.terms = out
         return p
 
-    def scale(self, c: int | Fraction) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly()
-        p = Poly.__new__(Poly)
-        p.terms = {m: c * k for m, k in self.terms.items()}
-        return p
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 

@@ -216,6 +216,6 @@ def test_criterion_8_kleene_monotonicity():
     from phors_lab.interp import Fas
 
     w = REGISTRY.intern(("acceptance", "w"))
-    oscillating = Fas({w: Poly.const(1) + Poly.var(w).scale(-1)}, w)
+    oscillating = Fas({w: Poly.const(1) + Poly.const(-1) * Poly.var(w)}, w)
     with pytest.raises(MonotonicityError):
         kleene_series(oscillating, 4)

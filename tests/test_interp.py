@@ -101,9 +101,8 @@ class TestInterpretBody:
         z = z_vid()
         y = nt_vid("F", target)
         # F = z/2 * F^2 + z/2  at the one surviving index.
-        expected = (
-            Poly.var(z) * Poly.var(y) * Poly.var(y)
-        ).scale(Fraction(1, 2)) + Poly.var(z).scale(Fraction(1, 2))
+        half_z = Poly.const(Fraction(1, 2)) * Poly.var(z)
+        expected = half_z * Poly.var(y) * Poly.var(y) + half_z
         assert p == expected
 
     def test_unit_rule(self):

@@ -79,15 +79,15 @@ def _scaling_cases():
     scaling z by the common denominator of its coefficients."""
     a, b, c, w = (Poly.var(_v(n)) for n in "abcw")
     z = Poly.var(z_vid())
-    half_z = z.scale(F(1, 2))
+    half_z = Poly.const(F(1, 2)) * z
     return {
         "rational-constant": {"a": Poly.const(F(1, 3)), "c": half_z + half_z * c,
                               "b": a * c + Poly.const(F(2, 5))},
-        "z2-beside-z": {"w": z.scale(F(1, 4)) + (z * z).scale(F(1, 6)) * w * w,
-                        "b": w * w + z.scale(F(1, 3)) * w},
+        "z2-beside-z": {"w": Poly.const(F(1, 4)) * z + Poly.const(F(1, 6)) * z * z * w * w,
+                        "b": w * w + Poly.const(F(1, 3)) * z * w},
         "rational-product": {"a": Poly.const(F(1, 3)), "c": half_z + half_z * c,
-                             "b": (a * c).scale(F(3, 7)) + (c * c).scale(F(2, 9))},
-        "without-z": {"a": Poly.const(F(1, 3)), "b": (a * a).scale(F(2, 5)) + Poly.const(F(1, 7))},
+                             "b": Poly.const(F(3, 7)) * a * c + Poly.const(F(2, 9)) * c * c},
+        "without-z": {"a": Poly.const(F(1, 3)), "b": Poly.const(F(2, 5)) * a * a + Poly.const(F(1, 7))},
     }
 
 
@@ -115,7 +115,7 @@ class TestKleeneSeries:
         # yet, in a z-free product: at index k the constant [2/3] and y's
         # k coefficients have no pair of indices summing to k.
         y, z = Poly.var(_v("y")), Poly.var(z_vid())
-        fas = _make_system({"y": z.scale(F(1, 3)) + (y * y).scale(F(2, 3))}, "y")
+        fas = _make_system({"y": Poly.const(F(1, 3)) * z + Poly.const(F(2, 3)) * y * y}, "y")
         assert kleene_series(fas, degree) == _reference_series(fas, degree)
 
     def test_random_walk_coefficients(self):
@@ -150,7 +150,7 @@ class TestKleeneSeries:
         # A "system" whose iterates oscillate: w = 1 - w is not monotone
         # (negative coefficient), and the built-in check trips.
         bad = _make_system(
-            {"w": Poly.const(1) + Poly.var(_v("w")).scale(-1)}, "w"
+            {"w": Poly.const(1) + Poly.const(-1) * Poly.var(_v("w"))}, "w"
         )
         with pytest.raises(MonotonicityError):
             kleene_series(bad, 3)
@@ -198,7 +198,7 @@ class TestKleeneSeries:
     def test_integer_constant_layer_feeds_a_product(self):
         # a = 2 and c = z/2 + (z/2) c, so c_k = 1/2^k and b = a c = 2 c.
         a, c = Poly.var(_v("a")), Poly.var(_v("c"))
-        half_z = Poly.var(z_vid()).scale(F(1, 2))
+        half_z = Poly.const(F(1, 2)) * Poly.var(z_vid())
         fas = _make_system({"a": Poly.const(2), "c": half_z + half_z * c, "b": a * c}, "b")
         s = kleene_series(fas, 10)[_v("b")]
         assert s.coeffs == (F(0),) + tuple(F(2, 2**k) for k in range(1, 11))
@@ -404,7 +404,7 @@ class TestSolveAtOne:
 def _univariate(c0, c1, c2) -> tuple[object, list[str]]:
     """Least nonnegative solution of y = c0 + c1 y + c2 y^2."""
     y = Poly.var(_v("y"))
-    p = Poly.const(c0) + y.scale(c1) + (y * y).scale(c2)
+    p = Poly.const(c0) + Poly.const(c1) * y + Poly.const(c2) * y * y
     sol = solve_at_one(_make_system({"y": p}, "y"))
     return sol.values[_v("y")], sol.diagnostics
 
