@@ -178,8 +178,8 @@ class Poly:
                     rest.append((vid, exp))
                 else:
                     c *= val if exp == 1 else val**exp
-            rest = tuple(rest)
-            out[rest] = out.get(rest, ZERO) + c
+            key = tuple(rest)
+            out[key] = out.get(key, ZERO) + c
         return Poly(out)
 
     def derivative(self, vid: int) -> "Poly":
