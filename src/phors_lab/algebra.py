@@ -1,5 +1,5 @@
-"""Exact arithmetic: sparse multivariate polynomials over Q>=0 and
-z-truncated power series with rational coefficients.
+"""Exact arithmetic: sparse multivariate polynomials over Q>=0, and the
+record of a z-truncated power series' rational coefficients.
 
 All coefficients are `fractions.Fraction`; no floating point enters this
 module.  Polynomial variables are interned integers handed out by a global
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -116,16 +114,10 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     # -- queries -------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def constant_term(self) -> Fraction:
         return self.terms.get(_EMPTY, ZERO)
@@ -148,12 +140,12 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------
 
-    def eval(self, assignment: Mapping[int, object]) -> object:
-        """Substitute every variable; values may be Fractions/ints or
-        TruncSeries (anything closed under + and *)."""
-        total: object = 0
+    def eval(self, assignment: Mapping[int, Fraction]) -> Fraction:
+        """The value at a rational point that assigns every variable of
+        the polynomial."""
+        total = ZERO
         for m, c in self.terms.items():
-            acc: object = c
+            acc = c
             for vid, exp in m:
                 try:
                     val = assignment[vid]
@@ -180,21 +172,6 @@ class Poly:
                     c *= val if exp == 1 else val**exp
             key = tuple(rest)
             out[key] = out.get(key, ZERO) + c
-        return Poly(out)
-
-    def derivative(self, vid: int) -> "Poly":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            md = dict(m)
-            exp = md.get(vid)
-            if not exp:
-                continue
-            if exp == 1:
-                del md[vid]
-            else:
-                md[vid] = exp - 1
-            nm = tuple(sorted(md.items()))
-            out[nm] = out.get(nm, ZERO) + c * exp
         return Poly(out)
 
     # -- rendering -----------------------------------------------------
@@ -226,11 +203,8 @@ class Poly:
 
 
 class TruncSeries:
-    """Power series in the single variable z, exact modulo z^(N+1).
-
-    coeffs is a tuple of N+1 Fractions.  Arithmetic requires matching
-    truncation orders; scalars promote via __radd__/__rmul__.
-    """
+    """The coefficients of z^0, ..., z^N of a power series in z, as a
+    tuple `coeffs` of N+1 Fractions; N is its `bound`."""
 
     __slots__ = ("coeffs",)
 
@@ -240,54 +214,9 @@ class TruncSeries:
         if not self.coeffs:
             raise ValueError("series needs at least the constant coefficient")
 
-    @staticmethod
-    def zero(n: int) -> "TruncSeries":
-        return TruncSeries([ZERO] * (n + 1))
-
-    @staticmethod
-    def const(c: int | Fraction, n: int) -> "TruncSeries":
-        return TruncSeries([Fraction(c)] + [ZERO] * n)
-
-    @staticmethod
-    def z(n: int) -> "TruncSeries":
-        if n < 1:
-            raise ValueError("need degree bound >= 1 to represent z")
-        return TruncSeries([ZERO, ONE] + [ZERO] * (n - 1))
-
     @property
     def bound(self) -> int:
         return len(self.coeffs) - 1
-
-    def _coerce(self, other) -> "TruncSeries":
-        if isinstance(other, TruncSeries):
-            if other.bound != self.bound:
-                raise ValueError("mismatched truncation orders")
-            return other
-        return TruncSeries.const(Fraction(other), self.bound)
-
-    def __add__(self, other) -> "TruncSeries":
-        o = self._coerce(other)
-        return TruncSeries(a + b for a, b in zip(self.coeffs, o.coeffs))
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            c = Fraction(other)
-            return TruncSeries(c * a for a in self.coeffs)
-        o = self._coerce(other)
-        n = self.bound
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruncSeries) and self.coeffs == other.coeffs

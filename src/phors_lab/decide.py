@@ -15,8 +15,7 @@ import operator
 from collections.abc import Callable
 from fractions import Fraction
 
-from .algebra import Poly
-from .interp import Fas, reachable, var_name, z_vid
+from .interp import Fas, var_name, z_vid
 from .solver import (
     Interval,
     SolverError,
@@ -149,10 +148,10 @@ class Verdict:
 
 def decide_past(fas: Fas) -> Verdict:
     """AST from the least solution at z = 1, then PAST from the
-    derivative at that same solution."""
-    sub = reachable(fas)
-    sol = solve_at_one(sub)
-    start_val = sol.values[sub.start]
+    derivative at that same solution.  `fas` is a start-reachable
+    system, as `reachable` returns."""
+    sol = solve_at_one(fas)
+    start_val = sol.values[fas.start]
     verdict = Verdict(p_term=start_val)
     if isinstance(start_val, Interval):
         verdict.notes.extend(sol.diagnostics)
@@ -163,13 +162,13 @@ def decide_past(fas: Fas) -> Verdict:
         # The least-fixpoint values themselves form the pre-fixpoint
         # witness; interval values are widened upward, so re-check.
         witness = {v: value_hi(x) for v, x in sol.values.items()}
-        if _holds(sub, witness, operator.le):
+        if _holds(fas, witness, operator.le):
             verdict.ast = verdict.past = "no"
             verdict.certificates.append(PreFixpointBelowOne(witness))
     if verdict.ast != "yes":
         return verdict
     try:
-        res = expected_steps(sub, sol)
+        res = expected_steps(fas, sol)
     except SolverError as e:
         verdict.notes.append(str(e))
         return verdict
@@ -191,12 +190,6 @@ def decide_past(fas: Fas) -> Verdict:
 # Independent certificate verification
 
 
-def _eval_at(p: Poly, env: dict[int, Fraction]) -> Fraction:
-    v = p.eval(env)
-    assert isinstance(v, (int, Fraction))
-    return v if type(v) is Fraction else Fraction(v)
-
-
 def _holds(
     fas: Fas,
     assignment: dict[int, Fraction],
@@ -208,24 +201,25 @@ def _holds(
         return False
     env = dict(assignment)
     env[z_vid()] = ONE
-    return all(rel(_eval_at(p, env), assignment[v]) for v, p in fas.eqs.items())
+    return all(rel(p.eval(env), assignment[v]) for v, p in fas.eqs.items())
 
 
 def verify_certificate(fas: Fas, cert: Certificate) -> bool:
-    """Re-check a certificate by direct polynomial evaluation."""
-    sub = reachable(fas)
+    """Re-check a certificate by direct polynomial evaluation.  `fas` is
+    a start-reachable system, as `reachable` returns, and every one of
+    its equations is checked."""
     if isinstance(cert, FixpointAtOne):
         a = cert.assignment
-        return _holds(sub, a, operator.eq) and a[sub.start] == ONE
+        return _holds(fas, a, operator.eq) and a[fas.start] == ONE
     if isinstance(cert, PreFixpointBelowOne):
         a = cert.assignment
-        return _holds(sub, a, operator.le) and a[sub.start] < ONE
+        return _holds(fas, a, operator.le) and a[fas.start] < ONE
     if not isinstance(cert, (CriticalJacobian, NonsingularLinearSolve)):
         raise TypeError(cert)
     # J and g are taken at the certificate's solution, which must be a
-    # fixpoint of the whole reachable system.
+    # fixpoint of the whole system.
     order = cert.order
-    if sorted(order) != sorted(sub.eqs) or not _holds(sub, cert.solution, operator.eq):
+    if sorted(order) != sorted(fas.eqs) or not _holds(fas, cert.solution, operator.eq):
         return False
     z = z_vid()
     point = {**cert.solution, z: ONE}
@@ -238,7 +232,7 @@ def verify_certificate(fas: Fas, cert: Certificate) -> bool:
         out = []
         for v in order:
             acc = x[v]
-            for m, c in sub.eqs[v].terms.items():
+            for m, c in fas.eqs[v].terms.items():
                 for w, f in m:
                     if w in x:
                         acc -= c * f * x[w] * math.prod(point[u] ** (e - (u == w)) for u, e in m)

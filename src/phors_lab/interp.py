@@ -33,7 +33,6 @@ exceeds the declared grade are dropped, since no index can extract them.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -258,12 +257,12 @@ class _Interp:
                 total = Poly()
                 for mu in _multisets(fty.arg, int(fty.grade), self.sets, self.cap):
                     fpart = self.sem(f, ArrowPoint(mu, idx))
-                    if fpart.is_zero():
+                    if not fpart:
                         continue
                     prod = fpart
                     for pt, mult in mu:
                         apart = self.sem(a, pt)
-                        if apart.is_zero():
+                        if not apart:
                             prod = Poly()
                             break
                         for _ in range(mult):
@@ -448,24 +447,6 @@ class Fas:
         lines.append(f"start {var_name(self.start)}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": 1,
-                "start": var_name(self.start),
-                "equations": {
-                    var_name(v): self.eqs[v].render(var_name)
-                    for v in sorted(self.eqs, key=var_name)
-                },
-                "proper": {
-                    var_name(v): self.proper.get(v, True)
-                    for v in sorted(self.eqs, key=var_name)
-                },
-                "parameters": sorted(var_name(v) for v in self.param_vids),
-            },
-            indent=2,
-        )
-
 
 def _is_proper(p: Poly, system_vids: set[int]) -> bool:
     if p.constant_term() != 0:
@@ -522,7 +503,7 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
                 for idx, p in zip(targets[name], ps):
                     vid = nt_vid(name, idx)
                     found[vid] = p
-                    if not p.is_zero():
+                    if p:
                         nonzero.add(vid)
             if not recursive or len(nonzero) == before:
                 break

@@ -123,18 +123,18 @@ def kleene_series(
     if missing:
         names = ", ".join(sorted(var_name(v) for v in missing))
         raise SolverError(f"unassigned parameters: {names}")
-    if any(s.bound < degree for s in params.values()):
+    n = max(degree, 1)
+    if any(s.bound < n for s in params.values()):
         raise SolverError("parameter series truncated below requested degree")
     for vid, p in fas.eqs.items():
         if any(c < 0 for c in p.terms.values()):
             raise MonotonicityError(f"negative coefficient in the equation of {var_name(vid)}")
-    n = max(degree, 1)
     z = z_vid()
     point = {vid: s.coeffs[0] for vid, s in params.items()} | {z: ZERO}
     y0 = {vid: ZERO for vid in fas.eqs}
     for _ in range(len(fas.eqs) + 1):
         point.update(y0)
-        new = {vid: _eval_rat(p, point) for vid, p in fas.eqs.items()}
+        new = {vid: p.eval(point) for vid, p in fas.eqs.items()}
         if new == y0:
             break
         y0 = new
@@ -217,29 +217,29 @@ def _coeff(monos: list, k: int) -> int | Fraction:
 # Exact linear algebra over Q
 
 
-def identity_minus(J: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """The matrix I - J, in J's rows of nonzero entries."""
-    rows = [{j: -x for j, x in row.items()} for row in J]
-    for i, r in enumerate(rows):
-        r[i] = r.get(i, ZERO) + ONE
-        if not r[i]:
-            del r[i]
-    return rows
-
-
-def _solve_or_kernel(
-    A: list[dict[int, Fraction]], b: list[Fraction]
+def solve_or_kernel(
+    J: list[dict[int, Fraction]], b: list[Fraction]
 ) -> tuple[list[Fraction] | None, list[Fraction] | None]:
-    """One factorisation of the square A: (x, None) with A x = b when A
-    is nonsingular, else (None, u) with u the kernel vector that is 1 at
-    the first free column and 0 at the others.
+    """One factorisation of A = I - J, for J square and given by its rows
+    of nonzero entries: (x, None) with A x = b when A is nonsingular,
+    else (None, u) with u the kernel vector of A that is 1 at the first
+    free column and 0 at the others.
 
     Forward elimination takes the columns in order and, among the rows
     left that are nonzero in a column, the shortest as its pivot; it
     touches only nonzero entries and eliminates nothing above a pivot.
     Back-substitution then gives x or u."""
-    n = len(A)
-    rows = [{**r, n: x} if x else dict(r) for r, x in zip(A, b)]
+    n = len(J)
+    # Row i of A, with b_i in column n.
+    rows = []
+    for i, (row, x) in enumerate(zip(J, b)):
+        r = {j: -v for j, v in row.items()}
+        r[i] = r.get(i, ZERO) + ONE
+        if not r[i]:
+            del r[i]
+        if x:
+            r[n] = x
+        rows.append(r)
     # The rows not yet used as pivots that are nonzero in each column.
     where: defaultdict[int, set[int]] = defaultdict(set)
     for i, r in enumerate(rows):
@@ -281,25 +281,8 @@ def _solve_or_kernel(
     return (None, x[:n]) if free else (x[:n], None)
 
 
-def gauss_solve(A: list[dict[int, Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b exactly; None when A is singular."""
-    return _solve_or_kernel(A, b)[0]
-
-
-def kernel_vector(A: list[dict[int, Fraction]]) -> list[Fraction] | None:
-    """A nonzero u with A u = 0, or None when A is nonsingular."""
-    return _solve_or_kernel(A, [ZERO] * len(A))[1]
-
-
 # ---------------------------------------------------------------------------
 # Solving at z = 1
-
-
-def _eval_rat(p: Poly, point: dict[int, Fraction]) -> Fraction:
-    """p at a rational point that assigns every variable of p."""
-    v = p.eval(point)
-    assert isinstance(v, (Fraction, int))
-    return v if type(v) is Fraction else Fraction(v)
 
 
 def jacobian(
@@ -402,7 +385,7 @@ def _solve_linear(
     if all(x == 0 for x in b):
         # x = A x with A >= 0: the least solution is identically zero.
         return {v: ZERO for v in comp}
-    sol = gauss_solve(identity_minus(A), b)
+    sol = solve_or_kernel(A, b)[0]
     if sol is not None and all(x >= 0 for x in sol):
         # A finite nonnegative fixpoint exists, so the Kleene iterates
         # (partial sums of A^k b) stay below it; nonsingularity makes
@@ -544,7 +527,7 @@ def _spectral_radius_le_one(J: list[dict[int, Fraction]]) -> bool:
 
 
 def _irreducible_rho_le_one(J: list[dict[int, Fraction]]) -> bool:
-    x, u = _solve_or_kernel(identity_minus(J), [ONE] * len(J))
+    x, u = solve_or_kernel(J, [ONE] * len(J))
     if x is not None:
         # x > 0 with J x = x - 1 < x gives rho < 1 (Collatz-Wielandt);
         # conversely rho < 1 makes (I - J)^-1 = sum J^k >= I, so x >= 1.
@@ -561,7 +544,7 @@ def _solve_multivariate(
 ) -> dict[int, Value]:
     ones = {v: ONE for v in comp}
     if all(
-        _eval_rat(local[v], ones) == ONE for v in comp
+        local[v].eval(ones) == ONE for v in comp
     ) and _spectral_radius_le_one(jacobian(local, comp, ones)):
         # Strongly connected, P(1) = 1, spectral radius of the Jacobian
         # at 1 at most 1: the least fixpoint is 1.
@@ -579,8 +562,8 @@ def _newton_bracket(
     x = {v: ZERO for v in comp}
     for _ in range(50):
         J = jacobian(local, comp, x)
-        r = [_eval_rat(local[v], x) - x[v] for v in comp]
-        d = gauss_solve(identity_minus(J), r)
+        r = [local[v].eval(x) - x[v] for v in comp]
+        d = solve_or_kernel(J, r)[0]
         if d is None:
             break
         nxt = {v: x[v] + d[pos[v]] for v in comp}
@@ -601,7 +584,7 @@ def _newton_bracket(
     for j in range(4, 60, 4):
         margin = Fraction(1, 2**j)
         cand = {v: min(ONE, lo[v] + margin) for v in comp}
-        if not all(_eval_rat(local[v], cand) <= cand[v] for v in comp):
+        if not all(local[v].eval(cand) <= cand[v] for v in comp):
             if best is not None:
                 break
             continue
@@ -659,9 +642,14 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
         )
     z = z_vid()
     point[z] = ONE
-    IJ = identity_minus(jacobian(fas.eqs, order, point))
-    g = [_eval_rat(fas.eqs[v].derivative(z), point) for v in order]
-    d, u = _solve_or_kernel(IJ, g)
+    J = jacobian(fas.eqs, order, point)
+    # g by the rule of `jacobian`, with z^(e-1) = 1 at the point.
+    g = [
+        sum((c * e * math.prod(point[u] ** f for u, f in m if u != z)
+             for m, c in fas.eqs[v].terms.items() for w, e in m if w == z), ZERO)
+        for v in order
+    ]
+    d, u = solve_or_kernel(J, g)
     if d is None:
         assert u is not None
         return DerivativeResult(math.inf, u, None, order)

@@ -1,5 +1,4 @@
-"""Polynomials and truncated series: semiring laws, evaluation
-coherence, calculus."""
+"""Polynomials: semiring laws and evaluation coherence."""
 
 from fractions import Fraction
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phors_lab.algebra import REGISTRY, Poly, TruncSeries
+from phors_lab.algebra import REGISTRY, Poly
 
 X = REGISTRY.intern(("test", "x"))
 Y = REGISTRY.intern(("test", "y"))
@@ -31,11 +30,6 @@ def polys(draw, vids=(X, Y, Z), max_terms=5, max_exp=3):
     return Poly(terms)
 
 
-@st.composite
-def series(draw, bound=6):
-    return TruncSeries([draw(rationals) for _ in range(bound + 1)])
-
-
 class TestPolySemiring:
     @given(polys(), polys(), polys())
     def test_add_associative_commutative(self, p, q, r):
@@ -52,11 +46,11 @@ class TestPolySemiring:
     def test_identities(self, p):
         assert p + Poly() == p
         assert p * Poly.const(1) == p
-        assert (p * Poly()).is_zero()
+        assert not p * Poly()
 
     def test_no_zero_terms_stored(self):
         p = Poly.var(X) + Poly.const(-1) * Poly.var(X)
-        assert p.is_zero() and not p.terms
+        assert not p and not p.terms
 
 
 class TestPolyEval:
@@ -95,40 +89,9 @@ class TestPolyEval:
         with pytest.raises(KeyError):
             Poly.var(X).eval({})
 
-    @given(polys(), polys())
-    @settings(max_examples=50)
-    def test_derivative_leibniz(self, p, q):
-        lhs = (p * q).derivative(X)
-        rhs = p.derivative(X) * q + p * q.derivative(X)
-        assert lhs == rhs
-
     def test_degree_queries(self):
         p = Poly.var(X) * Poly.var(X) * Poly.var(Y) + Poly.const(3)
         assert p.degree_in({X}) == 2
         assert p.degree_in({Y}) == 1
         assert p.constant_term() == 3
 
-
-class TestTruncSeries:
-    @given(series(), series(), series())
-    def test_ring_laws(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-    @given(series())
-    def test_truncated_product_matches_convolution(self, a):
-        z = TruncSeries.z(a.bound)
-        shifted = a * z
-        assert shifted.coeffs[0] == 0
-        assert shifted.coeffs[1:] == a.coeffs[:-1]
-
-    def test_mismatched_orders_rejected(self):
-        with pytest.raises(ValueError):
-            TruncSeries.zero(3) + TruncSeries.zero(4)
-
-    @given(series())
-    def test_scalar_promotion(self, a):
-        assert 1 + a == TruncSeries.const(1, a.bound) + a
-        assert 2 * a == a + a

@@ -24,7 +24,8 @@ from phors_lab.decide import (
     verify_certificate,
 )
 from phors_lab.interp import compile_scheme, reachable, z_vid
-from phors_lab.solver import Interval, gauss_solve, identity_minus, kleene_series
+from phors_lab.algebra import Poly
+from phors_lab.solver import Interval, jacobian, kleene_series, solve_or_kernel
 from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
 
@@ -254,12 +255,12 @@ class TestCertificateVerification:
         order = sorted(fas.eqs)
         point = {v: F(1, 2) for v in order}
         point[z_vid()] = F(1)
-        J = [
-            {j: x for j, w in enumerate(order) if (x := F(fas.eqs[v].derivative(w).eval(point)))}
-            for v in order
-        ]
-        g = [F(fas.eqs[v].derivative(z_vid()).eval(point)) for v in order]
-        d = gauss_solve(identity_minus(J), g)
+        # z as a last column, with an empty row of its own, gives g.
+        n = len(order)
+        full = jacobian({**fas.eqs, z_vid(): Poly()}, order + [z_vid()], point)[:n]
+        J = [{j: x for j, x in row.items() if j < n} for row in full]
+        g = [row.get(n, F(0)) for row in full]
+        d = solve_or_kernel(J, g)[0]
         solution = {v: F(1, 2) for v in order}
         bad = NonsingularLinearSolve(order, dict(zip(order, d)), solution)
         assert not verify_certificate(fas, bad)
@@ -276,6 +277,16 @@ class TestCertificateVerification:
         )
         assert not verify_certificate(fas, bad)
 
+    def test_every_given_equation_is_checked(self):
+        # T is not reachable from S: the certificates of the reachable
+        # part leave T's unknowns unassigned.
+        fas = compile_scheme(parse("T : !1 o -o o ; T x = (T x) [1/2] x ; S = e ;"))
+        sub = reachable(fas)
+        assert set(sub.eqs) < set(fas.eqs)
+        certs = decide_past(sub).certificates
+        assert len(certs) == 2 and all(verify_certificate(sub, c) for c in certs)
+        assert not any(verify_certificate(fas, c) for c in certs)
+
     def test_verification_needs_full_assignment(self):
         fas = _fas("eq3")
         v = decide_past(fas)
@@ -283,3 +294,11 @@ class TestCertificateVerification:
         partial = dict(cert.assignment)
         partial.pop(next(k for k in partial if k != fas.start))
         assert not verify_certificate(fas, PreFixpointBelowOne(partial))
+
+
+def test_readme_library_example_runs():
+    # The README's "Library" block, run as written, so that the documented
+    # API keeps every name it uses.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -111,7 +111,7 @@ class TestInterpretBody:
 
     def test_omega_rule(self):
         s = parse("S = omega ;")
-        assert interpret_body(s, "S", GroundPoint(1)).is_zero()
+        assert not interpret_body(s, "S", GroundPoint(1))
 
     def test_stability_outside_declared_grades(self):
         # At argument multiplicities beyond the declared grade, the
@@ -132,7 +132,7 @@ class TestInterpretBody:
                 )
             }
         )
-        assert live.is_zero()
+        assert not live
 
     def test_invalid_index_rejected(self):
         s = load_bundled("randomwalk")
@@ -208,14 +208,6 @@ class TestCompile:
         # Z = e reaches nothing else.
         assert set(sub.eqs) == {sub.start}
 
-    def test_json_rendering(self):
-        import json
-
-        fas = compile_scheme(load_bundled("randomwalk"))
-        data = json.loads(fas.to_json())
-        assert data["version"] == 1
-        assert data["start"] in data["equations"]
-
     def test_var_names_render(self):
         fas = compile_scheme(load_bundled("randomwalk"))
         names = {var_name(v) for v in fas.eqs}
@@ -234,7 +226,7 @@ class TestCompile:
         ]
         for scheme in schemes:
             fas = compile_scheme(scheme)
-            dead = fas.zeros | {v for v, p in fas.eqs.items() if p.is_zero()}
+            dead = fas.zeros | {v for v, p in fas.eqs.items() if not p}
             for nt, d in scheme.nonterminals.items():
                 for idx in index_set(d.ty):
                     vid = nt_vid(nt, idx)
@@ -293,7 +285,7 @@ class TestCompile:
             built.clear()
             fas = compile_scheme(scheme)
             nonzero = Counter(
-                REGISTRY.key_of(v)[1] for v, p in fas.eqs.items() if not p.is_zero()
+                REGISTRY.key_of(v)[1] for v, p in fas.eqs.items() if p
             )
             calls = {n: interp._callees(d.body) for n, d in scheme.nonterminals.items()}
             for comp in interp.sccs(calls):

@@ -18,10 +18,9 @@ from phors_lab.solver import (
     MonotonicityError,
     SolverError,
     expected_steps,
-    gauss_solve,
-    kernel_vector,
     kleene_series,
     solve_at_one,
+    solve_or_kernel,
     _spectral_radius_le_one,
 )
 from phors_lab.operational import enumerate_terminations
@@ -58,16 +57,38 @@ def _v(n: str) -> int:
     return REGISTRY.intern(("test-sys", n))
 
 
+def _series_eval(p: Poly, env: dict[int, list], n: int) -> tuple:
+    """p at the series given by their coefficient lists, to z^n: the
+    truncated product of coefficient lists, term by term."""
+    total = [F(0)] * (n + 1)
+    for m, c in p.terms.items():
+        acc = [c] + [F(0)] * n
+        for vid, exp in m:
+            f = env[vid]
+            for _ in range(exp):
+                acc = [sum((acc[i] * f[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)]
+        total = [a + b for a, b in zip(total, acc)]
+    return tuple(total)
+
+
+def _z(n: int) -> list:
+    return [F(0), F(1)] + [F(0)] * (n - 1)
+
+
+def _coeffs(series: dict) -> dict:
+    return {v: s.coeffs for v, s in series.items()}
+
+
 def _reference_series(fas, degree, params=None):
-    """Plain Kleene iteration y <- P(y, z) over truncated series, run
+    """Plain Kleene iteration y <- P(y, z) over coefficient lists, run
     until it stops changing."""
     n = max(degree, 1)
-    env = {z_vid(): TruncSeries.z(n)}
-    env.update({v: TruncSeries(s.coeffs[: n + 1]) for v, s in (params or {}).items()})
-    y = {v: TruncSeries.zero(n) for v in fas.eqs}
+    env = {z_vid(): _z(n)}
+    env.update({v: s.coeffs[: n + 1] for v, s in (params or {}).items()})
+    y = {v: (F(0),) * (n + 1) for v in fas.eqs}
     for _ in range(1000):
         env.update(y)
-        new = {v: TruncSeries.zero(n) + p.eval(env) for v, p in fas.eqs.items()}
+        new = {v: _series_eval(p, env, n) for v, p in fas.eqs.items()}
         if new == y:
             return y
         y = new
@@ -96,7 +117,7 @@ class TestKleeneSeries:
     @pytest.mark.parametrize("case", sorted(_scaling_cases()))
     def test_scaled_layers_match_plain_iteration(self, case, degree):
         fas = _make_system(_scaling_cases()[case], "b")
-        assert kleene_series(fas, degree) == _reference_series(fas, degree)
+        assert _coeffs(kleene_series(fas, degree)) == _reference_series(fas, degree)
 
     @pytest.mark.parametrize("degree", [0, 4])
     @pytest.mark.parametrize(
@@ -107,7 +128,7 @@ class TestKleeneSeries:
     def test_rational_parameters_match_plain_iteration(self, coeffs, degree):
         fas = reachable(compile_scheme(load_bundled("dyck_core")))
         params = {v: TruncSeries(coeffs) for v in fas.param_vids}
-        assert kleene_series(fas, degree, params) == _reference_series(fas, degree, params)
+        assert _coeffs(kleene_series(fas, degree, params)) == _reference_series(fas, degree, params)
 
     @pytest.mark.parametrize("degree", [2, 9])
     def test_factor_shorter_than_the_index(self, degree):
@@ -116,7 +137,7 @@ class TestKleeneSeries:
         # k coefficients have no pair of indices summing to k.
         y, z = Poly.var(_v("y")), Poly.var(z_vid())
         fas = _make_system({"y": Poly.const(F(1, 3)) * z + Poly.const(F(2, 3)) * y * y}, "y")
-        assert kleene_series(fas, degree) == _reference_series(fas, degree)
+        assert _coeffs(kleene_series(fas, degree)) == _reference_series(fas, degree)
 
     def test_random_walk_coefficients(self):
         fas = _fas("randomwalk")
@@ -146,6 +167,18 @@ class TestKleeneSeries:
         out = kleene_series(fas, 4, params)
         assert out[fas.start].coeffs[0] == 0
 
+    def test_parameter_series_shorter_than_the_result(self):
+        # The result runs to z^max(degree, 1), so at degree 0 a parameter
+        # series must still give coefficient 1: y = w with w = 1/2 + O(z).
+        from phors_lab.interp import Fas
+
+        y, w = _v("y"), _v("w")
+        fas = Fas({y: Poly.var(w)}, y, {w})
+        with pytest.raises(SolverError, match="truncated"):
+            kleene_series(fas, 0, {w: TruncSeries([F(1, 2)])})
+        assert kleene_series(fas, 0, {w: TruncSeries([F(1, 2), F(1, 3)])})[y].coeffs == (
+            F(1, 2), F(1, 3))
+
     def test_monotonicity_violation_detected(self):
         # A "system" whose iterates oscillate: w = 1 - w is not monotone
         # (negative coefficient), and the built-in check trips.
@@ -158,15 +191,10 @@ class TestKleeneSeries:
     def test_iterates_reach_fixpoint_for_proper_systems(self):
         for name in ("randomwalk", "eq3", "geometric", "chain"):
             fas = _fas(name)
-            out = kleene_series(fas, 12)
-            z = TruncSeries.z(12)
-            env = {z_vid(): z}
-            env.update(out)
+            out = _coeffs(kleene_series(fas, 12))
+            env = {z_vid(): _z(12), **out}
             for vid, p in fas.eqs.items():
-                val = p.eval(env)
-                if not isinstance(val, TruncSeries):
-                    val = TruncSeries.const(val, 12)
-                assert val == out[vid]
+                assert _series_eval(p, env, 12) == out[vid]
 
     def test_choice_cycle_through_several_unknowns_becomes_stationary(self):
         # The degree-1 choice in F2 feeds back through F1 and F0, so each
@@ -231,6 +259,19 @@ class TestKleeneSeries:
 def rows(M: list[list[Fraction]]) -> list[dict[int, Fraction]]:
     """A dense matrix as the solver's rows of nonzero entries."""
     return [{j: x for j, x in enumerate(r) if x} for r in M]
+
+
+def i_minus(M: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    """The rows of J = I - M, so that solve_or_kernel(J, b) solves M x = b."""
+    return rows([[(i == j) - x for j, x in enumerate(r)] for i, r in enumerate(M)])
+
+
+def solve(M, b):
+    return solve_or_kernel(i_minus(M), b)[0]
+
+
+def kernel(M):
+    return solve_or_kernel(i_minus(M), [F(0)] * len(M))[1]
 
 
 # Dense Gauss-Jordan elimination: the reference the sparse elimination
@@ -304,21 +345,19 @@ def square_matrices(draw):
 
 class TestLinearAlgebra:
     def test_gauss_solves(self):
-        A = rows([[F(2), F(1)], [F(1), F(3)]])
-        x = gauss_solve(A, [F(5), F(10)])
-        assert x == [F(1), F(3)]
+        assert solve([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)]) == [F(1), F(3)]
 
     def test_gauss_singular_returns_none(self):
-        assert gauss_solve(rows([[F(1), F(1)], [F(2), F(2)]]), [F(1), F(2)]) is None
+        assert solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
 
     def test_kernel_vector(self):
         A = [[F(1), F(1)], [F(2), F(2)]]
-        u = kernel_vector(rows(A))
+        u = kernel(A)
         assert u is not None and any(x != 0 for x in u)
         assert all(sum(a * b for a, b in zip(row, u)) == 0 for row in A)
 
     def test_kernel_of_nonsingular_is_none(self):
-        assert kernel_vector(rows([[F(2), F(0)], [F(0), F(3)]])) is None
+        assert kernel([[F(2), F(0)], [F(0), F(3)]]) is None
 
     @settings(max_examples=200, deadline=None)
     @given(square_matrices())
@@ -326,17 +365,18 @@ class TestLinearAlgebra:
         # The same vector, not just some kernel element: critical-jacobian
         # kernels are pinned in the golden reports.
         M, b = Mb
-        A = rows(M)
-        assert gauss_solve(A, b) == dense_solve(M, b)
-        assert kernel_vector(A) == dense_kernel(M)
-        assert A == rows(M)  # the input is left as it was
+        J = i_minus(M)
+        # One of the two is None: dense_solve when M is singular,
+        # dense_kernel when it is not.
+        assert solve_or_kernel(J, b) == (dense_solve(M, b), dense_kernel(M))
+        assert J == i_minus(M)  # the input is left as it was
 
     def test_oracle_sees_several_free_columns(self):
         M = [[F(1), F(2), F(0), F(2)], [F(0), F(0), F(1), F(1)],
              [F(1), F(2), F(1), F(3)], [F(0), F(0), F(0), F(0)]]
         assert dense_kernel(M) == [F(-2), F(1), F(0), F(0)]
-        assert kernel_vector(rows(M)) == dense_kernel(M)
-        assert gauss_solve(rows(M), [F(1)] * 4) is None
+        assert kernel(M) == dense_kernel(M)
+        assert solve(M, [F(1)] * 4) is None
 
 
 class TestSccs:

@@ -136,7 +136,7 @@ class TestCompose:
             for idx, val in ((use, 1), (drop, 0)):
                 vid = pm_vid(pname, idx)
                 if vid in fas_open.param_vids:
-                    params[vid] = TruncSeries.const(val, degree)
+                    params[vid] = TruncSeries([val] + [0] * degree)
         assert kleene_series(fas_open, degree, params)[
             fas_open.start
         ].coeffs == got
