@@ -15,12 +15,17 @@ decisions are pinned in `verdicts.json`: for the same 200 generated
 schemes and for rings of 1, 2, 5 and 10 rules at biases 1/2, 1/3 and
 2/3, the degree-16 start coefficients, `decide_past(...).to_jsonable()`
 (exact interval ends included) and whether each certificate verifies.
+The type checkers are pinned in `typing.json`: the `to_json()` of
+`check_fin` and `check_inf` on every bundled scheme, on the scheme texts
+of `TYPING_TEXTS`, and on generated and bundled schemes with mutated
+grades, so that every kind of diagnostic appears.
 
 Run `PYTHONPATH=src python tests/test_golden.py` to rewrite the golden
 files from the current code; review the diff before committing it."""
 
 import json
 import random
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -35,8 +40,9 @@ from phors_lab.decide import decide_past, verify_certificate
 from phors_lab.interp import InterpError, compile_scheme, reachable, var_name
 from phors_lab.operational import ExecError, enumerate_terminations, monte_carlo
 from phors_lab.solver import SolverError, kleene_series
-from phors_lab.syntax import is_finitary, parse
+from phors_lab.syntax import SchemeError, is_finitary, parse, print_scheme
 from phors_lab.transforms import TransformError, reduce_inf
+from phors_lab.typesys import check_fin, check_inf
 
 from conftest import random_order1_scheme, random_order2_scheme, ring_text
 
@@ -163,6 +169,67 @@ def test_fas_matches_golden():
     assert fas_text() == (GOLDEN / "fas.json").read_text(encoding="utf-8")
 
 
+# Scheme texts for the type checkers: those of test_typesys.py, and one
+# per diagnostic that mutating grades cannot produce.
+TYPING_TEXTS = [
+    "F : !0 o -o o ; F x = x ; S = F e ;",
+    "F : !0 o -o o ; F x = e ; S = F e ;",
+    "F : !1 (!1 o -o o) -o o ; I : !1 o -o o ; F f = (f [1/2] f) e ; I x = x ; S = F I ;",
+    "F : !1 o -o o ; F x = x [1/2] x ; S = F e ;",
+    "G : !2 o -o o ; G y = y [1/2] y ; S = G e ;",
+    "G : !2 o -o o ; F : !1 o -o o ; G y = (D y) [1/2] e ; D : !2 o -o o ; "
+    "D y = D y ; F x = G (D x) ; S = F e ;",
+    "L : !1 o -o !inf (!1 o -o o) -o o ; I : !1 o -o o ; I x = x ; L x f = f x ; S = L e I ;",
+    "L : !inf (!1 o -o o) -o o ; M : !inf (!1 o -o o) -o o ; L f = M f ; M f = f e ; "
+    "S = L I ; I : !1 o -o o ; I x = x ;",
+    "F : o ; F = <e, e> ; S = F ;",
+    "F : !1 o -o o ; F x = x ; S = F ;",
+    "F : !1 o -o o ; F x = x e ; S = F e ;",
+    "F : !1 o^2 -o o ; F x = pi_1 x ; S = F e ;",
+    "F : !1 o -o o ; F x = x ; S = pi_1 <F, e> ;",
+    "S : o ; S = pi_2 e ;",
+    "F : !1 (!inf o -o o) -o o ; F f = f e ; I : !inf o -o o ; I x = e ; S = F I ;",
+    "F : !1 o -o o ; F x = x ; G : !inf (!1 o -o o) -o o ; G f = f e ; S = G (F) ;",
+]
+GRADE = re.compile(r"!(\d+|inf)")
+
+
+def _grade_mutants():
+    """Generated and bundled scheme texts with one or two grades replaced
+    at random; mutants that no longer parse are skipped."""
+    rng = random.Random(20261019)
+    sources = [print_scheme(load_bundled(name)) for name in bundled_names()]
+    sources += [print_scheme(random_order1_scheme(rng)) for _ in range(60)]
+    sources += [print_scheme(random_order2_scheme(rng)) for _ in range(60)]
+    for i in range(400):
+        text = sources[i % len(sources)]
+        spots = [m.span(1) for m in GRADE.finditer(text)]
+        if not spots:
+            continue
+        for lo, hi in sorted(rng.sample(spots, min(len(spots), rng.randint(1, 2))), reverse=True):
+            text = text[:lo] + rng.choice(("0", "1", "2", "3", "inf")) + text[hi:]
+        try:
+            yield text, parse(text)
+        except SchemeError:
+            continue
+
+
+def typing_text() -> str:
+    def record(scheme) -> dict:
+        return {"fin": check_fin(scheme).to_json(), "inf": check_inf(scheme).to_json()}
+
+    doc = {name: record(load_bundled(name)) for name in bundled_names()}
+    for text in TYPING_TEXTS:
+        doc[text] = record(parse(text))
+    for text, scheme in _grade_mutants():
+        doc[text] = record(scheme)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_typing_matches_golden():
+    assert typing_text() == (GOLDEN / "typing.json").read_text(encoding="utf-8")
+
+
 def _stored() -> dict:
     return json.loads((GOLDEN / "exits.json").read_text(encoding="utf-8"))
 
@@ -191,6 +258,7 @@ def write_golden() -> None:
     (GOLDEN / "oracle.json").write_text(oracle_text(), encoding="utf-8")
     (GOLDEN / "fas.json").write_text(fas_text(), encoding="utf-8")
     (GOLDEN / "verdicts.json").write_text(verdicts_text(), encoding="utf-8")
+    (GOLDEN / "typing.json").write_text(typing_text(), encoding="utf-8")
 
 
 if __name__ == "__main__":
