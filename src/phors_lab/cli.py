@@ -13,13 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .decide import Verdict, decide_past, verify_certificate
-from .interp import (
-    DEFAULT_VAR_CAP,
-    InterpError,
-    compile_scheme,
-    reachable,
-    var_name,
-)
+from .interp import IndexCapExceeded, InterpError, compile_scheme, reachable, var_name
 from .solver import MonotonicityError, SolverError, kleene_series
 from .syntax import ExecError, Scheme, SchemeError, TransformError
 from .syntax import is_finitary, parse, print_scheme
@@ -63,9 +57,9 @@ def _below(flag: str, value: int | None, least: int) -> bool:
     return True
 
 
-def _series(scheme: Scheme, degree: int, cap: int = DEFAULT_VAR_CAP):
+def _series(scheme: Scheme, degree: int):
     """The start-reachable system of a scheme and its start series."""
-    fas = reachable(compile_scheme(scheme, cap=cap))
+    fas = reachable(compile_scheme(scheme))
     return fas, kleene_series(fas, degree)[fas.start]
 
 
@@ -92,7 +86,7 @@ def cmd_analyze(args) -> int:
         from .transforms import reduce_inf
         scheme = reduce_inf(scheme)
         notes.append("scheme had unbounded grades; analyzed its finitary reduction")
-    fas, series = _series(scheme, args.degree, args.var_cap)
+    fas, series = _series(scheme, args.degree)
     verdict: Verdict = decide_past(fas)
     for cert in verdict.certificates:
         if not verify_certificate(fas, cert):
@@ -198,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline: compile, solve, decide")
     p.add_argument("file")
     p.add_argument("--degree", type=int, default=16)
-    p.add_argument("--var-cap", type=int, default=DEFAULT_VAR_CAP)
     p.add_argument("--json", default=None)
     p.set_defaults(fn=cmd_analyze)
 
@@ -227,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except IndexCapExceeded as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (FileNotFoundError, UnicodeDecodeError, SchemeError, InterpError,
             TransformError, ExecError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -61,7 +61,8 @@ from .syntax import (
 )
 from .typesys import check_fin, check_inf
 
-DEFAULT_VAR_CAP = 10**5
+# The most points an index set may have.
+VAR_CAP = 10**5
 
 
 class InterpError(ValueError):
@@ -69,9 +70,8 @@ class InterpError(ValueError):
 
 
 class IndexCapExceeded(InterpError):
-    def __init__(self, cap: int) -> None:
-        super().__init__(f"index-set size exceeds the configured cap of {cap}")
-        self.cap = cap
+    def __init__(self) -> None:
+        super().__init__(f"index-set size exceeds the cap of {VAR_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,30 +89,30 @@ def ArrowPoint(arg_uses: tuple[tuple[Index, int], ...], result: Index) -> Index:
     return (1, arg_uses, result)
 
 
-def index_set(
-    ty: GradedType, cap: float = DEFAULT_VAR_CAP, sets: dict | None = None
-) -> list[Index]:
+def index_set(ty: GradedType, sets: dict | None = None) -> list[Index]:
     """Complete canonical enumeration of the index set of a finitary type,
     memoised by type in `sets`: a compile sharing one dict enumerates each
-    type once."""
+    type once.  Raises IndexCapExceeded, before enumerating anything, if
+    the set has more than VAR_CAP points."""
     sets = {} if sets is None else sets
     pts = sets.get(ty)
     if pts is None:
         if not is_finitary(ty):
             raise InterpError("cannot enumerate the index set of an infinitary type")
-        if index_size(ty) > cap:
-            raise IndexCapExceeded(cap)
+        if index_size(ty) > VAR_CAP:
+            raise IndexCapExceeded()
         pts = sets[ty] = _enum(ty, sets)
-    elif len(pts) > cap:
-        raise IndexCapExceeded(cap)
     return pts
 
 
-def _multisets(ty: GradedType, grade: int, sets: dict, cap: float = math.inf) -> list:
-    """All multisets over index_set(ty, cap, sets) with per-element
+def _multisets(ty: GradedType, grade: int, sets: dict) -> list:
+    """All multisets over index_set(ty, sets) with per-element
     multiplicity at most grade, as canonically sorted ((point, mult), ...)
-    tuples, memoised in `sets`."""
-    pts = index_set(ty, cap, sets)
+    tuples, memoised in `sets`.  Grade 0 admits only the empty multiset,
+    so ty is then not enumerated."""
+    if grade == 0:
+        return [()]
+    pts = index_set(ty, sets)
     mus = sets.get((ty, grade))
     if mus is None:
         mus = sets[ty, grade] = sorted(
@@ -123,11 +123,17 @@ def _multisets(ty: GradedType, grade: int, sets: dict, cap: float = math.inf) ->
 
 
 def index_size(ty: GradedType) -> int:
+    """The number of points of ty's index set, or VAR_CAP + 1 if it has
+    more: a size beyond the cap is never computed, as it can have more
+    digits than memory holds."""
     match ty:
         case Ground(n):
-            return n
+            return min(n, VAR_CAP + 1)
         case Arrow(k, a, r):
-            return (int(k) + 1) ** index_size(a) * index_size(r)
+            n = index_size(a)
+            # For k >= 1 and 2^n > VAR_CAP, (k + 1)^n is over the cap.
+            mus = (int(k) + 1) ** n if k == 0 or n < VAR_CAP.bit_length() else VAR_CAP + 1
+            return min(mus * index_size(r), VAR_CAP + 1)
     raise TypeError(ty)
 
 
@@ -137,7 +143,7 @@ def _enum(ty: GradedType, sets: dict) -> list[Index]:
             return [GroundPoint(i) for i in range(1, n + 1)]
         case Arrow(k, a, r):
             # Both factors are sorted, so the product is too.
-            mus, pts_r = _multisets(a, int(k), sets), index_set(r, math.inf, sets)
+            mus, pts_r = _multisets(a, int(k), sets), index_set(r, sets)
             return [ArrowPoint(mu, res) for mu in mus for res in pts_r]
     raise TypeError(ty)
 
@@ -193,12 +199,9 @@ def var_name(vid: int) -> str:
 
 
 class _Interp:
-    def __init__(
-        self, scheme: Scheme, rule: str, cap: int, nonzero: set[int] | None = None
-    ) -> None:
+    def __init__(self, scheme: Scheme, rule: str, nonzero: set[int] | None = None) -> None:
         self.scheme = scheme
         self.rule = rule
-        self.cap = cap
         # The unknowns known to be nonzero; the others read as 0.  None
         # reads every unknown as itself.
         self.nonzero = nonzero
@@ -255,7 +258,7 @@ class _Interp:
                         "reduce the scheme to finitary form first"
                     )
                 total = Poly()
-                for mu in _multisets(fty.arg, int(fty.grade), self.sets, self.cap):
+                for mu in _multisets(fty.arg, int(fty.grade), self.sets):
                     fpart = self.sem(f, ArrowPoint(mu, idx))
                     if not fpart:
                         continue
@@ -285,7 +288,6 @@ def interpret_body(
     scheme: Scheme,
     rule: str,
     target: Index,
-    cap: int = DEFAULT_VAR_CAP,
     unchecked: bool = False,
 ) -> Poly:
     """The polynomial interpreting the rule (as an abstraction over its
@@ -295,16 +297,15 @@ def interpret_body(
     beyond the declared grades; the interpretation of a well-typed
     scheme is then identically zero there (stability)."""
     d = scheme.nonterminals[rule]
-    if not unchecked and target not in set(index_set(d.ty, cap)):
+    if not unchecked and target not in set(index_set(d.ty)):
         raise InterpError(f"index not in the declared index set of {rule!r}")
-    return next(_rule_equations(scheme, rule, [target], cap))
+    return next(_rule_equations(scheme, rule, [target]))
 
 
 def _rule_equations(
     scheme: Scheme,
     rule: str,
     targets: list[Index],
-    cap: int,
     nonzero: set[int] | None = None,
     sets: dict | None = None,
 ) -> Iterator[Poly]:
@@ -317,7 +318,7 @@ def _rule_equations(
     of bound variables; a target's equation is the bucket of its
     argument profile (exact coefficient extraction)."""
     d = scheme.nonterminals[rule]
-    interp = _Interp(scheme, rule, cap, nonzero)
+    interp = _Interp(scheme, rule, nonzero)
     interp.sets = {} if sets is None else sets
     # Unwind each target through the rule's abstractions.
     unwound: list[tuple[Index, Monomial]] = []
@@ -331,13 +332,15 @@ def _rule_equations(
         unwound.append((idx, tuple(sorted(profile))))
 
     domain: set[int] = set()
-    for pname in d.params:
-        for pt in index_set(interp.bound_types[pname], cap, interp.sets):
-            domain.add(bv_vid(rule, pname, pt))
+    for pname, (grade, pty) in zip(d.params, arg_types(d.ty)):
+        # A well-typed body never uses a binding of grade 0, so its
+        # variables never occur and its type is not enumerated.
+        if grade:
+            domain.update(bv_vid(rule, pname, pt) for pt in index_set(pty, interp.sets))
     interp.caps = dict.fromkeys(domain, 0)
     for _, profile in unwound:
         for vid, m in profile:
-            interp.caps[vid] = max(interp.caps[vid], m)
+            interp.caps[vid] = max(interp.caps.get(vid, 0), m)
 
     # Unfiltered, the body polynomial may still exceed the declared grade
     # in a binding's variables taken together: the excess monomials all
@@ -462,7 +465,7 @@ def _callees(body: Term) -> set[str]:
     return {t.name for t in leaves(body) if isinstance(t, NonTerm)}
 
 
-def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
+def compile_scheme(scheme: Scheme) -> Fas:
     """Compile a finitary scheme (closed or parametric) to its fixpoint
     system, without the unknowns whose least-fixpoint value is zero."""
     report = check_fin(scheme) if scheme.is_closed() else check_inf(scheme)
@@ -478,10 +481,10 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
     sets: dict = {}  # index sets, shared by the whole compile
     param_vids: set[int] = set()
     for pname, pty in scheme.params.items():
-        for idx in index_set(pty, cap, sets):
+        for idx in index_set(pty, sets):
             param_vids.add(pm_vid(pname, idx))
 
-    targets = {n: index_set(d.ty, cap, sets) for n, d in scheme.nonterminals.items()}
+    targets = {n: index_set(d.ty, sets) for n, d in scheme.nonterminals.items()}
     calls = {name: _callees(d.body) for name, d in scheme.nonterminals.items()}
     # Callees first, so every unknown outside the component being
     # interpreted is settled.  Reading an unknown not yet known to be
@@ -498,7 +501,7 @@ def compile_scheme(scheme: Scheme, cap: int = DEFAULT_VAR_CAP) -> Fas:
             for name in comp:
                 # All of a rule's targets read the same nonzero set.
                 ps = list(
-                    _rule_equations(scheme, name, targets[name], cap, nonzero, sets)
+                    _rule_equations(scheme, name, targets[name], nonzero, sets)
                 )
                 for idx, p in zip(targets[name], ps):
                     vid = nt_vid(name, idx)

@@ -533,7 +533,7 @@ def parse(source: str) -> Scheme:
         t = current[0]
         raise ParseError("statement not terminated by ';'", t.line, t.col)
 
-    decls: dict[str, list[Token]] = {}
+    decls: dict[str, list[Token]] = {}  # name -> its declaration statement
     rules: list[tuple[Token, list[Token], list[Token]]] = []  # head, params, body
     param_stmts: list[tuple[Token, list[Token]]] = []
     start: str | None = None
@@ -562,7 +562,7 @@ def parse(source: str) -> Scheme:
                 raise ParseError(
                     f"duplicate declaration of {head.text!r}", head.line, head.col
                 )
-            decls[head.text] = st[2:]
+            decls[head.text] = st
             continue
         eq = next((i for i, t in enumerate(st) if t.kind == "="), None)
         if eq is None:
@@ -597,7 +597,7 @@ def parse(source: str) -> Scheme:
                 raise ParseError(f"duplicate parameter {t.text!r}", t.line, t.col)
             pnames.append(t.text)
         if head.text in decls:
-            c = _Cursor(decls[head.text], end_line)
+            c = _Cursor(decls[head.text][2:], end_line)
             ty = _parse_type(c)
             if not c.done():
                 raise c.fail("trailing tokens in type")
@@ -607,11 +607,9 @@ def parse(source: str) -> Scheme:
         body = _BodyParser(c, set(pnames), nt_names, set(params)).parse()
         nonterminals[head.text] = NonTermDef(ty, tuple(pnames), body)
 
-    for name in decls:
+    for name, st in decls.items():
         if name not in nonterminals:
-            raise ParseError(
-                f"declaration of {name!r} has no rule", 1, 1
-            )
+            raise ParseError(f"declaration of {name!r} has no rule", st[0].line, st[0].col)
 
     scheme = Scheme(nonterminals, params, start or "S")
     scheme.validate()

@@ -9,8 +9,13 @@ must precede all bounded ones, and an unbounded argument position only
 accepts a bare non-terminal or parameter.
 
 Checking is directed by the declared types; only the grades of bound
-variables are inferred (as minimal usage counts) and compared against
-the declared bounds.
+variables are inferred and compared against the declared bounds.  The
+usage of a term is a count per bound variable, a plain dict from name
+to the number of times the term uses it: application adds the
+argument's counts scaled by the arrow's grade, a choice or a tuple
+takes the pointwise maximum of its parts (only one of them runs), and a
+binding of infinite grade is not counted.  A rule's inferred grade for
+a parameter is its count in the body.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .syntax import (
     App,
     Arrow,
     Choice,
-    Frozen,
     Ground,
     GradedType,
     NonTerm,
@@ -53,63 +57,6 @@ def subtype(a: GradedType, b: GradedType) -> bool:
         case Arrow(k, a1, r1), Arrow(h, a2, r2):
             return k <= h and subtype(a1, a2) and subtype(r1, r2)
     return False
-
-
-# ---------------------------------------------------------------------------
-# Graded contexts
-
-
-class CtxError(ValueError):
-    pass
-
-
-class GradedCtx(Frozen):
-    """Map from variable name to (grade, type); + and scaling act
-    pointwise on grades and are partial: the types must agree."""
-
-    __slots__ = ("bindings",)
-
-    def __init__(self, bindings: tuple[tuple[str, int, GradedType], ...] = ()) -> None:
-        object.__setattr__(self, "bindings", bindings)  # hot: one per typed subterm
-
-    @staticmethod
-    def of(d: dict[str, tuple[int, GradedType]]) -> "GradedCtx":
-        return GradedCtx(tuple(sorted((n, g, t) for n, (g, t) in d.items())))
-
-    def as_dict(self) -> dict[str, tuple[int, GradedType]]:
-        return {n: (g, t) for n, g, t in self.bindings}
-
-    def _merge(self, other: "GradedCtx", combine) -> "GradedCtx":
-        # Absent bindings count as grade 0, so combine(g, 0) and
-        # combine(0, g) must both equal g -- true for + and max.
-        d = self.as_dict()
-        for n, g, t in other.bindings:
-            if n in d:
-                g0, t0 = d[n]
-                if t0 != t:
-                    raise CtxError(f"variable {n!r} bound at two types")
-                d[n] = (combine(g0, g), t0)
-            else:
-                d[n] = (g, t)
-        return GradedCtx.of(d)
-
-    def __add__(self, other: "GradedCtx") -> "GradedCtx":
-        return self._merge(other, lambda a, b: a + b)
-
-    def max(self, other: "GradedCtx") -> "GradedCtx":
-        return self._merge(other, max)
-
-    def scale(self, k: int) -> "GradedCtx":
-        return GradedCtx(tuple((n, k * g, t) for n, g, t in self.bindings))
-
-    def grade_of(self, name: str) -> int:
-        for n, g, _ in self.bindings:
-            if n == name:
-                return g
-        return 0
-
-
-_EMPTY = GradedCtx()
 
 
 # ---------------------------------------------------------------------------
@@ -150,192 +97,134 @@ class TypingReport:
 
 
 class _Reject(Exception):
-    def __init__(self, diag: Diagnostic) -> None:
-        self.diag = diag
+    """A rule is ill-typed: (message, inferred, declared), the last two
+    optional; _run adds the rule's name."""
 
 
-class _Checker:
-    """Shared engine.  In infinitary mode, rule bindings with infinite
-    declared grade behave like scheme parameters: usable without
-    accounting, and admissible as unbounded-position arguments."""
-
-    def __init__(self, scheme: Scheme, infinitary: bool) -> None:
-        self.scheme = scheme
-        self.infinitary = infinitary
-
-    def check_rule(self, name: str) -> GradedType:
-        d = self.scheme.nonterminals[name]
-        spec = arg_types(d.ty)
-        bound: dict[str, GradedType] = {}
-        unbounded: set[str] = set()
-        seen_finite = False
-        for pname, (grade, pty) in zip(d.params, spec):
-            if grade == INF:
-                if not self.infinitary:
-                    raise _Reject(Diagnostic(name, "infinite grade present"))
-                if seen_finite:
-                    raise _Reject(
-                        Diagnostic(
-                            name,
-                            "unbounded abstraction under a nonempty graded "
-                            f"context: binding {pname!r} must precede all "
-                            "finitely graded bindings",
-                        )
-                    )
-                if not is_finitary(pty):
-                    raise _Reject(
-                        Diagnostic(name, f"argument type of {pname!r} is infinitary")
-                    )
-                unbounded.add(pname)
-            else:
-                seen_finite = True
-                if not is_finitary(pty):
-                    raise _Reject(
-                        Diagnostic(name, f"argument type of {pname!r} is infinitary")
-                    )
-            bound[pname] = pty
-        ty, usage = self.synth(name, d.body, bound, unbounded)
-        if not isinstance(ty, Ground):
-            raise _Reject(
-                Diagnostic(
-                    name,
-                    "rule body must have ground type",
-                    inferred=render_type(ty),
+def _check_rule(scheme: Scheme, name: str) -> GradedType:
+    """The derived type of a rule.  A binding with infinite declared
+    grade behaves like a scheme parameter: usable without accounting,
+    and admissible as an unbounded-position argument."""
+    d = scheme.nonterminals[name]
+    spec = arg_types(d.ty)
+    bound: dict[str, GradedType] = {}
+    unbounded: set[str] = set()
+    seen_finite = False
+    for pname, (grade, pty) in zip(d.params, spec):
+        if grade == INF:
+            if seen_finite:
+                raise _Reject(
+                    "unbounded abstraction under a nonempty graded "
+                    f"context: binding {pname!r} must precede all "
+                    "finitely graded bindings"
                 )
-            )
-        # Assemble the derived type with inferred minimal grades and
-        # compare against the declaration.
-        derived: GradedType = ty
-        for pname, (grade, pty) in reversed(list(zip(d.params, spec))):
-            g = INF if pname in unbounded else usage.grade_of(pname)
-            derived = Arrow(g, pty, derived)
-        if not subtype(derived, d.ty):
-            # Find the offending binding for the diagnostic.
-            for pname, (grade, _) in zip(d.params, spec):
-                if pname not in unbounded and usage.grade_of(pname) > grade:
-                    raise _Reject(
-                        Diagnostic(
-                            name,
-                            f"grade overflow: {pname!r} used "
-                            f"{usage.grade_of(pname)} times but declared "
-                            f"with grade {grade}",
-                            inferred=render_type(derived),
-                            declared=render_type(d.ty),
-                        )
-                    )
-            raise _Reject(
-                Diagnostic(
-                    name,
-                    "derived type is not a subtype of the declaration",
-                    inferred=render_type(derived),
-                    declared=render_type(d.ty),
+            unbounded.add(pname)
+        else:
+            seen_finite = True
+        if not is_finitary(pty):
+            raise _Reject(f"argument type of {pname!r} is infinitary")
+        bound[pname] = pty
+    ty, usage = _synth(scheme, d.body, bound, unbounded)
+    if not isinstance(ty, Ground):
+        raise _Reject("rule body must have ground type", render_type(ty))
+    # Assemble the derived type with inferred minimal grades and
+    # compare against the declaration.
+    derived: GradedType = ty
+    for pname, (grade, pty) in reversed(list(zip(d.params, spec))):
+        g = INF if pname in unbounded else usage.get(pname, 0)
+        derived = Arrow(g, pty, derived)
+    if not subtype(derived, d.ty):
+        inferred, declared = render_type(derived), render_type(d.ty)
+        # Name the offending binding, if there is one.
+        for pname, (grade, _) in zip(d.params, spec):
+            if pname not in unbounded and usage.get(pname, 0) > grade:
+                raise _Reject(
+                    f"grade overflow: {pname!r} used {usage[pname]} times "
+                    f"but declared with grade {grade}",
+                    inferred,
+                    declared,
                 )
-            )
-        return derived
-
-    def synth(
-        self,
-        rule: str,
-        t: Term,
-        bound: dict[str, GradedType],
-        unbounded: set[str],
-    ) -> tuple[GradedType, GradedCtx]:
-        match t:
-            case Unit():
-                return O, _EMPTY
-            case Omega():
-                # Divergence inhabits the ground type only: rule bodies
-                # never demand it at higher type in head position.
-                return O, _EMPTY
-            case Var(n):
-                if n in unbounded:
-                    return bound[n], _EMPTY
-                return bound[n], GradedCtx.of({n: (1, bound[n])})
-            case NonTerm(n):
-                return self.scheme.nonterminals[n].ty, _EMPTY
-            case Param(n):
-                return self.scheme.params[n], _EMPTY
-            case App(f, a):
-                fty, fuse = self.synth(rule, f, bound, unbounded)
-                if not isinstance(fty, Arrow):
-                    raise _Reject(
-                        Diagnostic(
-                            rule,
-                            "application of a non-arrow term",
-                            inferred=render_type(fty),
-                        )
-                    )
-                if fty.grade == INF:
-                    ok = isinstance(a, (NonTerm, Param)) or (
-                        isinstance(a, Var) and a.name in unbounded
-                    )
-                    if not ok:
-                        raise _Reject(
-                            Diagnostic(
-                                rule,
-                                "unbounded application: argument is neither "
-                                "a parameter nor a non-terminal",
-                            )
-                        )
-                aty, ause = self.synth(rule, a, bound, unbounded)
-                if not subtype(aty, fty.arg):
-                    raise _Reject(
-                        Diagnostic(
-                            rule,
-                            "argument type mismatch",
-                            inferred=render_type(aty),
-                            declared=render_type(fty.arg),
-                        )
-                    )
-                if fty.grade == INF:
-                    use = fuse  # the argument carries no graded usage
-                else:
-                    use = fuse + ause.scale(fty.grade)
-                return fty.result, use
-            case Choice(l, _, r):
-                lt, lu = self.synth(rule, l, bound, unbounded)
-                rt, ru = self.synth(rule, r, bound, unbounded)
-                if lt != O or rt != O:
-                    raise _Reject(
-                        Diagnostic(rule, "probabilistic choice requires type o")
-                    )
-                return O, lu.max(ru)
-            case Tuple_(items):
-                use = _EMPTY
-                for it in items:
-                    ity, iu = self.synth(rule, it, bound, unbounded)
-                    if ity != O:
-                        raise _Reject(
-                            Diagnostic(rule, "tuple components must have type o")
-                        )
-                    use = use.max(iu)
-                return Ground(len(items)), use
-            case Proj(i, b):
-                bty, bu = self.synth(rule, b, bound, unbounded)
-                if not isinstance(bty, Ground) or i > bty.width:
-                    raise _Reject(
-                        Diagnostic(
-                            rule,
-                            f"projection index {i} outside ground width",
-                            inferred=render_type(bty),
-                        )
-                    )
-                return O, bu
-        raise TypeError(t)
+        raise _Reject("derived type is not a subtype of the declaration", inferred, declared)
+    return derived
 
 
-def _run(scheme: Scheme, infinitary: bool, system: str) -> TypingReport:
-    checker = _Checker(scheme, infinitary)
+def _synth(
+    scheme: Scheme, t: Term, bound: dict[str, GradedType], unbounded: set[str]
+) -> tuple[GradedType, dict[str, int]]:
+    """The type of t and how many times it uses each bound variable (an
+    absent variable is used 0 times).  Every call returns a fresh dict,
+    which its caller may update in place."""
+    match t:
+        case Unit():
+            return O, {}
+        case Omega():
+            # Divergence inhabits the ground type only: rule bodies
+            # never demand it at higher type in head position.
+            return O, {}
+        case Var(n):
+            return bound[n], {} if n in unbounded else {n: 1}
+        case NonTerm(n):
+            return scheme.nonterminals[n].ty, {}
+        case Param(n):
+            return scheme.params[n], {}
+        case App(f, a):
+            fty, use = _synth(scheme, f, bound, unbounded)
+            if not isinstance(fty, Arrow):
+                raise _Reject("application of a non-arrow term", render_type(fty))
+            if fty.grade == INF and not (
+                isinstance(a, (NonTerm, Param)) or (isinstance(a, Var) and a.name in unbounded)
+            ):
+                raise _Reject(
+                    "unbounded application: argument is neither "
+                    "a parameter nor a non-terminal"
+                )
+            aty, ause = _synth(scheme, a, bound, unbounded)
+            if not subtype(aty, fty.arg):
+                raise _Reject("argument type mismatch", render_type(aty), render_type(fty.arg))
+            if fty.grade != INF:  # an unbounded argument carries no graded usage
+                for n, g in ause.items():
+                    use[n] = use.get(n, 0) + fty.grade * g
+            return fty.result, use
+        case Choice(l, _, r):
+            lt, use = _synth(scheme, l, bound, unbounded)
+            rt, ru = _synth(scheme, r, bound, unbounded)
+            if lt != O or rt != O:
+                raise _Reject("probabilistic choice requires type o")
+            return O, _max_into(use, ru)
+        case Tuple_(items):
+            use = {}
+            for it in items:
+                ity, iu = _synth(scheme, it, bound, unbounded)
+                if ity != O:
+                    raise _Reject("tuple components must have type o")
+                _max_into(use, iu)
+            return Ground(len(items)), use
+        case Proj(i, b):
+            bty, use = _synth(scheme, b, bound, unbounded)
+            if not isinstance(bty, Ground) or i > bty.width:
+                raise _Reject(
+                    f"projection index {i} outside ground width", render_type(bty)
+                )
+            return O, use
+    raise TypeError(t)
+
+
+def _max_into(use: dict[str, int], other: dict[str, int]) -> dict[str, int]:
+    """use updated to the pointwise maximum of use and other."""
+    for n, g in other.items():
+        if g > use.get(n, 0):
+            use[n] = g
+    return use
+
+
+def _run(scheme: Scheme, system: str) -> TypingReport:
     report = TypingReport("accepted", system)
     for name in scheme.nonterminals:
         try:
-            report.derived[name] = checker.check_rule(name)
+            report.derived[name] = _check_rule(scheme, name)
         except _Reject as e:
             report.status = "rejected"
-            report.diagnostics.append(e.diag)
-        except CtxError as e:
-            report.status = "rejected"
-            report.diagnostics.append(Diagnostic(name, str(e)))
+            report.diagnostics.append(Diagnostic(name, *e.args))
     return report
 
 
@@ -354,10 +243,11 @@ def check_fin(scheme: Scheme) -> TypingReport:
                 Diagnostic(name, "infinite grade present", declared=render_type(d.ty))
             )
             return rep
-    return _run(scheme, infinitary=False, system="finitary")
+    # Without infinite grades, the checker's unbounded cases never arise.
+    return _run(scheme, "finitary")
 
 
 def check_inf(scheme: Scheme) -> TypingReport:
     """Infinitary checking: unbounded grades allowed on non-terminal
     spines; conservative over check_fin."""
-    return _run(scheme, infinitary=True, system="infinitary")
+    return _run(scheme, "infinitary")

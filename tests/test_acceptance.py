@@ -186,7 +186,7 @@ def test_criterion_7_order1_affinity():
         assert check_fin(scheme).accepted
         fas = compile_scheme(scheme)  # also runs the built-in spine check
         for nt, d in scheme.nonterminals.items():
-            interp = _Interp(scheme, nt, 10**5)
+            interp = _Interp(scheme, nt)
             raw = interp.sem(d.body, GroundPoint(1))
             live = Poly(
                 {

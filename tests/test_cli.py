@@ -30,8 +30,9 @@ def _path(name: str) -> str:
     return str(scheme_path(name))
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports this phors_lab."""
+def _python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this phors_lab; it is killed
+    after `timeout` seconds."""
     src = str(Path(phors_lab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
@@ -39,7 +40,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -53,6 +54,19 @@ def _assert_input_error(*argv: str) -> str:
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     return proc.stderr
+
+
+# Over the index-set cap: F's type has (4^6)^3 points.
+OVER_CAP = (
+    "F : !3 o^6 -o !3 o^6 -o !3 o^6 -o o ; F x y z = e ; "
+    "S = F <e,e,e,e,e,e> <e,e,e,e,e,e> <e,e,e,e,e,e> ;"
+)
+# Over the cap only in G's type and in the argument type of F, whose
+# grade 0 admits only the empty multiset.
+GRADE_ZERO_OVER_CAP = (
+    "F : !0 (!9 (!9 o^3 -o o^3) -o o) -o o ;  F x = e ;\n"
+    "G : !9 (!9 o^3 -o o^3) -o o ;  G h = pi_1 (h <e, e, e>) ;  S = F G ;\n"
+)
 
 
 class TestCheck:
@@ -120,6 +134,15 @@ class TestAnalyze:
     def test_open_scheme_is_an_input_error(self):
         message = _assert_input_error("analyze", _path("dyck_core"))
         assert message == "error: analysis requires a closed scheme\n"
+
+    @pytest.mark.parametrize("text", [OVER_CAP, GRADE_ZERO_OVER_CAP], ids=["over-cap", "grade-zero"])
+    def test_index_set_over_the_cap_is_inconclusive(self, tmp_path, text):
+        path = tmp_path / "big.phors"
+        path.write_text(text)
+        proc = _python("-m", "phors_lab.cli", "analyze", str(path), timeout=10)
+        assert proc.returncode == EXIT_INCONCLUSIVE
+        assert proc.stdout == ""
+        assert proc.stderr == "inconclusive: index-set size exceeds the cap of 100000\n"
 
     def test_negative_degree_is_an_input_error(self):
         _assert_input_error("analyze", _path("unit"), "--degree", "-1")
@@ -312,5 +335,8 @@ class TestExitCodes:
         assert main(["check", _path("unit")]) == EXIT_OK
         assert main(["check", "/missing.phors"]) == EXIT_INPUT
         assert main(["check", _path("nonalg")]) == EXIT_NEGATIVE
+        over_cap = tmp_path / "over_cap.phors"
+        over_cap.write_text(OVER_CAP)
+        assert main(["analyze", str(over_cap)]) == EXIT_INCONCLUSIVE
         capsys.readouterr()
-        assert EXIT_INCONCLUSIVE == 3  # reserved for unresolved solves
+        assert (EXIT_OK, EXIT_INPUT, EXIT_NEGATIVE, EXIT_INCONCLUSIVE) == (0, 1, 2, 3)

@@ -13,6 +13,7 @@ from phors_lab.interp import (
     ArrowPoint,
     GroundPoint,
     IndexCapExceeded,
+    VAR_CAP,
     bv_vid,
     compile_scheme,
     index_set,
@@ -82,9 +83,22 @@ class TestIndexSets:
         assert (GroundPoint(1), ArrowPoint(((g, 1),), g)) == (g, used)
 
     def test_cap_enforced(self):
+        # About 10^3000 points; one more arrow level would have about
+        # 10^(10^3000), whose size is never computed either.
         big = Arrow(9, Arrow(9, Ground(3), Ground(3)), O)
-        with pytest.raises(IndexCapExceeded):
-            index_set(big, cap=1000)
+        for ty in (big, Arrow(9, big, O)):
+            with pytest.raises(IndexCapExceeded):
+                index_set(ty)
+            assert index_size(ty) == VAR_CAP + 1
+
+    def test_grade_zero_argument_is_not_enumerated(self):
+        # The only multiset of grade 0 is the empty one, whatever the
+        # size of the argument's own index set.
+        big = Arrow(9, Arrow(9, Ground(3), Ground(3)), O)
+        assert index_set(Arrow(0, big, Ground(2))) == [
+            ArrowPoint((), GroundPoint(1)),
+            ArrowPoint((), GroundPoint(2)),
+        ]
 
     def test_multiplicities_bounded_by_grade(self):
         for tag, arg_uses, _ in index_set(Arrow(2, FN, FN)):
@@ -148,6 +162,19 @@ class TestCompile:
             compile_scheme(load_bundled("nonalg"))
         with pytest.raises(InterpError):
             compile_scheme(load_bundled("dyck"))  # infinitary, reduce first
+
+    def test_grade_zero_binding_is_not_enumerated(self):
+        # x's type has about 10^3000 points, but grade 0 means x is never
+        # used; every index set the compile needs has one point.
+        s = parse(
+            "F : !0 (!9 (!9 o^3 -o o^3) -o o) -o o ; F x = e ; "
+            "G : !0 (!9 o^3 -o o^3) -o o ; G h = e ; S = F G ;"
+        )
+        assert reachable(compile_scheme(s)).render() == (
+            "y[F;([]->1)] = 1   # improper\n"
+            "y[S;1] = y[F;([]->1)]   # improper\n"
+            "start y[S;1]\n"
+        )
 
     def test_random_walk_system(self):
         fas = compile_scheme(load_bundled("randomwalk"))
@@ -275,9 +302,9 @@ class TestCompile:
         built = []
 
         class Counting(interp._Interp):
-            def __init__(self, scheme, rule, cap, nonzero=None):
+            def __init__(self, scheme, rule, nonzero=None):
                 built.append(rule)
-                super().__init__(scheme, rule, cap, nonzero)
+                super().__init__(scheme, rule, nonzero)
 
         monkeypatch.setattr(interp, "_Interp", Counting)
 
@@ -352,7 +379,7 @@ def _live_bodies(scheme):
     fas = compile_scheme(scheme)
     zeros = fas.zeros
     for nt, d in scheme.nonterminals.items():
-        interp = _Interp(scheme, nt, 10**5)
+        interp = _Interp(scheme, nt)
         raw = interp.sem(d.body, GroundPoint(1))
         live = Poly(
             {

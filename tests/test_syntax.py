@@ -117,6 +117,12 @@ class TestParseErrors:
             parse("S = e ;\nT = unknown_name ;")
         assert exc.value.line == 2
 
+    def test_declaration_without_rule_is_reported_where_it_stands(self):
+        with pytest.raises(ParseError) as exc:
+            parse("S = e ;\n\n  G : !1 o -o o ;")
+        assert (exc.value.line, exc.value.col) == (3, 3)
+        assert str(exc.value) == "3:3: declaration of 'G' has no rule"
+
     def test_start_must_be_ground(self):
         with pytest.raises(SchemeError):
             parse("S : !1 o -o o ; S x = x ;")

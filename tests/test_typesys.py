@@ -1,15 +1,14 @@
-"""Graded type checking: subtyping, context algebra, and the two
-checkers on accepting and rejecting schemes."""
+"""Graded type checking: subtyping, and the two checkers on accepting
+and rejecting schemes."""
 
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phors_lab import load_bundled
 from phors_lab.syntax import INF, Arrow, Ground, O, parse
-from phors_lab.typesys import CtxError, GradedCtx, check_fin, check_inf, subtype
+from phors_lab.typesys import check_fin, check_inf, subtype
 
 from conftest import random_order1_scheme, random_order2_scheme
 
@@ -43,41 +42,6 @@ class TestSubtype:
     def test_ground_widths_are_invariant(self):
         assert not subtype(Ground(1), Ground(2))
         assert not subtype(Ground(2), Ground(1))
-
-
-class TestGradedCtx:
-    def test_add_sums_grades(self):
-        a = GradedCtx.of({"x": (1, O)})
-        b = GradedCtx.of({"x": (2, O), "y": (1, O)})
-        assert (a + b).as_dict() == {"x": (3, O), "y": (1, O)}
-
-    def test_max_takes_pointwise_max(self):
-        a = GradedCtx.of({"x": (1, O)})
-        b = GradedCtx.of({"x": (2, O)})
-        assert a.max(b).grade_of("x") == 2
-
-    def test_scale(self):
-        a = GradedCtx.of({"x": (2, O)})
-        assert a.scale(3).grade_of("x") == 6
-
-    def test_type_conflict_is_an_error(self):
-        a = GradedCtx.of({"x": (1, O)})
-        b = GradedCtx.of({"x": (1, Arrow(1, O, O))})
-        with pytest.raises(CtxError):
-            a + b
-
-    def test_contexts_are_frozen_values(self):
-        a = GradedCtx.of({"x": (1, O)})
-        assert a == GradedCtx((("x", 1, O),)) and hash(a) == hash(GradedCtx.of({"x": (1, O)}))
-        assert GradedCtx() == GradedCtx(()) != a
-        assert repr(a) == "GradedCtx(bindings=(('x', 1, Ground(width=1)),))"
-        with pytest.raises(AttributeError):
-            a.bindings = ()
-
-    def test_absent_binding_counts_as_zero(self):
-        a = GradedCtx.of({"x": (2, O)})
-        assert (a + GradedCtx()).as_dict() == a.as_dict()
-        assert a.max(GradedCtx()).as_dict() == a.as_dict()
 
 
 class TestCheckFin:
