@@ -58,7 +58,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Poly:
-    """Sparse polynomial: dict from monomial to nonzero Fraction."""
+    """Sparse polynomial: dict from monomial to nonzero Fraction (float in a float copy)."""
 
     __slots__ = ("terms",)
 
@@ -141,9 +141,9 @@ class Poly:
     # -- evaluation ----------------------------------------------------
 
     def eval(self, assignment: Mapping[int, Fraction]) -> Fraction:
-        """The value at a rational point that assigns every variable of
-        the polynomial."""
-        total = ZERO
+        """The value at a point that assigns every variable of the
+        polynomial; coefficients and values may be Fractions or floats."""
+        total = 0
         for m, c in self.terms.items():
             acc = c
             for vid, exp in m:

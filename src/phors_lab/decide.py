@@ -26,7 +26,6 @@ from .solver import (
 )
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class FixpointAtOne:

@@ -17,9 +17,10 @@ Three entry points:
   square-free part of P(y) - y, with a rational-root test on the
   isolating interval; multivariate nonlinear ones by a spectral test at
   the all-ones candidate (one factorisation of I - J gives the solution
-  of (I - J) x = 1, or a kernel vector when I - J is singular) with a
-  Newton/pre-fixpoint fallback.  Results are exact rationals wherever
-  possible, otherwise intervals certified to width EPS.
+  of (I - J) x = 1, or a kernel vector when I - J is singular), else by
+  Newton in floats, checked in exact arithmetic: no float reaches a
+  result, which is an exact rational wherever possible, else an interval
+  of width <= EPS with both ends proven, or [0, 1] with a note.
 * `expected_steps` — the derivative of the start series at z = 1 via
   implicit differentiation of the fixpoint identity at the least
   solution; a singular linear system is precisely the
@@ -34,12 +35,9 @@ import operator
 from collections import defaultdict
 from fractions import Fraction
 
-from .algebra import Poly, TruncSeries
+from .algebra import ONE, ZERO, Poly, TruncSeries
 from .interp import Fas, sccs, var_name, z_vid
 from .syntax import Frozen
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SolverError(ValueError):
@@ -228,13 +226,16 @@ def solve_or_kernel(
     Forward elimination takes the columns in order and, among the rows
     left that are nonzero in a column, the shortest as its pivot; it
     touches only nonzero entries and eliminates nothing above a pivot.
-    Back-substitution then gives x or u."""
+    Back-substitution then gives x or u.  Entries are Fractions, or
+    floats with no Fraction arithmetic: 1 and 0 take the type of b's."""
     n = len(J)
+    one = b[0] ** 0
+    zero = one - one
     # Row i of A, with b_i in column n.
     rows = []
     for i, (row, x) in enumerate(zip(J, b)):
         r = {j: -v for j, v in row.items()}
-        r[i] = r.get(i, ZERO) + ONE
+        r[i] = r.get(i, 0) + one
         if not r[i]:
             del r[i]
         if x:
@@ -260,7 +261,7 @@ def solve_or_kernel(
         for i in list(cand):
             r, f = rows[i], rows[i][col]
             for j, x in prow.items():
-                y = r.get(j, ZERO) - f * x
+                y = r.get(j, 0) - f * x
                 if y:
                     if j not in r:
                         where[j].add(i)
@@ -271,13 +272,13 @@ def solve_or_kernel(
         pivots.append((col, prow))
     # Each pivot row is 1 at its column and 0 left of it; its entry in
     # column n is b's, which x[n] = -1 brings in and x[n] = 0 leaves out.
-    x = [ZERO] * (n + 1)
+    x = [zero] * (n + 1)
     if free:
-        x[free[0]] = ONE
+        x[free[0]] = one
     else:
-        x[n] = -ONE
+        x[n] = -one
     for col, prow in reversed(pivots):
-        x[col] = -sum((v * x[j] for j, v in prow.items() if j != col), ZERO)
+        x[col] = -sum((v * x[j] for j, v in prow.items() if j != col), zero)
     return (None, x[:n]) if free else (x[:n], None)
 
 
@@ -308,7 +309,7 @@ def jacobian(
                         f -= 1
                     if f:
                         x *= point[u] if f == 1 else point[u] ** f
-                row[j] = row.get(j, ZERO) + x
+                row[j] = row.get(j, 0) + x
         J.append({j: x for j, x in row.items() if x})
     return J
 
@@ -362,18 +363,21 @@ def _solve_scc(
     Diagnostics go to `notes`; unknowns whose least root is irrational
     go to `irrational`."""
     comp_set = set(comp)
-    self_dep = any(
-        w in comp_set for v in comp for w in local[v].variables()
-    )
-    if not self_dep:
+    if not any(w in comp_set for v in comp for w in local[v].variables()):
         return {v: local[v].constant_term() for v in comp}
-
-    linear = all(local[v].degree_in(comp_set) <= 1 for v in comp)
-    if linear:
+    if all(local[v].degree_in(comp_set) <= 1 for v in comp):
         return _solve_linear(local, comp, notes)
     if len(comp) == 1:
         return _solve_univariate(local, comp[0], notes, irrational)
-    return _solve_multivariate(local, comp, notes)
+    ones = {v: ONE for v in comp}
+    if all(local[v].eval(ones) == ONE for v in comp) and _spectral_radius_le_one(
+        jacobian(local, comp, ones)
+    ):
+        # Strongly connected, P(1) = 1, spectral radius of the Jacobian
+        # at 1 at most 1: the least fixpoint is 1.
+        return ones
+    # Supercritical, or 1 is not a fixpoint: bracket the least one.
+    return _newton_bracket(local, comp, notes)
 
 
 def _solve_linear(
@@ -539,67 +543,63 @@ def _irreducible_rho_le_one(J: list[dict[int, Fraction]]) -> bool:
     return all(v > 0 for v in u) or all(v < 0 for v in u)
 
 
-def _solve_multivariate(
-    local: dict[int, Poly], comp: list[int], notes: list[str]
-) -> dict[int, Value]:
-    ones = {v: ONE for v in comp}
-    if all(
-        local[v].eval(ones) == ONE for v in comp
-    ) and _spectral_radius_le_one(jacobian(local, comp, ones)):
-        # Strongly connected, P(1) = 1, spectral radius of the Jacobian
-        # at 1 at most 1: the least fixpoint is 1.
-        return ones
-    # Supercritical, or 1 is not a fixpoint: bracket the least one.
-    return _newton_bracket(local, comp, notes)
-
-
 def _newton_bracket(
     local: dict[int, Poly], comp: list[int], notes: list[str]
 ) -> dict[int, Value]:
-    """Exact Newton iterations from below plus a rational pre-fixpoint
-    search from above; returns intervals (possibly degenerate)."""
-    pos = {v: i for i, v in enumerate(comp)}
-    x = {v: ZERO for v in comp}
-    for _ in range(50):
-        J = jacobian(local, comp, x)
-        r = [local[v].eval(x) - x[v] for v in comp]
-        d = solve_or_kernel(J, r)[0]
-        if d is None:
-            break
-        nxt = {v: x[v] + d[pos[v]] for v in comp}
-        # Keep denominators manageable; rounding down preserves the
-        # lower-bound property.
-        nxt = {
-            v: min(val, Fraction(val).limit_denominator(10**12))
-            for v, val in nxt.items()
-        }
-        if all(abs(nxt[v] - x[v]) < EPS / 4 for v in comp):
-            x = nxt
-            break
-        x = nxt
-    lo = {v: max(ZERO, val) for v, val in x.items()}
-    # Pre-fixpoint search: round the lower bound up by shrinking margins,
-    # and keep the narrowest one that still gives a pre-fixpoint.
-    best = None
-    for j in range(4, 60, 4):
-        margin = Fraction(1, 2**j)
-        cand = {v: min(ONE, lo[v] + margin) for v in comp}
-        if not all(local[v].eval(cand) <= cand[v] for v in comp):
-            if best is not None:
+    """The least fixpoint of a nonlinear component: floats propose, exact
+    arithmetic decides (Etessami, Stewart & Yannakakis, rounded Newton,
+    STOC 2012).  Newton from 0 runs in floats on a float copy of the
+    component, to x, and w' is the float solution of (I - J(x)) w = 1.
+    `_is_bracket` then checks x rounded by `limit_denominator` as the
+    value, else [max(0, x - eps w'), x + eps w'] with eps = 2^-k as
+    large as width <= EPS allows, halved up to three times.  Failing
+    all, every value is [0, 1], with a note."""
+    flocal = {v: Poly({m: float(c) for m, c in local[v].terms.items()}) for v in comp}
+    x, step = [0.0] * len(comp), math.inf
+    try:
+        for _ in range(64):
+            point = dict(zip(comp, x))
+            r = [flocal[v].eval(point) - xv for v, xv in zip(comp, x)]
+            d = solve_or_kernel(jacobian(flocal, comp, point), r)[0]
+            if d is None:
                 break
-            continue
-        best = cand
-        if max(cand[v] - lo[v] for v in comp) <= EPS:
-            break
-    if best is None:
-        notes.append(
-            "inconclusive-width: no certified upper bound found for "
-            + ", ".join(var_name(v) for v in comp)
-        )
-        return {v: Interval(lo[v], ONE) for v in comp}
-    return {
-        v: lo[v] if lo[v] == best[v] else Interval(lo[v], best[v]) for v in comp
-    }
+            x = [xv + dv for xv, dv in zip(x, d)]
+            last, step = step, max(map(abs, d))
+            # Converged, or rounding keeps a small step from shrinking.
+            if step <= 2**-52 or (last <= 2**-26 and step >= last):
+                break
+        w = solve_or_kernel(jacobian(flocal, comp, dict(zip(comp, x))), [1.0] * len(comp))[0]
+    except OverflowError:  # the iterates ran off: no fixpoint near them
+        w = None
+    if w is not None and all(map(math.isfinite, x + w)) and min(w) > 0:
+        w = [Fraction(wv) for wv in w]
+        lo = hi = {v: Fraction(xv).limit_denominator() for v, xv in zip(comp, x)}
+        eps = Fraction(1, 1 << math.ceil(2 * max(w) / EPS).bit_length())
+        for _ in range(5):
+            if _is_bracket(local, comp, lo, hi, w):
+                return lo if lo is hi else {v: Interval(lo[v], hi[v]) for v in comp}
+            lo = {v: max(ZERO, Fraction(xv) - eps * wv) for v, xv, wv in zip(comp, x, w)}
+            hi = {v: Fraction(xv) + eps * wv for v, xv, wv in zip(comp, x, w)}
+            eps /= 2
+    names = ", ".join(var_name(v) for v in comp)
+    notes.append(f"inconclusive-width: no certified bracket found for {names}")
+    return {v: Interval(ZERO, ONE) for v in comp}
+
+
+def _is_bracket(local: dict[int, Poly], comp: list[int], lo: dict[int, Fraction],
+                hi: dict[int, Fraction], w: list[Fraction]) -> bool:
+    """Whether 0 <= lo <= P(lo), lo <= hi, P(hi) <= hi, w > 0 and
+    (I - J(hi)) w > 0, exactly.  Then lo <= mu <= hi for the least
+    fixpoint mu: mu <= hi as P(hi) <= hi; w gives rho(J(hi)) < 1
+    (Collatz-Wielandt), so a fixpoint f in [mu, hi], which has f - mu <=
+    J(hi) (f - mu) by convexity, is mu; and Kleene iteration from lo
+    rises within [lo, hi] to such an f."""
+    for v in comp:
+        p = local[v].eval(lo)
+        if not 0 <= lo[v] <= min(hi[v], p) or (p if hi is lo else local[v].eval(hi)) > hi[v]:
+            return False
+    J = jacobian(local, comp, hi)
+    return all(0 < wv > sum(a * w[j] for j, a in row.items()) for wv, row in zip(w, J))
 
 
 # ---------------------------------------------------------------------------

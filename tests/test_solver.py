@@ -21,13 +21,14 @@ from phors_lab.solver import (
     kleene_series,
     solve_at_one,
     solve_or_kernel,
+    _is_bracket,
     _spectral_radius_le_one,
 )
 from phors_lab.operational import enumerate_terminations
 from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
 
-from conftest import random_order1_scheme, random_order2_scheme
+from conftest import random_order1_scheme, random_order2_scheme, ring_text
 
 F = Fraction
 
@@ -512,8 +513,21 @@ class TestSpectralRadius:
         assert _spectral_radius_le_one(rows([[a, F(1, 2)], [F(0), d]])) is expected
 
 
+def _two_ring(bias: Fraction):
+    """The component a = bias b^2 + 1 - bias, b = bias a^2 + 1 - bias
+    of the 2-ring at z = 1, as (local, comp)."""
+    a, b = Poly.var(_v("a")), Poly.var(_v("b"))
+    rest = Poly.const(1 - bias)
+    local = {_v("a"): Poly.const(bias) * b * b + rest, _v("b"): Poly.const(bias) * a * a + rest}
+    return local, [_v("a"), _v("b")]
+
+
+def _const_point(comp, x):
+    return {v: F(x) for v in comp}
+
+
 class TestNewtonBracket:
-    def test_supercritical_ring_interval_is_narrow(self):
+    def test_supercritical_ring_is_exact(self):
         # Each rule is the walk y = (2/3) y^2 + 1/3, whose least
         # fixpoint is 1/2; two rules make a multivariate component.
         scheme = parse(
@@ -523,13 +537,93 @@ class TestNewtonBracket:
         )
         fas = reachable(compile_scheme(scheme))
         verdict = decide_past(fas)
-        val = verdict.p_term
-        assert isinstance(val, Interval)
-        assert val.lo <= F(1, 2) <= val.hi
-        assert val.width <= EPS
+        assert verdict.p_term == F(1, 2) and isinstance(verdict.p_term, Fraction)
         (cert,) = verdict.certificates
         assert isinstance(cert, PreFixpointBelowOne)
+        assert set(cert.assignment.values()) == {F(1, 2)}
         assert verify_certificate(fas, cert)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40])
+    @pytest.mark.parametrize("bias", [F(1, 2), F(1, 3), F(2, 3), F(501, 1000), F(50001, 100000)])
+    def test_ring_values_are_exact(self, n, bias):
+        fas = reachable(compile_scheme(parse(ring_text(n, bias))))
+        sol = solve_at_one(fas)
+        assert sol.exact and sol.diagnostics == []
+        assert set(sol.values.values()) == {min(F(1), (1 - bias) / bias)}
+        assert all(type(x) is Fraction for x in sol.values.values())
+
+    def test_irrational_component_is_a_proven_bracket(self):
+        # f = (2/3) g^2 + 1/3 and g = (3/4) f^2 + 1/4, so f is a root of
+        # 3f^4 + 2f^2 - 8f + 3 = (f - 1)(3f^3 + 3f^2 + 5f - 3); the least
+        # is the cubic's real root, f ~ 0.436114, which is irrational.
+        fas = reachable(compile_scheme(parse(
+            "F : !1 o -o o ; F x = (G (G x)) [2/3] x ; "
+            "G : !1 o -o o ; G x = (F (F x)) [3/4] x ; S = F e ;"
+        )))
+        verdict = decide_past(fas)
+        val = verdict.p_term
+        assert isinstance(val, Interval) and 0 < val.width <= EPS
+        assert isinstance(val.lo, Fraction) and isinstance(val.hi, Fraction)
+
+        def cubic(f):
+            return 3 * f**3 + 3 * f**2 + 5 * f - 3
+
+        assert cubic(val.lo) <= 0 <= cubic(val.hi)
+        assert verdict.ast == "no" and verdict.certificates
+        assert all(verify_certificate(fas, c) for c in verdict.certificates)
+
+    def test_exact_checks_accept_true_values_and_brackets(self):
+        local, comp = _two_ring(F(2, 3))
+        half, w = _const_point(comp, F(1, 2)), [F(1), F(1)]
+        assert _is_bracket(local, comp, half, half, w)
+        lo, hi = _const_point(comp, F(49, 100)), _const_point(comp, F(51, 100))
+        assert _is_bracket(local, comp, lo, hi, w)
+
+    def test_all_ones_is_not_the_least_fixpoint(self):
+        # P(1) = 1, but rho(J(1)) = 4/3, so no w > 0 has (I - J(1)) w > 0;
+        # w = -1 satisfies that inequality and is rejected for its sign.
+        local, comp = _two_ring(F(2, 3))
+        ones = _const_point(comp, 1)
+        assert all(local[v].eval(ones) == 1 for v in comp)
+        for w in ([F(1), F(1)], [F(1), F(2)], [F(-1), F(-1)], [F(3), F(1, 3)]):
+            assert not _is_bracket(local, comp, ones, ones, w)
+
+    def test_w_with_a_zero_entry_is_rejected(self):
+        local, comp = _two_ring(F(2, 3))
+        lo, hi = _const_point(comp, F(49, 100)), _const_point(comp, F(51, 100))
+        assert not _is_bracket(local, comp, lo, hi, [F(1), F(0)])
+        half = _const_point(comp, F(1, 2))
+        assert not _is_bracket(local, comp, half, half, [F(0), F(1)])
+
+    def test_hi_below_the_least_fixpoint_is_rejected(self):
+        local, comp = _two_ring(F(2, 3))
+        lo, hi = _const_point(comp, F(49, 100)), _const_point(comp, F(499, 1000))
+        assert not _is_bracket(local, comp, lo, hi, [F(1), F(1)])
+
+    def test_lo_above_the_least_fixpoint_is_rejected(self):
+        local, comp = _two_ring(F(2, 3))
+        lo, hi = _const_point(comp, F(501, 1000)), _const_point(comp, F(51, 100))
+        assert not _is_bracket(local, comp, lo, hi, [F(1), F(1)])
+        # A post-fixpoint above both fixpoints is no lower bound either.
+        above = _const_point(comp, 2)
+        assert not _is_bracket(local, comp, above, _const_point(comp, F(51, 100)), [F(1), F(1)])
+
+    def test_no_fixpoint_gives_trivial_ends_and_a_note(self):
+        # a = 10 b^30 + 10, b = 10 a^30 + 10 has no finite fixpoint: the
+        # float iterates overflow, and nothing is claimed.
+        a, b = Poly.var(_v("a")), Poly.var(_v("b"))
+        ten = Poly.const(10)
+
+        def power(p, k):
+            out = Poly.const(1)
+            for _ in range(k):
+                out = out * p
+            return out
+
+        eqs = {"a": ten * power(b, 30) + ten, "b": ten * power(a, 30) + ten}
+        sol = solve_at_one(_make_system(eqs, "a"))
+        assert sol.values[_v("a")] == sol.values[_v("b")] == Interval(F(0), F(1))
+        assert len(sol.diagnostics) == 1 and sol.diagnostics[0].startswith("inconclusive-width:")
 
 
 # Reduced dyck_lossy: at z = 1, l = (1/4) l^2 + 1/4, so p_L = 2 - sqrt(3)
