@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from fractions import Fraction
 
 from .algebra import Monomial, Poly, REGISTRY
@@ -429,12 +429,11 @@ class Fas:
     """Finite monotone polynomial fixpoint system w = P(w, z)."""
 
     def __init__(self, eqs: dict[int, Poly], start: int, param_vids: set[int] | None = None,
-                 zeros: set[int] | None = None, proper: dict[int, bool] | None = None) -> None:
+                 zeros: set[int] | None = None) -> None:
         self.eqs = eqs  # unknown vid -> right-hand side
         self.start = start
         self.param_vids = set() if param_vids is None else param_vids
         self.zeros = set() if zeros is None else zeros  # eliminated zero unknowns
-        self.proper = {} if proper is None else proper
 
     def is_closed(self) -> bool:
         return not self.param_vids
@@ -445,13 +444,13 @@ class Fas:
     def render(self) -> str:
         lines = []
         for vid in sorted(self.eqs, key=var_name):
-            flag = "" if self.proper.get(vid, True) else "   # improper"
+            flag = "" if _is_proper(self.eqs[vid], self.eqs) else "   # improper"
             lines.append(f"{var_name(vid)} = {self.eqs[vid].render(var_name)}{flag}")
         lines.append(f"start {var_name(self.start)}")
         return "\n".join(lines) + "\n"
 
 
-def _is_proper(p: Poly, system_vids: set[int]) -> bool:
+def _is_proper(p: Poly, system_vids: Container[int]) -> bool:
     if p.constant_term() != 0:
         return False
     for m in p.terms:
@@ -514,9 +513,7 @@ def compile_scheme(scheme: Scheme) -> Fas:
     start = nt_vid(scheme.start, GroundPoint(1))
     declared = (nt_vid(name, idx) for name in scheme.nonterminals for idx in targets[name])
     eqs = {vid: found[vid] for vid in declared if vid in nonzero or vid == start}
-    system_vids = set(eqs)
-    proper = {vid: _is_proper(p, system_vids) for vid, p in eqs.items()}
-    fas = Fas(eqs, start, param_vids, set(found) - system_vids, proper)
+    fas = Fas(eqs, start, param_vids, set(found) - set(eqs))
 
     if max(order(d.ty) for d in scheme.nonterminals.values()) <= 1:
         # At order 1 a ground argument can reach head position at most
@@ -553,10 +550,4 @@ def reachable(fas: Fas) -> Fas:
         for v in p.variables()
         if v in fas.param_vids
     }
-    return Fas(
-        eqs,
-        fas.start,
-        used_params,
-        fas.zeros,
-        {v: f for v, f in fas.proper.items() if v in seen},
-    )
+    return Fas(eqs, fas.start, used_params, fas.zeros)

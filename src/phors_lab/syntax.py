@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from operator import attrgetter
@@ -569,10 +570,11 @@ def parse(source: str) -> Scheme:
             raise ParseError("expected '=' in rule", head.line, head.col)
         rules.append((head, st[1:eq], st[eq + 1:]))
 
-    nt_names = {h.text for h, _, _ in rules} | set(decls)
+    counts = Counter(h.text for h, _, _ in rules)
     for h, _, _ in rules:
-        if sum(1 for h2, _, _ in rules if h2.text == h.text) > 1:
+        if counts[h.text] > 1:
             raise ParseError(f"duplicate non-terminal {h.text!r}", h.line, h.col)
+    nt_names = set(counts) | set(decls)
 
     params: dict[str, GradedType] = {}
     for name_tok, ty_toks in param_stmts:

@@ -8,7 +8,10 @@
 * `reduce_inf` — turn a closed scheme with unbounded-grade non-terminal
   spines into a finitary one by instantiating every unbounded argument
   tuple with concrete non-terminals, keeping only what the start symbol
-  reaches.
+  reaches.  It re-checks nothing that `check_inf` has established:
+  unbounded bindings come first and have finitary types, an unbounded
+  argument is a bare non-terminal or unbounded variable, and every term
+  of infinitary type is applied to all its unbounded arguments.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .syntax import (
     Unit,
     Var,
     arg_types,
-    is_finitary,
     map_term,
     spine,
     type_of,
@@ -201,24 +203,27 @@ class _Inst(Frozen):
         return f"{self.name}__" + "_".join(self.gamma)
 
 
-def _inf_prefix(ty: GradedType) -> tuple[list[GradedType], GradedType]:
-    """Split an unbounded-prefix type into its unbounded argument types
-    and the finitary remainder."""
-    prefix: list[GradedType] = []
+def _split_inf(ty: GradedType) -> tuple[int, GradedType]:
+    """The number of leading unbounded arrows of ty and the finitary
+    type below them (check_inf admits unbounded grades only there)."""
+    j = 0
     while isinstance(ty, Arrow) and ty.grade == INF:
-        prefix.append(ty.arg)
-        ty = ty.result
-    if not is_finitary(ty):
-        raise TransformError(
-            "unbounded grades must form a prefix of the type spine"
-        )
-    return prefix, ty
+        j, ty = j + 1, ty.result
+    return j, ty
 
 
 def reduce_inf(scheme: Scheme) -> Scheme:
     """Instantiate every unbounded argument with matching non-terminals,
     restricted to the part reachable from the start symbol.  Schemes
-    without unbounded grades are returned unchanged up to revalidation."""
+    without unbounded grades are returned unchanged up to revalidation.
+
+    The instantiation relies on what check_inf guarantees of a closed
+    scheme: a rule's unbounded bindings precede its bounded ones and have
+    finitary types; an unbounded argument is a bare non-terminal or an
+    unbounded-bound variable; and a term of infinitary type is always
+    applied to all its unbounded arguments, whose types it has checked.
+    So substituting an instance's non-terminals for its unbounded
+    variables leaves bare non-terminals in every unbounded position."""
     if scheme.params:
         raise TransformError("reduction requires a closed scheme")
     report = check_inf(scheme)
@@ -226,99 +231,39 @@ def reduce_inf(scheme: Scheme) -> Scheme:
         msgs = "; ".join(d.message for d in report.diagnostics)
         raise TransformError(f"scheme does not type-check: {msgs}")
 
-    prefixes = {
-        name: _inf_prefix(d.ty) for name, d in scheme.nonterminals.items()
-    }
+    split = {name: _split_inf(d.ty) for name, d in scheme.nonterminals.items()}
+    start = _Inst(scheme.start, ())
+    seen = {start}
+    worklist = [start]
 
-    out: dict[str, NonTermDef] = {}
-    seen: set[_Inst] = set()
-    worklist: list[_Inst] = [_Inst(scheme.start, ())]
-    seen.add(worklist[0])
-
-    def resolve(arg: Term, env: dict[str, str]) -> str:
-        """An unbounded argument position: bare non-terminal, or an
-        unbounded-bound variable already instantiated via env."""
-        match arg:
-            case NonTerm(n):
-                if prefixes[n][0]:
-                    raise TransformError(
-                        f"non-terminal {n!r} needs its own instantiation "
-                        "before being passed along"
-                    )
-                return n
-            case Var(n) if n in env:
-                return env[n]
-        raise TransformError(
-            "unbounded argument is neither a non-terminal nor an "
-            "instantiated variable"
-        )
-
-    def visit(inst: _Inst) -> None:
-        if inst not in seen:
-            seen.add(inst)
-            worklist.append(inst)
-
-    def rewrite(t: Term, env: dict[str, str]) -> Term:
+    def rewrite(t: Term) -> Term:
         head, args = spine(t)
         match head:
-            case Var(n) if n in env:
-                new_head: Term = NonTerm(_rename_target(env[n]))
             case NonTerm(n):
-                j = len(prefixes[n][0])
-                if j:
-                    if len(args) < j:
-                        raise TransformError(
-                            f"partial unbounded application of {n!r}"
-                        )
-                    gamma = tuple(resolve(a, env) for a in args[:j])
-                    if any(
-                        not subtype(
-                            scheme.nonterminals[g].ty, prefixes[n][0][i]
-                        )
-                        for i, g in enumerate(gamma)
-                    ):
-                        raise TransformError(
-                            f"instantiation of {n!r} has mismatched types"
-                        )
-                    inst = _Inst(n, gamma)
-                    visit(inst)
-                    new_head = NonTerm(inst.rendered())
-                    args = args[j:]
-                else:
-                    visit(_Inst(n, ()))
-                    new_head = head
+                j = split[n][0]
+                inst = _Inst(n, tuple(a.name for a in args[:j]))
+                if inst not in seen:
+                    seen.add(inst)
+                    worklist.append(inst)
+                head, args = NonTerm(inst.rendered()), args[j:]
             case Choice(l, b, r):
-                assert not args
-                return Choice(rewrite(l, env), b, rewrite(r, env))
+                head = Choice(rewrite(l), b, rewrite(r))
             case Tuple_(items):
-                assert not args
-                return Tuple_(tuple(rewrite(i, env) for i in items))
+                head = Tuple_(tuple(rewrite(i) for i in items))
             case Proj(i, b):
-                new_head = Proj(i, rewrite(b, env))
-            case _:
-                new_head = head
+                head = Proj(i, rewrite(b))
         for a in args:
-            new_head = App(new_head, rewrite(a, env))
-        return new_head
+            head = App(head, rewrite(a))
+        return head
 
-    def _rename_target(name: str) -> str:
-        # env values are names of finitary non-terminals (empty gamma).
-        visit(_Inst(name, ()))
-        return name
-
+    out: dict[str, NonTermDef] = {}
     while worklist:
         inst = worklist.pop()
         d = scheme.nonterminals[inst.name]
-        inf_args, fin_ty = prefixes[inst.name]
-        if len(inst.gamma) != len(inf_args):
-            raise TransformError(
-                f"instantiation arity mismatch for {inst.name!r}"
-            )
-        env = dict(zip(d.params[: len(inf_args)], inst.gamma))
-        body = rewrite(d.body, env)
-        out[inst.rendered()] = NonTermDef(
-            fin_ty, d.params[len(inf_args):], body
-        )
+        j, fin_ty = split[inst.name]
+        sub = {Var(p): NonTerm(g) for p, g in zip(d.params, inst.gamma)}
+        body = map_term(d.body, lambda t: sub.get(t, t))
+        out[inst.rendered()] = NonTermDef(fin_ty, d.params[j:], rewrite(body))
 
     result = Scheme(out, {}, scheme.start)
     result.validate()

@@ -1,6 +1,7 @@
 """Shared fixtures and scheme generators for the test suite."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,31 @@ P_TERM = {
     "brackets": Fraction(1),
     "chain": Fraction(1),
 }
+
+
+# Scheme texts for the type checkers: those of test_typesys.py, and one
+# per diagnostic that mutating grades cannot produce.
+TYPING_TEXTS = [
+    "F : !0 o -o o ; F x = x ; S = F e ;",
+    "F : !0 o -o o ; F x = e ; S = F e ;",
+    "F : !1 (!1 o -o o) -o o ; I : !1 o -o o ; F f = (f [1/2] f) e ; I x = x ; S = F I ;",
+    "F : !1 o -o o ; F x = x [1/2] x ; S = F e ;",
+    "G : !2 o -o o ; G y = y [1/2] y ; S = G e ;",
+    "G : !2 o -o o ; F : !1 o -o o ; G y = (D y) [1/2] e ; D : !2 o -o o ; "
+    "D y = D y ; F x = G (D x) ; S = F e ;",
+    "L : !1 o -o !inf (!1 o -o o) -o o ; I : !1 o -o o ; I x = x ; L x f = f x ; S = L e I ;",
+    "L : !inf (!1 o -o o) -o o ; M : !inf (!1 o -o o) -o o ; L f = M f ; M f = f e ; "
+    "S = L I ; I : !1 o -o o ; I x = x ;",
+    "F : o ; F = <e, e> ; S = F ;",
+    "F : !1 o -o o ; F x = x ; S = F ;",
+    "F : !1 o -o o ; F x = x e ; S = F e ;",
+    "F : !1 o^2 -o o ; F x = pi_1 x ; S = F e ;",
+    "F : !1 o -o o ; F x = x ; S = pi_1 <F, e> ;",
+    "S : o ; S = pi_2 e ;",
+    "F : !1 (!inf o -o o) -o o ; F f = f e ; I : !inf o -o o ; I x = e ; S = F I ;",
+    "F : !1 o -o o ; F x = x ; G : !inf (!1 o -o o) -o o ; G f = f e ; S = G (F) ;",
+]
+GRADE = re.compile(r"!(\d+|inf)")
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ files from the current code; review the diff before committing it."""
 
 import json
 import random
-import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -44,7 +43,7 @@ from phors_lab.syntax import SchemeError, is_finitary, parse, print_scheme
 from phors_lab.transforms import TransformError, reduce_inf
 from phors_lab.typesys import check_fin, check_inf
 
-from conftest import random_order1_scheme, random_order2_scheme, ring_text
+from conftest import GRADE, TYPING_TEXTS, random_order1_scheme, random_order2_scheme, ring_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -167,31 +166,6 @@ def test_verdicts_match_golden():
 
 def test_fas_matches_golden():
     assert fas_text() == (GOLDEN / "fas.json").read_text(encoding="utf-8")
-
-
-# Scheme texts for the type checkers: those of test_typesys.py, and one
-# per diagnostic that mutating grades cannot produce.
-TYPING_TEXTS = [
-    "F : !0 o -o o ; F x = x ; S = F e ;",
-    "F : !0 o -o o ; F x = e ; S = F e ;",
-    "F : !1 (!1 o -o o) -o o ; I : !1 o -o o ; F f = (f [1/2] f) e ; I x = x ; S = F I ;",
-    "F : !1 o -o o ; F x = x [1/2] x ; S = F e ;",
-    "G : !2 o -o o ; G y = y [1/2] y ; S = G e ;",
-    "G : !2 o -o o ; F : !1 o -o o ; G y = (D y) [1/2] e ; D : !2 o -o o ; "
-    "D y = D y ; F x = G (D x) ; S = F e ;",
-    "L : !1 o -o !inf (!1 o -o o) -o o ; I : !1 o -o o ; I x = x ; L x f = f x ; S = L e I ;",
-    "L : !inf (!1 o -o o) -o o ; M : !inf (!1 o -o o) -o o ; L f = M f ; M f = f e ; "
-    "S = L I ; I : !1 o -o o ; I x = x ;",
-    "F : o ; F = <e, e> ; S = F ;",
-    "F : !1 o -o o ; F x = x ; S = F ;",
-    "F : !1 o -o o ; F x = x e ; S = F e ;",
-    "F : !1 o^2 -o o ; F x = pi_1 x ; S = F e ;",
-    "F : !1 o -o o ; F x = x ; S = pi_1 <F, e> ;",
-    "S : o ; S = pi_2 e ;",
-    "F : !1 (!inf o -o o) -o o ; F f = f e ; I : !inf o -o o ; I x = e ; S = F I ;",
-    "F : !1 o -o o ; F x = x ; G : !inf (!1 o -o o) -o o ; G f = f e ; S = G (F) ;",
-]
-GRADE = re.compile(r"!(\d+|inf)")
 
 
 def _grade_mutants():

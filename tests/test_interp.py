@@ -203,9 +203,14 @@ class TestCompile:
     def test_properness_flags(self):
         fas = compile_scheme(load_bundled("randomwalk"))
         target = ArrowPoint(((GroundPoint(1), 1),), GroundPoint(1))
-        assert fas.proper[nt_vid("F", target)]
+        flagged = {
+            line.split(" = ")[0]
+            for line in fas.render().splitlines()
+            if line.endswith("   # improper")
+        }
+        assert var_name(nt_vid("F", target)) not in flagged
         # S = F is a bare linear unknown: flagged improper.
-        assert not fas.proper[nt_vid("S", GroundPoint(1))]
+        assert flagged == {var_name(nt_vid("S", GroundPoint(1)))}
 
     def test_compile_is_deterministic(self):
         a = compile_scheme(load_bundled("eq3"))

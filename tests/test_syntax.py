@@ -123,6 +123,14 @@ class TestParseErrors:
         assert (exc.value.line, exc.value.col) == (3, 3)
         assert str(exc.value) == "3:3: declaration of 'G' has no rule"
 
+    def test_duplicate_among_many_rules_is_reported_at_its_first_rule(self):
+        # The first rule in source order whose name repeats is reported,
+        # even where another name's copy comes before its own.
+        lines = [f"R{i} = e ;" for i in range(3000)] + ["R9 = omega ;", "R4 = omega ;"]
+        with pytest.raises(ParseError) as exc:
+            parse("\n".join(lines))
+        assert str(exc.value) == "5:1: duplicate non-terminal 'R4'"
+
     def test_start_must_be_ground(self):
         with pytest.raises(SchemeError):
             parse("S : !1 o -o o ; S x = x ;")

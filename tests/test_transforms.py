@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from phors_lab import load_bundled
+from phors_lab import bundled_names, load_bundled
 from phors_lab.algebra import TruncSeries
 from phors_lab.interp import compile_scheme, reachable
+from phors_lab.operational import enumerate_terminations
 from phors_lab.solver import kleene_series
-from phors_lab.syntax import INF, Arrow, O, arg_types, parse
+from phors_lab.syntax import INF, Arrow, O, SchemeError, arg_types, is_finitary, parse, print_scheme
 from phors_lab.transforms import (
     TransformError,
     aff_type,
@@ -17,9 +18,9 @@ from phors_lab.transforms import (
     linearize,
     reduce_inf,
 )
-from phors_lab.typesys import check_fin
+from phors_lab.typesys import check_fin, check_inf
 
-from conftest import random_order2_scheme
+from conftest import GRADE, TYPING_TEXTS, random_order1_scheme, random_order2_scheme
 
 F = Fraction
 
@@ -208,3 +209,63 @@ class TestReduceInf:
         assert "L__I" in red.nonterminals
         assert "M__I" in red.nonterminals
         assert check_fin(red).accepted
+
+
+@pytest.fixture(scope="module")
+def unbounded_mutants():
+    """200 distinct closed schemes that check_inf accepts and that have
+    an unbounded grade: bundled, typing-corpus and generated order-1 and
+    order-2 scheme texts with one to three grades set to inf."""
+    count = 200
+    rng = random.Random(18)
+    sources = [print_scheme(load_bundled(name)) for name in bundled_names()]
+    sources += TYPING_TEXTS
+    sources += [print_scheme(random_order1_scheme(rng)) for _ in range(300)]
+    sources += [print_scheme(random_order2_scheme(rng)) for _ in range(300)]
+    found = {}
+    for i in range(20 * count):
+        text = sources[i % len(sources)]
+        spots = [m.span(1) for m in GRADE.finditer(text)]
+        for lo, hi in sorted(rng.sample(spots, min(len(spots), rng.randint(1, 3))), reverse=True):
+            text = text[:lo] + "inf" + text[hi:]
+        try:
+            scheme = parse(text)
+        except SchemeError:
+            continue
+        if (
+            text not in found
+            and scheme.is_closed()
+            and not all(is_finitary(d.ty) for d in scheme.nonterminals.values())
+            and check_inf(scheme).accepted
+        ):
+            found[text] = scheme
+            if len(found) == count:
+                return list(found.values())
+    raise AssertionError(f"only {len(found)} accepted unbounded mutants")
+
+
+class TestReduceInfTotality:
+    """On every closed scheme check_inf accepts, the reduction succeeds,
+    its result is finitary, and it keeps the generating function."""
+
+    def test_reduction_is_total_on_accepted_schemes(self, unbounded_mutants):
+        for scheme in unbounded_mutants:
+            assert check_fin(reduce_inf(scheme)).accepted, print_scheme(scheme)
+
+    def test_reduction_keeps_the_operational_coefficients(self, unbounded_mutants):
+        degree = 4
+        checked = 0
+        for scheme in unbounded_mutants:
+            red = reduce_inf(scheme)
+            if not any("__" in name for name in red.nonterminals):
+                continue  # no instance was made
+            probs, budget_hit = enumerate_terminations(scheme, degree)
+            assert not budget_hit
+            want = tuple(probs.get(i, F(0)) for i in range(degree + 1))
+            if sum(1 for c in want if c) < 2:
+                continue  # too plain to tell a wrong reduction apart
+            assert _coeffs(red, degree) == want, print_scheme(scheme)
+            checked += 1
+            if checked == 10:
+                return
+        raise AssertionError(f"only {checked} schemes with an instance and two nonzero coefficients")
