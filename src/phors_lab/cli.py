@@ -36,11 +36,13 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _emit(report: dict, json_path: str | None) -> None:
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the file at path, if one is given, then to stdout;
+    a path that cannot be written leaves stdout empty."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
 
 
 def _scheme_is_finitary(scheme: Scheme) -> bool:
@@ -69,8 +71,7 @@ def cmd_check(args) -> int:
         report = check_fin(scheme)
     else:
         report = check_inf(scheme)
-    print(report.to_json())
-    _emit(json.loads(report.to_json()), args.json)
+    _emit(report.to_json(), args.json)
     return EXIT_OK if report.accepted else EXIT_NEGATIVE
 
 
@@ -102,8 +103,7 @@ def cmd_analyze(args) -> int:
     }
     report.update(verdict.to_jsonable())
     report["notes"] = notes + verdict.notes
-    print(json.dumps(report, indent=2))
-    _emit(report, args.json)
+    _emit(json.dumps(report, indent=2), args.json)
     if "inconclusive" in (verdict.ast, verdict.past):
         return EXIT_INCONCLUSIVE
     if verdict.ast == "no" or verdict.past == "no":
@@ -111,31 +111,36 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _transform_usage(args) -> str | None:
+    """What is wrong with the arguments of a transform, if anything."""
+    compose_args = (args.other, args.hole, args.plug)
+    if args.kind != "compose":
+        if compose_args != (None, None, None):
+            return f"{args.kind} takes no second scheme, --hole or --plug"
+    elif None in compose_args:
+        return "compose needs a second scheme, --hole and --plug"
+    elif args.verify is not None:
+        return "--verify is only supported for linearize and reduce"
+    return None
+
+
 def cmd_transform(args) -> int:
+    problem = _transform_usage(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_INPUT
     if _below("--verify", args.verify, 0):
         return EXIT_INPUT
     from .transforms import compose, linearize, reduce_inf
     scheme = _load(args.file)
     if args.kind == "linearize":
         result = linearize(scheme)
-        verifiable = True
     elif args.kind == "reduce":
         result = reduce_inf(scheme)
-        verifiable = scheme.is_closed()
     else:
-        other = _load(args.other)
-        result = compose(scheme, other, args.hole, args.plug)
-        verifiable = False
-    text = print_scheme(result)
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        result = compose(scheme, _load(args.other), args.hole, args.plug)
+    _emit(print_scheme(result).removesuffix("\n"), args.out)
     if args.verify is not None:
-        if not verifiable:
-            print("# --verify is only supported for linearize and reduce",
-                  file=sys.stderr)
-            return EXIT_INPUT
         if args.kind == "linearize":
             ok = (
                 _series(scheme, args.verify)[1].coeffs
@@ -167,8 +172,7 @@ def cmd_simulate(args) -> int:
     from .operational import monte_carlo
     scheme = _load(args.file)
     stats = monte_carlo(scheme, args.trials, step_cap=args.cap, seed=args.seed)
-    print(stats.to_json())
-    _emit(json.loads(stats.to_json()), args.json)
+    _emit(stats.to_json(), args.json)
     return EXIT_OK
 
 
@@ -223,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except IndexCapExceeded as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (FileNotFoundError, UnicodeDecodeError, SchemeError, InterpError,
+    except (OSError, UnicodeDecodeError, SchemeError, InterpError,
             TransformError, ExecError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

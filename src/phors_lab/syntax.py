@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Container, Iterator
 from fractions import Fraction
 from operator import attrgetter
 
@@ -321,12 +321,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(Frozen):
+class Token:
     __slots__ = ("kind", "text", "line", "col")  # kind: 'rat', 'ident' or a punct/arrow literal
 
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
-def _lex(src: str) -> list[Token]:
-    toks: list[Token] = []
+
+def _lex(src: str) -> list[list[Token]]:
+    """The `;`-terminated statements of src, each a nonempty token list
+    without its `;`."""
+    statements: list[list[Token]] = []
+    current: list[Token] = []
     line, col = 1, 1
     pos = 0
     while pos < len(src):
@@ -335,10 +341,14 @@ def _lex(src: str) -> list[Token]:
             raise ParseError(f"unexpected character {src[pos]!r}", line, col)
         text = m.group(0)
         kind = m.lastgroup
-        if kind != "ws":
-            if kind in ("punct", "arrow"):
-                kind = text
-            toks.append(Token(kind, text, line, col))
+        if kind in ("punct", "arrow"):
+            kind = text
+        if kind == ";":
+            if current:
+                statements.append(current)
+                current = []
+        elif kind != "ws":
+            current.append(Token(kind, text, line, col))
         nl = text.count("\n")
         if nl:
             line += nl
@@ -346,30 +356,41 @@ def _lex(src: str) -> list[Token]:
         else:
             col += len(text)
         pos = m.end()
-    return toks
+    if current:
+        raise ParseError("statement not terminated by ';'", current[0].line, current[0].col)
+    return statements
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 _RESERVED = {"e", "omega", "param", "start", "o", "inf"}
+_PI_RE = re.compile(r"pi_([0-9]+)$")
 
 
-class _Cursor:
-    def __init__(self, toks: list[Token], end_line: int) -> None:
+class _Parser:
+    """Recursive descent over the tokens of one statement.  Identifiers in
+    a term resolve against the rule's parameters `bound`, then the
+    non-terminal names `nts`, then the scheme parameters `params`."""
+
+    def __init__(self, toks: list[Token], end_line: int, bound: Container[str] = (),
+                 nts: Container[str] = (), params: Container[str] = ()) -> None:
         self.toks = toks
         self.i = 0
         self.end_line = end_line
+        self.bound = bound
+        self.nts = nts
+        self.params = params
 
-    def peek(self) -> Token | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def peek(self) -> str | None:
+        """The kind of the next token, None at the end of the statement."""
+        return self.toks[self.i].kind if self.i < len(self.toks) else None
 
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
+        if self.i >= len(self.toks):
             raise ParseError("unexpected end of statement", self.end_line, 1)
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
     def expect(self, kind: str) -> Token:
         t = self.next()
@@ -377,102 +398,70 @@ class _Cursor:
             raise ParseError(f"expected {kind!r}, found {t.text!r}", t.line, t.col)
         return t
 
-    def done(self) -> bool:
-        return self.i >= len(self.toks)
+    def whole(self, parse: Callable[[_Parser], object], what: str):
+        """parse(self), which must consume every token of the statement."""
+        result = parse(self)
+        if self.i < len(self.toks):
+            t = self.toks[self.i]
+            raise ParseError(f"trailing tokens {what} (at {t.text!r})", t.line, t.col)
+        return result
 
-    def fail(self, msg: str) -> ParseError:
-        t = self.peek()
-        if t is None:
-            return ParseError(msg, self.end_line, 1)
-        return ParseError(msg + f" (at {t.text!r})", t.line, t.col)
-
-
-def _parse_rat(tok: Token) -> Fraction:
-    try:
-        return Fraction(tok.text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
-
-
-def _parse_type(c: _Cursor) -> GradedType:
-    if c.peek() and c.peek().kind == "!":
-        c.next()
-        t = c.next()
+    def type(self) -> GradedType:
+        if self.peek() != "!":
+            return self.atomic_type()
+        self.next()
+        t = self.next()
         if t.kind == "rat" and "/" not in t.text and "." not in t.text:
             grade: Grade = int(t.text)
         elif t.kind == "ident" and t.text == "inf":
             grade = INF
         else:
             raise ParseError(
-                f"expected a grade (natural number or 'inf'), found {t.text!r}",
-                t.line,
-                t.col,
+                f"expected a grade (natural number or 'inf'), found {t.text!r}", t.line, t.col
             )
-        arg = _parse_atomic_type(c)
-        c.expect("-o")
-        result = _parse_type(c)
-        return Arrow(grade, arg, result)
-    return _parse_atomic_type(c)
+        arg = self.atomic_type()
+        self.expect("-o")
+        return Arrow(grade, arg, self.type())
 
-
-def _parse_atomic_type(c: _Cursor) -> GradedType:
-    t = c.next()
-    if t.kind == "ident" and t.text == "o":
-        if c.peek() and c.peek().kind == "^":
-            c.next()
-            w = c.expect("rat")
+    def atomic_type(self) -> GradedType:
+        t = self.next()
+        if t.kind == "ident" and t.text == "o":
+            if self.peek() != "^":
+                return Ground(1)
+            self.next()
+            w = self.expect("rat")
             if "/" in w.text or "." in w.text or int(w.text) < 1:
-                raise ParseError(
-                    "ground width must be a positive integer", w.line, w.col
-                )
+                raise ParseError("ground width must be a positive integer", w.line, w.col)
             return Ground(int(w.text))
-        return Ground(1)
-    if t.kind == "(":
-        ty = _parse_type(c)
-        c.expect(")")
-        return ty
-    raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
-
-
-_PI_RE = re.compile(r"pi_([0-9]+)$")
-
-
-class _BodyParser:
-    """Parses a rule body; identifiers resolve against the collected
-    rule parameters, non-terminal names, and scheme parameters."""
-
-    def __init__(self, c: _Cursor, bound: set[str], nts: set[str], params: set[str]):
-        self.c = c
-        self.bound = bound
-        self.nts = nts
-        self.params = params
-
-    def parse(self) -> Term:
-        t = self.choice()
-        if not self.c.done():
-            raise self.c.fail("trailing tokens after rule body")
-        return t
+        if t.kind == "(":
+            ty = self.type()
+            self.expect(")")
+            return ty
+        raise ParseError(f"expected a type, found {t.text!r}", t.line, t.col)
 
     def choice(self) -> Term:
         left = self.app()
-        while (tok := self.c.peek()) and tok.kind == "[":
-            self.c.next()
-            p = _parse_rat(self.c.expect("rat"))
-            if not (0 <= p <= 1):
-                raise ParseError(f"bias {p} outside [0, 1]", tok.line, tok.col)
-            self.c.expect("]")
-            right = self.app()
-            left = Choice(left, p, right)
+        while self.peek() == "[":
+            tok = self.next()
+            p = self.expect("rat")
+            try:
+                bias = Fraction(p.text)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {p.text!r}", p.line, p.col) from None
+            if not (0 <= bias <= 1):
+                raise ParseError(f"bias {bias} outside [0, 1]", tok.line, tok.col)
+            self.expect("]")
+            left = Choice(left, bias, self.app())
         return left
 
     def app(self) -> Term:
         t = self.atom()
-        while (tok := self.c.peek()) and tok.kind in ("ident", "(", "<"):
+        while self.peek() in ("ident", "(", "<"):
             t = App(t, self.atom())
         return t
 
     def atom(self) -> Term:
-        tok = self.c.next()
+        tok = self.next()
         if tok.kind == "ident":
             name = tok.text
             if name == "e":
@@ -496,14 +485,14 @@ class _BodyParser:
             raise ParseError(f"unknown identifier {name!r}", tok.line, tok.col)
         if tok.kind == "(":
             t = self.choice()
-            self.c.expect(")")
+            self.expect(")")
             return t
         if tok.kind == "<":
             items = [self.choice()]
-            while self.c.peek() and self.c.peek().kind == ",":
-                self.c.next()
+            while self.peek() == ",":
+                self.next()
                 items.append(self.choice())
-            self.c.expect(">")
+            self.expect(">")
             return Tuple_(tuple(items))
         raise ParseError(f"unexpected token {tok.text!r} in term", tok.line, tok.col)
 
@@ -517,22 +506,8 @@ def _default_type(n_params: int) -> GradedType:
 
 
 def parse(source: str) -> Scheme:
-    toks = _lex(source)
+    statements = _lex(source)
     end_line = source.count("\n") + 1
-
-    # Split the token stream into `;`-terminated statements.
-    statements: list[list[Token]] = []
-    current: list[Token] = []
-    for t in toks:
-        if t.kind == ";":
-            if current:
-                statements.append(current)
-                current = []
-        else:
-            current.append(t)
-    if current:
-        t = current[0]
-        raise ParseError("statement not terminated by ';'", t.line, t.col)
 
     decls: dict[str, list[Token]] = {}  # name -> its declaration statement
     rules: list[tuple[Token, list[Token], list[Token]]] = []  # head, params, body
@@ -581,11 +556,7 @@ def parse(source: str) -> Scheme:
         name = name_tok.text
         if name in params or name in nt_names:
             raise ParseError(f"duplicate name {name!r}", name_tok.line, name_tok.col)
-        c = _Cursor(ty_toks, end_line)
-        ty = _parse_type(c)
-        if not c.done():
-            raise c.fail("trailing tokens in type")
-        params[name] = ty
+        params[name] = _Parser(ty_toks, end_line).whole(_Parser.type, "in type")
 
     nonterminals: dict[str, NonTermDef] = {}
     for head, param_toks, body_toks in rules:
@@ -599,14 +570,11 @@ def parse(source: str) -> Scheme:
                 raise ParseError(f"duplicate parameter {t.text!r}", t.line, t.col)
             pnames.append(t.text)
         if head.text in decls:
-            c = _Cursor(decls[head.text][2:], end_line)
-            ty = _parse_type(c)
-            if not c.done():
-                raise c.fail("trailing tokens in type")
+            ty = _Parser(decls[head.text][2:], end_line).whole(_Parser.type, "in type")
         else:
             ty = _default_type(len(pnames))
-        c = _Cursor(body_toks, end_line)
-        body = _BodyParser(c, set(pnames), nt_names, set(params)).parse()
+        body_parser = _Parser(body_toks, end_line, set(pnames), nt_names, set(params))
+        body = body_parser.whole(_Parser.choice, "after rule body")
         nonterminals[head.text] = NonTermDef(ty, tuple(pnames), body)
 
     for name, st in decls.items():

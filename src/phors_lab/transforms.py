@@ -2,7 +2,8 @@
 
 * `linearize` — replace every binding of grade k by k affine copies,
   duplicating argument subterms with fresh copies of their free
-  variables; preserves the generating function.
+  variables; preserves the generating function.  Its result must pass
+  `check_fin`; the schemes whose copies do not fit raise instead.
 * `compose` — plug a non-terminal of one scheme into an open parameter
   of another; the semantics composes as substitution of power series.
 * `reduce_inf` — turn a closed scheme with unbounded-grade non-terminal
@@ -21,26 +22,23 @@ from .syntax import (
     App,
     Arrow,
     Choice,
-    Frozen,
     Ground,
     GradedType,
     NonTerm,
     NonTermDef,
-    Omega,
     Param,
     Proj,
     Scheme,
     Term,
     TransformError,
     Tuple_,
-    Unit,
     Var,
     arg_types,
     map_term,
     spine,
     type_of,
 )
-from .typesys import check_fin, check_inf, subtype
+from .typesys import _max_into, check_fin, check_inf, subtype
 
 
 # ---------------------------------------------------------------------------
@@ -67,78 +65,66 @@ def _copy_name(base: str, i: int) -> str:
     return f"{base}__{i}"
 
 
-class _Linearizer:
-    def __init__(self, scheme: Scheme, rule: str) -> None:
-        self.scheme = scheme
-        d = scheme.nonterminals[rule]
-        self.copies = {}
-        self.types = {}
-        for pname, (grade, pty) in zip(d.params, arg_types(d.ty)):
-            self.copies[pname] = max(int(grade), 1)
-            self.types[pname] = pty
-
-    def transform(self, t: Term, used: dict[str, int]) -> tuple[Term, dict[str, int]]:
-        """Rewrite t, allocating the next unused copy for each variable
-        occurrence.  `used` maps a variable to how many copies earlier
-        parts of the same run already consumed; choice branches fork the
-        counter and re-merge with a pointwise max, because only one
-        branch runs."""
-        match t:
-            case Var(n):
-                i = used.get(n, 0) + 1
-                assert i <= self.copies[n], "usage exceeds declared grade"
-                return Var(_copy_name(n, i)), {**used, n: i}
-            case NonTerm() | Param() | Unit() | Omega():
-                return t, used
-            case Choice(l, bias, r):
-                lt, lu = self.transform(l, used)
-                rt, ru = self.transform(r, used)
-                merged = {
-                    k: max(lu.get(k, 0), ru.get(k, 0)) for k in lu.keys() | ru.keys()
-                }
-                return Choice(lt, bias, rt), merged
-            case Tuple_(items):
-                out = []
-                merged = dict(used)
-                for it in items:
-                    t2, u2 = self.transform(it, used)
-                    out.append(t2)
-                    for k, v in u2.items():
-                        merged[k] = max(merged.get(k, 0), v)
-                return Tuple_(tuple(out)), merged
-            case Proj(i, b):
-                bt, bu = self.transform(b, used)
-                return Proj(i, bt), bu
-            case App(f, a):
-                fty = type_of(f, self.scheme, self.types)
-                copies = max(int(fty.grade), 1)
-                ft, cur = self.transform(f, used)
-                for _ in range(copies):
-                    at, cur = self.transform(a, cur)
-                    ft = App(ft, at)
-                return ft, cur
-        raise TypeError(t)
-
-
 def linearize(scheme: Scheme) -> Scheme:
-    """Produce an equivalent scheme in which every grade is 1."""
+    """Produce an equivalent scheme in which every grade is 1.
+
+    Each occurrence of a variable takes the next of its binding's copies.
+    Two shapes that check_fin accepts do not fit and raise TransformError:
+    a variable inside an argument of grade 0, which keeps one copy though
+    the checker counted none of its variables, so the variable can run
+    out of copies; and an argument whose type has a lower grade than its
+    parameter's, which gives a result that check_fin rejects."""
     report = check_fin(scheme)
     if not report.accepted:
         msgs = "; ".join(d.message for d in report.diagnostics)
         raise TransformError(f"scheme is not finitely graded: {msgs}")
     out: dict[str, NonTermDef] = {}
     for name, d in scheme.nonterminals.items():
-        lin = _Linearizer(scheme, name)
-        params = tuple(
-            _copy_name(p, i)
-            for p in d.params
-            for i in range(1, lin.copies[p] + 1)
-        )
-        body, _ = lin.transform(d.body, {})
-        out[name] = NonTermDef(aff_type(d.ty), params, body)
-    result = Scheme(out, {}, scheme.start)
-    result.validate()
-    return result
+        spec = dict(zip(d.params, arg_types(d.ty)))
+        copies = {p: max(int(grade), 1) for p, (grade, _) in spec.items()}
+        types = {p: ty for p, (_, ty) in spec.items()}
+
+        def lin(t: Term, used: dict[str, int]) -> tuple[Term, dict[str, int]]:
+            """t with each variable occurrence renamed to its next unused
+            copy, and the copies used after it.  `used` counts the copies
+            that earlier parts of the same run took; the branches of a
+            choice or a tuple each start from it and merge by pointwise
+            maximum, because only one branch runs.  `used` is never
+            updated in place, and may be returned as it is."""
+            match t:
+                case Var(n):
+                    i = used.get(n, 0) + 1
+                    if i > copies[n]:
+                        raise TransformError(
+                            f"rule {name!r}: variable {n!r} occurs more often "
+                            f"than its copy count {copies[n]}"
+                        )
+                    return Var(_copy_name(n, i)), {**used, n: i}
+                case Choice(l, bias, r):
+                    (lt, lu), (rt, ru) = lin(l, used), lin(r, used)
+                    return Choice(lt, bias, rt), _max_into(dict(lu), ru)
+                case Tuple_(items):
+                    merged = dict(used)
+                    outs = []
+                    for it in items:
+                        it_lin, iu = lin(it, used)
+                        outs.append(it_lin)
+                        _max_into(merged, iu)
+                    return Tuple_(tuple(outs)), merged
+                case Proj(i, b):
+                    bt, bu = lin(b, used)
+                    return Proj(i, bt), bu
+                case App(f, a):
+                    ft, used = lin(f, used)
+                    for _ in range(max(int(type_of(f, scheme, types).grade), 1)):
+                        at, used = lin(a, used)
+                        ft = App(ft, at)
+                    return ft, used
+            return t, used
+
+        params = tuple(_copy_name(p, i) for p in d.params for i in range(1, copies[p] + 1))
+        out[name] = NonTermDef(aff_type(d.ty), params, lin(d.body, {})[0])
+    return _checked(Scheme(out, {}, scheme.start), "linearized")
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +180,9 @@ def compose(g1: Scheme, g2: Scheme, hole: str, plug: str) -> Scheme:
 # Reduction of unbounded grades
 
 
-class _Inst(Frozen):
-    __slots__ = ("name", "gamma")
-
-    def rendered(self) -> str:
-        if not self.gamma:
-            return self.name
-        return f"{self.name}__" + "_".join(self.gamma)
+def _inst_name(name: str, gamma: tuple[str, ...]) -> str:
+    """The name of rule `name` instantiated at the non-terminals gamma."""
+    return f"{name}__{'_'.join(gamma)}" if gamma else name
 
 
 def _split_inf(ty: GradedType) -> tuple[int, GradedType]:
@@ -232,7 +214,7 @@ def reduce_inf(scheme: Scheme) -> Scheme:
         raise TransformError(f"scheme does not type-check: {msgs}")
 
     split = {name: _split_inf(d.ty) for name, d in scheme.nonterminals.items()}
-    start = _Inst(scheme.start, ())
+    start = (scheme.start, ())
     seen = {start}
     worklist = [start]
 
@@ -241,11 +223,11 @@ def reduce_inf(scheme: Scheme) -> Scheme:
         match head:
             case NonTerm(n):
                 j = split[n][0]
-                inst = _Inst(n, tuple(a.name for a in args[:j]))
+                inst = (n, tuple(a.name for a in args[:j]))
                 if inst not in seen:
                     seen.add(inst)
                     worklist.append(inst)
-                head, args = NonTerm(inst.rendered()), args[j:]
+                head, args = NonTerm(_inst_name(*inst)), args[j:]
             case Choice(l, b, r):
                 head = Choice(rewrite(l), b, rewrite(r))
             case Tuple_(items):
@@ -258,17 +240,20 @@ def reduce_inf(scheme: Scheme) -> Scheme:
 
     out: dict[str, NonTermDef] = {}
     while worklist:
-        inst = worklist.pop()
-        d = scheme.nonterminals[inst.name]
-        j, fin_ty = split[inst.name]
-        sub = {Var(p): NonTerm(g) for p, g in zip(d.params, inst.gamma)}
+        name, gamma = worklist.pop()
+        d = scheme.nonterminals[name]
+        j, fin_ty = split[name]
+        sub = {Var(p): NonTerm(g) for p, g in zip(d.params, gamma)}
         body = map_term(d.body, lambda t: sub.get(t, t))
-        out[inst.rendered()] = NonTermDef(fin_ty, d.params[j:], rewrite(body))
+        out[_inst_name(name, gamma)] = NonTermDef(fin_ty, d.params[j:], rewrite(body))
+    return _checked(Scheme(out, {}, scheme.start), "reduced")
 
-    result = Scheme(out, {}, scheme.start)
+
+def _checked(result: Scheme, what: str) -> Scheme:
+    """result, once it validates and check_fin accepts it."""
     result.validate()
     rep = check_fin(result)
     if not rep.accepted:
         msgs = "; ".join(dg.message for dg in rep.diagnostics)
-        raise TransformError(f"reduced scheme failed finitary checking: {msgs}")
+        raise TransformError(f"{what} scheme failed finitary checking: {msgs}")
     return result

@@ -73,6 +73,19 @@ TYPING_TEXTS = [
 ]
 GRADE = re.compile(r"!(\d+|inf)")
 
+# Schemes that check_fin accepts but whose linear copies do not fit.  C's
+# parameter f has type !2 o -o o and its argument A has grade 1, so linear
+# A takes one copy of x where linear f takes two.
+LOWER_GRADE_ARGUMENT = (
+    "C : !1 (!2 o -o o) -o !1 o -o o ; C f x = e ; A : !1 o -o o ; A x = x ; S = C A e ;"
+)
+# In G, x inside F's grade-0 argument counts 0 times, but linearization
+# keeps one copy of that argument, so x occurs twice in the linear body.
+VARIABLE_IN_GRADE_ZERO_ARGUMENT = (
+    "H : !1 o -o !1 o -o o ; H a b = a [1/2] b ; F : !0 o -o o ; F y = e ; "
+    "G : !1 o -o o ; G x = H (F x) x ; S = G e ;"
+)
+
 
 @pytest.fixture(scope="session")
 def bundled():

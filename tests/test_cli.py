@@ -23,6 +23,8 @@ from phors_lab.cli import (
     main,
 )
 
+from conftest import LOWER_GRADE_ARGUMENT, VARIABLE_IN_GRADE_ZERO_ARGUMENT
+
 F = Fraction
 
 
@@ -228,6 +230,53 @@ class TestTransform:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("compose", _path("dyck_core"), "--hole", "f", "--plug", "A"),
+             "compose needs a second scheme, --hole and --plug"),
+            (("compose", _path("dyck_core"), _path("brackets"), "--plug", "A"),
+             "compose needs a second scheme, --hole and --plug"),
+            (("compose", _path("dyck_core"), _path("brackets"), "--hole", "f"),
+             "compose needs a second scheme, --hole and --plug"),
+            (("compose", _path("dyck_core"), _path("brackets"), "--hole", "f", "--plug", "A",
+              "--verify", "3"),
+             "--verify is only supported for linearize and reduce"),
+            (("linearize", _path("eq3"), _path("eq3")),
+             "linearize takes no second scheme, --hole or --plug"),
+            (("reduce", _path("dyck"), "--hole", "f"),
+             "reduce takes no second scheme, --hole or --plug"),
+            (("linearize", _path("eq3"), "--plug", "A", "--verify", "4"),
+             "linearize takes no second scheme, --hole or --plug"),
+            # Before the missing first scheme is read.
+            (("compose", "/no/such/file.phors", "--hole", "f"),
+             "compose needs a second scheme, --hole and --plug"),
+        ],
+        ids=["no-second-scheme", "no-hole", "no-plug", "compose-verify",
+             "linearize-second-scheme", "reduce-hole", "linearize-plug", "before-loading"],
+    )
+    def test_arguments_are_checked_before_any_work(self, argv, message):
+        assert _assert_input_error("transform", *argv) == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                LOWER_GRADE_ARGUMENT,
+                "error: linearized scheme failed finitary checking: argument type mismatch\n",
+            ),
+            (
+                VARIABLE_IN_GRADE_ZERO_ARGUMENT,
+                "error: rule 'G': variable 'x' occurs more often than its copy count 1\n",
+            ),
+        ],
+        ids=["lower-grade-argument", "variable-in-grade-zero-argument"],
+    )
+    def test_linearization_that_does_not_fit_is_an_input_error(self, tmp_path, text, message):
+        path = tmp_path / "unfit.phors"
+        path.write_text(text)
+        assert _assert_input_error("transform", "linearize", str(path), "--verify", "4") == message
+
 
 class TestSimulate:
     def test_simulate_reports_bounds(self, capsys):
@@ -297,6 +346,19 @@ class TestErrorBoundary:
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
             code = main([command[0], str(path), *command[1:]])
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_NEGATIVE, EXIT_INCONCLUSIVE)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "{dir}"),
+            ("analyze", _path("unit"), "--json", "{dir}"),
+            ("transform", "reduce", _path("dyck"), "--out", "{dir}"),
+        ],
+        ids=["analyze-directory", "json-directory", "out-directory"],
+    )
+    def test_unreadable_path_is_an_input_error(self, tmp_path, argv):
+        message = _assert_input_error(*(a.format(dir=tmp_path) for a in argv))
+        assert "Is a directory" in message
 
 
 class TestColdStart:

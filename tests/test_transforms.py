@@ -7,7 +7,7 @@ import pytest
 
 from phors_lab import bundled_names, load_bundled
 from phors_lab.algebra import TruncSeries
-from phors_lab.interp import compile_scheme, reachable
+from phors_lab.interp import IndexCapExceeded, compile_scheme, reachable
 from phors_lab.operational import enumerate_terminations
 from phors_lab.solver import kleene_series
 from phors_lab.syntax import INF, Arrow, O, SchemeError, arg_types, is_finitary, parse, print_scheme
@@ -20,7 +20,14 @@ from phors_lab.transforms import (
 )
 from phors_lab.typesys import check_fin, check_inf
 
-from conftest import GRADE, TYPING_TEXTS, random_order1_scheme, random_order2_scheme
+from conftest import (
+    GRADE,
+    LOWER_GRADE_ARGUMENT,
+    TYPING_TEXTS,
+    VARIABLE_IN_GRADE_ZERO_ARGUMENT,
+    random_order1_scheme,
+    random_order2_scheme,
+)
 
 F = Fraction
 
@@ -100,6 +107,79 @@ class TestLinearize:
     def test_rejects_ill_typed_schemes(self):
         with pytest.raises(TransformError):
             linearize(load_bundled("nonalg"))
+
+
+@pytest.fixture(scope="module")
+def finite_grade_mutants():
+    """200 distinct scheme texts that check_fin accepts: bundled,
+    typing-corpus and generated order-1 and order-2 scheme texts with one
+    or two grades set to 0-3."""
+    count = 200
+    rng = random.Random(19)
+    sources = [print_scheme(load_bundled(name)) for name in bundled_names()]
+    sources += TYPING_TEXTS
+    sources += [print_scheme(random_order1_scheme(rng)) for _ in range(100)]
+    sources += [print_scheme(random_order2_scheme(rng)) for _ in range(100)]
+    found = {}
+    for i in range(20 * count):
+        text = sources[i % len(sources)]
+        spots = [m.span(1) for m in GRADE.finditer(text)]
+        if not spots:
+            continue
+        for lo, hi in sorted(rng.sample(spots, min(len(spots), rng.randint(1, 2))), reverse=True):
+            text = text[:lo] + rng.choice("0123") + text[hi:]
+        try:
+            scheme = parse(text)
+        except SchemeError:
+            continue
+        if text not in found and check_fin(scheme).accepted:
+            found[text] = scheme
+            if len(found) == count:
+                return found
+    raise AssertionError(f"only {len(found)} accepted grade mutants")
+
+
+class TestLinearizeTotality:
+    """On every scheme check_fin accepts, linearize either gives a scheme
+    that check_fin accepts and that keeps the generating function, or
+    raises TransformError."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (LOWER_GRADE_ARGUMENT, "linearized scheme failed finitary checking: argument type mismatch"),
+            (VARIABLE_IN_GRADE_ZERO_ARGUMENT, "rule 'G': variable 'x' occurs more often than its copy count 1"),
+        ],
+        ids=["lower-grade-argument", "variable-in-grade-zero-argument"],
+    )
+    def test_copies_that_do_not_fit_are_rejected(self, text, message):
+        scheme = parse(text)
+        assert check_fin(scheme).accepted
+        with pytest.raises(TransformError) as exc:
+            linearize(scheme)
+        assert str(exc.value) == message
+
+    def test_linearization_is_total_on_accepted_schemes(self, finite_grade_mutants):
+        outcomes = {"kept": 0, "rejected": 0}
+        for text, scheme in finite_grade_mutants.items():
+            try:
+                lin = linearize(scheme)
+            except TransformError:
+                outcomes["rejected"] += 1
+                continue
+            assert check_fin(lin).accepted, text
+            try:
+                got = _coeffs(lin, 6)
+            except IndexCapExceeded:
+                # Linear types can have index sets over the cap where the
+                # source's do not; run the linear scheme instead.
+                probs, budget_hit = enumerate_terminations(lin, 6)
+                assert not budget_hit, text
+                got = tuple(probs.get(i, F(0)) for i in range(7))
+            assert _coeffs(scheme, 6) == got, text
+            outcomes["kept"] += 1
+        # Both outcomes occur, so neither branch goes untested.
+        assert outcomes["kept"] >= 150 and outcomes["rejected"] >= 1, outcomes
 
 
 class TestCompose:
