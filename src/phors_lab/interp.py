@@ -17,24 +17,25 @@ An index is a tuple: (0, i) for the point i of o^n, and
 enumerates each type's index set once.
 
 Compilation visits the rules' call graph one strongly connected
-component at a time, callees first, and interprets the bodies with the
-unknowns not yet known to be nonzero read as 0, so a product never
-carries an unknown that is zero in the least fixpoint.  A component
-without recursion is interpreted once; a recursive one again until its
-set of nonzero unknowns stops growing (Kleene iteration, over the
-Boolean semiring, of "some monomial has only nonzero unknowns").  One
-interpreter serves all indexes of a rule's declared type in a pass: the
-body polynomial is split once by its bound-variable power product, and
-the equation of each index is the part matching its argument profile.
-While multiplying, monomials in which a bound variable's exponent
-exceeds the declared grade are dropped, since no index can extract them.
+component at a time, callees first.  An unknown is nonzero once an
+equation has been found for it; the others read as 0, so a product
+never carries an unknown that is zero in the least fixpoint.  A
+component without recursion is interpreted once; a recursive one again
+until its equations stop growing in number (Kleene iteration, over the
+Boolean semiring, of "some monomial has only nonzero unknowns").  A
+rule's body is interpreted once per point of its ground result, and the
+polynomial is split by its bound-variable power product: each nonempty
+bucket is the equation of the index its power product spells, and no
+other index of the declared type gets one.  While multiplying,
+monomials in which a bound variable's exponent exceeds its binding's
+grade are dropped, since no index can extract them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Container, Iterator
+from collections.abc import Container
 from fractions import Fraction
 
 from .algebra import Monomial, Poly, REGISTRY
@@ -199,21 +200,21 @@ def var_name(vid: int) -> str:
 
 
 class _Interp:
-    def __init__(self, scheme: Scheme, rule: str, nonzero: set[int] | None = None) -> None:
+    def __init__(self, scheme: Scheme, rule: str, found: dict | None = None) -> None:
         self.scheme = scheme
         self.rule = rule
-        # The unknowns known to be nonzero; the others read as 0.  None
-        # reads every unknown as itself.
-        self.nonzero = nonzero
+        # Each rule's equations found so far, by index: an unknown without
+        # one reads as 0.  None reads every unknown as itself.
+        self.found = found
         d = scheme.nonterminals[rule]
         self.bound_types = dict(zip(d.params, (t for _, t in arg_types(d.ty))))
         self.memo: dict[tuple[Term, Index], Poly] = {}
         # Index sets and argument multisets by type, as in _multisets.
         self.sets: dict = {}
-        # Bound-variable id -> the largest exponent any requested target
-        # extracts.  Products drop monomials beyond it: multiplication
-        # only raises exponents, so they could never be extracted.
-        # Variables without an entry are not cut.
+        # Bound-variable id -> the largest exponent an index extracts.
+        # Products drop monomials beyond it: multiplication only raises
+        # exponents, so they could never be extracted.  Variables without
+        # an entry are not cut.
         self.caps: dict[int, int] = {}
 
     def sem(self, t: Term, idx: Index) -> Poly:
@@ -231,10 +232,9 @@ class _Interp:
             case Var(n):
                 return Poly.var(bv_vid(self.rule, n, idx))
             case NonTerm(n):
-                vid = nt_vid(n, idx)
-                if self.nonzero is not None and vid not in self.nonzero:
+                if self.found is not None and idx not in self.found[n]:
                     return Poly()
-                return Poly.var(vid)
+                return Poly.var(nt_vid(n, idx))
             case Param(n):
                 return Poly.var(pm_vid(n, idx))
             case Choice(l, bias, r):
@@ -284,14 +284,10 @@ class _Interp:
         return out
 
 
-def interpret_body(
-    scheme: Scheme,
-    rule: str,
-    target: Index,
-    unchecked: bool = False,
-) -> Poly:
+def interpret_body(scheme: Scheme, rule: str, target: Index, unchecked: bool = False) -> Poly:
     """The polynomial interpreting the rule (as an abstraction over its
-    parameters) at the given index of its declared type.
+    parameters) at the given index of its declared type, every unknown
+    read as itself and products cut at the target's own multiplicities.
 
     With unchecked=True the target may carry argument multiplicities
     beyond the declared grades; the interpretation of a well-typed
@@ -299,62 +295,69 @@ def interpret_body(
     d = scheme.nonterminals[rule]
     if not unchecked and target not in set(index_set(d.ty)):
         raise InterpError(f"index not in the declared index set of {rule!r}")
-    return next(_rule_equations(scheme, rule, [target]))
+    interp = _Interp(scheme, rule)
+    # Unwind the target through the rule's abstractions.
+    profile: list[tuple[int, int]] = []
+    for pname in d.params:
+        if target[0] != 1:
+            raise InterpError(f"index too shallow for rule {rule!r}")
+        _, arg_uses, target = target
+        profile.extend((bv_vid(rule, pname, pt), m) for pt, m in arg_uses)
+    points = _bound_points(scheme, rule, interp.sets)
+    interp.caps = dict.fromkeys(points, 0) | dict(profile)
+    buckets = _split(interp.sem(d.body, target), points)
+    return Poly(buckets.get(tuple(sorted(profile)), {}))
 
 
-def _rule_equations(
-    scheme: Scheme,
-    rule: str,
-    targets: list[Index],
-    nonzero: set[int] | None = None,
-    sets: dict | None = None,
-) -> Iterator[Poly]:
-    """The rule's polynomial at each target index, in order, with the
-    unknowns outside `nonzero` read as 0 (none when it is None), and the
-    index sets memoised in `sets` as for index_set.
-
-    One interpreter serves all targets, so the body is interpreted once
-    per result index.  Its polynomial is split once by the power product
-    of bound variables; a target's equation is the bucket of its
-    argument profile (exact coefficient extraction)."""
+def _bound_points(scheme: Scheme, rule: str, sets: dict) -> dict[int, tuple[int, Index]]:
+    """Each variable of the rule's bindings -> (its binding's position,
+    its point).  A well-typed body never uses a binding of grade 0, so
+    that binding has none and its type is not enumerated."""
     d = scheme.nonterminals[rule]
-    interp = _Interp(scheme, rule, nonzero)
-    interp.sets = {} if sets is None else sets
-    # Unwind each target through the rule's abstractions.
-    unwound: list[tuple[Index, Monomial]] = []
-    for idx in targets:
-        profile: list[tuple[int, int]] = []
-        for pname in d.params:
-            if idx[0] != 1:
-                raise InterpError(f"index too shallow for rule {rule!r}")
-            _, arg_uses, idx = idx
-            profile.extend((bv_vid(rule, pname, pt), m) for pt, m in arg_uses)
-        unwound.append((idx, tuple(sorted(profile))))
-
-    domain: set[int] = set()
-    for pname, (grade, pty) in zip(d.params, arg_types(d.ty)):
-        # A well-typed body never uses a binding of grade 0, so its
-        # variables never occur and its type is not enumerated.
-        if grade:
-            domain.update(bv_vid(rule, pname, pt) for pt in index_set(pty, interp.sets))
-    interp.caps = dict.fromkeys(domain, 0)
-    for _, profile in unwound:
-        for vid, m in profile:
-            interp.caps[vid] = max(interp.caps.get(vid, 0), m)
-
-    # Unfiltered, the body polynomial may still exceed the declared grade
-    # in a binding's variables taken together: the excess monomials all
-    # carry unknowns that are zero in the least fixpoint, which compiling
-    # reads as 0.
-    split: dict[tuple, dict[Monomial, dict[Monomial, Fraction]]] = {}
-    for idx, profile in unwound:
-        buckets = split.get(idx)
-        if buckets is None:
-            buckets = split[idx] = _split(interp.sem(d.body, idx), domain)
-        yield Poly(buckets.get(profile, {}))
+    return {
+        bv_vid(rule, pname, pt): (i, pt)
+        for i, (pname, (grade, pty)) in enumerate(zip(d.params, arg_types(d.ty)))
+        if grade
+        for pt in index_set(pty, sets)
+    }
 
 
-def _split(p: Poly, domain: set[int]) -> dict[Monomial, dict[Monomial, Fraction]]:
+def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly]],
+                    sets: dict) -> dict[Index, Poly]:
+    """The rule's equations by index: the nonempty buckets of its body,
+    and nothing for an index whose bucket is empty.  An unknown is
+    nonzero when `found` holds an equation for it, and the others read
+    as 0; index sets are memoised in `sets` as for index_set.
+
+    The body is interpreted once per point of its ground type, each
+    bound variable cut at its binding's grade, and split by its power
+    product of bound variables.  Each bucket is the equation of the index
+    that power product spells: per binding, its points with their
+    exponents as sorted (point, mult) tuples, the form index_set uses.
+    Unpruned, a body may exceed a binding's grade in its variables taken
+    together; those monomials carry unknowns that are zero in the least
+    fixpoint, which `found` reads as 0."""
+    d = scheme.nonterminals[rule]
+    interp = _Interp(scheme, rule, found)
+    interp.sets = sets
+    points = _bound_points(scheme, rule, sets)
+    spine = arg_types(d.ty)
+    interp.caps = {vid: int(spine[i][0]) for vid, (i, _) in points.items()}
+    eqs: dict[Index, Poly] = {}
+    for res in index_set(type_of(d.body, scheme, interp.bound_types), sets):
+        for bound, rest in _split(interp.sem(d.body, res), points).items():
+            mus: list[list[tuple[Index, int]]] = [[] for _ in spine]
+            for vid, m in bound:
+                i, pt = points[vid]
+                mus[i].append((pt, m))
+            idx = res
+            for mu in reversed(mus):
+                idx = ArrowPoint(tuple(sorted(mu)), idx)
+            eqs[idx] = Poly(rest)
+    return eqs
+
+
+def _split(p: Poly, domain: Container[int]) -> dict[Monomial, dict[Monomial, Fraction]]:
     """Group the monomials of p by their power product over domain; each
     group maps the remaining power product to its coefficient."""
     buckets: dict[Monomial, dict[Monomial, Fraction]] = {}
@@ -476,44 +479,37 @@ def compile_scheme(scheme: Scheme) -> Fas:
             raise InterpError(
                 f"non-terminal {name!r} has an infinitary type; reduce first"
             )
+        if index_size(d.ty) > VAR_CAP:
+            raise IndexCapExceeded()
 
     sets: dict = {}  # index sets, shared by the whole compile
-    param_vids: set[int] = set()
-    for pname, pty in scheme.params.items():
-        for idx in index_set(pty, sets):
-            param_vids.add(pm_vid(pname, idx))
-
-    targets = {n: index_set(d.ty, sets) for n, d in scheme.nonterminals.items()}
+    param_vids = {pm_vid(pname, idx) for pname, pty in scheme.params.items()
+                  for idx in index_set(pty, sets)}
     calls = {name: _callees(d.body) for name, d in scheme.nonterminals.items()}
     # Callees first, so every unknown outside the component being
-    # interpreted is settled.  Reading an unknown not yet known to be
-    # nonzero as 0 drops exactly the monomials that carry it, and
-    # products only add unknowns, so once the nonzero set of a component
-    # stops growing its last pass gives the equations with the zero
+    # interpreted is settled.  Reading an unknown without an equation
+    # found so far as 0 drops exactly the monomials that carry it, and
+    # products only add unknowns, so once the equations of a component
+    # stop growing in number its last pass gives them with the zero
     # unknowns eliminated.  Parameters and z always count as nonzero.
-    nonzero: set[int] = set()
-    found: dict[int, Poly] = {}
+    found: dict[str, dict[Index, Poly]] = {name: {} for name in scheme.nonterminals}
     for comp in sccs(calls):
         recursive = len(comp) > 1 or comp[0] in calls[comp[0]]
         while True:
-            before = len(nonzero)
+            before = sum(len(found[name]) for name in comp)
             for name in comp:
-                # All of a rule's targets read the same nonzero set.
-                ps = list(
-                    _rule_equations(scheme, name, targets[name], nonzero, sets)
-                )
-                for idx, p in zip(targets[name], ps):
-                    vid = nt_vid(name, idx)
-                    found[vid] = p
-                    if p:
-                        nonzero.add(vid)
-            if not recursive or len(nonzero) == before:
+                found[name] = _rule_equations(scheme, name, found, sets)
+            if not recursive or sum(len(found[name]) for name in comp) == before:
                 break
 
-    start = nt_vid(scheme.start, GroundPoint(1))
-    declared = (nt_vid(name, idx) for name in scheme.nonterminals for idx in targets[name])
-    eqs = {vid: found[vid] for vid in declared if vid in nonzero or vid == start}
-    fas = Fas(eqs, start, param_vids, set(found) - set(eqs))
+    # The start keeps its equation even when it is zero.
+    found[scheme.start] = {GroundPoint(1): Poly()} | found[scheme.start]
+    # Sorted indexes are in index_set order.
+    eqs = {nt_vid(name, idx): p for name in scheme.nonterminals
+           for idx, p in sorted(found[name].items())}
+    declared = {nt_vid(name, idx) for name, d in scheme.nonterminals.items()
+                for idx in index_set(d.ty, sets)}
+    fas = Fas(eqs, nt_vid(scheme.start, GroundPoint(1)), param_vids, declared - set(eqs))
 
     if max(order(d.ty) for d in scheme.nonterminals.values()) <= 1:
         # At order 1 a ground argument can reach head position at most
@@ -535,6 +531,8 @@ def _spine_multiplicity(idx: Index) -> int:
 
 
 def reachable(fas: Fas) -> Fas:
+    """The subsystem of the equations the start depends on, directly or
+    not, with the parameters they use; `zeros` is carried over."""
     seen = {fas.start}
     stack = [fas.start]
     while stack:

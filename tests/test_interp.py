@@ -34,6 +34,10 @@ from conftest import CLOSED_TYPABLE, chain_tower, random_order1_scheme, random_o
 
 FN = Arrow(1, O, O)  # !1 o -o o
 
+# F's type has exactly VAR_CAP = 10^5 points, (9 + 1)^5, and only
+# ([]->1) of them is nonzero.
+AT_CAP = "F : !9 o^5 -o o ; F x = e ; S = F <e,e,e,e,e> ;"
+
 
 class TestIndexSets:
     def test_ground_sizes(self):
@@ -248,7 +252,8 @@ class TestCompile:
     def test_compiled_equations_match_per_target_interpretation(self):
         # compile_scheme shares one interpreter per rule and cuts
         # products at the declared grades; interpreting each target on
-        # its own must give the same equations once zeros are dropped.
+        # its own must give the same equations once zeros are dropped,
+        # and nothing at an index that has no equation.
         rng = random.Random(2024)
         schemes = [_compilable(load_bundled(n)) for n in CLOSED_TYPABLE]
         schemes.append(load_bundled("dyck_core"))
@@ -262,9 +267,7 @@ class TestCompile:
             for nt, d in scheme.nonterminals.items():
                 for idx in index_set(d.ty):
                     vid = nt_vid(nt, idx)
-                    if vid not in fas.eqs:
-                        assert vid in fas.zeros, var_name(vid)
-                        continue
+                    assert (vid in fas.eqs) != (vid in fas.zeros), var_name(vid)
                     p = interpret_body(scheme, nt, idx)
                     live = Poly(
                         {
@@ -273,7 +276,40 @@ class TestCompile:
                             if not any(v in dead for v, _ in m)
                         }
                     )
-                    assert live == fas.eqs[vid], var_name(vid)
+                    assert live == fas.eqs.get(vid, Poly()), var_name(vid)
+
+    def test_no_round_builds_a_zero_equation(self, monkeypatch):
+        # A rule's equations are the nonempty buckets of its body, so no
+        # Kleene round returns a zero polynomial, and each bucket spells
+        # an index of the rule's declared type.
+        import phors_lab.interp as interp
+
+        rounds = []
+        rule_equations = interp._rule_equations
+
+        def recording(scheme, rule, found, sets):
+            eqs = rule_equations(scheme, rule, found, sets)
+            rounds.append((scheme.nonterminals[rule].ty, eqs))
+            return eqs
+
+        monkeypatch.setattr(interp, "_rule_equations", recording)
+        schemes = [_compilable(load_bundled(n)) for n in CLOSED_TYPABLE]
+        for scheme in schemes + [chain_tower(4), parse(AT_CAP)]:
+            rounds.clear()
+            fas = compile_scheme(scheme)
+            assert rounds
+            declared = {}
+            for ty, eqs in rounds:
+                if ty not in declared:
+                    declared[ty] = set(index_set(ty))
+                assert all(eqs.values())
+                assert declared[ty].issuperset(eqs)
+        assert fas.render() == (
+            "y[F;([]->1)] = 1   # improper\n"
+            "y[S;1] = y[F;([]->1)]   # improper\n"
+            "start y[S;1]\n"
+        )
+        assert len(fas.zeros) == VAR_CAP - 1
 
     def test_each_type_enumerated_once_per_compile(self, monkeypatch):
         # One compile shares its index sets among all its interpreters;
