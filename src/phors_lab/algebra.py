@@ -204,33 +204,9 @@ class Poly:
 
 class TruncSeries:
     """The coefficients of z^0, ..., z^N of a power series in z, as a
-    tuple `coeffs` of N+1 Fractions; N is its `bound`."""
+    tuple `coeffs` of N+1 Fractions: what kleene_series returns."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int | Fraction]) -> None:
-        # A Fraction is immutable, so it is kept rather than copied.
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-
-    @property
-    def bound(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*z" if c != 1 else "z")
-            else:
-                parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
-        body = " + ".join(parts) if parts else "0"
-        return f"TruncSeries({body} + O(z^{self.bound + 1}))"
+    def __init__(self, coeffs: Iterable[Fraction]) -> None:
+        self.coeffs = tuple(coeffs)

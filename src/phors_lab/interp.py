@@ -8,7 +8,6 @@ Variables of the compiled system (registered in algebra.REGISTRY):
 
     ("z",)                 counts probabilistic choices
     ("nt", L, index)       one unknown per (non-terminal, index)
-    ("pm", w, index)       free variable per (parameter, index)
     ("bv", rule, x, index) transient bound-variable atoms, removed by
                            coefficient extraction
 
@@ -47,7 +46,6 @@ from .syntax import (
     GradedType,
     NonTerm,
     Omega,
-    Param,
     Proj,
     Scheme,
     Term,
@@ -60,7 +58,7 @@ from .syntax import (
     order,
     type_of,
 )
-from .typesys import check_fin, check_inf
+from .typesys import check_fin
 
 # The most points an index set may have.
 VAR_CAP = 10**5
@@ -161,10 +159,6 @@ def nt_vid(name: str, idx: Index) -> int:
     return REGISTRY.intern(("nt", name, idx))
 
 
-def pm_vid(name: str, idx: Index) -> int:
-    return REGISTRY.intern(("pm", name, idx))
-
-
 def bv_vid(rule: str, var: str, idx: Index) -> int:
     return REGISTRY.intern(("bv", rule, var, idx))
 
@@ -188,8 +182,6 @@ def var_name(vid: int) -> str:
             return "z"
         case ("nt", name, ik):
             return f"y[{name};{_render_index(ik)}]"
-        case ("pm", name, ik):
-            return f"w[{name};{_render_index(ik)}]"
         case ("bv", rule, var, ik):
             return f"x[{rule}.{var};{_render_index(ik)}]"
     return repr(key)
@@ -200,11 +192,11 @@ def var_name(vid: int) -> str:
 
 
 class _Interp:
-    def __init__(self, scheme: Scheme, rule: str, found: dict | None = None) -> None:
+    def __init__(self, scheme: Scheme, rule: str, found: dict) -> None:
         self.scheme = scheme
         self.rule = rule
         # Each rule's equations found so far, by index: an unknown without
-        # one reads as 0.  None reads every unknown as itself.
+        # one reads as 0.
         self.found = found
         d = scheme.nonterminals[rule]
         self.bound_types = dict(zip(d.params, (t for _, t in arg_types(d.ty))))
@@ -232,11 +224,9 @@ class _Interp:
             case Var(n):
                 return Poly.var(bv_vid(self.rule, n, idx))
             case NonTerm(n):
-                if self.found is not None and idx not in self.found[n]:
+                if idx not in self.found[n]:
                     return Poly()
                 return Poly.var(nt_vid(n, idx))
-            case Param(n):
-                return Poly.var(pm_vid(n, idx))
             case Choice(l, bias, r):
                 if idx[0] != 0:
                     return Poly()
@@ -282,31 +272,6 @@ class _Interp:
         out = Poly.__new__(Poly)
         out.terms = {m: c for m, c in p.terms.items() if all(e <= caps.get(v, e) for v, e in m)}
         return out
-
-
-def interpret_body(scheme: Scheme, rule: str, target: Index, unchecked: bool = False) -> Poly:
-    """The polynomial interpreting the rule (as an abstraction over its
-    parameters) at the given index of its declared type, every unknown
-    read as itself and products cut at the target's own multiplicities.
-
-    With unchecked=True the target may carry argument multiplicities
-    beyond the declared grades; the interpretation of a well-typed
-    scheme is then identically zero there (stability)."""
-    d = scheme.nonterminals[rule]
-    if not unchecked and target not in set(index_set(d.ty)):
-        raise InterpError(f"index not in the declared index set of {rule!r}")
-    interp = _Interp(scheme, rule)
-    # Unwind the target through the rule's abstractions.
-    profile: list[tuple[int, int]] = []
-    for pname in d.params:
-        if target[0] != 1:
-            raise InterpError(f"index too shallow for rule {rule!r}")
-        _, arg_uses, target = target
-        profile.extend((bv_vid(rule, pname, pt), m) for pt, m in arg_uses)
-    points = _bound_points(scheme, rule, interp.sets)
-    interp.caps = dict.fromkeys(points, 0) | dict(profile)
-    buckets = _split(interp.sem(d.body, target), points)
-    return Poly(buckets.get(tuple(sorted(profile)), {}))
 
 
 def _bound_points(scheme: Scheme, rule: str, sets: dict) -> dict[int, tuple[int, Index]]:
@@ -431,15 +396,10 @@ def sccs(graph: dict[Node, set[Node]]) -> list[list[Node]]:
 class Fas:
     """Finite monotone polynomial fixpoint system w = P(w, z)."""
 
-    def __init__(self, eqs: dict[int, Poly], start: int, param_vids: set[int] | None = None,
-                 zeros: set[int] | None = None) -> None:
+    def __init__(self, eqs: dict[int, Poly], start: int, zeros: set[int] | None = None) -> None:
         self.eqs = eqs  # unknown vid -> right-hand side
         self.start = start
-        self.param_vids = set() if param_vids is None else param_vids
         self.zeros = set() if zeros is None else zeros  # eliminated zero unknowns
-
-    def is_closed(self) -> bool:
-        return not self.param_vids
 
     def dependencies(self, vid: int) -> set[int]:
         return {v for v in self.eqs[vid].variables() if v in self.eqs}
@@ -468,9 +428,9 @@ def _callees(body: Term) -> set[str]:
 
 
 def compile_scheme(scheme: Scheme) -> Fas:
-    """Compile a finitary scheme (closed or parametric) to its fixpoint
-    system, without the unknowns whose least-fixpoint value is zero."""
-    report = check_fin(scheme) if scheme.is_closed() else check_inf(scheme)
+    """Compile a closed finitary scheme to its fixpoint system, without
+    the unknowns whose least-fixpoint value is zero."""
+    report = check_fin(scheme)
     if not report.accepted:
         msgs = "; ".join(d.message for d in report.diagnostics)
         raise InterpError(f"scheme does not type-check: {msgs}")
@@ -483,15 +443,13 @@ def compile_scheme(scheme: Scheme) -> Fas:
             raise IndexCapExceeded()
 
     sets: dict = {}  # index sets, shared by the whole compile
-    param_vids = {pm_vid(pname, idx) for pname, pty in scheme.params.items()
-                  for idx in index_set(pty, sets)}
     calls = {name: _callees(d.body) for name, d in scheme.nonterminals.items()}
     # Callees first, so every unknown outside the component being
     # interpreted is settled.  Reading an unknown without an equation
     # found so far as 0 drops exactly the monomials that carry it, and
     # products only add unknowns, so once the equations of a component
     # stop growing in number its last pass gives them with the zero
-    # unknowns eliminated.  Parameters and z always count as nonzero.
+    # unknowns eliminated.  z always counts as nonzero.
     found: dict[str, dict[Index, Poly]] = {name: {} for name in scheme.nonterminals}
     for comp in sccs(calls):
         recursive = len(comp) > 1 or comp[0] in calls[comp[0]]
@@ -509,7 +467,7 @@ def compile_scheme(scheme: Scheme) -> Fas:
            for idx, p in sorted(found[name].items())}
     declared = {nt_vid(name, idx) for name, d in scheme.nonterminals.items()
                 for idx in index_set(d.ty, sets)}
-    fas = Fas(eqs, nt_vid(scheme.start, GroundPoint(1)), param_vids, declared - set(eqs))
+    fas = Fas(eqs, nt_vid(scheme.start, GroundPoint(1)), declared - set(eqs))
 
     if max(order(d.ty) for d in scheme.nonterminals.values()) <= 1:
         # At order 1 a ground argument can reach head position at most
@@ -532,7 +490,7 @@ def _spine_multiplicity(idx: Index) -> int:
 
 def reachable(fas: Fas) -> Fas:
     """The subsystem of the equations the start depends on, directly or
-    not, with the parameters they use; `zeros` is carried over."""
+    not; `zeros` is carried over."""
     seen = {fas.start}
     stack = [fas.start]
     while stack:
@@ -541,11 +499,4 @@ def reachable(fas: Fas) -> Fas:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    eqs = {v: p for v, p in fas.eqs.items() if v in seen}
-    used_params = {
-        v
-        for p in eqs.values()
-        for v in p.variables()
-        if v in fas.param_vids
-    }
-    return Fas(eqs, fas.start, used_params, fas.zeros)
+    return Fas({v: p for v, p in fas.eqs.items() if v in seen}, fas.start, fas.zeros)

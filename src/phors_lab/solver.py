@@ -89,11 +89,7 @@ class MinSolution:
 # Series, one coefficient layer at a time
 
 
-def kleene_series(
-    fas: Fas,
-    degree: int,
-    params: dict[int, TruncSeries] | None = None,
-) -> dict[int, TruncSeries]:
+def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     """Exact coefficients of the least solution up to z^max(degree, 1),
     one layer at a time (Pivoteau, Salvy & Soria, JCTA 2012).
 
@@ -110,25 +106,17 @@ def kleene_series(
 
     Layer k is carried times B^k, with B the lcm of the denominators of
     the coefficients of the monomials that carry z: these are the layers
-    of y(B z), the least solution of y = P(y, B z) with the parameters'
-    series read at B z too.  A monomial c z^e m then carries c B^e, an
-    integer, so where the z-free coefficients, layer 0 and the
-    parameters are integers the layers add and multiply ints, without a
-    gcd per operation; other values stay Fractions and mix in.
-    Coefficient k is divided by B^k once, at the end."""
-    params = params or {}
-    missing = fas.param_vids - set(params)
-    if missing:
-        names = ", ".join(sorted(var_name(v) for v in missing))
-        raise SolverError(f"unassigned parameters: {names}")
+    of y(B z), the least solution of y = P(y, B z).  A monomial
+    c z^e m then carries c B^e, an integer, so where the z-free
+    coefficients and layer 0 are integers the layers add and multiply
+    ints, without a gcd per operation; other values stay Fractions and
+    mix in.  Coefficient k is divided by B^k once, at the end."""
     n = max(degree, 1)
-    if any(s.bound < n for s in params.values()):
-        raise SolverError("parameter series truncated below requested degree")
     for vid, p in fas.eqs.items():
         if any(c < 0 for c in p.terms.values()):
             raise MonotonicityError(f"negative coefficient in the equation of {var_name(vid)}")
     z = z_vid()
-    point = {vid: s.coeffs[0] for vid, s in params.items()} | {z: ZERO}
+    point = {z: ZERO}
     y0 = {vid: ZERO for vid in fas.eqs}
     for _ in range(len(fas.eqs) + 1):
         point.update(y0)
@@ -148,15 +136,13 @@ def kleene_series(
         *(c.denominator for p in fas.eqs.values() for m, c in p.terms.items() if z in dict(m))
     )
     scale = [B**k for k in range(n + 1)]
-    series = {vid: [_int(c * b) for c, b in zip(s.coeffs, scale)] for vid, s in params.items()}
     y = {vid: [_int(y0[vid])] for vid in fas.eqs}
-    series.update(y)
     monos: dict[int, list] = {vid: [] for vid in fas.eqs}
     for vid, p in fas.eqs.items():
         for m, c in p.terms.items():
             e = dict(m).get(z, 0)
             fs = [[_int(c * B**e)]] + (
-                [series[w] for w, f in m if w != z for _ in range(f)] or [[1]]
+                [y[w] for w, f in m if w != z for _ in range(f)] or [[1]]
             )
             monos[vid].append((e, fs, [[] for _ in fs[1:]]))
     for k in range(1, n + 1):
@@ -170,7 +156,7 @@ def kleene_series(
             for v, x in zip(comp, inputs):
                 y[v].append(x)
     # Free each scaled layer list as its Fractions are made.
-    del series, monos
+    del monos
     return {
         vid: TruncSeries(Fraction(c, b) if c else ZERO for c, b in zip(y.pop(vid), scale))
         for vid in list(y)
@@ -317,9 +303,6 @@ def jacobian(
 def solve_at_one(fas: Fas) -> MinSolution:
     """The least nonnegative solution of w = P(w, 1), one strongly
     connected component at a time, dependencies first."""
-    if not fas.is_closed():
-        raise SolverError("cannot solve an open system; assign its parameters")
-
     z = z_vid()
     eqs1 = {vid: p.substitute({z: ONE}) for vid, p in fas.eqs.items()}
     graph = {vid: {w for w in p.variables() if w in eqs1} for vid, p in eqs1.items()}

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from phors_lab import load_bundled
+from phors_lab.interp import index_set
 from phors_lab.syntax import (
     App,
     Arrow,
@@ -202,6 +203,14 @@ def ring_text(n: int, bias: Fraction) -> str:
         for i in range(n)
     )
     return rules + "S = F0 e ;"
+
+
+def declared_indexes(scheme: Scheme, sets: dict | None = None) -> dict:
+    """Each rule's declared index set, as the `found` of an interpreter
+    that reads every unknown as nonzero; index sets are memoised in
+    `sets` as for index_set."""
+    sets = {} if sets is None else sets
+    return {name: set(index_set(d.ty, sets)) for name, d in scheme.nonterminals.items()}
 
 
 def chain_tower(k: int) -> Scheme:

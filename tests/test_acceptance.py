@@ -37,6 +37,7 @@ from phors_lab.syntax import Arrow, O
 
 from conftest import (
     CLOSED_TYPABLE,
+    declared_indexes,
     P_TERM,
     random_order1_scheme,
     random_order2_scheme,
@@ -185,8 +186,9 @@ def test_criterion_7_order1_affinity():
         scheme = random_order1_scheme(rng)
         assert check_fin(scheme).accepted
         fas = compile_scheme(scheme)  # also runs the built-in spine check
+        found = declared_indexes(scheme)
         for nt, d in scheme.nonterminals.items():
-            interp = _Interp(scheme, nt)
+            interp = _Interp(scheme, nt, found)
             raw = interp.sem(d.body, GroundPoint(1))
             live = Poly(
                 {

@@ -191,6 +191,19 @@ class TestTransform:
         rc = main(["transform", "reduce", _path("dyck"), "--verify", "7"])
         assert rc == EXIT_OK
 
+    def test_reduce_verify_budget_hit_is_inconclusive(self, tmp_path, capsys):
+        # F x = F x loops without a choice, so enumerating it uses up the
+        # step budget.  The probabilities found agree with the series
+        # [0, 1/2, 0], but they are only lower bounds: inconclusive, not
+        # a mismatch.
+        path = tmp_path / "loop.phors"
+        path.write_text("F : !1 o -o o ; F x = F x ; S = (F e) [1/2] e ;")
+        assert main(["transform", "reduce", str(path), "--verify", "2"]) == EXIT_INCONCLUSIVE
+        err = capsys.readouterr().err
+        assert err == (
+            "# inconclusive: a run used up the enumeration's budget of 1000000 steps\n"
+        )
+
     def test_compose_round_trip(self, tmp_path, capsys):
         once = tmp_path / "once.phors"
         rc = main(

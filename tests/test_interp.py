@@ -13,12 +13,15 @@ from phors_lab.interp import (
     ArrowPoint,
     GroundPoint,
     IndexCapExceeded,
+    InterpError,
     VAR_CAP,
+    _bound_points,
+    _Interp,
+    _split,
     bv_vid,
     compile_scheme,
     index_set,
     index_size,
-    interpret_body,
     nt_vid,
     reachable,
     var_name,
@@ -29,7 +32,13 @@ from phors_lab.solver import kleene_series
 from phors_lab.syntax import Arrow, Ground, O, parse
 from phors_lab.algebra import REGISTRY
 
-from conftest import CLOSED_TYPABLE, chain_tower, random_order1_scheme, random_order2_scheme
+from conftest import (
+    CLOSED_TYPABLE,
+    chain_tower,
+    declared_indexes,
+    random_order1_scheme,
+    random_order2_scheme,
+)
 
 
 FN = Arrow(1, O, O)  # !1 o -o o
@@ -37,6 +46,35 @@ FN = Arrow(1, O, O)  # !1 o -o o
 # F's type has exactly VAR_CAP = 10^5 points, (9 + 1)^5, and only
 # ([]->1) of them is nonzero.
 AT_CAP = "F : !9 o^5 -o o ; F x = e ; S = F <e,e,e,e,e> ;"
+
+
+def interpret_body(scheme, rule, target, unchecked=False):
+    """The reference interpreter: the polynomial interpreting the rule (as
+    an abstraction over its parameters) at one index of its declared
+    type, every unknown read as itself and products cut at the target's
+    own multiplicities.
+
+    With unchecked=True the target may carry argument multiplicities
+    beyond the declared grades; the interpretation of a well-typed
+    scheme is then identically zero there (stability)."""
+    d = scheme.nonterminals[rule]
+    sets = {}
+    found = declared_indexes(scheme, sets)
+    if not unchecked and target not in found[rule]:
+        raise InterpError(f"index not in the declared index set of {rule!r}")
+    interp = _Interp(scheme, rule, found)
+    interp.sets = sets
+    # Unwind the target through the rule's abstractions.
+    profile = []
+    for pname in d.params:
+        if target[0] != 1:
+            raise InterpError(f"index too shallow for rule {rule!r}")
+        _, arg_uses, target = target
+        profile.extend((bv_vid(rule, pname, pt), m) for pt, m in arg_uses)
+    points = _bound_points(scheme, rule, sets)
+    interp.caps = dict.fromkeys(points, 0) | dict(profile)
+    buckets = _split(interp.sem(d.body, target), points)
+    return Poly(buckets.get(tuple(sorted(profile)), {}))
 
 
 class TestIndexSets:
@@ -160,8 +198,6 @@ class TestInterpretBody:
 
 class TestCompile:
     def test_rejects_ill_typed_schemes(self):
-        from phors_lab.interp import InterpError
-
         with pytest.raises(InterpError):
             compile_scheme(load_bundled("nonalg"))
         with pytest.raises(InterpError):
@@ -233,10 +269,13 @@ class TestCompile:
                 all_args = _all_arg_vids(scheme, nt)
                 assert live.degree_in(all_args) <= 1, nt
 
-    def test_open_scheme_has_parameter_variables(self):
-        fas = compile_scheme(load_bundled("dyck_core"))
-        assert fas.param_vids
-        assert not fas.is_closed()
+    def test_open_scheme_is_refused(self):
+        # Only a closed scheme has a generating function to compile.
+        with pytest.raises(InterpError) as e:
+            compile_scheme(load_bundled("dyck_core"))
+        assert str(e.value) == (
+            "scheme does not type-check: open parameters are not finitely graded"
+        )
 
     def test_reachable_restricts_to_start_component(self):
         fas = compile_scheme(load_bundled("brackets"))
@@ -256,7 +295,6 @@ class TestCompile:
         # and nothing at an index that has no equation.
         rng = random.Random(2024)
         schemes = [_compilable(load_bundled(n)) for n in CLOSED_TYPABLE]
-        schemes.append(load_bundled("dyck_core"))
         schemes += [
             (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
             for i in range(50)
@@ -343,9 +381,9 @@ class TestCompile:
         built = []
 
         class Counting(interp._Interp):
-            def __init__(self, scheme, rule, nonzero=None):
+            def __init__(self, scheme, rule, found):
                 built.append(rule)
-                super().__init__(scheme, rule, nonzero)
+                super().__init__(scheme, rule, found)
 
         monkeypatch.setattr(interp, "_Interp", Counting)
 
@@ -415,12 +453,11 @@ def _live_bodies(scheme):
     """Yield (rule, grade, binding's variable ids, live body polynomial)
     per finitely graded binding, where "live" drops every monomial that
     mentions a least-fixpoint-zero unknown."""
-    from phors_lab.interp import _Interp
-
     fas = compile_scheme(scheme)
     zeros = fas.zeros
+    found = declared_indexes(scheme)
     for nt, d in scheme.nonterminals.items():
-        interp = _Interp(scheme, nt)
+        interp = _Interp(scheme, nt, found)
         raw = interp.sem(d.body, GroundPoint(1))
         live = Poly(
             {

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phors_lab import load_bundled
-from phors_lab.algebra import Poly, REGISTRY, TruncSeries
+from phors_lab.algebra import Poly, REGISTRY
 from phors_lab.interp import compile_scheme, reachable, sccs, var_name, z_vid
 from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
 from phors_lab.solver import (
@@ -80,12 +80,11 @@ def _coeffs(series: dict) -> dict:
     return {v: s.coeffs for v, s in series.items()}
 
 
-def _reference_series(fas, degree, params=None):
+def _reference_series(fas, degree):
     """Plain Kleene iteration y <- P(y, z) over coefficient lists, run
     until it stops changing."""
     n = max(degree, 1)
     env = {z_vid(): _z(n)}
-    env.update({v: s.coeffs[: n + 1] for v, s in (params or {}).items()})
     y = {v: (F(0),) * (n + 1) for v in fas.eqs}
     for _ in range(1000):
         env.update(y)
@@ -120,17 +119,6 @@ class TestKleeneSeries:
         fas = _make_system(_scaling_cases()[case], "b")
         assert _coeffs(kleene_series(fas, degree)) == _reference_series(fas, degree)
 
-    @pytest.mark.parametrize("degree", [0, 4])
-    @pytest.mark.parametrize(
-        "coeffs",
-        [[0, F(1, 3), F(1, 5), 0, 0], [F(1, 2), 0, F(2, 7), F(1, 9), 0]],
-        ids=["z-thirds-fifths", "rational-constant"],
-    )
-    def test_rational_parameters_match_plain_iteration(self, coeffs, degree):
-        fas = reachable(compile_scheme(load_bundled("dyck_core")))
-        params = {v: TruncSeries(coeffs) for v in fas.param_vids}
-        assert _coeffs(kleene_series(fas, degree, params)) == _reference_series(fas, degree, params)
-
     @pytest.mark.parametrize("degree", [2, 9])
     def test_factor_shorter_than_the_index(self, degree):
         # y = z/3 + (2/3) y^2 reads y, whose coefficient k is not known
@@ -159,26 +147,6 @@ class TestKleeneSeries:
         fas = _fas("unit")
         s = kleene_series(fas, 0)[fas.start]
         assert s.coeffs[0] == 1
-
-    def test_open_system_requires_parameters(self):
-        fas = reachable(compile_scheme(load_bundled("dyck_core")))
-        with pytest.raises(SolverError):
-            kleene_series(fas, 4)
-        params = {v: TruncSeries([0, 1, 0, 0, 0]) for v in fas.param_vids}
-        out = kleene_series(fas, 4, params)
-        assert out[fas.start].coeffs[0] == 0
-
-    def test_parameter_series_shorter_than_the_result(self):
-        # The result runs to z^max(degree, 1), so at degree 0 a parameter
-        # series must still give coefficient 1: y = w with w = 1/2 + O(z).
-        from phors_lab.interp import Fas
-
-        y, w = _v("y"), _v("w")
-        fas = Fas({y: Poly.var(w)}, y, {w})
-        with pytest.raises(SolverError, match="truncated"):
-            kleene_series(fas, 0, {w: TruncSeries([F(1, 2)])})
-        assert kleene_series(fas, 0, {w: TruncSeries([F(1, 2), F(1, 3)])})[y].coeffs == (
-            F(1, 2), F(1, 3))
 
     def test_monotonicity_violation_detected(self):
         # A "system" whose iterates oscillate: w = 1 - w is not monotone
@@ -429,11 +397,6 @@ class TestSolveAtOne:
             env[z_vid()] = F(1)
             for vid, p in fas.eqs.items():
                 assert p.eval(env) == sol.values[vid]
-
-    def test_open_system_rejected(self):
-        fas = reachable(compile_scheme(load_bundled("dyck_core")))
-        with pytest.raises(SolverError):
-            solve_at_one(fas)
 
     def test_linear_divergent_least_solution_is_zero(self):
         # w = w has least solution 0 (b = 0).

@@ -1,12 +1,12 @@
 """Linearization, composition, and reduction of unbounded grades."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from phors_lab import bundled_names, load_bundled
-from phors_lab.algebra import TruncSeries
 from phors_lab.interp import IndexCapExceeded, compile_scheme, reachable
 from phors_lab.operational import enumerate_terminations
 from phors_lab.solver import kleene_series
@@ -193,34 +193,23 @@ class TestCompose:
         want = _coeffs(reduce_inf(load_bundled("dyck")), 9)
         assert got == want
 
-    def test_composition_is_series_substitution(self):
-        # Filling a parameter with a non-terminal equals substituting the
-        # plug's series for the parameter series, coefficient for
-        # coefficient.
-        core = load_bundled("dyck_core")
+    def test_double_composition_is_the_dyck_walk(self):
+        # Plugging A for f, then B for g, closes dyck_core into the
+        # fair walk from 1 to 0: it ends after 2k+1 choices with
+        # probability C_k / 2^(2k+1), C_k the k-th Catalan number, and
+        # never after an even number.
         actions = load_bundled("brackets")
+        once = compose(load_bundled("dyck_core"), actions, "f", "A")
+        twice = compose(once, actions, "g", "B")
         degree = 9
-        once = compose(core, actions, "f", "A")
-        closed = compose(once, actions, "g", "B")
-        got = _coeffs(closed, degree)
-
-        fas_open = reachable(compile_scheme(core))
-        fas_a = reachable(compile_scheme(actions))
-        # A x = x: its series at the "uses its argument" index is the
-        # constant 1, and 0 at the discarding index.
-        from phors_lab.interp import ArrowPoint, GroundPoint, pm_vid
-
-        use = ArrowPoint(((GroundPoint(1), 1),), GroundPoint(1))
-        drop = ArrowPoint((), GroundPoint(1))
-        params = {}
-        for pname in ("f", "g"):
-            for idx, val in ((use, 1), (drop, 0)):
-                vid = pm_vid(pname, idx)
-                if vid in fas_open.param_vids:
-                    params[vid] = TruncSeries([val] + [0] * degree)
-        assert kleene_series(fas_open, degree, params)[
-            fas_open.start
-        ].coeffs == got
+        got = _coeffs(twice, degree)
+        probs, budget_hit = enumerate_terminations(twice, degree)
+        assert not budget_hit
+        assert got == tuple(probs.get(i, 0) for i in range(degree + 1))
+        catalan = [math.comb(2 * k, k) // (k + 1) for k in range(degree)]
+        assert got == tuple(
+            Fraction(catalan[i // 2], 2**i) if i % 2 else 0 for i in range(degree + 1)
+        )
 
     def test_renames_colliding_nonterminals(self):
         g1 = parse("param f : !1 o -o o ; A = e ; S = f A ; start S ;")
