@@ -30,6 +30,7 @@ from phors_lab.interp import (
 from phors_lab.operational import enumerate_terminations
 from phors_lab.solver import kleene_series
 from phors_lab.syntax import Arrow, Ground, O, parse
+from phors_lab.transforms import compose
 from phors_lab.algebra import REGISTRY
 
 from conftest import (
@@ -276,6 +277,19 @@ class TestCompile:
         assert str(e.value) == (
             "scheme does not type-check: open parameters are not finitely graded"
         )
+
+    def test_open_scheme_has_parameter_variables(self):
+        # The parameters of an open scheme belong to the scheme; plugging
+        # them all closes it, and the compiled system then reads only its
+        # unknowns and z.
+        scheme = load_bundled("dyck_core")
+        assert set(scheme.params) == {"f", "g"}
+        actions = load_bundled("brackets")
+        closed = compose(compose(scheme, actions, "f", "A"), actions, "g", "B")
+        assert closed.is_closed()
+        fas = compile_scheme(closed)
+        read = set().union(*(p.variables() for p in fas.eqs.values()))
+        assert read <= set(fas.eqs) | {z_vid()}
 
     def test_reachable_restricts_to_start_component(self):
         fas = compile_scheme(load_bundled("brackets"))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from phors_lab import load_bundled
 from phors_lab.algebra import Poly, REGISTRY
-from phors_lab.interp import compile_scheme, reachable, sccs, var_name, z_vid
+from phors_lab.interp import InterpError, compile_scheme, reachable, sccs, var_name, z_vid
 from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
 from phors_lab.solver import (
     EPS,
@@ -26,7 +26,7 @@ from phors_lab.solver import (
 )
 from phors_lab.operational import enumerate_terminations
 from phors_lab.syntax import parse
-from phors_lab.transforms import reduce_inf
+from phors_lab.transforms import compose, reduce_inf
 
 from conftest import random_order1_scheme, random_order2_scheme, ring_text
 
@@ -43,6 +43,16 @@ def catalan(i: int) -> int:
 def _fas(name: str):
     scheme = load_bundled(name)
     return reachable(compile_scheme(scheme))
+
+
+def _dyck_closed(*holes: str):
+    """dyck_core with its parameters among f, g plugged by brackets's
+    A (for f) and B (for g)."""
+    scheme = load_bundled("dyck_core")
+    actions = load_bundled("brackets")
+    for hole in holes:
+        scheme = compose(scheme, actions, hole, {"f": "A", "g": "B"}[hole])
+    return scheme
 
 
 def _make_system(eqs_by_name: dict[str, Poly], start: str):
@@ -147,6 +157,16 @@ class TestKleeneSeries:
         fas = _fas("unit")
         s = kleene_series(fas, 0)[fas.start]
         assert s.coeffs[0] == 1
+
+    def test_open_system_requires_parameters(self):
+        # An open scheme has no series until its parameters are plugged:
+        # dyck_core is refused at compile, and with f := A, g := B it is
+        # the fair walk from 1 to 0, ending after 1 choice with
+        # probability 1/2 and after 3 with probability 1/8.
+        with pytest.raises(InterpError, match="open parameters"):
+            compile_scheme(load_bundled("dyck_core"))
+        fas = reachable(compile_scheme(_dyck_closed("f", "g")))
+        assert kleene_series(fas, 3)[fas.start].coeffs == (0, F(1, 2), 0, F(1, 8))
 
     def test_monotonicity_violation_detected(self):
         # A "system" whose iterates oscillate: w = 1 - w is not monotone
@@ -397,6 +417,17 @@ class TestSolveAtOne:
             env[z_vid()] = F(1)
             for vid, p in fas.eqs.items():
                 assert p.eval(env) == sol.values[vid]
+
+    def test_open_system_rejected(self):
+        # A scheme with a parameter left open never reaches the solver:
+        # plugging f alone leaves g, and compile refuses it; plugging g
+        # too gives the fair walk, which ends almost surely.
+        with pytest.raises(InterpError, match="open parameters"):
+            compile_scheme(_dyck_closed("f"))
+        fas = reachable(compile_scheme(_dyck_closed("f", "g")))
+        sol = solve_at_one(fas)
+        assert sol.values[fas.start] == 1
+        assert sol.exact
 
     def test_linear_divergent_least_solution_is_zero(self):
         # w = w has least solution 0 (b = 0).
