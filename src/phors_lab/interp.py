@@ -17,25 +17,27 @@ enumerates each type's index set once.
 
 Compilation visits the rules' call graph one strongly connected
 component at a time, callees first.  An unknown is nonzero once an
-equation has been found for it; the others read as 0, so a product
-never carries an unknown that is zero in the least fixpoint.  A
-component without recursion is interpreted once; a recursive one again
-until its equations stop growing in number (Kleene iteration, over the
-Boolean semiring, of "some monomial has only nonzero unknowns").  A
-rule's body is interpreted once per point of its ground result, and the
-polynomial is split by its bound-variable power product: each nonempty
-bucket is the equation of the index its power product spells, and no
-other index of the declared type gets one.  While multiplying,
-monomials in which a bound variable's exponent exceeds its binding's
-grade are dropped, since no index can extract them.
+equation has been found for it, and an application sums over its
+head's nonzero indexes only (a bound variable's: its binding's
+points), so a product never carries an unknown that is zero in the
+least fixpoint.  A component without recursion is interpreted once; a
+recursive one again until its equations stop growing in number (Kleene
+iteration, over the Boolean semiring, of "some monomial has only
+nonzero unknowns").  A rule's body is interpreted once per point of
+its ground result, and the polynomial is split by its bound-variable
+power product: each nonempty bucket is the equation of the index its
+power product spells, and no other index of the declared type gets
+one.  While multiplying, monomials in which a bound variable's
+exponent exceeds its binding's grade are dropped, since no index can
+extract them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Container
 from fractions import Fraction
+from functools import partial
 
 from .algebra import Monomial, Poly, REGISTRY
 from .syntax import (
@@ -56,6 +58,7 @@ from .syntax import (
     is_finitary,
     leaves,
     order,
+    spine,
     type_of,
 )
 from .typesys import check_fin
@@ -104,23 +107,6 @@ def index_set(ty: GradedType, sets: dict | None = None) -> list[Index]:
     return pts
 
 
-def _multisets(ty: GradedType, grade: int, sets: dict) -> list:
-    """All multisets over index_set(ty, sets) with per-element
-    multiplicity at most grade, as canonically sorted ((point, mult), ...)
-    tuples, memoised in `sets`.  Grade 0 admits only the empty multiset,
-    so ty is then not enumerated."""
-    if grade == 0:
-        return [()]
-    pts = index_set(ty, sets)
-    mus = sets.get((ty, grade))
-    if mus is None:
-        mus = sets[ty, grade] = sorted(
-            tuple((p, m) for p, m in zip(pts, mults) if m > 0)
-            for mults in itertools.product(range(grade + 1), repeat=len(pts))
-        )
-    return mus
-
-
 def index_size(ty: GradedType) -> int:
     """The number of points of ty's index set, or VAR_CAP + 1 if it has
     more: a size beyond the cap is never computed, as it can have more
@@ -141,9 +127,12 @@ def _enum(ty: GradedType, sets: dict) -> list[Index]:
         case Ground(n):
             return [GroundPoint(i) for i in range(1, n + 1)]
         case Arrow(k, a, r):
-            # Both factors are sorted, so the product is too.
-            mus, pts_r = _multisets(a, int(k), sets), index_set(r, sets)
-            return [ArrowPoint(mu, res) for mu in mus for res in pts_r]
+            # Multisets of a's points, each at most k times: at grade 0 only
+            # the empty one, so a is not enumerated.  Sorted, as is the product.
+            pts = index_set(a, sets) if k else []
+            mus = sorted(tuple((p, m) for p, m in zip(pts, mults) if m)
+                         for mults in itertools.product(range(int(k) + 1), repeat=len(pts)))
+            return [ArrowPoint(mu, res) for mu in mus for res in index_set(r, sets)]
     raise TypeError(ty)
 
 
@@ -193,7 +182,6 @@ def var_name(vid: int) -> str:
 
 class _Interp:
     def __init__(self, scheme: Scheme, rule: str, found: dict) -> None:
-        self.scheme = scheme
         self.rule = rule
         # Each rule's equations found so far, by index: an unknown without
         # one reads as 0.
@@ -201,7 +189,9 @@ class _Interp:
         d = scheme.nonterminals[rule]
         self.bound_types = dict(zip(d.params, (t for _, t in arg_types(d.ty))))
         self.memo: dict[tuple[Term, Index], Poly] = {}
-        # Index sets and argument multisets by type, as in _multisets.
+        # Each (head, argument count)'s candidates, as _heads groups them.
+        self.heads: dict[tuple[Term, int], dict] = {}
+        # Index sets by type, as in index_set.
         self.sets: dict = {}
         # Bound-variable id -> the largest exponent an index extracts.
         # Products drop monomials beyond it: multiplication only raises
@@ -221,12 +211,6 @@ class _Interp:
                 return Poly.const(1) if idx == GroundPoint(1) else Poly()
             case Omega():
                 return Poly()
-            case Var(n):
-                return Poly.var(bv_vid(self.rule, n, idx))
-            case NonTerm(n):
-                if idx not in self.found[n]:
-                    return Poly()
-                return Poly.var(nt_vid(n, idx))
             case Choice(l, bias, r):
                 if idx[0] != 0:
                     return Poly()
@@ -240,29 +224,47 @@ class _Interp:
                 if idx != GroundPoint(1):
                     return Poly()
                 return self.sem(b, GroundPoint(i))
-            case App(f, a):
-                fty = type_of(f, self.scheme, self.bound_types)
-                if fty.grade == math.inf:
-                    raise InterpError(
-                        "cannot compile an unbounded application directly; "
-                        "reduce the scheme to finitary form first"
-                    )
+            case Var() | NonTerm() | App():
+                # The head's variable at each candidate ([mu1] -> ... ->
+                # [mun] -> idx), times each argument ai at mui's points.
+                head, args = spine(t)
                 total = Poly()
-                for mu in _multisets(fty.arg, int(fty.grade), self.sets):
-                    fpart = self.sem(f, ArrowPoint(mu, idx))
-                    if not fpart:
-                        continue
-                    prod = fpart
-                    for pt, mult in mu:
-                        apart = self.sem(a, pt)
-                        if not apart:
-                            prod = Poly()
+                for var, uses in self._heads(head, len(args)).get(idx, ()):
+                    prod = Poly.var(var())
+                    for i, pt in uses:
+                        prod = self._cut(prod * self.sem(args[i], pt))
+                        if not prod:
                             break
-                        for _ in range(mult):
-                            prod = self._cut(prod * apart)
                     total = total + prod
                 return total
         raise TypeError(t)
+
+    def _heads(self, head: Term, n: int) -> dict[Index, list]:
+        """The head's candidate indexes, grouped by the result each leaves
+        once n argument multisets are peeled off, as (variable, uses)
+        pairs: the variable is interned at its first use, and a use (i,
+        point) is one factor of argument i.  A group is ordered by the last
+        multiset, then the one before, as a sum over every multiset would
+        be, which fixes the order of variable ids and of monomials."""
+        groups = self.heads.get((head, n))
+        if groups is None:
+            if isinstance(head, NonTerm):
+                cands, var = self.found[head.name], partial(nt_vid, head.name)
+            else:
+                cands = index_set(self.bound_types[head.name], self.sets)
+                var = partial(bv_vid, self.rule, head.name)
+            peeled = []
+            for cand in cands:
+                mus, res = [], cand
+                for _ in range(n):
+                    _, mu, res = res
+                    mus.insert(0, mu)
+                peeled.append((mus, res, cand))
+            groups = self.heads[head, n] = {}
+            for mus, res, cand in sorted(peeled):
+                uses = [(i, p) for i, mu in enumerate(reversed(mus)) for p, m in mu for _ in range(m)]
+                groups.setdefault(res, []).append((partial(var, cand), uses))
+        return groups
 
     def _cut(self, p: Poly) -> Poly:
         caps = self.caps
@@ -306,12 +308,12 @@ def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly
     interp = _Interp(scheme, rule, found)
     interp.sets = sets
     points = _bound_points(scheme, rule, sets)
-    spine = arg_types(d.ty)
-    interp.caps = {vid: int(spine[i][0]) for vid, (i, _) in points.items()}
+    bindings = arg_types(d.ty)
+    interp.caps = {vid: int(bindings[i][0]) for vid, (i, _) in points.items()}
     eqs: dict[Index, Poly] = {}
     for res in index_set(type_of(d.body, scheme, interp.bound_types), sets):
         for bound, rest in _split(interp.sem(d.body, res), points).items():
-            mus: list[list[tuple[Index, int]]] = [[] for _ in spine]
+            mus: list[list[tuple[Index, int]]] = [[] for _ in bindings]
             for vid, m in bound:
                 i, pt = points[vid]
                 mus[i].append((pt, m))
@@ -434,11 +436,7 @@ def compile_scheme(scheme: Scheme) -> Fas:
     if not report.accepted:
         msgs = "; ".join(d.message for d in report.diagnostics)
         raise InterpError(f"scheme does not type-check: {msgs}")
-    for name, d in scheme.nonterminals.items():
-        if not is_finitary(d.ty):
-            raise InterpError(
-                f"non-terminal {name!r} has an infinitary type; reduce first"
-            )
+    for d in scheme.nonterminals.values():
         if index_size(d.ty) > VAR_CAP:
             raise IndexCapExceeded()
 

@@ -178,8 +178,9 @@ def test_criterion_6_operational_agreement(name):
 
 
 def test_criterion_7_order1_affinity():
-    from phors_lab.interp import GroundPoint, _Interp, bv_vid, index_set
+    from phors_lab.interp import GroundPoint, bv_vid, index_set
     from phors_lab.syntax import arg_types
+    from test_interp import ProbeInterp
 
     rng = random.Random(1234)
     for trial in range(50):
@@ -188,7 +189,7 @@ def test_criterion_7_order1_affinity():
         fas = compile_scheme(scheme)  # also runs the built-in spine check
         found = declared_indexes(scheme)
         for nt, d in scheme.nonterminals.items():
-            interp = _Interp(scheme, nt, found)
+            interp = ProbeInterp(scheme, nt, found)
             raw = interp.sem(d.body, GroundPoint(1))
             live = Poly(
                 {

@@ -1,5 +1,6 @@
 """Index sets and compilation to fixpoint systems."""
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -29,7 +30,7 @@ from phors_lab.interp import (
 )
 from phors_lab.operational import enumerate_terminations
 from phors_lab.solver import kleene_series
-from phors_lab.syntax import Arrow, Ground, O, parse
+from phors_lab.syntax import App, Arrow, Ground, NonTerm, O, Var, parse, type_of
 from phors_lab.transforms import compose
 from phors_lab.algebra import REGISTRY
 
@@ -49,6 +50,60 @@ FN = Arrow(1, O, O)  # !1 o -o o
 AT_CAP = "F : !9 o^5 -o o ; F x = e ; S = F <e,e,e,e,e> ;"
 
 
+class ProbeInterp(_Interp):
+    """The reference interpretation of an application: f a at r sums
+    f[mu -> r] times a's points as mu uses them over every multiset mu of
+    f's declared argument type, dropping the zero terms.  compile_scheme's
+    interpreter sums over the head's candidate indexes instead."""
+
+    def __init__(self, scheme, rule, found):
+        super().__init__(scheme, rule, found)
+        self.scheme = scheme
+
+    def _sem(self, t, idx):
+        match t:
+            case Var(n):
+                return Poly.var(bv_vid(self.rule, n, idx))
+            case NonTerm(n):
+                if idx not in self.found[n]:
+                    return Poly()
+                return Poly.var(nt_vid(n, idx))
+            case App(f, a):
+                fty = type_of(f, self.scheme, self.bound_types)
+                total = Poly()
+                for mu in _multisets(fty.arg, int(fty.grade), self.sets):
+                    fpart = self.sem(f, ArrowPoint(mu, idx))
+                    if not fpart:
+                        continue
+                    prod = fpart
+                    for pt, mult in mu:
+                        apart = self.sem(a, pt)
+                        if not apart:
+                            prod = Poly()
+                            break
+                        for _ in range(mult):
+                            prod = self._cut(prod * apart)
+                    total = total + prod
+                return total
+        return super()._sem(t, idx)
+
+
+def _multisets(ty, grade, sets):
+    """All multisets over index_set(ty, sets) with each multiplicity at
+    most grade, as sorted ((point, mult), ...) tuples, memoised in
+    `sets`.  Grade 0 admits only the empty multiset."""
+    if grade == 0:
+        return [()]
+    pts = index_set(ty, sets)
+    mus = sets.get((ty, grade))
+    if mus is None:
+        mus = sets[ty, grade] = sorted(
+            tuple((p, m) for p, m in zip(pts, mults) if m)
+            for mults in itertools.product(range(grade + 1), repeat=len(pts))
+        )
+    return mus
+
+
 def interpret_body(scheme, rule, target, unchecked=False):
     """The reference interpreter: the polynomial interpreting the rule (as
     an abstraction over its parameters) at one index of its declared
@@ -63,7 +118,7 @@ def interpret_body(scheme, rule, target, unchecked=False):
     found = declared_indexes(scheme, sets)
     if not unchecked and target not in found[rule]:
         raise InterpError(f"index not in the declared index set of {rule!r}")
-    interp = _Interp(scheme, rule, found)
+    interp = ProbeInterp(scheme, rule, found)
     interp.sets = sets
     # Unwind the target through the rule's abstractions.
     profile = []
@@ -201,7 +256,7 @@ class TestCompile:
     def test_rejects_ill_typed_schemes(self):
         with pytest.raises(InterpError):
             compile_scheme(load_bundled("nonalg"))
-        with pytest.raises(InterpError):
+        with pytest.raises(InterpError, match="infinite grade present"):
             compile_scheme(load_bundled("dyck"))  # infinitary, reduce first
 
     def test_grade_zero_binding_is_not_enumerated(self):
@@ -363,6 +418,40 @@ class TestCompile:
         )
         assert len(fas.zeros) == VAR_CAP - 1
 
+    def test_applications_interpret_only_candidate_indexes(self, monkeypatch):
+        # An application sums over its head's nonzero indexes, not over
+        # every multiset of the head's declared argument type as the probe
+        # does, and both give the same system.  The at-cap scheme's F has
+        # 10^5 declared indexes, of which one is nonzero.
+        import phors_lab.interp as interp
+
+        with monkeypatch.context() as m:
+            m.setattr(interp, "_Interp", ProbeInterp)
+            probed = compile_scheme(chain_tower(6))
+        calls = 0
+        sem = interp._Interp._sem
+
+        def counting(self, t, idx):
+            nonlocal calls
+            calls += 1
+            return sem(self, t, idx)
+
+        monkeypatch.setattr(interp._Interp, "_sem", counting)
+        fas = compile_scheme(parse(AT_CAP))
+        assert calls <= 10
+        assert fas.render() == (
+            "y[F;([]->1)] = 1   # improper\n"
+            "y[S;1] = y[F;([]->1)]   # improper\n"
+            "start y[S;1]\n"
+        )
+        assert len(fas.zeros) == VAR_CAP - 1
+        calls = 0
+        fas = compile_scheme(chain_tower(6))
+        assert calls <= 500
+        assert (len(fas.eqs), len(fas.zeros), len(reachable(fas).eqs)) == (137, 11320, 9)
+        assert fas.render() == probed.render()
+        assert fas.zeros == probed.zeros
+
     def test_each_type_enumerated_once_per_compile(self, monkeypatch):
         # One compile shares its index sets among all its interpreters;
         # a second compile enumerates again, since nothing outlives one.
@@ -425,18 +514,14 @@ class TestCompile:
 
 
 class TestGradeTower:
-    """The chain-style tower at grades 8 and 16: nearly all of its
+    """The chain-style tower at grades 8, 16 and 64: nearly all of its
     unknowns are zero in the least fixpoint."""
 
     def test_grade_8(self):
         scheme = chain_tower(3)
         fas = compile_scheme(scheme)
-        sub = reachable(fas)
-        assert (len(fas.eqs), len(fas.zeros), len(sub.eqs)) == (22, 229, 6)
-        series = kleene_series(sub, 8)[sub.start]
-        probs, budget_hit = enumerate_terminations(scheme, 8, step_budget=10**5)
-        assert not budget_hit
-        assert [probs.get(k, 0) for k in range(9)] == list(series.coeffs[:9])
+        assert (len(fas.eqs), len(fas.zeros), len(reachable(fas).eqs)) == (22, 229, 6)
+        _check_against_enumerator(scheme, fas)
 
     def test_grade_16_compiles_within_10_s(self):
         start = time.perf_counter()
@@ -444,6 +529,20 @@ class TestGradeTower:
         elapsed = time.perf_counter() - start
         assert (len(fas.eqs), len(fas.zeros), len(reachable(fas).eqs)) == (39, 790, 7)
         assert elapsed < 10, elapsed
+
+    def test_grade_64(self):
+        scheme = chain_tower(6)
+        _check_against_enumerator(scheme, compile_scheme(scheme))
+
+
+def _check_against_enumerator(scheme, fas):
+    """The start's coefficients to degree 8 equal the operational
+    enumerator's termination probabilities."""
+    sub = reachable(fas)
+    series = kleene_series(sub, 8)[sub.start]
+    probs, budget_hit = enumerate_terminations(scheme, 8, step_budget=10**5)
+    assert not budget_hit
+    assert [probs.get(k, 0) for k in range(9)] == list(series.coeffs[:9])
 
 
 def _compilable(scheme):
@@ -471,7 +570,7 @@ def _live_bodies(scheme):
     zeros = fas.zeros
     found = declared_indexes(scheme)
     for nt, d in scheme.nonterminals.items():
-        interp = _Interp(scheme, nt, found)
+        interp = ProbeInterp(scheme, nt, found)
         raw = interp.sem(d.body, GroundPoint(1))
         live = Poly(
             {
