@@ -4,10 +4,14 @@ Three entry points:
 
 * `kleene_series` — exact coefficients of the least solution as
   truncated power series in z, one coefficient layer at a time, after a
-  one-time check that P has no negative coefficient.  The layers add
-  and multiply integers: with B the lcm of the denominators of the
-  coefficients of the monomials that carry z, coefficient k is carried
-  times B^k, and each result is divided by B^k once at the end.
+  one-time check that P has no negative coefficient.  Layer k >= 1 is
+  the linear system y_k = J y_k + r_k, solved along the components of
+  J; r_k reads the lower layers of P's products, which are prefix
+  products shared between monomials, each extended by one coefficient
+  per layer.  The layers add and multiply integers: with B the lcm of
+  the denominators of the coefficients of the monomials that carry z,
+  coefficient k is carried times B^k, and each result is divided by
+  B^k once at the end.
 * `solve_at_one` — the least nonnegative solution of w = P(w, 1), one
   strongly connected component at a time with its dependencies' values
   substituted (their lower, then their upper bounds when some are
@@ -98,11 +102,17 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     positive weight gives taller ones, so the iteration becomes
     stationary, within len(eqs) + 1 rounds, iff no tree of positive
     weight repeats an unknown on a path.  Layer k >= 1 is linear,
-    y_k = J y_k + r_k with J = dP/dy at (y_0, 0) and r_k given by the
-    lower layers.  It is solved along the components of J's graph,
-    dependencies first: y_k[v] is coefficient k of P_v, and a component
-    with a cycle must get input 0 and then stays 0, or it diverges.  A
-    negative coefficient in P raises MonotonicityError.
+    y_k = J y_k + r_k with J = dP/dy at (y_0, 0).  For a monomial
+    c z^e f_1 ... f_m, r_k takes coefficient k - e of the product when
+    e >= 1, and when e = 0 the product's coefficient k with every
+    unknown's coefficient k read as 0.  The products are built once, as
+    prefix products of the sorted factors, each prefix shared by every
+    monomial that has it, and each keeps its coefficient list across
+    the layers.  The system is solved along the components of J's
+    graph, dependencies first: y_k[v] is r_k[v] plus J_vw y_k[w] over the
+    w solved before it, and a component with a cycle must get input 0
+    and then stays 0, or it diverges.  A negative coefficient in P
+    raises MonotonicityError.
 
     Layer k is carried times B^k, with B the lcm of the denominators of
     the coefficients of the monomials that carry z: these are the layers
@@ -128,35 +138,66 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
         raise SolverError("the constant coefficients have infinitely many derivations")
 
     order = list(fas.eqs)
-    graph = {
-        v: {order[j] for j in row} for v, row in zip(order, jacobian(fas.eqs, order, point))
-    }
-    blocks = [(comp, len(comp) > 1 or comp[0] in graph[comp[0]]) for comp in sccs(graph)]
+    J = jacobian(fas.eqs, order, point)
     B = math.lcm(
         *(c.denominator for p in fas.eqs.values() for m, c in p.terms.items() if z in dict(m))
     )
     scale = [B**k for k in range(n + 1)]
-    y = {vid: [_int(y0[vid])] for vid in fas.eqs}
-    monos: dict[int, list] = {vid: [] for vid in fas.eqs}
+    y = {vid: [_int(y0[vid])] + [0] * n for vid in fas.eqs}
+    # P_v's coefficient k is the sum of c * lst[k - e] over its terms
+    # (c, lst, e), with e <= k.  Row v of J gives the terms (J_vw, y_w, 0):
+    # its w are solved before v in a layer, or lie in v's component, whose
+    # coefficient k reads as 0 until the component is solved.
+    terms = {v: [(_int(a), y[order[j]], 0) for j, a in row.items()] for v, row in zip(order, J)}
+    # Prefix products (prefix's list, its node or -1, last factor, own
+    # list), each after its prefix; a one-factor prefix is its unknown's
+    # list, node -1.
+    nodes: list[tuple] = []
+    index: dict[tuple[int, ...], int] = {}
+    unit = [1] + [0] * n  # the empty product
     for vid, p in fas.eqs.items():
         for m, c in p.terms.items():
             e = dict(m).get(z, 0)
-            fs = [[_int(c * B**e)]] + (
-                [y[w] for w, f in m if w != z for _ in range(f)] or [[1]]
-            )
-            monos[vid].append((e, fs, [[] for _ in fs[1:]]))
+            ws = tuple(sorted(w for w, f in m if w != z for _ in range(f)))
+            if e > n or (e == 0 and len(ws) < 2):
+                continue  # nothing in a layer k >= 1 beyond its entries of J
+            lst, i = (y[ws[0]] if ws else unit), -1
+            for j in range(2, len(ws) + 1):
+                if ws[:j] not in index:
+                    index[ws[:j]] = len(nodes)
+                    f = y[ws[j - 1]]
+                    nodes.append((lst, i, f, [lst[0] * f[0]] + [0] * n))
+                i = index[ws[:j]]
+                lst = nodes[i][3]
+            terms[vid].append((_int(c * B**e), lst, e))
+    # Components with their cyclic flags and their unknowns' terms; one
+    # none of whose unknowns has a term stays 0.
+    graph = {v: {order[j] for j in row} for v, row in zip(order, J)}
+    blocks = [
+        (comp, len(comp) > 1 or comp[0] in graph[comp[0]], [terms[v] for v in comp])
+        for comp in sccs(graph)
+        if any(terms[v] for v in comp)
+    ]
+    # old[i]: node i's coefficient k with every unknown's coefficient k
+    # read as 0, which is also its coefficient k until the unknowns' are
+    # solved.  The extra last entry is a one-factor prefix's, always 0.
+    old = [0] * (len(nodes) + 1)
+    mul = operator.mul
     for k in range(1, n + 1):
-        for comp, cyclic in blocks:
-            # Coefficient k of P with the component's own coefficients k,
-            # not known yet, read as 0: its value, or its input if cyclic.
-            inputs = [_coeff(monos[v], k) for v in comp]
-            if cyclic and any(inputs):
-                names = ", ".join(var_name(v) for v in comp)
-                raise SolverError(f"coefficient {k} of {names} diverges")
-            for v, x in zip(comp, inputs):
-                y[v].append(x)
-    # Free each scaled layer list as its Fractions are made.
-    del monos
+        for i, (p, pi, f, q) in enumerate(nodes):
+            old[i] = q[k] = old[pi] * f[0] + sum(map(mul, p[1:k], f[k - 1 : 0 : -1]))
+        for comp, cyclic, rhs in blocks:
+            inputs = [sum([c * lst[k - e] for c, lst, e in ts if e <= k]) for ts in rhs]
+            if cyclic:
+                if any(inputs):
+                    names = ", ".join(var_name(v) for v in comp)
+                    raise SolverError(f"coefficient {k} of {names} diverges")
+            else:
+                y[comp[0]][k] = inputs[0]
+        for i, (p, pi, f, q) in enumerate(nodes):
+            q[k] = old[i] + (p[k] - old[pi]) * f[0] + p[0] * f[k]
+    # Free the products' lists, and each unknown's as its Fractions are made.
+    del nodes, terms, blocks
     return {
         vid: TruncSeries(Fraction(c, b) if c else ZERO for c, b in zip(y.pop(vid), scale))
         for vid in list(y)
@@ -167,34 +208,6 @@ def _int(q: Fraction) -> int | Fraction:
     """q as an int when it is one, so that sums and products of such
     values stay in int arithmetic."""
     return q.numerator if q.denominator == 1 else q
-
-
-def _coeff(monos: list, k: int) -> int | Fraction:
-    """Coefficient k of a sum of monomials c z^e f_1 ... f_m, each given
-    as (e, [[c], f_1, ..., f_m], the coefficient lists of its prefix
-    products c f_1, c f_1 f_2, ...).  A coefficient missing from an f_i
-    reads as 0.  Only z-free monomials read the unknowns' coefficient k,
-    which may be missing, so only they drop the coefficient k they
-    computed for their prefixes."""
-    total = 0
-    for e, fs, pres in monos:
-        t = k - e
-        for i in range(len(pres[0]), t + 1):
-            prev = fs[0]
-            for f, pre in zip(fs[1:], pres):
-                lo, hi = max(0, i + 1 - len(f)), min(i, len(prev) - 1)
-                if lo > hi:  # no two indices sum to i
-                    pre.append(0)
-                else:
-                    pairs = map(operator.mul, prev[lo : hi + 1], f[i - hi : i - lo + 1][::-1])
-                    pre.append(sum(pairs))
-                prev = pre
-        if t >= 0:
-            total += pres[-1][t]
-        if e == 0:
-            for pre in pres:
-                pre.pop()
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -90,13 +91,13 @@ def _coeffs(series: dict) -> dict:
     return {v: s.coeffs for v, s in series.items()}
 
 
-def _reference_series(fas, degree):
+def _reference_series(fas, degree, rounds=1000):
     """Plain Kleene iteration y <- P(y, z) over coefficient lists, run
-    until it stops changing."""
+    until it stops changing, for at most `rounds` rounds."""
     n = max(degree, 1)
     env = {z_vid(): _z(n)}
     y = {v: (F(0),) * (n + 1) for v in fas.eqs}
-    for _ in range(1000):
+    for _ in range(rounds):
         env.update(y)
         new = {v: _series_eval(p, env, n) for v, p in fas.eqs.items()}
         if new == y:
@@ -122,6 +123,29 @@ def _scaling_cases():
     }
 
 
+@st.composite
+def monotone_systems(draw):
+    """Equations, by name, of 1-3 unknowns, each with 1-4 monomials
+    c z^e m: m has 0-3 factors, drawn with repetition from the unknowns
+    so that products repeat factors and share prefixes; e goes up to 12,
+    above every degree tested; c may be a proper fraction, which gives
+    Fraction layer-0 values."""
+    names = [f"h{i}" for i in range(draw(st.integers(1, 3)))]
+    z = Poly.var(z_vid())
+    eqs = {}
+    for name in names:
+        p = Poly()
+        for _ in range(draw(st.integers(1, 4))):
+            m = Poly.const(draw(st.sampled_from([F(1), F(2), F(1, 2), F(1, 3), F(2, 3)])))
+            for _ in range(draw(st.integers(0, 3))):
+                m = m * Poly.var(_v(draw(st.sampled_from(names))))
+            for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3, 12]))):
+                m = m * z
+            p = p + m
+        eqs[name] = p
+    return eqs
+
+
 class TestKleeneSeries:
     @pytest.mark.parametrize("degree", [0, 1, 7])
     @pytest.mark.parametrize("case", sorted(_scaling_cases()))
@@ -129,11 +153,40 @@ class TestKleeneSeries:
         fas = _make_system(_scaling_cases()[case], "b")
         assert _coeffs(kleene_series(fas, degree)) == _reference_series(fas, degree)
 
+    @settings(max_examples=150, deadline=None)
+    @given(monotone_systems(), st.integers(0, 10))
+    def test_layers_match_plain_iteration(self, eqs, degree):
+        fas = _make_system(eqs, "h0")
+
+        def reference(d):
+            # With N unknowns, a tree of positive weight with at most n z's
+            # and height (N + 1)(n + 1) repeats an unknown around a context
+            # without z, which pumps: an iteration that has not stopped by
+            # then never stops.
+            rounds = (len(fas.eqs) + 1) * (max(d, 1) + 1) + 1
+            return _reference_series(fas, d, rounds)
+
+        try:
+            got = _coeffs(kleene_series(fas, degree))
+        except SolverError as e:
+            # Coefficient k diverges, or k = 0 when layer 0 does.
+            diverges = re.fullmatch(r"coefficient (\d+) of .+ diverges", str(e))
+            assert diverges or "constant coefficients" in str(e)
+            k = int(diverges[1]) if diverges else 0
+            assert k <= max(degree, 1)
+            if k >= 2:
+                assert _coeffs(kleene_series(fas, k - 1)) == reference(k - 1)
+            with pytest.raises(AssertionError, match="did not stop"):
+                reference(k)
+        else:
+            assert got == reference(degree)
+
     @pytest.mark.parametrize("degree", [2, 9])
     def test_factor_shorter_than_the_index(self, degree):
-        # y = z/3 + (2/3) y^2 reads y, whose coefficient k is not known
-        # yet, in a z-free product: at index k the constant [2/3] and y's
-        # k coefficients have no pair of indices summing to k.
+        # y = z/3 + (2/3) y^2: at layer k the z-free product y y is read
+        # before y's coefficient k is solved, so its coefficient k is taken
+        # with y_k read as 0 (exact here, as y_0 = 0) and completed once
+        # y_k is known.
         y, z = Poly.var(_v("y")), Poly.var(z_vid())
         fas = _make_system({"y": Poly.const(F(1, 3)) * z + Poly.const(F(2, 3)) * y * y}, "y")
         assert _coeffs(kleene_series(fas, degree)) == _reference_series(fas, degree)
@@ -205,6 +258,15 @@ class TestKleeneSeries:
         w, z = Poly.var(_v("w")), Poly.var(z_vid())
         with pytest.raises(SolverError, match="coefficient 1"):
             kleene_series(_make_system({"w": w + z}, "w"), 4)
+
+    def test_cycle_fed_through_an_earlier_component_diverges(self):
+        # w = w + a and a = z/2: the cycle w -> w gets its input at layer 1
+        # only through J_wa a_1, from the component {a} solved before it.
+        w, a, z = Poly.var(_v("w")), Poly.var(_v("a")), Poly.var(z_vid())
+        fas = _make_system({"w": w + a, "a": Poly.const(F(1, 2)) * z}, "w")
+        message = f"coefficient 1 of {var_name(_v('w'))} diverges"
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+            kleene_series(fas, 4)
 
     def test_cycle_without_input_stays_zero(self):
         # w = w + z w: the Jacobian at z = 0 has the cycle w -> w, fed 0.
