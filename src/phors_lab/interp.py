@@ -8,8 +8,9 @@ Variables of the compiled system (registered in algebra.REGISTRY):
 
     ("z",)                 counts probabilistic choices
     ("nt", L, index)       one unknown per (non-terminal, index)
-    ("bv", rule, x, index) transient bound-variable atoms, removed by
-                           coefficient extraction
+    ("bv", rule, x, index) transient bound-variable atoms, interned when
+                           their binding is first used as a head and
+                           removed by coefficient extraction
 
 An index is a tuple: (0, i) for the point i of o^n, and
 (1, ((point, mult), ...), result) for an arrow point.  A compile
@@ -54,12 +55,10 @@ from .syntax import (
     Tuple_,
     Unit,
     Var,
-    arg_types,
     is_finitary,
     leaves,
     order,
     spine,
-    type_of,
 )
 from .typesys import check_fin
 
@@ -181,22 +180,29 @@ def var_name(vid: int) -> str:
 
 
 class _Interp:
-    def __init__(self, scheme: Scheme, rule: str, found: dict) -> None:
+    def __init__(self, scheme: Scheme, rule: str, found: dict, sets: dict) -> None:
         self.rule = rule
         # Each rule's equations found so far, by index: an unknown without
         # one reads as 0.
         self.found = found
+        # Index sets by type, as in index_set.
+        self.sets = sets
+        # The binding table, from the declaration: each parameter's
+        # (position, grade, type); and the ground type below its arrows.
         d = scheme.nonterminals[rule]
-        self.bound_types = dict(zip(d.params, (t for _, t in arg_types(d.ty))))
+        self.bindings: dict[str, tuple[int, int, GradedType]] = {}
+        ty = d.ty
+        for i, pname in enumerate(d.params):
+            self.bindings[pname] = (i, int(ty.grade), ty.arg)
+            ty = ty.result
+        self.ground = ty
         self.memo: dict[tuple[Term, Index], Poly] = {}
         # Each (head, argument count)'s candidates, as _heads groups them.
         self.heads: dict[tuple[Term, int], dict] = {}
-        # Index sets by type, as in index_set.
-        self.sets: dict = {}
-        # Bound-variable id -> the largest exponent an index extracts.
-        # Products drop monomials beyond it: multiplication only raises
-        # exponents, so they could never be extracted.  Variables without
-        # an entry are not cut.
+        # Each bound-variable atom in use -> (its binding's position, its
+        # point), and -> its cap, the binding's grade: products drop the
+        # monomials beyond it, which no index extracts.  Others are not cut.
+        self.points: dict[int, tuple[int, Index]] = {}
         self.caps: dict[int, int] = {}
 
     def sem(self, t: Term, idx: Index) -> Poly:
@@ -242,17 +248,23 @@ class _Interp:
     def _heads(self, head: Term, n: int) -> dict[Index, list]:
         """The head's candidate indexes, grouped by the result each leaves
         once n argument multisets are peeled off, as (variable, uses)
-        pairs: the variable is interned at its first use, and a use (i,
-        point) is one factor of argument i.  A group is ordered by the last
-        multiset, then the one before, as a sum over every multiset would
-        be, which fixes the order of variable ids and of monomials."""
+        pairs: a variable is interned at its first use (a binding's atoms
+        when it is first grouped, recording their points and caps), and a
+        use (i, point) is one factor of argument i.  A group is ordered by
+        the last multiset, then the one before, as a sum over every
+        multiset would be, which fixes the order of variable ids and of
+        monomials."""
         groups = self.heads.get((head, n))
         if groups is None:
             if isinstance(head, NonTerm):
                 cands, var = self.found[head.name], partial(nt_vid, head.name)
             else:
-                cands = index_set(self.bound_types[head.name], self.sets)
+                i, grade, ty = self.bindings[head.name]
+                cands = index_set(ty, self.sets)
                 var = partial(bv_vid, self.rule, head.name)
+                for pt in cands:
+                    vid = var(pt)
+                    self.points[vid], self.caps[vid] = (i, pt), grade
             peeled = []
             for cand in cands:
                 mus, res = [], cand
@@ -276,19 +288,6 @@ class _Interp:
         return out
 
 
-def _bound_points(scheme: Scheme, rule: str, sets: dict) -> dict[int, tuple[int, Index]]:
-    """Each variable of the rule's bindings -> (its binding's position,
-    its point).  A well-typed body never uses a binding of grade 0, so
-    that binding has none and its type is not enumerated."""
-    d = scheme.nonterminals[rule]
-    return {
-        bv_vid(rule, pname, pt): (i, pt)
-        for i, (pname, (grade, pty)) in enumerate(zip(d.params, arg_types(d.ty)))
-        if grade
-        for pt in index_set(pty, sets)
-    }
-
-
 def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly]],
                     sets: dict) -> dict[Index, Poly]:
     """The rule's equations by index: the nonempty buckets of its body,
@@ -304,18 +303,14 @@ def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly
     Unpruned, a body may exceed a binding's grade in its variables taken
     together; those monomials carry unknowns that are zero in the least
     fixpoint, which `found` reads as 0."""
-    d = scheme.nonterminals[rule]
-    interp = _Interp(scheme, rule, found)
-    interp.sets = sets
-    points = _bound_points(scheme, rule, sets)
-    bindings = arg_types(d.ty)
-    interp.caps = {vid: int(bindings[i][0]) for vid, (i, _) in points.items()}
+    interp = _Interp(scheme, rule, found, sets)
+    body = scheme.nonterminals[rule].body
     eqs: dict[Index, Poly] = {}
-    for res in index_set(type_of(d.body, scheme, interp.bound_types), sets):
-        for bound, rest in _split(interp.sem(d.body, res), points).items():
-            mus: list[list[tuple[Index, int]]] = [[] for _ in bindings]
+    for res in index_set(interp.ground, sets):
+        for bound, rest in _split(interp.sem(body, res), interp.points).items():
+            mus: list[list[tuple[Index, int]]] = [[] for _ in interp.bindings]
             for vid, m in bound:
-                i, pt = points[vid]
+                i, pt = interp.points[vid]
                 mus[i].append((pt, m))
             idx = res
             for mu in reversed(mus):

@@ -181,7 +181,7 @@ def wilson_interval(k: int, n: int, z: float = 3.0) -> tuple[float, float]:
 class RunStats:
     def __init__(self, trials: int, terminated: int, diverged: int, censored: int,
                  histogram: dict[int, int], mean_choices: float | None, seed: int,
-                 step_cap: int, algorithm: str = PRNG_ALGORITHM) -> None:
+                 step_cap: int) -> None:
         self.trials = trials
         self.terminated = terminated
         self.diverged = diverged  # reached a bare diverging head: certainly no e
@@ -190,7 +190,6 @@ class RunStats:
         self.mean_choices = mean_choices
         self.seed = seed
         self.step_cap = step_cap
-        self.algorithm = algorithm
 
     @property
     def p_term_estimate(self) -> float:
@@ -218,7 +217,7 @@ class RunStats:
                 "p_term_bounds_99_7": [lo, hi],
                 "seed": self.seed,
                 "step_cap": self.step_cap,
-                "algorithm": self.algorithm,
+                "algorithm": PRNG_ALGORITHM,
             },
             indent=2,
         )

@@ -215,29 +215,6 @@ def leaves(t: Term) -> Iterator[Term]:
                 yield leaf
 
 
-def type_of(t: Term, scheme: Scheme, bound: dict[str, GradedType]) -> GradedType:
-    """Synthesized type of a subterm of a rule body whose parameters have
-    the types in `bound` (bodies are applicative, so the head determines
-    everything)."""
-    match t:
-        case Var(n):
-            return bound[n]
-        case NonTerm(n):
-            return scheme.nonterminals[n].ty
-        case Param(n):
-            return scheme.params[n]
-        case Unit() | Omega() | Choice() | Proj():
-            return O
-        case Tuple_(items):
-            return Ground(len(items))
-        case App(f, _):
-            fty = type_of(f, scheme, bound)
-            if not isinstance(fty, Arrow):
-                raise SchemeError("application of a non-arrow term")
-            return fty.result
-    raise TypeError(t)
-
-
 # ---------------------------------------------------------------------------
 # Schemes
 

@@ -36,7 +36,6 @@ from .syntax import (
     arg_types,
     map_term,
     spine,
-    type_of,
 )
 from .typesys import _max_into, check_fin, check_inf, subtype
 
@@ -78,11 +77,13 @@ def linearize(scheme: Scheme) -> Scheme:
     if not report.accepted:
         msgs = "; ".join(d.message for d in report.diagnostics)
         raise TransformError(f"scheme is not finitely graded: {msgs}")
+    # The declared type of each head: a checked head is a non-terminal or a variable.
+    decls = {NonTerm(n): d.ty for n, d in scheme.nonterminals.items()}
     out: dict[str, NonTermDef] = {}
     for name, d in scheme.nonterminals.items():
         spec = dict(zip(d.params, arg_types(d.ty)))
         copies = {p: max(int(grade), 1) for p, (grade, _) in spec.items()}
-        types = {p: ty for p, (_, ty) in spec.items()}
+        heads = decls | {Var(p): ty for p, (_, ty) in spec.items()}
 
         def lin(t: Term, used: dict[str, int]) -> tuple[Term, dict[str, int]]:
             """t with each variable occurrence renamed to its next unused
@@ -114,11 +115,13 @@ def linearize(scheme: Scheme) -> Scheme:
                 case Proj(i, b):
                     bt, bu = lin(b, used)
                     return Proj(i, bt), bu
-                case App(f, a):
-                    ft, used = lin(f, used)
-                    for _ in range(max(int(type_of(f, scheme, types).grade), 1)):
-                        at, used = lin(a, used)
-                        ft = App(ft, at)
+                case App():
+                    head, args = spine(t)
+                    ft, used = lin(head, used)
+                    for a, (grade, _) in zip(args, arg_types(heads[head])):
+                        for _ in range(max(int(grade), 1)):
+                            at, used = lin(a, used)
+                            ft = App(ft, at)
                     return ft, used
             return t, used
 

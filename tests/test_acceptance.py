@@ -187,9 +187,10 @@ def test_criterion_7_order1_affinity():
         scheme = random_order1_scheme(rng)
         assert check_fin(scheme).accepted
         fas = compile_scheme(scheme)  # also runs the built-in spine check
-        found = declared_indexes(scheme)
+        sets = {}
+        found = declared_indexes(scheme, sets)
         for nt, d in scheme.nonterminals.items():
-            interp = ProbeInterp(scheme, nt, found)
+            interp = ProbeInterp(scheme, nt, found, sets)
             raw = interp.sem(d.body, GroundPoint(1))
             live = Poly(
                 {

@@ -16,7 +16,6 @@ from phors_lab.interp import (
     IndexCapExceeded,
     InterpError,
     VAR_CAP,
-    _bound_points,
     _Interp,
     _split,
     bv_vid,
@@ -30,7 +29,7 @@ from phors_lab.interp import (
 )
 from phors_lab.operational import enumerate_terminations
 from phors_lab.solver import kleene_series
-from phors_lab.syntax import App, Arrow, Ground, NonTerm, O, Var, parse, type_of
+from phors_lab.syntax import App, Arrow, Ground, NonTerm, O, Var, parse, spine
 from phors_lab.transforms import compose
 from phors_lab.algebra import REGISTRY
 
@@ -56,20 +55,24 @@ class ProbeInterp(_Interp):
     f's declared argument type, dropping the zero terms.  compile_scheme's
     interpreter sums over the head's candidate indexes instead."""
 
-    def __init__(self, scheme, rule, found):
-        super().__init__(scheme, rule, found)
+    def __init__(self, scheme, rule, found, sets):
+        super().__init__(scheme, rule, found, sets)
         self.scheme = scheme
 
     def _sem(self, t, idx):
         match t:
             case Var(n):
-                return Poly.var(bv_vid(self.rule, n, idx))
+                # Its point, for compile_scheme's split; no cap, so that the
+                # readings of a whole body stay uncut.
+                vid = bv_vid(self.rule, n, idx)
+                self.points[vid] = (self.bindings[n][0], idx)
+                return Poly.var(vid)
             case NonTerm(n):
                 if idx not in self.found[n]:
                     return Poly()
                 return Poly.var(nt_vid(n, idx))
             case App(f, a):
-                fty = type_of(f, self.scheme, self.bound_types)
+                fty = self._type(f)
                 total = Poly()
                 for mu in _multisets(fty.arg, int(fty.grade), self.sets):
                     fpart = self.sem(f, ArrowPoint(mu, idx))
@@ -86,6 +89,18 @@ class ProbeInterp(_Interp):
                     total = total + prod
                 return total
         return super()._sem(t, idx)
+
+    def _type(self, t):
+        """The declared type of t, a variable or a non-terminal applied to
+        some arguments."""
+        head, args = spine(t)
+        if isinstance(head, Var):
+            ty = self.bindings[head.name][2]
+        else:
+            ty = self.scheme.nonterminals[head.name].ty
+        for _ in args:
+            ty = ty.result
+        return ty
 
 
 def _multisets(ty, grade, sets):
@@ -118,8 +133,7 @@ def interpret_body(scheme, rule, target, unchecked=False):
     found = declared_indexes(scheme, sets)
     if not unchecked and target not in found[rule]:
         raise InterpError(f"index not in the declared index set of {rule!r}")
-    interp = ProbeInterp(scheme, rule, found)
-    interp.sets = sets
+    interp = ProbeInterp(scheme, rule, found, sets)
     # Unwind the target through the rule's abstractions.
     profile = []
     for pname in d.params:
@@ -127,7 +141,14 @@ def interpret_body(scheme, rule, target, unchecked=False):
             raise InterpError(f"index too shallow for rule {rule!r}")
         _, arg_uses, target = target
         profile.extend((bv_vid(rule, pname, pt), m) for pt, m in arg_uses)
-    points = _bound_points(scheme, rule, sets)
+    # Every atom of a binding of grade >= 1 (a well-typed body uses no
+    # other), capped at the target's multiplicity, or 0 if it has none.
+    points = {
+        bv_vid(rule, pname, pt)
+        for pname, (grade, pty) in zip(d.params, _spine(d.ty))
+        if grade
+        for pt in index_set(pty, sets)
+    }
     interp.caps = dict.fromkeys(points, 0) | dict(profile)
     buckets = _split(interp.sem(d.body, target), points)
     return Poly(buckets.get(tuple(sorted(profile)), {}))
@@ -484,9 +505,9 @@ class TestCompile:
         built = []
 
         class Counting(interp._Interp):
-            def __init__(self, scheme, rule, found):
+            def __init__(self, scheme, rule, found, sets):
                 built.append(rule)
-                super().__init__(scheme, rule, found)
+                super().__init__(scheme, rule, found, sets)
 
         monkeypatch.setattr(interp, "_Interp", Counting)
 
@@ -568,9 +589,10 @@ def _live_bodies(scheme):
     mentions a least-fixpoint-zero unknown."""
     fas = compile_scheme(scheme)
     zeros = fas.zeros
-    found = declared_indexes(scheme)
+    sets = {}
+    found = declared_indexes(scheme, sets)
     for nt, d in scheme.nonterminals.items():
-        interp = ProbeInterp(scheme, nt, found)
+        interp = ProbeInterp(scheme, nt, found, sets)
         raw = interp.sem(d.body, GroundPoint(1))
         live = Poly(
             {

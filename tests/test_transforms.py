@@ -108,6 +108,29 @@ class TestLinearize:
         with pytest.raises(TransformError):
             linearize(load_bundled("nonalg"))
 
+    def test_variable_head_copies_an_argument_of_grade_two(self):
+        # T's parameter f is applied to x, which f's declared type takes
+        # twice, so both of x's copies go to f__1; S passes e twice.
+        s = parse(
+            "G : !1 o -o !1 o -o o ; G y w = y [1/3] w ; "
+            "D : !2 o -o o ; D x = G x x ; "
+            "T : !1 (!2 o -o o) -o !2 o -o o ; T f x = f x ; S = T D e ;"
+        )
+        lin = linearize(s)
+        assert print_scheme(lin) == (
+            "G : !1 o -o !1 o -o o ;\n"
+            "G y__1 w__1 = y__1 [1/3] w__1 ;\n"
+            "D : !1 o -o !1 o -o o ;\n"
+            "D x__1 x__2 = G x__1 x__2 ;\n"
+            "T : !1 (!1 o -o !1 o -o o) -o !1 o -o !1 o -o o ;\n"
+            "T f__1 x__1 x__2 = f__1 x__1 x__2 ;\n"
+            "S : o ;\n"
+            "S = T D e e ;\n"
+            "start S ;\n"
+        )
+        assert check_fin(lin).accepted
+        assert _coeffs(s, 6) == _coeffs(lin, 6)
+
 
 @pytest.fixture(scope="module")
 def finite_grade_mutants():
