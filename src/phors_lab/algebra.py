@@ -31,6 +31,8 @@ class VarRegistry:
         return vid
 
     def key_of(self, vid: int) -> Hashable:
+        if vid < 0:  # a bound-variable atom, local to its interpreter
+            raise KeyError(vid)
         return self._by_id[vid]
 
     def __len__(self) -> int:

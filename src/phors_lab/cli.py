@@ -141,29 +141,22 @@ def cmd_transform(args) -> int:
         result = compose(scheme, _load(args.other), args.hole, args.plug)
     _emit(print_scheme(result).removesuffix("\n"), args.out)
     if args.verify is not None:
-        if args.kind == "linearize":
-            ok = (
-                _series(scheme, args.verify)[1].coeffs
-                == _series(result, args.verify)[1].coeffs
-            )
-        else:
-            # The source of a reduction is not directly compilable, but
-            # it can still be run: compare exhaustive operational
-            # probabilities against the reduced scheme's coefficients.
-            # With a branch cut at the step budget, the probabilities
-            # are only lower bounds, so the comparison is inconclusive.
-            from .operational import DEFAULT_STEP_BUDGET, enumerate_terminations
-            probs, budget_hit = enumerate_terminations(scheme, args.verify)
-            if budget_hit:
-                print(f"# inconclusive: a run used up the enumeration's budget of "
-                      f"{DEFAULT_STEP_BUDGET} steps", file=sys.stderr)
-                return EXIT_INCONCLUSIVE
-            coeffs = _series(result, args.verify)[1].coeffs
-            ok = all(
-                probs.get(i, Fraction(0)) == coeffs[i]
-                for i in range(args.verify + 1)
-            )
-        if ok:
+        # Compile one side and run the other: the source of a reduction is
+        # not compilable, and a linear scheme's index sets can be over the
+        # cap where its source's are not.  Compare the compiled side's
+        # coefficients with the other side's exhaustive operational
+        # probabilities.  With a branch cut at the step budget, the
+        # probabilities are only lower bounds, so the comparison is
+        # inconclusive.
+        from .operational import DEFAULT_STEP_BUDGET, enumerate_terminations
+        compiled, run = (scheme, result) if args.kind == "linearize" else (result, scheme)
+        probs, budget_hit = enumerate_terminations(run, args.verify)
+        if budget_hit:
+            print(f"# inconclusive: a run used up the enumeration's budget of "
+                  f"{DEFAULT_STEP_BUDGET} steps", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
+        coeffs = _series(compiled, args.verify)[1].coeffs
+        if all(probs.get(i, Fraction(0)) == coeffs[i] for i in range(args.verify + 1)):
             print(f"# coefficients equal to degree {args.verify}", file=sys.stderr)
             return EXIT_OK
         print("# coefficient mismatch", file=sys.stderr)

@@ -4,13 +4,15 @@ compilation of a scheme into a finite monotone polynomial fixpoint
 system whose least nonnegative solution is the scheme's family of
 generating functions.
 
-Variables of the compiled system (registered in algebra.REGISTRY):
+Variables of the compiled system, the only keys a compile registers
+in algebra.REGISTRY:
 
-    ("z",)                 counts probabilistic choices
-    ("nt", L, index)       one unknown per (non-terminal, index)
-    ("bv", rule, x, index) transient bound-variable atoms, interned when
-                           their binding is first used as a head and
-                           removed by coefficient extraction
+    ("z",)            counts probabilistic choices
+    ("nt", L, index)  one unknown per nonzero (non-terminal, index)
+
+A bound-variable atom is no registry variable: its id is negative and
+local to the interpreter of its rule, made when the atom is first used,
+and coefficient extraction removes it before an equation is stored.
 
 An index is a tuple: (0, i) for the point i of o^n, and
 (1, ((point, mult), ...), result) for an arrow point.  A compile
@@ -147,10 +149,6 @@ def nt_vid(name: str, idx: Index) -> int:
     return REGISTRY.intern(("nt", name, idx))
 
 
-def bv_vid(rule: str, var: str, idx: Index) -> int:
-    return REGISTRY.intern(("bv", rule, var, idx))
-
-
 def _render_index(idx: Index) -> str:
     """The text form of an index: i for the point i of o^n, ([mu]->r) for
     an arrow point."""
@@ -170,8 +168,6 @@ def var_name(vid: int) -> str:
             return "z"
         case ("nt", name, ik):
             return f"y[{name};{_render_index(ik)}]"
-        case ("bv", rule, var, ik):
-            return f"x[{rule}.{var};{_render_index(ik)}]"
     return repr(key)
 
 
@@ -181,7 +177,6 @@ def var_name(vid: int) -> str:
 
 class _Interp:
     def __init__(self, scheme: Scheme, rule: str, found: dict, sets: dict) -> None:
-        self.rule = rule
         # Each rule's equations found so far, by index: an unknown without
         # one reads as 0.
         self.found = found
@@ -200,9 +195,12 @@ class _Interp:
         # Each (head, argument count)'s candidates, as _heads groups them.
         self.heads: dict[tuple[Term, int], dict] = {}
         # Each bound-variable atom in use -> (its binding's position, its
-        # point), and -> its cap, the binding's grade: products drop the
-        # monomials beyond it, which no index extracts.  Others are not cut.
+        # point), `atoms` the other way, and -> its cap, the binding's
+        # grade: products drop the monomials beyond it, which no index
+        # extracts.  Others are not cut.  Atom ids are negative and local
+        # to this interpreter, so they name no REGISTRY variable.
         self.points: dict[int, tuple[int, Index]] = {}
+        self.atoms: dict[tuple[int, Index], int] = {}
         self.caps: dict[int, int] = {}
 
     def sem(self, t: Term, idx: Index) -> Poly:
@@ -248,9 +246,8 @@ class _Interp:
     def _heads(self, head: Term, n: int) -> dict[Index, list]:
         """The head's candidate indexes, grouped by the result each leaves
         once n argument multisets are peeled off, as (variable, uses)
-        pairs: a variable is interned at its first use (a binding's atoms
-        when it is first grouped, recording their points and caps), and a
-        use (i, point) is one factor of argument i.  A group is ordered by
+        pairs: a variable is made at its first use, and a use (i, point)
+        is one factor of argument i.  A group is ordered by
         the last multiset, then the one before, as a sum over every
         multiset would be, which fixes the order of variable ids and of
         monomials."""
@@ -260,11 +257,7 @@ class _Interp:
                 cands, var = self.found[head.name], partial(nt_vid, head.name)
             else:
                 i, grade, ty = self.bindings[head.name]
-                cands = index_set(ty, self.sets)
-                var = partial(bv_vid, self.rule, head.name)
-                for pt in cands:
-                    vid = var(pt)
-                    self.points[vid], self.caps[vid] = (i, pt), grade
+                cands, var = index_set(ty, self.sets), partial(self._atom, i, grade)
             peeled = []
             for cand in cands:
                 mus, res = [], cand
@@ -277,6 +270,14 @@ class _Interp:
                 uses = [(i, p) for i, mu in enumerate(reversed(mus)) for p, m in mu for _ in range(m)]
                 groups.setdefault(res, []).append((partial(var, cand), uses))
         return groups
+
+    def _atom(self, i: int, grade: int, pt: Index) -> int:
+        """The id of binding i's atom at pt, recording its point and cap."""
+        vid = self.atoms.get((i, pt))
+        if vid is None:
+            vid = self.atoms[i, pt] = -1 - len(self.atoms)
+            self.points[vid], self.caps[vid] = (i, pt), grade
+        return vid
 
     def _cut(self, p: Poly) -> Poly:
         caps = self.caps
@@ -393,10 +394,13 @@ def sccs(graph: dict[Node, set[Node]]) -> list[list[Node]]:
 class Fas:
     """Finite monotone polynomial fixpoint system w = P(w, z)."""
 
-    def __init__(self, eqs: dict[int, Poly], start: int, zeros: set[int] | None = None) -> None:
+    # Always empty, as a compile never builds a zero unknown;
+    # benchmarks/tracing.py still reads len(fas.zeros).
+    zeros: frozenset[int] = frozenset()
+
+    def __init__(self, eqs: dict[int, Poly], start: int) -> None:
         self.eqs = eqs  # unknown vid -> right-hand side
         self.start = start
-        self.zeros = set() if zeros is None else zeros  # eliminated zero unknowns
 
     def dependencies(self, vid: int) -> set[int]:
         return {v for v in self.eqs[vid].variables() if v in self.eqs}
@@ -458,10 +462,6 @@ def compile_scheme(scheme: Scheme) -> Fas:
     # Sorted indexes are in index_set order.
     eqs = {nt_vid(name, idx): p for name in scheme.nonterminals
            for idx, p in sorted(found[name].items())}
-    declared = {nt_vid(name, idx) for name, d in scheme.nonterminals.items()
-                for idx in index_set(d.ty, sets)}
-    fas = Fas(eqs, nt_vid(scheme.start, GroundPoint(1)), declared - set(eqs))
-
     if max(order(d.ty) for d in scheme.nonterminals.values()) <= 1:
         # At order 1 a ground argument can reach head position at most
         # once per run, so every surviving unknown is affine in its
@@ -471,7 +471,7 @@ def compile_scheme(scheme: Scheme) -> Fas:
                 f"order-1 unknown {var_name(vid)} uses arguments "
                 "more than once"
             )
-    return fas
+    return Fas(eqs, nt_vid(scheme.start, GroundPoint(1)))
 
 
 def _spine_multiplicity(idx: Index) -> int:
@@ -483,7 +483,7 @@ def _spine_multiplicity(idx: Index) -> int:
 
 def reachable(fas: Fas) -> Fas:
     """The subsystem of the equations the start depends on, directly or
-    not; `zeros` is carried over."""
+    not."""
     seen = {fas.start}
     stack = [fas.start]
     while stack:
@@ -492,4 +492,4 @@ def reachable(fas: Fas) -> Fas:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return Fas({v: p for v, p in fas.eqs.items() if v in seen}, fas.start, fas.zeros)
+    return Fas({v: p for v, p in fas.eqs.items() if v in seen}, fas.start)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from phors_lab import load_bundled
-from phors_lab.interp import index_set
+from phors_lab.interp import index_set, nt_vid
 from phors_lab.syntax import (
     App,
     Arrow,
@@ -211,6 +211,14 @@ def declared_indexes(scheme: Scheme, sets: dict | None = None) -> dict:
     `sets` as for index_set."""
     sets = {} if sets is None else sets
     return {name: set(index_set(d.ty, sets)) for name, d in scheme.nonterminals.items()}
+
+
+def zero_unknowns(scheme: Scheme, fas) -> set[int]:
+    """The declared unknowns of a compiled scheme that have no equation,
+    those whose least-fixpoint value is zero; a compile never builds
+    them, so they are counted here from the declared index sets."""
+    declared = {nt_vid(name, idx) for name, idxs in declared_indexes(scheme).items() for idx in idxs}
+    return declared - set(fas.eqs)
 
 
 def chain_tower(k: int) -> Scheme:

@@ -41,6 +41,7 @@ from conftest import (
     P_TERM,
     random_order1_scheme,
     random_order2_scheme,
+    zero_unknowns,
 )
 
 F = Fraction
@@ -178,7 +179,7 @@ def test_criterion_6_operational_agreement(name):
 
 
 def test_criterion_7_order1_affinity():
-    from phors_lab.interp import GroundPoint, bv_vid, index_set
+    from phors_lab.interp import GroundPoint, index_set
     from phors_lab.syntax import arg_types
     from test_interp import ProbeInterp
 
@@ -187,6 +188,7 @@ def test_criterion_7_order1_affinity():
         scheme = random_order1_scheme(rng)
         assert check_fin(scheme).accepted
         fas = compile_scheme(scheme)  # also runs the built-in spine check
+        zeros = zero_unknowns(scheme, fas)
         sets = {}
         found = declared_indexes(scheme, sets)
         for nt, d in scheme.nonterminals.items():
@@ -196,12 +198,12 @@ def test_criterion_7_order1_affinity():
                 {
                     m: c
                     for m, c in raw.terms.items()
-                    if not any(v in fas.zeros for v, _ in m)
+                    if not any(v in zeros for v, _ in m)
                 }
             )
             domain = set()
             for pname, (_, pty) in zip(d.params, arg_types(d.ty)):
-                domain |= {bv_vid(nt, pname, pt) for pt in index_set(pty)}
+                domain |= {interp.atom(pname, pt) for pt in index_set(pty)}
             assert live.degree_in(domain) <= 1, (trial, nt)
 
 

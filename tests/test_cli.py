@@ -27,6 +27,13 @@ from conftest import LOWER_GRADE_ARGUMENT, VARIABLE_IN_GRADE_ZERO_ARGUMENT
 
 F = Fraction
 
+# C's linear copy takes two copies of A's linear type, !1 o -o !1 o -o !1
+# o -o o, and so has more than 10^5 indexes; the source compiles.
+LINEAR_OVER_CAP = (
+    "C : !2 (!3 o -o o) -o !1 o -o o ; C f x = e ; "
+    "A : !3 o -o o ; A x = x [1/4] e ; S = C A e ;"
+)
+
 
 def _path(name: str) -> str:
     return str(scheme_path(name))
@@ -186,6 +193,16 @@ class TestTransform:
     def test_linearize_verify(self, capsys):
         rc = main(["transform", "linearize", _path("eq3"), "--verify", "10"])
         assert rc == EXIT_OK
+
+    def test_linearize_verify_past_the_cap(self, tmp_path, capsys):
+        # --verify compiles the source and runs the linear scheme, whose
+        # index sets are over the cap.
+        path = tmp_path / "copies.phors"
+        path.write_text(LINEAR_OVER_CAP)
+        assert main(["analyze", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["transform", "linearize", str(path), "--verify", "12"]) == EXIT_OK
+        assert capsys.readouterr().err == "# coefficients equal to degree 12\n"
 
     def test_reduce_verify_against_enumeration(self, capsys):
         rc = main(["transform", "reduce", _path("dyck"), "--verify", "7"])

@@ -8,8 +8,8 @@ operational oracle is pinned in `oracle.json`: `monte_carlo` and
 `enumerate_terminations` on every closed bundled scheme and on a few
 projection bodies, with the dict order of the enumeration and the
 `ExecError` an input raises.  The compiled fixpoint systems are pinned
-in `fas.json`: `Fas.render()`, the sorted names of the eliminated zero
-unknowns and the reachable system's `render()`, for every bundled scheme
+in `fas.json`: `Fas.render()`, the sorted names of the declared
+unknowns that have no equation (those of least-fixpoint value zero) and the reachable system's `render()`, for every bundled scheme
 (infinitary ones after `reduce_inf`) and for 200 generated schemes.  The
 decisions are pinned in `verdicts.json`: for the same 200 generated
 schemes and for rings of 1, 2, 5 and 10 rules at biases 1/2, 1/3 and
@@ -43,7 +43,14 @@ from phors_lab.syntax import SchemeError, is_finitary, parse, print_scheme
 from phors_lab.transforms import TransformError, reduce_inf
 from phors_lab.typesys import check_fin, check_inf
 
-from conftest import GRADE, TYPING_TEXTS, random_order1_scheme, random_order2_scheme, ring_text
+from conftest import (
+    GRADE,
+    TYPING_TEXTS,
+    random_order1_scheme,
+    random_order2_scheme,
+    ring_text,
+    zero_unknowns,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
@@ -114,7 +121,7 @@ def _fas_record(scheme) -> dict | str:
         return f"{type(e).__name__}: {e}"
     return {
         "render": fas.render(),
-        "zeros": sorted(var_name(v) for v in fas.zeros),
+        "zeros": sorted(var_name(v) for v in zero_unknowns(scheme, fas)),
         "reachable": reachable(fas).render(),
     }
 

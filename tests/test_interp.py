@@ -1,6 +1,7 @@
 """Index sets and compilation to fixpoint systems."""
 
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -8,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from phors_lab import load_bundled
+from phors_lab import load_bundled, scheme_path
 from phors_lab.algebra import Poly
+from phors_lab.decide import decide_past
 from phors_lab.interp import (
     ArrowPoint,
     GroundPoint,
@@ -18,7 +20,6 @@ from phors_lab.interp import (
     VAR_CAP,
     _Interp,
     _split,
-    bv_vid,
     compile_scheme,
     index_set,
     index_size,
@@ -39,7 +40,10 @@ from conftest import (
     declared_indexes,
     random_order1_scheme,
     random_order2_scheme,
+    ring_text,
+    zero_unknowns,
 )
+from test_cli import _python
 
 
 FN = Arrow(1, O, O)  # !1 o -o o
@@ -62,11 +66,7 @@ class ProbeInterp(_Interp):
     def _sem(self, t, idx):
         match t:
             case Var(n):
-                # Its point, for compile_scheme's split; no cap, so that the
-                # readings of a whole body stay uncut.
-                vid = bv_vid(self.rule, n, idx)
-                self.points[vid] = (self.bindings[n][0], idx)
-                return Poly.var(vid)
+                return Poly.var(self.atom(n, idx))
             case NonTerm(n):
                 if idx not in self.found[n]:
                     return Poly()
@@ -89,6 +89,15 @@ class ProbeInterp(_Interp):
                     total = total + prod
                 return total
         return super()._sem(t, idx)
+
+    def atom(self, name, pt):
+        """The probe's id for binding name's atom at pt, negative as
+        _Interp's are.  Its point is recorded for compile_scheme's split,
+        but no cap, so that the readings of a whole body stay uncut."""
+        key = (self.bindings[name][0], pt)
+        vid = self.atoms.setdefault(key, -1 - len(self.atoms))
+        self.points[vid] = key
+        return vid
 
     def _type(self, t):
         """The declared type of t, a variable or a non-terminal applied to
@@ -140,11 +149,11 @@ def interpret_body(scheme, rule, target, unchecked=False):
         if target[0] != 1:
             raise InterpError(f"index too shallow for rule {rule!r}")
         _, arg_uses, target = target
-        profile.extend((bv_vid(rule, pname, pt), m) for pt, m in arg_uses)
+        profile.extend((interp.atom(pname, pt), m) for pt, m in arg_uses)
     # Every atom of a binding of grade >= 1 (a well-typed body uses no
     # other), capped at the target's multiplicity, or 0 if it has none.
     points = {
-        bv_vid(rule, pname, pt)
+        interp.atom(pname, pt)
         for pname, (grade, pty) in zip(d.params, _spine(d.ty))
         if grade
         for pt in index_set(pty, sets)
@@ -300,12 +309,14 @@ class TestCompile:
         assert fas.start == nt_vid("S", GroundPoint(1))
 
     def test_zero_unknowns_eliminated(self):
-        fas = compile_scheme(load_bundled("randomwalk"))
+        scheme = load_bundled("randomwalk")
+        fas = compile_scheme(scheme)
         # The index ([] -> 1) of F never generates output (F always uses
         # its argument), so it is eliminated.
         dead = nt_vid("F", ArrowPoint((), GroundPoint(1)))
         assert dead not in fas.eqs
-        assert dead in fas.zeros
+        assert dead in zero_unknowns(scheme, fas)
+        assert not fas.zeros
 
     def test_grade_bound_after_zero_elimination(self):
         # The raw body polynomial may exceed a binding's declared grade,
@@ -342,9 +353,12 @@ class TestCompile:
         rng = random.Random(7)
         for _ in range(10):
             scheme = random_order1_scheme(rng)
-            for nt, _grade, _dom, live in _live_bodies(scheme):
-                all_args = _all_arg_vids(scheme, nt)
-                assert live.degree_in(all_args) <= 1, nt
+            all_args, lives = {}, {}
+            for nt, _grade, dom, live in _live_bodies(scheme):
+                all_args.setdefault(nt, set()).update(dom)
+                lives[nt] = live
+            for nt, live in lives.items():
+                assert live.degree_in(all_args[nt]) <= 1, nt
 
     def test_open_scheme_is_refused(self):
         # Only a closed scheme has a generating function to compile.
@@ -391,11 +405,15 @@ class TestCompile:
         ]
         for scheme in schemes:
             fas = compile_scheme(scheme)
-            dead = fas.zeros | {v for v, p in fas.eqs.items() if not p}
+            zeros = zero_unknowns(scheme, fas)
+            # Every equation is of a declared unknown.
+            assert sum(map(index_size, (d.ty for d in scheme.nonterminals.values()))) == (
+                len(fas.eqs) + len(zeros)
+            )
+            dead = zeros | {v for v, p in fas.eqs.items() if not p}
             for nt, d in scheme.nonterminals.items():
                 for idx in index_set(d.ty):
                     vid = nt_vid(nt, idx)
-                    assert (vid in fas.eqs) != (vid in fas.zeros), var_name(vid)
                     p = interpret_body(scheme, nt, idx)
                     live = Poly(
                         {
@@ -437,7 +455,7 @@ class TestCompile:
             "y[S;1] = y[F;([]->1)]   # improper\n"
             "start y[S;1]\n"
         )
-        assert len(fas.zeros) == VAR_CAP - 1
+        assert len(zero_unknowns(scheme, fas)) == VAR_CAP - 1
 
     def test_applications_interpret_only_candidate_indexes(self, monkeypatch):
         # An application sums over its head's nonzero indexes, not over
@@ -446,9 +464,10 @@ class TestCompile:
         # 10^5 declared indexes, of which one is nonzero.
         import phors_lab.interp as interp
 
+        tower = chain_tower(6)
         with monkeypatch.context() as m:
             m.setattr(interp, "_Interp", ProbeInterp)
-            probed = compile_scheme(chain_tower(6))
+            probed = compile_scheme(tower)
         calls = 0
         sem = interp._Interp._sem
 
@@ -458,20 +477,22 @@ class TestCompile:
             return sem(self, t, idx)
 
         monkeypatch.setattr(interp._Interp, "_sem", counting)
-        fas = compile_scheme(parse(AT_CAP))
+        at_cap = parse(AT_CAP)
+        fas = compile_scheme(at_cap)
         assert calls <= 10
         assert fas.render() == (
             "y[F;([]->1)] = 1   # improper\n"
             "y[S;1] = y[F;([]->1)]   # improper\n"
             "start y[S;1]\n"
         )
-        assert len(fas.zeros) == VAR_CAP - 1
+        assert len(zero_unknowns(at_cap, fas)) == VAR_CAP - 1
         calls = 0
-        fas = compile_scheme(chain_tower(6))
+        fas = compile_scheme(tower)
         assert calls <= 500
-        assert (len(fas.eqs), len(fas.zeros), len(reachable(fas).eqs)) == (137, 11320, 9)
+        zeros = zero_unknowns(tower, fas)
+        assert (len(fas.eqs), len(zeros), len(reachable(fas).eqs)) == (137, 11320, 9)
         assert fas.render() == probed.render()
-        assert fas.zeros == probed.zeros
+        assert list(fas.eqs) == list(probed.eqs)
 
     def test_each_type_enumerated_once_per_compile(self, monkeypatch):
         # One compile shares its index sets among all its interpreters;
@@ -534,6 +555,96 @@ class TestCompile:
             check((random_order1_scheme if i % 2 else random_order2_scheme)(rng))
 
 
+# The compiled system and the verdict of each scheme text given as an
+# argument, as one JSON list, from a fresh process.
+FRESH_REPORTS = """
+import json, sys
+from phors_lab.decide import decide_past
+from phors_lab.interp import compile_scheme, reachable
+from phors_lab.syntax import parse
+reports = []
+for text in sys.argv[1:]:
+    fas = compile_scheme(parse(text))
+    reports.append([fas.render(), decide_past(reachable(fas)).to_jsonable()])
+print(json.dumps(reports))
+"""
+
+
+class TestRegistry:
+    def test_compile_registers_only_its_equations(self):
+        # A compile adds to REGISTRY the keys of its equations, and ("z",)
+        # once a choice is interpreted; bound-variable atoms stay in their
+        # rule's interpreter, and no declared unknown without an equation
+        # is interned.
+        rng = random.Random(25)
+        schemes = [_compilable(load_bundled(n)) for n in CLOSED_TYPABLE]
+        schemes += [chain_tower(4), parse(AT_CAP)]
+        schemes += [
+            (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            for i in range(50)
+        ]
+        for scheme in schemes:
+            before = len(REGISTRY)
+            fas = compile_scheme(scheme)
+            added = {REGISTRY.key_of(v) for v in range(before, len(REGISTRY))}
+            assert added <= {REGISTRY.key_of(v) for v in fas.eqs} | {("z",)}
+        assert all(REGISTRY.key_of(v)[0] != "bv" for v in range(len(REGISTRY)))
+        # An atom's negative id names no key, not one from the table's end.
+        with pytest.raises(KeyError):
+            REGISTRY.key_of(-1)
+        # In a fresh process, the at-cap scheme's compile registers its
+        # two equations' unknowns only.
+        proc = _python("-c", (
+            "from phors_lab.algebra import REGISTRY\n"
+            "from phors_lab.interp import compile_scheme\n"
+            "from phors_lab.syntax import parse\n"
+            f"compile_scheme(parse({AT_CAP!r}))\n"
+            "print(sorted(map(REGISTRY.key_of, range(len(REGISTRY)))))\n"
+        ))
+        assert proc.stdout == "[('nt', 'F', (1, (), (0, 1))), ('nt', 'S', (0, 1))]\n"
+
+    def test_no_declared_type_is_enumerated(self, monkeypatch):
+        # The at-cap check is arithmetic: the compile enumerates F's binding
+        # type, which F's body uses, and ground types, never F's declared
+        # type of 10^5 points.
+        import phors_lab.interp as interp
+
+        enumerated = set()
+        index_set_ = interp.index_set
+
+        def recording(ty, sets=None):
+            enumerated.add(ty)
+            return index_set_(ty, sets)
+
+        monkeypatch.setattr(interp, "index_set", recording)
+        scheme = parse(AT_CAP.replace("F x = e", "F x = pi_1 x"))
+        assert reachable(compile_scheme(scheme)).render() == (
+            "y[F;([1]->1)] = 1   # improper\n"
+            "y[S;1] = y[F;([1]->1)]   # improper\n"
+            "start y[S;1]\n"
+        )
+        assert enumerated == {Ground(5), O}
+
+    def test_outputs_do_not_depend_on_earlier_compiles(self):
+        # Variable ids depend on what the process compiled before; a
+        # system's render and its verdict must not.
+        texts = [
+            scheme_path(n).read_text(encoding="utf-8") for n in ("chain", "eq3", "randomwalk")
+        ]
+        texts += [ring_text(3, Fraction(2, 3)), ring_text(2, Fraction(1, 3))]
+        proc = _python("-c", FRESH_REPORTS, *texts)
+        assert proc.returncode == 0, proc.stderr
+        rng = random.Random(2025)
+        for i in range(200):
+            scheme = (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            decide_past(reachable(compile_scheme(scheme)))
+        reports = []
+        for text in texts:
+            fas = compile_scheme(parse(text))
+            reports.append([fas.render(), decide_past(reachable(fas)).to_jsonable()])
+        assert json.dumps(reports) + "\n" == proc.stdout
+
+
 class TestGradeTower:
     """The chain-style tower at grades 8, 16 and 64: nearly all of its
     unknowns are zero in the least fixpoint."""
@@ -541,14 +652,17 @@ class TestGradeTower:
     def test_grade_8(self):
         scheme = chain_tower(3)
         fas = compile_scheme(scheme)
-        assert (len(fas.eqs), len(fas.zeros), len(reachable(fas).eqs)) == (22, 229, 6)
+        zeros = zero_unknowns(scheme, fas)
+        assert (len(fas.eqs), len(zeros), len(reachable(fas).eqs)) == (22, 229, 6)
         _check_against_enumerator(scheme, fas)
 
     def test_grade_16_compiles_within_10_s(self):
+        scheme = chain_tower(4)
         start = time.perf_counter()
-        fas = compile_scheme(chain_tower(4))
+        fas = compile_scheme(scheme)
         elapsed = time.perf_counter() - start
-        assert (len(fas.eqs), len(fas.zeros), len(reachable(fas).eqs)) == (39, 790, 7)
+        zeros = zero_unknowns(scheme, fas)
+        assert (len(fas.eqs), len(zeros), len(reachable(fas).eqs)) == (39, 790, 7)
         assert elapsed < 10, elapsed
 
     def test_grade_64(self):
@@ -587,8 +701,7 @@ def _live_bodies(scheme):
     """Yield (rule, grade, binding's variable ids, live body polynomial)
     per finitely graded binding, where "live" drops every monomial that
     mentions a least-fixpoint-zero unknown."""
-    fas = compile_scheme(scheme)
-    zeros = fas.zeros
+    zeros = zero_unknowns(scheme, compile_scheme(scheme))
     sets = {}
     found = declared_indexes(scheme, sets)
     for nt, d in scheme.nonterminals.items():
@@ -602,13 +715,5 @@ def _live_bodies(scheme):
             }
         )
         for pname, (grade, pty) in zip(d.params, _spine(d.ty)):
-            dom = {bv_vid(nt, pname, pt) for pt in index_set(pty)}
+            dom = {interp.atom(pname, pt) for pt in index_set(pty)}
             yield nt, int(grade), dom, live
-
-
-def _all_arg_vids(scheme, rule):
-    d = scheme.nonterminals[rule]
-    vids = set()
-    for pname, (_, pty) in zip(d.params, _spine(d.ty)):
-        vids |= {bv_vid(rule, pname, pt) for pt in index_set(pty)}
-    return vids
