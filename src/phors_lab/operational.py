@@ -3,7 +3,17 @@ choice (Krivine, "A call-by-name lambda-calculus machine", HOSC 2007),
 driven by an exhaustive enumerator of exact termination probabilities
 and by a reproducible Monte Carlo estimator.  The enumerator and the
 compiled generating function must agree coefficient by coefficient; this
-is the end-to-end sanity check of the whole pipeline."""
+is the end-to-end sanity check of the whole pipeline.
+
+The machine does not walk the syntax tree: each rule body is compiled
+once per call into a code form of nested tuples tagged by small-int
+opcodes (Ager, Biernacki, Danvy & Midtgaard, PPDP 2003).  An application
+spine is one node with its pushes precomputed, a non-terminal points at
+its rule's [arity, code] cell, and a choice carries its bias n/d as the
+ints (n, d) and as the float threshold ⌈n·2⁵³/d⌉ / 2⁵³: `random()` is
+m / 2⁵³, so it is below the threshold exactly when m·d < n·2⁵³.  Monte
+Carlo resolves each choice inside the machine loop, one call per trial;
+the enumerator gets the machine back at each choice."""
 
 from __future__ import annotations
 
@@ -11,113 +21,192 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import is_
 
 from .syntax import (
     App,
     Choice,
     ExecError,
     NonTerm,
-    Omega,
     Param,
     Proj,
     Scheme,
     Tuple_,
     Unit,
     Var,
-    map_term,
+    spine,
 )
 
 DEFAULT_STEP_BUDGET = 10**6
 
 PRNG_ALGORITHM = "python-random-mt19937-one-stream"
 
+# Opcodes, the first item of every code node.  The first three cost no
+# step; `_run`'s outcome is _UNIT, _OMEGA, _CHOICE or _LIMIT.
+_APP, _VAR, _PROJ, _CALL, _NT, _CHOICE, _TUPLE, _UNIT, _OMEGA, _PARAM, _LIMIT = range(11)
 
-_E, _OMEGA, _CHOICE, _LIMIT = range(4)
-
-
-def _compile(scheme: Scheme) -> tuple[dict, set[int]]:
-    """Each rule as (arity, body), parameters renamed to their positions in
-    the env, and the ids of the compound arguments that mention one: only
-    their closures keep an env, so a loop passing closed terms on runs in
-    constant space."""
-    rules, open_args = {}, set()
-    for n, d in scheme.nonterminals.items():
-        pos = {p: Var(i) for i, p in enumerate(d.params)}
-        body = map_term(d.body, lambda u: pos[u.name] if type(u) is Var else u)
-        rules[n] = (len(d.params), body)
-        todo = [(body, ())]  # (subterm, ids of the compound arguments around it)
-        while todo:
-            t, around = todo.pop()
-            if type(t) is Var:
-                open_args.update(around)
-            elif type(t) is App:
-                a = t.arg
-                inner = around + (id(a),) if type(a) in (App, Choice, Tuple_, Proj) else around
-                todo += [(t.fun, around), (a, inner)]
-            elif type(t) is Choice:
-                todo += [(t.left, around), (t.right, around)]
-            elif type(t) in (Tuple_, Proj):
-                todo += [(u, around) for u in (t.items if type(t) is Tuple_ else [t.body])]
-    return rules, open_args
+# Steps since the last choice after which `_run` looks for a repeated state.
+_QUIET = 2**16
 
 
-def _run(rules, open_args, t, env, stack, left):
-    """Run the state (t, env, stack) of a `_compile`d scheme to e or omega
-    (`_E`, `_OMEGA`), a `_CHOICE` (t is then the `Choice`), or the end of
-    its `left` steps (`_LIMIT`).  `env` holds the closures (term, env) of
-    the rule's parameters; `stack` is a cons list of argument closures and
-    `int` projection frames.  Steps are unfoldings, choices, and
-    projections meeting a tuple, e or omega; nothing else costs one."""
-    while left > 0:
-        while True:
-            k = type(t)
-            if k is App:
-                a = t.arg
+def _compile(scheme: Scheme) -> tuple:
+    """The code of the start symbol.  Its nodes are (_APP, head, pushes),
+    (_VAR, slot), (_PROJ, index, body), (_CALL, cell, args), (_NT, cell,
+    name), (_CHOICE, left, right, n, d, threshold), (_TUPLE, items),
+    (_UNIT,), (_OMEGA,) and (_PARAM, name), where a cell is a rule's
+    [arity, code].  A _CALL is a non-terminal applied to at least its
+    arity of arguments: it binds the first ones as the rule's env, and an
+    _APP around it pushes the rest.  An argument is an env slot, a
+    prebuilt closed closure (code, None), or a compound argument that
+    mentions a parameter, (code, True), closed over the env when it is
+    used: only those keep an env, so a loop passing closed terms on runs
+    in constant space."""
+    cells = {n: [len(d.params), None] for n, d in scheme.nonterminals.items()}
+
+    def comp(t, pos) -> tuple[tuple, bool]:
+        """(code of t, whether t mentions a parameter)."""
+        k = type(t)
+        if k is App:
+            head, args = spine(t)
+            h, is_open = comp(head, pos)
+            items = []
+            for a in args:
                 if type(a) is Var:
-                    a = env[a.name]
+                    items.append(pos[a.name])
+                    is_open = True
                 else:
-                    a = (a, env if id(a) in open_args else None)
-                stack = (a, stack)
-                t = t.fun
-            elif k is Var:
-                t, env = env[t.name]
-            elif k is Proj:
-                stack = (t.index, stack)
-                t = t.body
-            else:
-                break
+                    c, o = comp(a, pos)
+                    items.append((c, o or None))
+                    is_open |= o
+            if type(head) is NonTerm and h[1][0] <= len(items):
+                arity = h[1][0]
+                h = (_CALL, h[1], tuple(items[:arity]))
+                items = items[arity:]
+                if not items:
+                    return h, is_open
+            return (_APP, h, tuple(reversed(items))), is_open
+        if k is Var:
+            return (_VAR, pos[t.name]), True
         if k is NonTerm:
-            arity, body = rules[t.name]
-            env = ()
-            while len(env) < arity:
-                if stack is None or type(stack[0]) is int:
-                    raise ExecError(f"under-applied non-terminal {t.name!r} at head")
-                a, stack = stack
-                env += (a,)
-            t = body
-        elif k is Choice:
-            return _CHOICE, t, env, stack, left
-        elif stack is not None and type(stack[0]) is int and k in (Tuple_, Unit, Omega):
+            return (_NT, cells[t.name], t.name), False
+        if k is Choice:
+            (left, lo), (right, ro) = comp(t.left, pos), comp(t.right, pos)
+            n, d = t.bias.numerator, t.bias.denominator
+            return (_CHOICE, left, right, n, d, -((-n << 53) // d) / 2**53), lo or ro
+        if k is Tuple_:
+            items = [comp(u, pos) for u in t.items]
+            return (_TUPLE, tuple(c for c, _ in items)), any(o for _, o in items)
+        if k is Proj:
+            body, is_open = comp(t.body, pos)
+            return (_PROJ, t.index, body), is_open
+        if k is Param:
+            return (_PARAM, t.name), False
+        return ((_UNIT,) if k is Unit else (_OMEGA,)), False
+
+    for n, d in scheme.nonterminals.items():
+        cells[n][1] = comp(d.body, {p: i for i, p in enumerate(d.params)})[0]
+    return _NT, cells[scheme.start], scheme.start
+
+
+def _run(t, env, stack, left, draw=None):
+    """Run the state (t, env, stack) of `_compile`d code to e or omega
+    (`_UNIT`, `_OMEGA`), to the end of its `left` steps (`_LIMIT`), or,
+    without a `draw`, to a `_CHOICE` (t is then the choice).  With one,
+    a choice takes its left branch when draw() is below its threshold.
+    Returns (outcome, t, env, stack, choices drawn).  `env` holds the
+    closures (code, env) of the rule's parameters; `stack` is a cons
+    list of argument closures and `int` projection frames.  Steps are
+    unfoldings, choices, and projections meeting a tuple, e or omega;
+    nothing else costs one.  Once `_QUIET` steps have passed since the
+    last choice, each unfolding's state is compared with one saved at
+    the last power of two (Brent): a repeat is a choice-free loop, which
+    can only end at the step limit."""
+    chosen = 0
+    watch, seen = left - _QUIET, None
+    while left > 0:
+        op = t[0]
+        while op < _CALL:
+            if op == _APP:
+                for a in t[2]:
+                    if a.__class__ is int:
+                        a = env[a]
+                    elif a[1]:
+                        a = (a[0], env)
+                    stack = (a, stack)
+                t = t[1]
+            elif op == _VAR:
+                t, env = env[t[1]]
+            else:
+                stack = (t[1], stack)
+                t = t[2]
+            op = t[0]
+        if op <= _NT:  # an unfolding
+            if op == _CALL:
+                bound = ()
+                for a in t[2]:
+                    if a.__class__ is int:
+                        a = env[a]
+                    elif a[1]:
+                        a = (a[0], env)
+                    bound += (a,)
+                env = bound
+                t = t[1][1]
+            else:
+                arity, body = t[1]
+                env = ()
+                while len(env) < arity:
+                    if stack is None or stack[0].__class__ is int:
+                        raise ExecError(f"under-applied non-terminal {t[2]!r} at head")
+                    a, stack = stack
+                    env += (a,)
+                t = body
+            if left < watch:
+                if seen is None:
+                    seen = [t, env, stack, 1, 0]
+                elif _repeats(seen, t, env, stack):
+                    return _LIMIT, t, env, stack, chosen
+        elif op == _CHOICE:
+            if draw is None:
+                return _CHOICE, t, env, stack, chosen
+            t = t[1] if draw() < t[5] else t[2]
+            chosen += 1
+            watch, seen = left - 1 - _QUIET, None
+        elif stack is not None and stack[0].__class__ is int and _TUPLE <= op <= _OMEGA:
             # A normal form e or omega is a ground value of width 1.
-            items = t.items if k is Tuple_ else (t,)
             i, stack = stack
-            if i > len(items):
+            if i > (len(t[1]) if op == _TUPLE else 1):
                 raise ExecError("projection index out of range")
-            t = items[i - 1]
-        elif k is Tuple_:
+            if op == _TUPLE:
+                t = t[1][i - 1]
+        elif op == _TUPLE:
             raise ExecError("tuple in head position of a ground term")
-        elif k is Param:
-            raise ExecError(f"open parameter {t.name!r} reached head position")
+        elif op == _PARAM:
+            raise ExecError(f"open parameter {t[1]!r} reached head position")
         else:  # e or omega: drop its arguments, up to a projection frame
-            while stack is not None and type(stack[0]) is not int:
+            while stack is not None and stack[0].__class__ is not int:
                 stack = stack[1]
             if stack is None:
-                return (_E if k is Unit else _OMEGA), t, env, stack, left
-            if k is Unit:
+                return op, t, env, stack, chosen
+            if op == _UNIT:
                 raise ExecError("terminal applied to arguments")
-            return _LIMIT, t, env, stack, 0  # under a projection it steps in place forever
+            return _LIMIT, t, env, stack, chosen  # under a projection it steps in place forever
         left -= 1
-    return _LIMIT, t, env, stack, left
+    return _LIMIT, t, env, stack, chosen
+
+
+def _repeats(seen: list, t, env, stack) -> bool:
+    """Brent's cycle check: whether (t, env, stack) is the state `seen`
+    saved, compared shallowly (the same code, env entries and stack
+    objects; envs can nest too deep for ==).  `seen` is [t, env, stack,
+    power, count]: the state is saved again after `power` calls, and
+    `power` doubles."""
+    if (seen[0] is t and seen[2] is stack and len(seen[1]) == len(env)
+            and all(map(is_, seen[1], env))):
+        return True
+    seen[4] += 1
+    if seen[4] == seen[3]:
+        seen[:] = t, env, stack, 2 * seen[3], 0
+    return False
 
 
 def enumerate_terminations(
@@ -140,24 +229,23 @@ def enumerate_terminations(
         raise ValueError(f"max_choices must be >= 0, got {max_choices}")
     sums: dict[int, dict[int, int]] = {}  # choices -> denominator -> numerator
     budget_hit = False
-    rules, open_args = _compile(scheme)
     # Depth-first over (state, num, den, choices made).  A branch may take
     # step_budget deterministic steps and is cut at the next one.
-    work = [(NonTerm(scheme.start), (), None, 1, 1, 0)]
+    work = [(_compile(scheme), (), None, 1, 1, 0)]
     while work:
         t, env, stack, num, den, used = work.pop()
-        outcome, t, env, stack, _ = _run(rules, open_args, t, env, stack, step_budget + 1)
-        if outcome == _E:
+        outcome, t, env, stack, _ = _run(t, env, stack, step_budget + 1)
+        if outcome == _UNIT:
             by_den = sums.setdefault(used, {})
             by_den[den] = by_den.get(den, 0) + num
         elif outcome == _LIMIT:
             budget_hit = True
         elif outcome == _CHOICE and used < max_choices:
-            n, d = t.bias.numerator, t.bias.denominator
+            _, left, right, n, d, _ = t
             if n:
-                work.append((t.left, env, stack, num * n, den * d, used + 1))
+                work.append((left, env, stack, num * n, den * d, used + 1))
             if d - n:
-                work.append((t.right, env, stack, num * (d - n), den * d, used + 1))
+                work.append((right, env, stack, num * (d - n), den * d, used + 1))
     probs = {used: sum(Fraction(n, d) for d, n in by_den.items()) for used, by_den in sums.items()}
     return probs, budget_hit
 
@@ -239,24 +327,11 @@ def monte_carlo(
         raise ValueError(f"seed must be >= 0, got {seed}")
     terminated = diverged = censored = 0
     histogram: dict[int, int] = {}
-    rules, open_args = _compile(scheme)
-    start = NonTerm(scheme.start)
-    rng = random.Random(seed)
+    start = _compile(scheme)
+    draw = random.Random(seed).random
     for _ in range(trials):
-        t, env, stack, left = start, (), None, step_cap
-        choices = 0
-        while True:
-            outcome, t, env, stack, left = _run(rules, open_args, t, env, stack, left)
-            if outcome != _CHOICE:
-                break
-            # random() is m / 2**53, so it is below the bias n/d exactly
-            # when m*d < n * 2**53.
-            bias = t.bias
-            m = int(rng.random() * 9007199254740992.0)
-            t = t.left if m * bias.denominator < bias.numerator << 53 else t.right
-            choices += 1
-            left -= 1
-        if outcome == _E:
+        outcome, _, _, _, choices = _run(start, (), None, step_cap, draw)
+        if outcome == _UNIT:
             terminated += 1
             histogram[choices] = histogram.get(choices, 0) + 1
         elif outcome == _OMEGA:

@@ -1,34 +1,133 @@
 """The call-by-name machine through its two entry points: exhaustive
-enumeration and Monte Carlo estimation."""
+enumeration and Monte Carlo estimation.  The reference below is the
+machine over the syntax tree that the compiled one replaced; both must
+give the same records, step for step and draw for draw."""
 
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from phors_lab import load_bundled
+from phors_lab import bundled_names, load_bundled
 from phors_lab.interp import compile_scheme, reachable
 from phors_lab.operational import (
-    _CHOICE,
-    _E,
-    _LIMIT,
     DEFAULT_STEP_BUDGET,
     PRNG_ALGORITHM,
     ExecError,
-    _compile,
-    _run,
+    RunStats,
     enumerate_terminations,
     monte_carlo,
     wilson_interval,
 )
 from phors_lab.solver import kleene_series
-from phors_lab.syntax import NonTerm, parse
+from phors_lab.syntax import (
+    App,
+    Choice,
+    NonTerm,
+    Omega,
+    Param,
+    Proj,
+    Tuple_,
+    Unit,
+    Var,
+    map_term,
+    parse,
+)
 
 from conftest import random_order1_scheme, random_order2_scheme
 
 F = Fraction
+
+_E, _OMEGA, _CHOICE, _LIMIT = range(4)
+
+
+def reference_compile(scheme):
+    """Each rule as (arity, body), parameters renamed to their positions in
+    the env, and the ids of the compound arguments that mention one: only
+    their closures keep an env, so a loop passing closed terms on runs in
+    constant space."""
+    rules, open_args = {}, set()
+    for n, d in scheme.nonterminals.items():
+        pos = {p: Var(i) for i, p in enumerate(d.params)}
+        body = map_term(d.body, lambda u: pos[u.name] if type(u) is Var else u)
+        rules[n] = (len(d.params), body)
+        todo = [(body, ())]  # (subterm, ids of the compound arguments around it)
+        while todo:
+            t, around = todo.pop()
+            if type(t) is Var:
+                open_args.update(around)
+            elif type(t) is App:
+                a = t.arg
+                inner = around + (id(a),) if type(a) in (App, Choice, Tuple_, Proj) else around
+                todo += [(t.fun, around), (a, inner)]
+            elif type(t) is Choice:
+                todo += [(t.left, around), (t.right, around)]
+            elif type(t) in (Tuple_, Proj):
+                todo += [(u, around) for u in (t.items if type(t) is Tuple_ else [t.body])]
+    return rules, open_args
+
+
+def reference_run(rules, open_args, t, env, stack, left):
+    """Run the state (t, env, stack) of a `reference_compile`d scheme to e
+    or omega (`_E`, `_OMEGA`), a `_CHOICE` (t is then the `Choice`), or
+    the end of its `left` steps (`_LIMIT`).  `env` holds the closures (term, env) of
+    the rule's parameters; `stack` is a cons list of argument closures and
+    `int` projection frames.  Steps are unfoldings, choices, and
+    projections meeting a tuple, e or omega; nothing else costs one."""
+    while left > 0:
+        while True:
+            k = type(t)
+            if k is App:
+                a = t.arg
+                if type(a) is Var:
+                    a = env[a.name]
+                else:
+                    a = (a, env if id(a) in open_args else None)
+                stack = (a, stack)
+                t = t.fun
+            elif k is Var:
+                t, env = env[t.name]
+            elif k is Proj:
+                stack = (t.index, stack)
+                t = t.body
+            else:
+                break
+        if k is NonTerm:
+            arity, body = rules[t.name]
+            env = ()
+            while len(env) < arity:
+                if stack is None or type(stack[0]) is int:
+                    raise ExecError(f"under-applied non-terminal {t.name!r} at head")
+                a, stack = stack
+                env += (a,)
+            t = body
+        elif k is Choice:
+            return _CHOICE, t, env, stack, left
+        elif stack is not None and type(stack[0]) is int and k in (Tuple_, Unit, Omega):
+            # A normal form e or omega is a ground value of width 1.
+            items = t.items if k is Tuple_ else (t,)
+            i, stack = stack
+            if i > len(items):
+                raise ExecError("projection index out of range")
+            t = items[i - 1]
+        elif k is Tuple_:
+            raise ExecError("tuple in head position of a ground term")
+        elif k is Param:
+            raise ExecError(f"open parameter {t.name!r} reached head position")
+        else:  # e or omega: drop its arguments, up to a projection frame
+            while stack is not None and type(stack[0]) is not int:
+                stack = stack[1]
+            if stack is None:
+                return (_E if k is Unit else _OMEGA), t, env, stack, left
+            if k is Unit:
+                raise ExecError("terminal applied to arguments")
+            return _LIMIT, t, env, stack, 0  # under a projection it steps in place forever
+        left -= 1
+    return _LIMIT, t, env, stack, left
+
 
 
 def reference_enumerate(scheme, max_choices, step_budget=DEFAULT_STEP_BUDGET):
@@ -37,11 +136,11 @@ def reference_enumerate(scheme, max_choices, step_budget=DEFAULT_STEP_BUDGET):
     and budget flag."""
     probs = {}
     budget_hit = False
-    rules, open_args = _compile(scheme)
+    rules, open_args = reference_compile(scheme)
     work = [(NonTerm(scheme.start), (), None, F(1), 0)]
     while work:
         t, env, stack, prob, used = work.pop()
-        outcome, t, env, stack, _ = _run(rules, open_args, t, env, stack, step_budget + 1)
+        outcome, t, env, stack, _ = reference_run(rules, open_args, t, env, stack, step_budget + 1)
         if outcome == _E:
             probs[used] = probs.get(used, F(0)) + prob
         elif outcome == _LIMIT:
@@ -53,19 +152,60 @@ def reference_enumerate(scheme, max_choices, step_budget=DEFAULT_STEP_BUDGET):
     return probs, budget_hit
 
 
-def enumeration_record(enumerate_, scheme, *args):
-    """The items of an enumeration in dict order, with each value's type,
-    and the budget flag; or the `ExecError` message."""
+def reference_monte_carlo(scheme, trials, step_cap=10**4, seed=0):
+    """Monte Carlo that returns to its loop at every choice and draws
+    m = int(random() * 2**53), taking the left branch of a bias n/d when
+    m*d < n * 2**53: the reference for `monte_carlo`."""
+    terminated = diverged = censored = 0
+    histogram = {}
+    rules, open_args = reference_compile(scheme)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        t, env, stack, left = NonTerm(scheme.start), (), None, step_cap
+        choices = 0
+        while True:
+            outcome, t, env, stack, left = reference_run(rules, open_args, t, env, stack, left)
+            if outcome != _CHOICE:
+                break
+            m = int(rng.random() * 2**53)
+            t = t.left if m * t.bias.denominator < t.bias.numerator << 53 else t.right
+            choices += 1
+            left -= 1
+        if outcome == _E:
+            terminated += 1
+            histogram[choices] = histogram.get(choices, 0) + 1
+        elif outcome == _OMEGA:
+            diverged += 1
+        else:
+            censored += 1
+    total_choices = sum(k * v for k, v in histogram.items())
+    mean_choices = total_choices / terminated if terminated else None
+    return RunStats(trials, terminated, diverged, censored, histogram, mean_choices, seed, step_cap)
+
+
+def record(run, scheme, *args):
+    """What run(scheme, *args) gives: a `RunStats`' JSON, or an
+    enumeration's items in dict order, with each value's type, and its
+    budget flag; or the `ExecError` message."""
     try:
-        probs, budget_hit = enumerate_(scheme, *args)
+        result = run(scheme, *args)
     except ExecError as e:
         return f"ExecError: {e}"
+    if isinstance(result, RunStats):
+        return result.to_json()
+    probs, budget_hit = result
     return [(k, type(p), p) for k, p in probs.items()], budget_hit
 
 
 def assert_matches_reference(scheme, *args):
-    got = enumeration_record(enumerate_terminations, scheme, *args)
-    assert got == enumeration_record(reference_enumerate, scheme, *args)
+    got = record(enumerate_terminations, scheme, *args)
+    assert got == record(reference_enumerate, scheme, *args)
+    return got
+
+
+def assert_monte_carlo_matches_reference(scheme, *args):
+    got = record(monte_carlo, scheme, *args)
+    assert got == record(reference_monte_carlo, scheme, *args)
     return got
 
 
@@ -175,6 +315,86 @@ class TestEnumerate:
         assert peak < 200_000
 
 
+
+
+class TestChoiceFreeLoops:
+    # After 2**16 steps without a choice, a state repeated at an unfolding
+    # ends the run as a budget hit, which it would reach anyway.
+
+    def test_loop_ends_long_before_the_budget(self):
+        s = parse("F1 : !1 o -o o ; F1 x0 = F1 e ; S = F1 e ;")
+        start = time.perf_counter()
+        result = enumerate_terminations(s, 8)
+        assert time.perf_counter() - start < 0.05
+        assert result == ({}, True)
+
+    def test_a_choice_resets_the_check(self):
+        # Every unfolding of L meets the same state, but a choice comes
+        # between any two.  Each trial takes over 2**15 choices, each
+        # after an unfolding, so over 2**16 steps.
+        s = parse("S = L ; L = e [1/40000] L ;")
+        stats = assert_monte_carlo_matches_reference(s, 3, 10**6, 3)
+        assert min(map(int, json.loads(stats)["histogram"])) > 2**15
+
+    def test_long_choice_free_run_still_terminates(self):
+        # F0 e unfolds F16 2**16 times, 2**17 steps in all, without
+        # ever repeating a state.
+        rules = [f"F{i} x = F{i + 1} (F{i + 1} x) ;" for i in range(16)]
+        s = parse(" ".join(rules) + " F16 x = x ; S = F0 e ;")
+        assert enumerate_terminations(s, 0) == ({0: F(1)}, False)
+        assert monte_carlo(s, 1, step_cap=10**6).terminated == 1
+
+
+HAND_WRITTEN = [
+    "S : o ; S = pi_2 <omega, e [1/3] omega> ;",
+    "P : !1 o^2 -o o ; P x = pi_2 x ; S = P <omega, e [1/3] omega> ;",
+    "S = pi_1 (e [2/7] <omega, e>) ;",
+    "F x = x [1/2] F (pi_1 <x, omega>) ; S = F e ;",
+    "S = pi_3 <e, e> ;",
+    "S = pi_1 (omega e) ;",
+    "S = pi_1 (e e) ;",
+    "S = (e e) [1/2] (omega e) ;",
+    "S = <e, e> e ;",
+    "F x = x ; S = F ;",
+    "F x y = x ; S = pi_1 (F e) ;",
+    "F x = x ; S = pi_1 F ;",
+    "A f = f (f e) ; B x = x [1/3] omega ; S = A B ;",
+    "A f = f e e ; B x y = x [2/7] y ; S = A B ;",
+    "F x y = y x ; G z = z ; S = F e G ;",
+    "K = F ; F x = x [999/1000] omega ; S = K e ;",
+    "F x = G ; G y z = y [1/3] z ; S = F e e omega ;",
+    "param f : !1 o -o o ; S = e [1/2] f e ;",
+]
+
+
+class TestAgainstReference:
+    # The compiled machine against the syntax-tree machine: enumeration
+    # records and Monte Carlo JSON, at step budgets and caps small enough
+    # to cut branches.
+
+    @staticmethod
+    def assert_agree(scheme, seeds, caps, trials):
+        for args in ((10, 10**4), (6, 30), (3, 7)):
+            assert_matches_reference(scheme, *args)
+        for seed in seeds:
+            for cap in caps:
+                assert_monte_carlo_matches_reference(scheme, trials, cap, seed)
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_bundled_schemes(self, name):
+        self.assert_agree(load_bundled(name), (0, 5), (3, 40, 1000), 150)
+
+    @pytest.mark.parametrize("text", HAND_WRITTEN)
+    def test_hand_written_schemes(self, text):
+        self.assert_agree(parse(text), (0, 5), (1, 2, 3, 100), 100)
+
+    def test_generated_schemes(self):
+        rng = random.Random(26)
+        for i in range(300):
+            scheme = (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            for args in ((6, 2000), (3, 4)):
+                assert_matches_reference(scheme, *args)
+            assert_monte_carlo_matches_reference(scheme, 30, 5 + i % 50, i)
 class TestIntegerWeights:
     # The enumerator carries each branch's weight as an integer numerator
     # and denominator; it must give what Fraction weights give.
@@ -297,11 +517,26 @@ class TestMonteCarlo:
 
     def test_trials_draw_from_one_stream(self):
         # Each trial makes one draw m = int(random() * 2**53) and
-        # terminates when m * 2 < 2**53, i.e. when m / 2**53 < 1/2.
-        rng = random.Random(9)
-        want = sum(int(rng.random() * 2**53) * 2 < 2**53 for _ in range(300))
-        stats = monte_carlo(parse("S = e [1/2] omega ;"), 300, seed=9)
-        assert stats.terminated == want and stats.diverged == 300 - want
+        # terminates when m * d < n * 2**53, i.e. when m / 2**53 < n/d.
+        # The last three biases sit on, just above and just below the
+        # first draw.
+        m0 = int(random.Random(9).random() * 2**53)
+        biases = [F(0), F(1), F(1, 2), F(1, 3), F(2, 7), F(999, 1000), F(1, 2**61 - 1),
+                  F(m0, 2**53), F(3 * m0 + 1, 3 * 2**53), F(3 * m0 - 1, 3 * 2**53)]
+        for bias in biases:
+            n, d = bias.numerator, bias.denominator
+            rng = random.Random(9)
+            want = sum(int(rng.random() * 2**53) * d < n << 53 for _ in range(300))
+            stats = monte_carlo(parse(f"S = e [{n}/{d}] omega ;"), 300, seed=9)
+            assert (stats.terminated, stats.diverged) == (want, 300 - want), bias
+
+    def test_choice_free_loop_after_a_choice_is_censored(self):
+        # The right branch loops without a choice: it is censored long
+        # before the cap, and only the draws decide which trials take it.
+        rng = random.Random(4)
+        want = sum(int(rng.random() * 2**53) * 2 >= 2**53 for _ in range(8))
+        stats = monte_carlo(parse("S = e [1/2] L ; L = L ;"), 8, step_cap=10**6, seed=4)
+        assert (stats.terminated, stats.censored) == (8 - want, want)
 
     def test_negative_trials_are_refused(self):
         with pytest.raises(ValueError, match="trials"):
