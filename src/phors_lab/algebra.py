@@ -176,6 +176,21 @@ class Poly:
             out[key] = out.get(key, ZERO) + c
         return Poly(out)
 
+    def compose(self, values: Mapping[int, Poly], var: int, n: int) -> Poly:
+        """The variables in `values` replaced by those polynomials, with
+        every monomial of degree above n in `var` dropped."""
+        out = Poly()
+        for m, c in self.terms.items():
+            if dict(m).get(var, 0) > n:
+                continue
+            acc = Poly({tuple(ve for ve in m if ve[0] not in values): c})
+            for vid, exp in m:
+                for _ in range(exp if vid in values else 0):
+                    acc = Poly({k: x for k, x in (acc * values[vid]).terms.items()
+                                if dict(k).get(var, 0) <= n})
+            out = out + acc
+        return out
+
     # -- rendering -----------------------------------------------------
 
     def render(self, name_of) -> str:

@@ -4,14 +4,17 @@ Three entry points:
 
 * `kleene_series` — exact coefficients of the least solution as
   truncated power series in z, one coefficient layer at a time, after a
-  one-time check that P has no negative coefficient.  Layer k >= 1 is
-  the linear system y_k = J y_k + r_k, solved along the components of
-  J; r_k reads the lower layers of P's products, which are prefix
-  products shared between monomials, each extended by one coefficient
-  per layer.  The layers add and multiply integers: with B the lcm of
-  the denominators of the coefficients of the monomials that carry z,
-  coefficient k is carried times B^k, and each result is divided by
-  B^k once at the end.
+  one-time check that P has no negative coefficient.  The polynomial
+  unknowns, which lie on no cycle and depend only on polynomial
+  unknowns, are expanded in z once, truncated at the degree, and folded
+  into the other equations, so the layers multiply recursive unknowns
+  only.  Layer k >= 1 is the linear system y_k = J y_k + r_k, solved
+  along the components of J (a cyclic one exactly, when its spectral
+  radius is below 1); r_k reads the lower layers of P's products, which
+  are prefix products shared between monomials, each extended by one
+  coefficient per layer, a square by half a convolution.  The layers
+  add and multiply integers: coefficient k is carried times B^k, and
+  each result is divided by B^k once at the end.
 * `solve_at_one` — the least nonnegative solution of w = P(w, 1), one
   strongly connected component at a time with its dependencies' values
   substituted (their lower, then their upper bounds when some are
@@ -95,7 +98,16 @@ class MinSolution:
 
 def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     """Exact coefficients of the least solution up to z^max(degree, 1),
-    one layer at a time (Pivoteau, Salvy & Soria, JCTA 2012).
+    one layer at a time (Pivoteau, Salvy & Soria, JCTA 2012), keyed in
+    the order of `fas.eqs`.
+
+    An unknown is polynomial when it lies on no cycle of the dependency
+    graph (z left out) and depends on polynomial unknowns only.  These
+    are expanded once, in dependency order, into polynomials in z cut at
+    z^n, n = max(degree, 1), which give their coefficients, and are
+    substituted into the other equations, cut likewise; the layers below
+    solve that smaller system, so a constant such as y[A] = 1 is no
+    factor that every layer convolves.
 
     Layer 0 is the least solution y_0 of y = P(y, 0), by Kleene
     iteration.  Pumping a repeated unknown in a derivation tree of
@@ -108,42 +120,61 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     unknown's coefficient k read as 0.  The products are built once, as
     prefix products of the sorted factors, each prefix shared by every
     monomial that has it, and each keeps its coefficient list across
-    the layers.  The system is solved along the components of J's
-    graph, dependencies first: y_k[v] is r_k[v] plus J_vw y_k[w] over the
-    w solved before it, and a component with a cycle must get input 0
-    and then stays 0, or it diverges.  A negative coefficient in P
-    raises MonotonicityError.
+    the layers.  A square f f sums its coefficient k as 2 sum_{j < k/2}
+    f_j f_{k-j}, plus f_{k/2}^2 when k is even.  The system is solved
+    along the components of J's graph, dependencies first: y_k[v] is
+    r_k[v] plus J_vw y_k[w] over the w solved before it.  A component
+    with a cycle that gets input 0 stays 0; given a nonzero input b, it
+    takes the solution of y = J_B y + b over its own rows of J, which is
+    nonsingular and >= 0 exactly when the spectral radius of J_B is
+    below 1, and otherwise coefficient k diverges.  Compiled systems
+    never have such a block below 1, as their cycles carry natural
+    numbers; and layer 0 is a plain Kleene iteration, so a cycle there,
+    w = w/2 + 1 say, raises the layer-0 error.  A negative coefficient
+    in P raises MonotonicityError.
 
-    Layer k is carried times B^k, with B the lcm of the denominators of
-    the coefficients of the monomials that carry z: these are the layers
-    of y(B z), the least solution of y = P(y, B z).  A monomial
-    c z^e m then carries c B^e, an integer, so where the z-free
-    coefficients and layer 0 are integers the layers add and multiply
-    ints, without a gcd per operation; other values stay Fractions and
-    mix in.  Coefficient k is divided by B^k once, at the end."""
+    Layer k is carried times B^k: these are the layers of y(B z), the
+    least solution of y = P(y, B z).  B is the lcm, over the monomials
+    c z^e m with e >= 1, of the integer e-th root of c's denominator
+    where it has one, else of the denominator.  A monomial then carries
+    c B^e, an integer, so where the z-free coefficients and layer 0 are
+    integers the layers add and multiply ints, without a gcd per
+    operation; other values stay Fractions and mix in.  Taking the root
+    keeps B as small as before folding where folding merges factors,
+    e.g. (z/2)(z/2) = z^2/4 keeps B = 2.  Coefficient k is divided by
+    B^k once, at the end."""
     n = max(degree, 1)
     for vid, p in fas.eqs.items():
         if any(c < 0 for c in p.terms.values()):
             raise MonotonicityError(f"negative coefficient in the equation of {var_name(vid)}")
     z = z_vid()
+    deps = {v: p.variables() - {z} for v, p in fas.eqs.items()}
+    # The polynomial unknowns, each after those it depends on.
+    poly: dict[int, Poly] = {}
+    while ready := [v for v in fas.eqs if v not in poly and deps[v] <= poly.keys()]:
+        for v in ready:
+            poly[v] = fas.eqs[v].compose(poly, z, n)
+    eqs = {v: p if deps[v].isdisjoint(poly) else p.compose(poly, z, n)
+           for v, p in fas.eqs.items() if v not in poly}
     point = {z: ZERO}
-    y0 = {vid: ZERO for vid in fas.eqs}
-    for _ in range(len(fas.eqs) + 1):
+    y0 = {vid: ZERO for vid in eqs}
+    for _ in range(len(eqs) + 1):
         point.update(y0)
-        new = {vid: p.eval(point) for vid, p in fas.eqs.items()}
+        new = {vid: p.eval(point) for vid, p in eqs.items()}
         if new == y0:
             break
         y0 = new
     else:
         raise SolverError("the constant coefficients have infinitely many derivations")
 
-    order = list(fas.eqs)
-    J = jacobian(fas.eqs, order, point)
+    order = list(eqs)
+    J = jacobian(eqs, order, point)
     B = math.lcm(
-        *(c.denominator for p in fas.eqs.values() for m, c in p.terms.items() if z in dict(m))
+        *(_root(c.denominator, e) for p in eqs.values() for m, c in p.terms.items()
+          if (e := dict(m).get(z, 0)))
     )
     scale = [B**k for k in range(n + 1)]
-    y = {vid: [_int(y0[vid])] + [0] * n for vid in fas.eqs}
+    y = {vid: [_int(y0[vid])] + [0] * n for vid in eqs}
     # P_v's coefficient k is the sum of c * lst[k - e] over its terms
     # (c, lst, e), with e <= k.  Row v of J gives the terms (J_vw, y_w, 0):
     # its w are solved before v in a layer, or lie in v's component, whose
@@ -155,7 +186,7 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     nodes: list[tuple] = []
     index: dict[tuple[int, ...], int] = {}
     unit = [1] + [0] * n  # the empty product
-    for vid, p in fas.eqs.items():
+    for vid, p in eqs.items():
         for m, c in p.terms.items():
             e = dict(m).get(z, 0)
             ws = tuple(sorted(w for w, f in m if w != z for _ in range(f)))
@@ -185,23 +216,47 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     mul = operator.mul
     for k in range(1, n + 1):
         for i, (p, pi, f, q) in enumerate(nodes):
-            old[i] = q[k] = old[pi] * f[0] + sum(map(mul, p[1:k], f[k - 1 : 0 : -1]))
+            if p is f:  # a square: each product off the middle taken twice
+                h = k >> 1
+                old[i] = q[k] = 2 * sum(map(mul, f[1 : k - h], f[k - 1 : h : -1])) + (
+                    0 if k & 1 else f[h] * f[h])
+            else:
+                old[i] = q[k] = old[pi] * f[0] + sum(map(mul, p[1:k], f[k - 1 : 0 : -1]))
         for comp, cyclic, rhs in blocks:
             inputs = [sum([c * lst[k - e] for c, lst, e in ts if e <= k]) for ts in rhs]
-            if cyclic:
-                if any(inputs):
+            if not cyclic:
+                y[comp[0]][k] = inputs[0]
+            elif any(inputs):
+                at = {order.index(v): i for i, v in enumerate(comp)}
+                rows = [{at[j]: a for j, a in J[i].items() if j in at} for i in at]
+                x = solve_or_kernel(rows, [Fraction(b) for b in inputs])[0]
+                if x is None or min(x) < 0:
                     names = ", ".join(var_name(v) for v in comp)
                     raise SolverError(f"coefficient {k} of {names} diverges")
-            else:
-                y[comp[0]][k] = inputs[0]
+                for v, xv in zip(comp, x):
+                    y[v][k] = _int(xv)
         for i, (p, pi, f, q) in enumerate(nodes):
             q[k] = old[i] + (p[k] - old[pi]) * f[0] + p[0] * f[k]
     # Free the products' lists, and each unknown's as its Fractions are made.
     del nodes, terms, blocks
-    return {
-        vid: TruncSeries(Fraction(c, b) if c else ZERO for c, b in zip(y.pop(vid), scale))
-        for vid in list(y)
-    }
+    out = {}
+    for vid in fas.eqs:
+        if vid in poly:
+            coeffs = [ZERO] * (n + 1)
+            for m, c in poly[vid].terms.items():
+                coeffs[m[0][1] if m else 0] = c
+        else:
+            coeffs = (Fraction(c, b) if c else ZERO for c, b in zip(y.pop(vid), scale))
+        out[vid] = TruncSeries(coeffs)
+    return out
+
+
+def _root(d: int, e: int) -> int:
+    """The e-th root of d when it is an integer, else d."""
+    r = 1 << -(-d.bit_length() // e)  # at least the real root
+    while (s := ((e - 1) * r + d // r ** (e - 1)) // e) < r:
+        r = s
+    return r if r**e == d else d
 
 
 def _int(q: Fraction) -> int | Fraction:

@@ -85,6 +85,20 @@ class TestPolyEval:
         q = p.substitute({X: Fraction(2)})
         assert q == Poly.const(3) and list(q.terms) == [()]
 
+    @given(polys(), polys(vids=(Y, Z)), st.integers(0, 4))
+    @settings(max_examples=50)
+    def test_compose_is_truncated_substitution(self, p, q, n):
+        # p with q put for X, expanded in full, then every monomial of
+        # degree above n in Z dropped.
+        full = Poly()
+        for m, c in p.terms.items():
+            term = Poly({tuple(ve for ve in m if ve[0] != X): c})
+            for _ in range(dict(m).get(X, 0)):
+                term = term * q
+            full = full + term
+        want = Poly({m: c for m, c in full.terms.items() if dict(m).get(Z, 0) <= n})
+        assert p.compose({X: q}, Z, n) == want
+
     def test_eval_missing_variable(self):
         with pytest.raises(KeyError):
             Poly.var(X).eval({})

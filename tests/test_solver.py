@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phors_lab import load_bundled
@@ -108,7 +108,8 @@ def _reference_series(fas, degree, rounds=1000):
 
 def _scaling_cases():
     """Hand-made systems whose coefficients are not all integers after
-    scaling z by the common denominator of its coefficients."""
+    scaling z by the scale base, and systems with polynomial unknowns
+    to fold into the others."""
     a, b, c, w = (Poly.var(_v(n)) for n in "abcw")
     z = Poly.var(z_vid())
     half_z = Poly.const(F(1, 2)) * z
@@ -120,6 +121,19 @@ def _scaling_cases():
         "rational-product": {"a": Poly.const(F(1, 3)), "c": half_z + half_z * c,
                              "b": Poly.const(F(3, 7)) * a * c + Poly.const(F(2, 9)) * c * c},
         "without-z": {"a": Poly.const(F(1, 3)), "b": Poly.const(F(2, 5)) * a * a + Poly.const(F(1, 7))},
+        # Polynomial unknowns, folded into the equations that use them.
+        "constant-factor": {"a": Poly.const(F(2, 3)),
+                            "b": half_z + Poly.const(F(3, 4)) * z * a * b * b},
+        "factor-above-the-degree": {
+            "b": half_z * c * b + Poly.const(F(1, 5)) * z * c * c,
+            "c": Poly.const(F(1, 2)) + Poly.const(F(1, 3)) * z + Poly({((z_vid(), 9),): F(1, 4)}),
+        },
+        "polynomial-of-a-polynomial": {
+            "a": Poly.const(F(1, 3)) + half_z,
+            "b": Poly.const(F(1, 2)) * c + half_z * c * b * b,
+            "c": a * a * z + Poly.const(F(1, 4)),
+        },
+        "polynomial-feeds-a-cycle": {"c": Poly.const(F(1, 3)), "b": b + a, "a": half_z * c + z * z},
     }
 
 
@@ -151,10 +165,29 @@ class TestKleeneSeries:
     @pytest.mark.parametrize("case", sorted(_scaling_cases()))
     def test_scaled_layers_match_plain_iteration(self, case, degree):
         fas = _make_system(_scaling_cases()[case], "b")
-        assert _coeffs(kleene_series(fas, degree)) == _reference_series(fas, degree)
+        if case == "polynomial-feeds-a-cycle":
+            # b = b + a gets a's coefficient 1, 1/6: the message names the
+            # cycle b only, not the polynomial unknowns a and c.
+            message = f"coefficient 1 of {var_name(_v('b'))} diverges"
+            with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
+                kleene_series(fas, degree)
+            with pytest.raises(AssertionError, match="did not stop"):
+                _reference_series(fas, degree, rounds=50)
+            return
+        got = _coeffs(kleene_series(fas, degree))
+        assert list(got) == list(fas.eqs)
+        assert got == _reference_series(fas, degree)
 
     @settings(max_examples=150, deadline=None)
     @given(monotone_systems(), st.integers(0, 10))
+    # h1 = h1/2 + 2z is a cycle with spectral radius 1/2, so h1 = 4z; it
+    # feeds h0's cycle (J = 1) only at layer 2, where h0 diverges.
+    @example(
+        {"h0": Poly({((_v("h0"), e),): F(1) for e in (1, 2, 3)})
+         + Poly({tuple(sorted([(_v("h1"), 1), (z_vid(), 1)])): F(1)}),
+         "h1": Poly({((_v("h1"), 1),): F(1, 2), ((z_vid(), 1),): F(2)})},
+        2,
+    )
     def test_layers_match_plain_iteration(self, eqs, degree):
         fas = _make_system(eqs, "h0")
 
@@ -166,6 +199,22 @@ class TestKleeneSeries:
             rounds = (len(fas.eqs) + 1) * (max(d, 1) + 1) + 1
             return _reference_series(fas, d, rounds)
 
+        def check(d, got):
+            # The least solution mod z^(n+1); the reference reaches it
+            # unless a cycle of J has spectral radius < 1, where the
+            # iteration only converges.
+            n = max(d, 1)
+            env = {z_vid(): _z(n), **got}
+            assert list(got) == list(fas.eqs)
+            assert all(_series_eval(p, env, n) == got[v] for v, p in fas.eqs.items())
+            assert all(c >= 0 for cs in got.values() for c in cs)
+            try:
+                want = reference(d)
+            except AssertionError as e:
+                assert "did not stop" in str(e)
+            else:
+                assert got == want
+
         try:
             got = _coeffs(kleene_series(fas, degree))
         except SolverError as e:
@@ -175,11 +224,11 @@ class TestKleeneSeries:
             k = int(diverges[1]) if diverges else 0
             assert k <= max(degree, 1)
             if k >= 2:
-                assert _coeffs(kleene_series(fas, k - 1)) == reference(k - 1)
+                check(k - 1, _coeffs(kleene_series(fas, k - 1)))
             with pytest.raises(AssertionError, match="did not stop"):
                 reference(k)
         else:
-            assert got == reference(degree)
+            check(degree, got)
 
     @pytest.mark.parametrize("degree", [2, 9])
     def test_factor_shorter_than_the_index(self, degree):
@@ -268,6 +317,22 @@ class TestKleeneSeries:
         with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
             kleene_series(fas, 4)
 
+    def test_cycle_with_spectral_radius_below_one(self):
+        # w = w/2 + z: coefficient 1 solves w_1 = w_1 / 2 + 1, so w = 2z.
+        w, z = Poly.var(_v("w")), Poly.var(z_vid())
+        s = kleene_series(_make_system({"w": Poly.const(F(1, 2)) * w + z}, "w"), 3)
+        assert s[_v("w")].coeffs == (0, 2, 0, 0)
+
+    def test_two_unknown_cycle_with_spectral_radius_below_one(self):
+        # u = v/2 + z and v = u/3 + z/2, with rho(J) = 1/sqrt(6): u = 3z/2
+        # and v = z, since 3/4 + 1 = 3/2 and 1/2 + 1/2 = 1.
+        u, v, z = Poly.var(_v("u")), Poly.var(_v("v")), Poly.var(z_vid())
+        half = Poly.const(F(1, 2))
+        fas = _make_system({"u": half * v + z, "v": Poly.const(F(1, 3)) * u + half * z}, "u")
+        s = kleene_series(fas, 4)
+        assert s[_v("u")].coeffs == (0, F(3, 2), 0, 0, 0)
+        assert s[_v("v")].coeffs == (0, 1, 0, 0, 0)
+
     def test_cycle_without_input_stays_zero(self):
         # w = w + z w: the Jacobian at z = 0 has the cycle w -> w, fed 0.
         w, z = Poly.var(_v("w")), Poly.var(z_vid())
@@ -287,6 +352,23 @@ class TestKleeneSeries:
         s = kleene_series(fas, 512)[fas.start]
         assert s.coeffs[0::2] == (F(0),) * 257
         assert s.coeffs[1::2] == tuple(F(catalan(k), 2 ** (2 * k + 1)) for k in range(256))
+
+    def test_closed_forms_to_degree_2048(self):
+        # Closed forms derived by hand from the schemes: eq3's start has
+        # 1/(2 * 8^n) at z^(4n+1), chain's and geometric's 1/2^i at z^i
+        # for i >= 1, and dyck_lossy's C_k / 4^(2k+1) at z^(4k+2); every
+        # other coefficient is 0.
+        n = 2048
+        eq3 = [F(0)] * (n + 1)
+        eq3[1::4] = [F(1, 2 * 8**i) for i in range(len(eq3[1::4]))]
+        walk = [F(0)] + [F(1, 2**i) for i in range(1, n + 1)]
+        lossy = [F(0)] * (n + 1)
+        lossy[2::4] = [F(catalan(k), 4 ** (2 * k + 1)) for k in range(len(lossy[2::4]))]
+        cases = (("eq3", eq3), ("chain", walk), ("geometric", walk), ("dyck_lossy", lossy))
+        for name, want in cases:
+            scheme = load_bundled(name)
+            fas = reachable(compile_scheme(reduce_inf(scheme) if name == "dyck_lossy" else scheme))
+            assert kleene_series(fas, n)[fas.start].coeffs == tuple(want), name
 
     def test_random_schemes_match_the_enumerator(self):
         rng = random.Random(5)
