@@ -13,7 +13,9 @@ its rule's [arity, code] cell, and a choice carries its bias n/d as the
 ints (n, d) and as the float threshold ⌈n·2⁵³/d⌉ / 2⁵³: `random()` is
 m / 2⁵³, so it is below the threshold exactly when m·d < n·2⁵³.  Monte
 Carlo resolves each choice inside the machine loop, one call per trial;
-the enumerator gets the machine back at each choice."""
+the enumerator gets the machine back at each choice.  It walks the
+choice tree as a DAG: the machine is deterministic between choices, and
+equal states, found by structural keys, are walked once."""
 
 from __future__ import annotations
 
@@ -209,6 +211,72 @@ def _repeats(seen: list, t, env, stack) -> bool:
     return False
 
 
+class _Keys:
+    """Structural keys, small ints, of the machine's choice states and of
+    the envs and stacks in them (hash-consing: Filliâtre & Conchon, ML
+    Workshop 2006).  A closure is the id of its code and its env's key;
+    an env's shape is its closures in turn, a stack cell's its
+    projection frame or closure, then the key of the rest, and a
+    state's the id of its choice node and the keys of its env and
+    stack.  None is -1.  An env or cell is keyed once, by id, and kept
+    alive, so that no id is reused while the keys stand.  Nothing
+    recurses, since envs nest deeply."""
+
+    __slots__ = ("ids", "envs", "stacks", "shapes", "alive", "states")
+
+    def __init__(self) -> None:
+        self.ids = {id(None): -1}  # id(env or stack cell) -> key
+        self.envs: dict[tuple, int] = {}  # shape -> key, and likewise:
+        self.stacks: dict[tuple, int] = {}
+        self.shapes: dict[tuple, int] = {}  # for states
+        self.alive: list = []
+        # state key -> [choice node, env, stack, right branch, left branch,
+        # choices left -> node of the walk]
+        self.states: list[list] = []
+
+    def state(self, t, env, stack) -> int:
+        """The key of the state (t, env, stack) at its choice t."""
+        ids = self.ids
+        e, s = ids.get(id(env)), ids.get(id(stack))
+        shape = (id(t), self._env(env) if e is None else e, self._stack(stack) if s is None else s)
+        k = self.shapes.setdefault(shape, len(self.shapes))
+        if k == len(self.states):
+            self.states.append([t, env, stack, None, None, {}])
+        return k
+
+    def _env(self, env) -> int:
+        ids, envs = self.ids, self.envs
+        todo = [env]
+        while todo:
+            e = todo[-1]
+            if id(e) in ids:
+                todo.pop()
+                continue
+            shape = []
+            for code, inner in e:
+                k = ids.get(id(inner))
+                if k is None:
+                    todo.append(inner)
+                shape += id(code), k
+            if todo[-1] is e:
+                ids[id(e)] = envs.setdefault(tuple(shape), len(envs))
+                self.alive.append(todo.pop())
+        return ids[id(env)]
+
+    def _stack(self, stack) -> int:
+        ids, stacks = self.ids, self.stacks
+        new = []
+        while id(stack) not in ids:
+            new.append(stack)
+            stack = stack[1]
+        for cell in reversed(new):
+            a, rest = cell
+            shape = (a, ids[id(rest)]) if a.__class__ is int else (id(a[0]), self._env(a[1]), ids[id(rest)])
+            ids[id(cell)] = stacks.setdefault(shape, len(stacks))
+        self.alive += new
+        return ids[id(new[0] if new else stack)]
+
+
 def enumerate_terminations(
     scheme: Scheme,
     max_choices: int,
@@ -219,34 +287,107 @@ def enumerate_terminations(
     True when some branch exhausted its deterministic step budget, in
     which case the result is only a certified lower bound.
 
-    A branch carries its probability as an integer numerator and
-    denominator: a choice of bias n/d multiplies both by (n, d) on the
-    left and by (d - n, d) on the right, and a branch of probability 0
-    is not explored.  Terminations are summed per choice count and per
-    denominator in `int`s; each count's sum becomes one `Fraction` at
-    the end."""
+    The machine is deterministic between choices, so the tree is walked
+    as a DAG (memoisation: Michie, Nature 1968).  Its nodes are a choice
+    state, found equal to others by its `_Keys`, with the number of
+    choices left; a node met again is not walked again, and a state runs
+    each branch once, when first needed.  A branch of probability 0 is
+    not run.  The walk takes the right branch first, so it runs the
+    branches, sets the budget flag, raises the first `ExecError` and
+    meets each count's first termination, which fixes the dict order,
+    as a right-first walk of the tree does.  Then each node's
+    probability, as `int` numerators per denominator, is pushed along
+    its edges, parents before children, a choice of bias n/d passing on
+    n/d of it on the left and (d - n)/d on the right.  Each count's sum
+    becomes one `Fraction` at the end."""
     if max_choices < 0:
         raise ValueError(f"max_choices must be >= 0, got {max_choices}")
-    sums: dict[int, dict[int, int]] = {}  # choices -> denominator -> numerator
+    limit = step_budget + 1  # a run may take step_budget steps and is cut at the next one
+    start = _compile(scheme)  # alive while keys hold ids of its code
+    outcome, t, env, stack, _ = _run(start, (), None, limit)
+    if outcome == _UNIT:
+        return {0: Fraction(1)}, False
+    if outcome != _CHOICE or not max_choices:
+        return {}, outcome == _LIMIT
+    keys = _Keys()
+    states = keys.states
     budget_hit = False
-    # Depth-first over (state, num, den, choices made).  A branch may take
-    # step_budget deterministic steps and is cut at the next one.
-    work = [(_compile(scheme), (), None, 1, 1, 0)]
-    while work:
-        t, env, stack, num, den, used = work.pop()
-        outcome, t, env, stack, _ = _run(t, env, stack, step_budget + 1)
-        if outcome == _UNIT:
-            by_den = sums.setdefault(used, {})
-            by_den[den] = by_den.get(den, 0) + num
-        elif outcome == _LIMIT:
-            budget_hit = True
-        elif outcome == _CHOICE and used < max_choices:
-            _, left, right, n, d, _ = t
-            if n:
-                work.append((left, env, stack, num * n, den * d, used + 1))
-            if d - n:
-                work.append((right, env, stack, num * (d - n), den * d, used + 1))
-    probs = {used: sum(Fraction(n, d) for d, n in by_den.items()) for used, by_den in sums.items()}
+    # A node's edges are (the node reached, or -i for e after i choices
+    # in all, and the weight n and d).  A state's branch is stored as -1
+    # for e, -2 for omega or a cut, the key of the state it reaches, or,
+    # while that has no key yet, (t, env, stack).
+    edges: list[list[tuple[int, int, int]]] = [[]]
+    finished = []  # nodes, children before parents
+    # choices -> denominator -> numerator, keyed as the walk meets each
+    # count's first termination
+    counts: dict[int, dict[int, int]] = {}
+    frames = [[0, keys.state(t, env, stack), max_choices, 0]]  # node, state, choices left, branches done
+    while frames:
+        f = frames[-1]
+        node, s, left, done = f
+        rec = states[s]
+        t = rec[0]
+        d = t[4]
+        outs = edges[node]
+        used = max_choices - left + 1
+        for b in range(done, 2):  # the right branch, then the left
+            w = d - t[3] if b == 0 else t[3]
+            if not w:
+                continue
+            out = rec[3 + b]
+            if out is None:
+                outcome, u, env, stack, _ = _run(t[2 - b], rec[1], rec[2], limit)
+                budget_hit |= outcome == _LIMIT
+                out = rec[3 + b] = (u, env, stack) if outcome == _CHOICE else -1 if outcome == _UNIT else -2
+            if out == -1:
+                outs.append((-used, w, d))
+                counts.setdefault(used, {})
+            elif left > 1 and out != -2:
+                if out.__class__ is tuple and left == 2:
+                    # A state with one choice left runs its branches here,
+                    # unkeyed: that costs what its key would.
+                    u, env, stack = out
+                    for c, wc in ((u[2], u[4] - u[3]), (u[1], u[3])):
+                        if wc:
+                            outcome = _run(c, env, stack, limit)[0]
+                            budget_hit |= outcome == _LIMIT
+                            if outcome == _UNIT:
+                                outs.append((-max_choices, w * wc, d * u[4]))
+                                counts.setdefault(max_choices, {})
+                    continue
+                if out.__class__ is tuple:
+                    out = rec[3 + b] = keys.state(*out)
+                nodes = states[out][5]
+                child = nodes.get(left - 1)
+                if child is None:
+                    child = nodes[left - 1] = len(edges)
+                    edges.append([])
+                    outs.append((child, w, d))
+                    f[3] = b + 1
+                    frames.append([child, out, left - 1, 0])
+                    break
+                outs.append((child, w, d))
+        else:
+            finished.append(frames.pop()[0])
+    del keys, states  # the walk's tables, before the sums
+    # Each node's probability, as numerators per denominator, complete
+    # once all its parents have passed theirs on.
+    mass: list[dict[int, int] | None] = [None] * len(edges)
+    mass[0] = {1: 1}
+    for node in reversed(finished):
+        m = mass[node]
+        mass[node] = None
+        for to, n, d in edges[node]:
+            if to < 0:
+                sums = counts[-to]
+            else:
+                sums = mass[to]
+                if sums is None:
+                    sums = mass[to] = {}
+            for den, num in m.items():
+                den *= d
+                sums[den] = sums.get(den, 0) + num * n
+    probs = {used: sum(Fraction(n, d) for d, n in by_den.items()) for used, by_den in counts.items()}
     return probs, budget_hit
 
 

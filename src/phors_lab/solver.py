@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, Poly, TruncSeries
@@ -134,15 +135,12 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     in P raises MonotonicityError.
 
     Layer k is carried times B^k: these are the layers of y(B z), the
-    least solution of y = P(y, B z).  B is the lcm, over the monomials
-    c z^e m with e >= 1, of the integer e-th root of c's denominator
-    where it has one, else of the denominator.  A monomial then carries
-    c B^e, an integer, so where the z-free coefficients and layer 0 are
-    integers the layers add and multiply ints, without a gcd per
-    operation; other values stay Fractions and mix in.  Taking the root
-    keeps B as small as before folding where folding merges factors,
-    e.g. (z/2)(z/2) = z^2/4 keeps B = 2.  Coefficient k is divided by
-    B^k once, at the end."""
+    least solution of y = P(y, B z), with B the `_scale_base` of the
+    monomials c z^e m with e >= 1.  A monomial then carries c B^e, an
+    integer, so where the z-free coefficients and layer 0 are integers
+    the layers add and multiply ints, without a gcd per operation; other
+    values stay Fractions and mix in.  Coefficient k is divided by B^k
+    once, at the end."""
     n = max(degree, 1)
     for vid, p in fas.eqs.items():
         if any(c < 0 for c in p.terms.values()):
@@ -169,9 +167,8 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
 
     order = list(eqs)
     J = jacobian(eqs, order, point)
-    B = math.lcm(
-        *(_root(c.denominator, e) for p in eqs.values() for m, c in p.terms.items()
-          if (e := dict(m).get(z, 0)))
+    B = _scale_base(
+        (c.denominator, e) for p in eqs.values() for m, c in p.terms.items() if (e := dict(m).get(z, 0))
     )
     scale = [B**k for k in range(n + 1)]
     y = {vid: [_int(y0[vid])] + [0] * n for vid in eqs}
@@ -249,6 +246,20 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
             coeffs = (Fraction(c, b) if c else ZERO for c, b in zip(y.pop(vid), scale))
         out[vid] = TruncSeries(coeffs)
     return out
+
+
+def _scale_base(monomials: Iterable[tuple[int, int]]) -> int:
+    """A B > 0 such that d divides B^e for each monomial given as (its
+    coefficient's denominator d, its power e >= 1 of z).  Visited in
+    ascending e, a d that divides B^e already adds nothing; any other
+    takes the lcm with d's integer e-th root where it has one, else with
+    d.  So B stays as small as before folding where folding merges
+    factors: (z/2)(z/2) = z^2/4 keeps B = 2, and so does eq3's z^4/8."""
+    B = 1
+    for d, e in sorted(monomials, key=lambda m: m[1]):
+        if B**e % d:
+            B = math.lcm(B, _root(d, e))
+    return B
 
 
 def _root(d: int, e: int) -> int:

@@ -4,6 +4,7 @@ machine over the syntax tree that the compiled one replaced; both must
 give the same records, step for step and draw for draw."""
 
 import json
+import math
 import random
 import time
 import tracemalloc
@@ -343,6 +344,52 @@ class TestChoiceFreeLoops:
         s = parse(" ".join(rules) + " F16 x = x ; S = F0 e ;")
         assert enumerate_terminations(s, 0) == ({0: F(1)}, False)
         assert monte_carlo(s, 1, step_cap=10**6).terminated == 1
+
+
+class TestSharedStates:
+    # The enumerator walks each distinct choice state once per number of
+    # choices left, however many paths reach it.
+
+    @pytest.mark.parametrize(
+        "rule, last",
+        [("F{i} x = F{j} (G x) ;", "F{n} x = x [1/2] omega ; G y = y ; S = F0 e ;"),
+         ("F{i} = F{j} e ;", "F{n} = e [1/2] omega ; S = F0 ;")],
+        ids=["env", "stack"],
+    )
+    def test_deep_states_are_keyed_without_recursion(self, rule, last):
+        # At the choice, the env nests 5 000 closures, or the stack holds
+        # 5 000 arguments.
+        n = 5000
+        text = " ".join(rule.format(i=i, j=i + 1) for i in range(n)) + " " + last.format(n=n)
+        items, budget_hit = assert_matches_reference(parse(text), 3)
+        assert items == [(1, F, F(1, 2))] and not budget_hit
+
+    def test_long_walk_without_recursion(self):
+        # Right-first, the deepest termination is met first.
+        probs, budget_hit = enumerate_terminations(load_bundled("geometric"), 3000)
+        assert list(probs.items()) == [(i, F(1, 2**i)) for i in range(3000, 0, -1)]
+        assert not budget_hit
+
+    @pytest.mark.parametrize("name", ["randomwalk", "dyck"])
+    def test_critical_walks_to_degree_40(self, name, monkeypatch):
+        # z^(2k+1) has C_k / 2^(2k+1).  The tree has over 10^10 paths, but
+        # the machine runs at most (40 + 1)^2 times.
+        import phors_lab.operational as operational
+
+        calls = 0
+        run = operational._run
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return run(*args)
+
+        monkeypatch.setattr(operational, "_run", counting)
+        probs, budget_hit = enumerate_terminations(load_bundled(name), 40)
+        catalan = [math.comb(2 * k, k) // (k + 1) for k in range(20)]
+        assert probs == {2 * k + 1: F(c, 2 ** (2 * k + 1)) for k, c in enumerate(catalan)}
+        assert not budget_hit
+        assert calls <= 41**2
 
 
 HAND_WRITTEN = [

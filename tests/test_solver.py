@@ -23,6 +23,7 @@ from phors_lab.solver import (
     solve_at_one,
     solve_or_kernel,
     _is_bracket,
+    _scale_base,
     _spectral_radius_le_one,
 )
 from phors_lab.operational import enumerate_terminations
@@ -369,6 +370,29 @@ class TestKleeneSeries:
             scheme = load_bundled(name)
             fas = reachable(compile_scheme(reduce_inf(scheme) if name == "dyck_lossy" else scheme))
             assert kleene_series(fas, n)[fas.start].coeffs == tuple(want), name
+
+    def test_scale_base(self):
+        # Visited in ascending power of z, a denominator that divides B^e
+        # already adds nothing: z^4/8 after z/2 keeps B = 2, and z^2/4
+        # alone gives its square root.  Without an integer root the
+        # denominator itself enters, and B stays >= 1.
+        assert _scale_base([(8, 4), (2, 1)]) == 2
+        assert _scale_base([(4, 2)]) == 2
+        assert _scale_base([(8, 2), (3, 1)]) == 24
+        assert _scale_base([(2, 1), (3, 1), (9, 2)]) == 6
+        assert _scale_base([]) == 1
+
+    def test_bundled_schemes_scale_by_two(self, monkeypatch):
+        # eq3's folded equation has z^4/8 H beside z/2 terms.
+        import phors_lab.solver as solver
+
+        bases = []
+        monkeypatch.setattr(solver, "_scale_base", lambda ms: bases.append(_scale_base(ms)) or bases[-1])
+        for name in ("eq3", "randomwalk", "geometric", "dyck", "dyck_lossy", "chain"):
+            scheme = load_bundled(name)
+            fas = reachable(compile_scheme(reduce_inf(scheme) if name.startswith("dyck") else scheme))
+            kleene_series(fas, 16)
+            assert bases[-1] == 2, name
 
     def test_random_schemes_match_the_enumerator(self):
         rng = random.Random(5)
