@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .decide import Verdict, decide_past, verify_certificate
+from .decide import Verdict, decide_past, rat, verify_certificate
 from .interp import IndexCapExceeded, InterpError, compile_scheme, reachable, var_name
 from .solver import MonotonicityError, SolverError, kleene_series
 from .syntax import ExecError, Scheme, SchemeError, TransformError
@@ -30,10 +30,6 @@ REPORT_VERSION = 1
 def _load(path: str) -> Scheme:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -99,7 +95,7 @@ def cmd_analyze(args) -> int:
         "file": args.file,
         "start": var_name(fas.start),
         "degree": args.degree,
-        "coefficients": [_rat(c) for c in coeffs],
+        "coefficients": [rat(c) for c in coeffs],
     }
     report.update(verdict.to_jsonable())
     report["notes"] = notes + verdict.notes

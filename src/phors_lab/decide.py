@@ -67,6 +67,13 @@ class NonsingularLinearSolve:
 Certificate = FixpointAtOne | PreFixpointBelowOne | CriticalJacobian | NonsingularLinearSolve
 
 
+def rat(x):
+    """A Fraction as the string n/d; anything else as it is."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
 class Verdict:
     def __init__(self, ast: str = "inconclusive", past: str = "inconclusive",
                  p_term: Value | None = None, expected: Fraction | float | Interval | None = None,
@@ -82,11 +89,6 @@ class Verdict:
         self.notes = [] if notes is None else notes
 
     def to_jsonable(self) -> dict:
-        def rat(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            return x
-
         def by_name(m: dict[int, Fraction]) -> dict[str, str]:
             # Name order, so a report does not depend on the order in
             # which the process interned its variables.

@@ -18,16 +18,17 @@ Three entry points:
 * `solve_at_one` — the least nonnegative solution of w = P(w, 1), one
   strongly connected component at a time with its dependencies' values
   substituted (their lower, then their upper bounds when some are
-  intervals).  Linear components are solved exactly by sparse forward
-  elimination and back-substitution over the nonzero entries of I - J;
-  univariate nonlinear ones by Sturm-sequence bisection on the
-  square-free part of P(y) - y, with a rational-root test on the
-  isolating interval; multivariate nonlinear ones by a spectral test at
-  the all-ones candidate (one factorisation of I - J gives the solution
-  of (I - J) x = 1, or a kernel vector when I - J is singular), else by
-  Newton in floats, checked in exact arithmetic: no float reaches a
-  result, which is an exact rational wherever possible, else an interval
-  of width <= EPS with both ends proven, or [0, 1] with a note.
+  intervals), and per component a record of each solve's path and its
+  notes.  Paths: `constant`; `linear`, by sparse forward elimination and
+  back-substitution over the nonzero entries of I - J; univariate
+  `rational-root` or `irrational-root`, by Sturm-sequence bisection on
+  the square-free part of P(y) - y, with a rational-root test on the
+  isolating interval; multivariate `all-ones`, by a spectral test (one
+  factorisation of I - J gives the solution of (I - J) x = 1, or a
+  kernel vector when I - J is singular), else `newton`, in floats
+  checked in exact arithmetic.  No float reaches a result, which is an
+  exact rational wherever possible, else an interval of width <= EPS
+  with both ends proven, or [0, 1] with a note: path `none`.
 * `expected_steps` — the derivative of the start series at z = 1 via
   implicit differentiation of the fixpoint identity at the least
   solution; a singular linear system is precisely the
@@ -75,6 +76,7 @@ class Interval(Frozen):
 
 
 Value = Fraction | Interval
+Solved = tuple[str, dict[int, Value], str | None]  # path, values, note
 
 
 def value_lo(v: Value) -> Fraction:
@@ -85,12 +87,26 @@ def value_hi(v: Value) -> Fraction:
     return v.hi if isinstance(v, Interval) else v
 
 
+class Component:
+    """A strongly connected component as `solve_at_one` solved it: its
+    unknowns, the path of each solve, and its notes."""
+
+    __slots__ = ("vids", "paths", "notes")
+
+    def __init__(self, vids: tuple[int, ...], paths: tuple[str, ...],
+                 notes: tuple[str, ...]) -> None:
+        self.vids, self.paths, self.notes = vids, paths, notes
+
+
 class MinSolution:
-    def __init__(self, values: dict[int, Value], exact: bool,
-                 diagnostics: list[str] | None = None) -> None:
+    """The least solution's `values` and the `components` that gave them,
+    dependencies first; `exact` and `diagnostics` are read off these."""
+
+    def __init__(self, values: dict[int, Value], components: list[Component]) -> None:
         self.values = values
-        self.exact = exact
-        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.components = components
+        self.exact = not any(isinstance(v, Interval) for v in values.values())
+        self.diagnostics = [n for c in components for n in c.notes]
 
 
 # ---------------------------------------------------------------------------
@@ -381,94 +397,82 @@ def jacobian(
 
 def solve_at_one(fas: Fas) -> MinSolution:
     """The least nonnegative solution of w = P(w, 1), one strongly
-    connected component at a time, dependencies first."""
+    connected component at a time, dependencies first, each recorded as
+    a `Component`.  A solve's path is `constant`, `linear`,
+    `rational-root` or `irrational-root` (univariate), `all-ones`,
+    `newton`, or `none`: [0, 1] with a note.  An irrational root adds a
+    note of the width to which it is certified."""
     z = z_vid()
     eqs1 = {vid: p.substitute({z: ONE}) for vid, p in fas.eqs.items()}
     graph = {vid: {w for w in p.variables() if w in eqs1} for vid, p in eqs1.items()}
 
     values: dict[int, Value] = {}
-    diagnostics: list[str] = []
+    components = []
     for comp in sccs(graph):
         deps = {w for v in comp for w in graph[v]} - set(comp)
         # P is monotone, so solving with the dependencies' lower (upper)
         # bounds substituted bounds the component from below (above);
         # exact dependencies need one solve.
-        notes: list[str] = []
-        irrational: set[int] = set()
-        bounds = []
+        solves = []
         for pick in (value_lo, value_hi):
             sub = {w: pick(values[w]) for w in deps}
             local = {v: eqs1[v].substitute(sub) if deps else eqs1[v] for v in comp}
-            bounds.append(_solve_scc(local, comp, notes, irrational))
+            solves.append(_solve_scc(local, comp))
             if all(isinstance(values[w], Fraction) for w in deps):
                 break
-        diagnostics.extend(dict.fromkeys(notes))
+        paths, bounds, notes = zip(*solves)
+        notes = tuple(dict.fromkeys(filter(None, notes)))
         for v in comp:
             lo, hi = value_lo(bounds[0][v]), value_hi(bounds[-1][v])
             values[v] = lo if lo == hi else Interval(lo, hi)
-            if v in irrational:
-                diagnostics.append(
-                    f"{var_name(v)}: least fixpoint is irrational; certified "
-                    f"to width {hi - lo}"
-                )
-    exact = not any(isinstance(val, Interval) for val in values.values())
-    return MinSolution(values, exact, diagnostics)
+        if "irrational-root" in paths:  # univariate: v, lo and hi are its
+            notes += (f"{var_name(v)}: least fixpoint is irrational; certified to width {hi - lo}",)
+        components.append(Component(tuple(comp), paths, notes))
+    return MinSolution(values, components)
 
 
-def _solve_scc(
-    local: dict[int, Poly],
-    comp: list[int],
-    notes: list[str],
-    irrational: set[int],
-) -> dict[int, Value]:
-    """Solve a component whose dependencies are substituted by rationals.
-    Diagnostics go to `notes`; unknowns whose least root is irrational
-    go to `irrational`."""
+def _solve_scc(local: dict[int, Poly], comp: list[int]) -> Solved:
+    """Solve a component whose dependencies are substituted by rationals:
+    (path, values, note), as `solve_at_one` names them."""
     comp_set = set(comp)
     if not any(w in comp_set for v in comp for w in local[v].variables()):
-        return {v: local[v].constant_term() for v in comp}
+        return "constant", {v: local[v].constant_term() for v in comp}, None
     if all(local[v].degree_in(comp_set) <= 1 for v in comp):
-        return _solve_linear(local, comp, notes)
+        return _solve_linear(local, comp)
     if len(comp) == 1:
-        return _solve_univariate(local, comp[0], notes, irrational)
+        return _solve_univariate(local, comp[0])
     ones = {v: ONE for v in comp}
     if all(local[v].eval(ones) == ONE for v in comp) and _spectral_radius_le_one(
         jacobian(local, comp, ones)
     ):
         # Strongly connected, P(1) = 1, spectral radius of the Jacobian
         # at 1 at most 1: the least fixpoint is 1.
-        return ones
+        return "all-ones", ones, None
     # Supercritical, or 1 is not a fixpoint: bracket the least one.
-    return _newton_bracket(local, comp, notes)
+    return _newton_bracket(local, comp)
 
 
-def _solve_linear(
-    local: dict[int, Poly], comp: list[int], notes: list[str]
-) -> dict[int, Value]:
+def _solve_linear(local: dict[int, Poly], comp: list[int]) -> Solved:
     # A linear component's Jacobian is constant: w = A w + b.
     A = jacobian(local, comp, {v: ZERO for v in comp})
     b = [local[v].constant_term() for v in comp]
     if all(x == 0 for x in b):
         # x = A x with A >= 0: the least solution is identically zero.
-        return {v: ZERO for v in comp}
+        return "linear", {v: ZERO for v in comp}, None
     sol = solve_or_kernel(A, b)[0]
     if sol is not None and all(x >= 0 for x in sol):
         # A finite nonnegative fixpoint exists, so the Kleene iterates
         # (partial sums of A^k b) stay below it; nonsingularity makes
         # the fixpoint unique, hence minimal.
-        return dict(zip(comp, sol))
-    notes.append(
-        "linear component without a nonnegative finite solution: "
-        + ", ".join(var_name(v) for v in comp)
-    )
+        return "linear", dict(zip(comp, sol)), None
     # The least solution diverges or is not pinned down; report the
     # trivial bounds.
-    return {v: Interval(ZERO, ONE) for v in comp}
+    names = ", ".join(var_name(v) for v in comp)
+    note = f"linear component without a nonnegative finite solution: {names}"
+    return "none", {v: Interval(ZERO, ONE) for v in comp}, note
 
 
-def _solve_univariate(
-    local: dict[int, Poly], vid: int, notes: list[str], irrational: set[int]
-) -> dict[int, Value]:
+def _solve_univariate(local: dict[int, Poly], vid: int) -> Solved:
     """Least nonnegative root of P(y) - y: exact when rational, otherwise
     a certified isolating interval of width <= EPS."""
     f = [ZERO] * (local[vid].degree_in({vid}) + 1)
@@ -477,11 +481,8 @@ def _solve_univariate(
     f[1] -= ONE
     val = _least_nonneg_root(_trim(f))
     if val is None:
-        notes.append(f"no nonnegative fixpoint for {var_name(vid)}")
-        return {vid: Interval(ZERO, ONE)}
-    if isinstance(val, Interval):
-        irrational.add(vid)
-    return {vid: val}
+        return "none", {vid: Interval(ZERO, ONE)}, f"no nonnegative fixpoint for {var_name(vid)}"
+    return ("irrational-root" if isinstance(val, Interval) else "rational-root"), {vid: val}, None
 
 
 # Dense univariate polynomials over Q: coefficient lists, constant term
@@ -605,9 +606,7 @@ def _irreducible_rho_le_one(J: list[dict[int, Fraction]]) -> bool:
     return all(v > 0 for v in u) or all(v < 0 for v in u)
 
 
-def _newton_bracket(
-    local: dict[int, Poly], comp: list[int], notes: list[str]
-) -> dict[int, Value]:
+def _newton_bracket(local: dict[int, Poly], comp: list[int]) -> Solved:
     """The least fixpoint of a nonlinear component: floats propose, exact
     arithmetic decides (Etessami, Stewart & Yannakakis, rounded Newton,
     STOC 2012).  Newton from 0 runs in floats on a float copy of the
@@ -615,7 +614,7 @@ def _newton_bracket(
     `_is_bracket` then checks x rounded by `limit_denominator` as the
     value, else [max(0, x - eps w'), x + eps w'] with eps = 2^-k as
     large as width <= EPS allows, halved up to three times.  Failing
-    all, every value is [0, 1], with a note."""
+    all, the path is `none`, with a note."""
     flocal = {v: Poly({m: float(c) for m, c in local[v].terms.items()}) for v in comp}
     x, step = [0.0] * len(comp), math.inf
     try:
@@ -639,13 +638,13 @@ def _newton_bracket(
         eps = Fraction(1, 1 << math.ceil(2 * max(w) / EPS).bit_length())
         for _ in range(5):
             if _is_bracket(local, comp, lo, hi, w):
-                return lo if lo is hi else {v: Interval(lo[v], hi[v]) for v in comp}
+                return "newton", lo if lo is hi else {v: Interval(lo[v], hi[v]) for v in comp}, None
             lo = {v: max(ZERO, Fraction(xv) - eps * wv) for v, xv, wv in zip(comp, x, w)}
             hi = {v: Fraction(xv) + eps * wv for v, xv, wv in zip(comp, x, w)}
             eps /= 2
     names = ", ".join(var_name(v) for v in comp)
-    notes.append(f"inconclusive-width: no certified bracket found for {names}")
-    return {v: Interval(ZERO, ONE) for v in comp}
+    note = f"inconclusive-width: no certified bracket found for {names}"
+    return "none", {v: Interval(ZERO, ONE) for v in comp}, note
 
 
 def _is_bracket(local: dict[int, Poly], comp: list[int], lo: dict[int, Fraction],

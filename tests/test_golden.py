@@ -14,7 +14,9 @@ unknowns that have no equation (those of least-fixpoint value zero) and the reac
 decisions are pinned in `verdicts.json`: for the same 200 generated
 schemes and for rings of 1, 2, 5 and 10 rules at biases 1/2, 1/3 and
 2/3, the degree-16 start coefficients, `decide_past(...).to_jsonable()`
-(exact interval ends included) and whether each certificate verifies.
+(exact interval ends included) and whether each certificate verifies;
+`test_solver_paths` counts the solver paths of these and the bundled
+schemes.
 The type checkers are pinned in `typing.json`: the `to_json()` of
 `check_fin` and `check_inf` on every bundled scheme, on the scheme texts
 of `TYPING_TEXTS`, and on generated and bundled schemes with mutated
@@ -26,6 +28,7 @@ files from the current code; review the diff before committing it."""
 import json
 import random
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -38,12 +41,13 @@ from phors_lab.cli import main
 from phors_lab.decide import decide_past, verify_certificate
 from phors_lab.interp import InterpError, compile_scheme, reachable, var_name
 from phors_lab.operational import ExecError, enumerate_terminations, monte_carlo
-from phors_lab.solver import SolverError, kleene_series
+from phors_lab.solver import SolverError, kleene_series, solve_at_one
 from phors_lab.syntax import SchemeError, is_finitary, parse, print_scheme
 from phors_lab.transforms import TransformError, reduce_inf
 from phors_lab.typesys import check_fin, check_inf
 
 from conftest import (
+    CLOSED_TYPABLE,
     GRADE,
     TYPING_TEXTS,
     random_order1_scheme,
@@ -111,11 +115,17 @@ def test_oracle_matches_golden():
     assert oracle_text() == (GOLDEN / "oracle.json").read_text(encoding="utf-8")
 
 
+def _finitary(scheme):
+    """The scheme, or its finitary reduction if it has unbounded grades."""
+    if all(is_finitary(d.ty) for d in scheme.nonterminals.values()):
+        return scheme
+    return reduce_inf(scheme)
+
+
 def _fas_record(scheme) -> dict | str:
     """The compiled system of a scheme, or the error compiling it raises."""
     try:
-        if not all(is_finitary(d.ty) for d in scheme.nonterminals.values()):
-            scheme = reduce_inf(scheme)
+        scheme = _finitary(scheme)
         fas = compile_scheme(scheme)
     except (InterpError, TransformError) as e:
         return f"{type(e).__name__}: {e}"
@@ -159,16 +169,48 @@ def _verdict_record(scheme) -> dict | str:
     }
 
 
-def verdicts_text() -> str:
-    doc = {key: _verdict_record(scheme) for key, scheme in _random_schemes()}
+def _rings():
+    """The 12 rings of verdicts.json."""
     for n in (1, 2, 5, 10):
         for bias in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
-            doc[f"ring {n} {bias}"] = _verdict_record(parse(ring_text(n, bias)))
+            yield f"ring {n} {bias}", parse(ring_text(n, bias))
+
+
+def verdicts_text() -> str:
+    doc = {key: _verdict_record(scheme) for key, scheme in _random_schemes()}
+    for key, scheme in _rings():
+        doc[key] = _verdict_record(scheme)
     return json.dumps(doc, indent=2) + "\n"
 
 
 def test_verdicts_match_golden():
     assert verdicts_text() == (GOLDEN / "verdicts.json").read_text(encoding="utf-8")
+
+
+def _solver_paths(schemes) -> Counter:
+    """How often each solver path was taken, over the solves of every
+    component of each scheme's system."""
+    return Counter(
+        path
+        for _, scheme in schemes
+        for comp in solve_at_one(reachable(compile_scheme(scheme))).components
+        for path in comp.paths
+    )
+
+
+def test_solver_paths():
+    # The generated schemes reach no nonlinear component.
+    assert _solver_paths(_random_schemes()) == {"constant": 583, "linear": 19}
+    # A one-rule ring is univariate; a longer one has P(1) = 1, so the
+    # least fixpoint is 1 when the bias is at most 1/2, else 1/2.
+    assert _solver_paths(_rings()) == {
+        "constant": 12, "rational-root": 3, "all-ones": 6, "newton": 3
+    }
+    # dyck_lossy's start is the irrational root 2 - sqrt(3).
+    bundled = [(name, _finitary(load_bundled(name))) for name in CLOSED_TYPABLE]
+    assert _solver_paths(bundled) == {
+        "constant": 22, "linear": 3, "rational-root": 2, "irrational-root": 1
+    }
 
 
 def test_fas_matches_golden():

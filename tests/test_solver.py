@@ -603,6 +603,20 @@ class TestSolveAtOne:
         sol = solve_at_one(sysm)
         assert sol.values[_v("w")] == 0
 
+    def test_linear_component_without_a_finite_solution(self):
+        # w = 2w + 1: the Kleene iterates 2^k - 1 diverge, and the only
+        # solution, -1, is negative; nothing is claimed.
+        w = _v("w")
+        sysm = _make_system({"w": Poly.const(2) * Poly.var(w) + Poly.const(1)}, "w")
+        note = f"linear component without a nonnegative finite solution: {var_name(w)}"
+        sol = solve_at_one(sysm)
+        assert [(c.vids, c.paths, c.notes) for c in sol.components] == [((w,), ("none",), (note,))]
+        assert sol.values == {w: Interval(F(0), F(1))}
+        assert sol.diagnostics == [note] and not sol.exact
+        verdict = decide_past(sysm)
+        assert (verdict.ast, verdict.past) == ("inconclusive", "inconclusive")
+        assert verdict.notes == [note]
+
 
 def _univariate(c0, c1, c2) -> tuple[object, list[str]]:
     """Least nonnegative solution of y = c0 + c1 y + c2 y^2."""
@@ -799,25 +813,27 @@ _INTERVAL_FED = (
 )
 
 
-def _interval_fed(g_rule: str):
-    """G's unknown and the least solution of the system."""
+def _interval_fed(g_rule: str, paths: tuple[str, ...]):
+    """G's unknown and the least solution of the system, after checking
+    that G's component was solved twice, along `paths`."""
     fas = reachable(compile_scheme(parse(_INTERVAL_FED + g_rule)))
     sol = solve_at_one(fas)
     (g,) = [v for v in fas.eqs if var_name(v).startswith("y[G;")]
+    assert [c.paths for c in sol.components if c.vids == (g,)] == [paths]
     return g, sol
 
 
 class TestIntervalFedComponents:
     def test_linear_component(self):
         # g = g/2 + p_L/2, so g = p_L.
-        g, sol = _interval_fed("G x = (G x) [1/2] (L x) ;")
+        g, sol = _interval_fed("G x = (G x) [1/2] (L x) ;", ("linear", "linear"))
         val = sol.values[g]
         assert isinstance(val, Interval)
         assert (2 - val.lo) ** 2 >= 3 >= (2 - val.hi) ** 2
 
     def test_univariate_component_is_noted_once(self):
         # g = g^2/2 + p_L/2, so (1 - g)^2 = 1 - p_L = sqrt(3) - 1.
-        g, sol = _interval_fed("G x = (G (G x)) [1/2] (L x) ;")
+        g, sol = _interval_fed("G x = (G (G x)) [1/2] (L x) ;", ("irrational-root",) * 2)
         val = sol.values[g]
         assert isinstance(val, Interval)
         assert ((1 - val.lo) ** 2 + 1) ** 2 >= 3 >= ((1 - val.hi) ** 2 + 1) ** 2
