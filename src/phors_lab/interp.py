@@ -23,16 +23,16 @@ component at a time, callees first.  An unknown is nonzero once an
 equation has been found for it, and an application sums over its
 head's nonzero indexes only (a bound variable's: its binding's
 points), so a product never carries an unknown that is zero in the
-least fixpoint.  A component without recursion is interpreted once; a
-recursive one again until its equations stop growing in number (Kleene
+least fixpoint.  Each component is worked off a worklist (Kleene
 iteration, over the Boolean semiring, of "some monomial has only
-nonzero unknowns").  A rule's body is interpreted once per point of
-its ground result, and the polynomial is split by its bound-variable
-power product: each nonempty bucket is the equation of the index its
-power product spells, and no other index of the declared type gets
-one.  While multiplying, monomials in which a bound variable's
-exponent exceeds its binding's grade are dropped, since no index can
-extract them.
+nonzero unknowns"): each rule is interpreted once, and again whenever
+a callee in its component gains an equation.  A rule's body is
+interpreted once per point of its ground result, and the polynomial
+is split by its bound-variable power product: each nonempty bucket is
+the equation of the index its power product spells, and no other
+index of the declared type gets one.  While multiplying, monomials in
+which a bound variable's exponent exceeds its binding's grade are
+dropped, since no index can extract them.
 """
 
 from __future__ import annotations
@@ -210,23 +210,18 @@ class _Interp:
         return p
 
     def _sem(self, t: Term, idx: Index) -> Poly:
+        # check_fin has accepted the body, and idx is a point of t's type.
         match t:
             case Unit():
-                return Poly.const(1) if idx == GroundPoint(1) else Poly()
+                return Poly.const(1)
             case Omega():
                 return Poly()
             case Choice(l, bias, r):
-                if idx[0] != 0:
-                    return Poly()
                 z = ((z_vid(), 1),)
                 return Poly({z: bias}) * self.sem(l, idx) + Poly({z: 1 - bias}) * self.sem(r, idx)
             case Tuple_(items):
-                if idx[0] != 0 or idx[1] > len(items):
-                    return Poly()
                 return self.sem(items[idx[1] - 1], GroundPoint(1))
             case Proj(i, b):
-                if idx != GroundPoint(1):
-                    return Poly()
                 return self.sem(b, GroundPoint(i))
             case Var() | NonTerm() | App():
                 # The head's variable at each candidate ([mu1] -> ... ->
@@ -441,21 +436,21 @@ def compile_scheme(scheme: Scheme) -> Fas:
 
     sets: dict = {}  # index sets, shared by the whole compile
     calls = {name: _callees(d.body) for name, d in scheme.nonterminals.items()}
-    # Callees first, so every unknown outside the component being
-    # interpreted is settled.  Reading an unknown without an equation
-    # found so far as 0 drops exactly the monomials that carry it, and
-    # products only add unknowns, so once the equations of a component
-    # stop growing in number its last pass gives them with the zero
-    # unknowns eliminated.  z always counts as nonzero.
+    # Callees first, so every unknown outside the component is settled.
+    # An unknown without an equation found so far reads as 0.  A rule
+    # reads only its callees' found indexes, which only grow, so it is
+    # queued again when a callee in its component gains some, and its
+    # last interpretation gives its equations without zero unknowns.
+    # z always counts as nonzero.
     found: dict[str, dict[Index, Poly]] = {name: {} for name in scheme.nonterminals}
     for comp in sccs(calls):
-        recursive = len(comp) > 1 or comp[0] in calls[comp[0]]
-        while True:
-            before = sum(len(found[name]) for name in comp)
-            for name in comp:
-                found[name] = _rule_equations(scheme, name, found, sets)
-            if not recursive or sum(len(found[name]) for name in comp) == before:
-                break
+        todo = list(comp)
+        while todo:
+            name = todo.pop()
+            known = len(found[name])
+            found[name] = _rule_equations(scheme, name, found, sets)
+            if len(found[name]) > known:
+                todo += [c for c in comp if name in calls[c] and c not in todo]
 
     # The start keeps its equation even when it is zero.
     found[scheme.start] = {GroundPoint(1): Poly()} | found[scheme.start]

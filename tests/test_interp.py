@@ -403,6 +403,13 @@ class TestCompile:
             (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
             for i in range(50)
         ]
+        # T passes its grade-1 binding y twice, in one tuple, so the body
+        # of T has monomials with y squared; only the cut keeps them out
+        # of T's equations.
+        schemes.append(parse(
+            "T : !1 (!1 o^2 -o o) -o !1 o -o o ; T x y = x <y, y> ; "
+            "H : !1 o^2 -o o ; H p = pi_1 p [1/2] pi_2 p ; S = T H e ;"
+        ))
         for scheme in schemes:
             fas = compile_scheme(scheme)
             zeros = zero_unknowns(scheme, fas)
@@ -517,10 +524,11 @@ class TestCompile:
             assert enumerated == first
 
     def test_interpreters_per_rule(self, monkeypatch):
-        # Compiling visits the call graph callees first: a rule outside
-        # every recursive component is interpreted once, a recursive
-        # component until its nonzero unknowns stop growing, so at most
-        # once more than it has nonzero unknowns.
+        # Compiling visits the call graph callees first, and interprets
+        # each rule once, then again each time a callee in its component
+        # gains an unknown: a rule outside every recursive component is
+        # interpreted once, a recursive one at most once more than its
+        # component has nonzero unknowns.
         import phors_lab.interp as interp
 
         built = []
@@ -553,6 +561,13 @@ class TestCompile:
         rng = random.Random(808)
         for i in range(50):
             check((random_order1_scheme if i % 2 else random_order2_scheme)(rng))
+        # Each of these components gains one rule's unknown at a time, in
+        # the order of the rules' names or against it.  Passes over the
+        # whole component would interpret each rule once per gain.
+        for text in (walk_text(400, True), walk_text(400, False), forward_ring_text(400)):
+            scheme = parse(text)
+            check(scheme)
+            assert len(built) <= 3 * len(scheme.nonterminals)
 
 
 # The compiled system and the verdict of each scheme text given as an
@@ -668,6 +683,27 @@ class TestGradeTower:
     def test_grade_64(self):
         scheme = chain_tower(6)
         _check_against_enumerator(scheme, compile_scheme(scheme))
+
+
+def walk_text(n, stop_last):
+    """Gambler's ruin on the states 0..n from n // 2: state k steps to
+    k + 1 or k - 1, each with probability 1/2, state 0 stops and state n
+    steps to n - 1 without a choice.  State k's rule is Wj, with j = n - k
+    when stop_last and j = k otherwise, zero-padded so that names sort as
+    numbers."""
+    name = lambda k: f"W{n - k if stop_last else k:0{len(str(n))}d}"
+    rules = [f"{name(0)} = e ;", f"{name(n)} = {name(n - 1)} ;"]
+    rules += [f"{name(k)} = {name(k + 1)} [1/2] {name(k - 1)} ;" for k in range(1, n)]
+    return " ".join(rules) + f" S = {name(n // 2)} ;"
+
+
+def forward_ring_text(n):
+    """n rules, each passing its argument to the next; only the last one,
+    whose name sorts last, may return it, with probability 1/2."""
+    name = lambda i: f"F{i:0{len(str(n - 1))}d}"
+    rules = [f"{name(i)} : !1 o -o o ; {name(i)} x = {name(i + 1)} x ;" for i in range(n - 1)]
+    rules.append(f"{name(n - 1)} : !1 o -o o ; {name(n - 1)} x = {name(0)} x [1/2] x ;")
+    return " ".join(rules) + f" S = {name(0)} e ;"
 
 
 def _check_against_enumerator(scheme, fas):

@@ -161,13 +161,30 @@ class TestLeaves:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", bundled_names())
     def test_print_then_parse_is_identity(self, name):
-        s = load_bundled(name)
-        again = parse(print_scheme(s))
-        assert again.start == s.start
-        assert again.params == s.params
-        assert {n: (d.ty, d.params, d.body) for n, d in again.nonterminals.items()} == {
-            n: (d.ty, d.params, d.body) for n, d in s.nonterminals.items()
-        }
+        _assert_round_trip(load_bundled(name))
+
+    # No bundled scheme has a tuple or a projection: here they stand as a
+    # choice's branches, as arguments and inside each other.
+    @pytest.mark.parametrize("text", [
+        "P : !2 o^2 -o o ; P x = (pi_1 x) [1/2] (pi_2 x [1/4] pi_1 x) ; S = P <e, omega> ;",
+        "L : !inf (!1 o^2 -o o) -o o ; L f = f <e [1/2] omega, e> ; "
+        "P : !1 o^2 -o o ; P x = pi_2 x [1/3] pi_1 x ; S = L P ;",
+        "T : !1 (!1 o^2 -o o) -o !1 o -o o ; T x y = x <y, y> ; "
+        "H : !1 o^2 -o o ; H p = pi_1 p [1/2] pi_2 p ; S = T H e ;",
+        "F : !2 o^3 -o o ; F x = pi_3 <pi_1 x, F <e, e, e>, G (pi_2 x)> ; "
+        "G : !1 o -o o ; G y = y ; S = F <e, omega, e> ;",
+    ])
+    def test_tuples_and_projections_print_then_parse(self, text):
+        _assert_round_trip(parse(text))
+
+
+def _assert_round_trip(s):
+    again = parse(print_scheme(s))
+    assert again.start == s.start
+    assert again.params == s.params
+    assert {n: (d.ty, d.params, d.body) for n, d in again.nonterminals.items()} == {
+        n: (d.ty, d.params, d.body) for n, d in s.nonterminals.items()
+    }
 
 
 class TestTypes:

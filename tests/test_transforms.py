@@ -70,8 +70,12 @@ class TestLinearize:
             assert all(g == 1 for g, _ in arg_types(d.ty))
 
     def test_preserves_coefficients(self):
-        s = load_bundled("eq3")
-        assert _coeffs(s, 12) == _coeffs(linearize(s), 12)
+        # P uses its tuple parameter twice, through projections.
+        for s in (
+            load_bundled("eq3"),
+            parse("P : !2 o^2 -o o ; P x = (pi_1 x) [1/2] (pi_2 x [1/4] pi_1 x) ; S = P <e, omega> ;"),
+        ):
+            assert _coeffs(s, 12) == _coeffs(linearize(s), 12)
 
     def test_fixed_point_on_affine_schemes(self):
         s = load_bundled("randomwalk")
@@ -301,6 +305,18 @@ class TestReduceInf:
         assert "L__I" in red.nonterminals
         assert "M__I" in red.nonterminals
         assert check_fin(red).accepted
+
+    def test_tuple_argument_through_an_instance(self):
+        # L's instance at P passes P a tuple, which P projects.
+        src = parse(
+            "L : !inf (!1 o^2 -o o) -o o ; L f = f <e [1/2] omega, e> ; "
+            "P : !1 o^2 -o o ; P x = pi_2 x [1/3] pi_1 x ; S = L P ;"
+        )
+        red = reduce_inf(src)
+        assert "L__P" in red.nonterminals
+        probs, budget_hit = enumerate_terminations(src, 6)
+        assert not budget_hit
+        assert _coeffs(red, 6) == tuple(probs.get(i, F(0)) for i in range(7))
 
 
 @pytest.fixture(scope="module")
