@@ -33,6 +33,13 @@ the equation of the index its power product spells, and no other
 index of the declared type gets one.  While multiplying, monomials in
 which a bound variable's exponent exceeds its binding's grade are
 dropped, since no index can extract them.
+
+`lump` takes a compiled system to its lumped quotient, the system the
+solver runs on: one unknown per class of unknowns whose equations are
+equal once each unknown is replaced by its class.  The least solution is
+constant on these classes, so the quotient's solution, copied to every
+member, is the full system's; certificates are still checked against
+every equation of the full system.
 """
 
 from __future__ import annotations
@@ -396,6 +403,7 @@ class Fas:
     def __init__(self, eqs: dict[int, Poly], start: int) -> None:
         self.eqs = eqs  # unknown vid -> right-hand side
         self.start = start
+        self.quotient: Quotient | None = None  # set by the first `lump`
 
     def dependencies(self, vid: int) -> set[int]:
         return {v for v in self.eqs[vid].variables() if v in self.eqs}
@@ -488,3 +496,118 @@ def reachable(fas: Fas) -> Fas:
                 seen.add(w)
                 stack.append(w)
     return Fas({v: p for v, p in fas.eqs.items() if v in seen}, fas.start)
+
+
+# ---------------------------------------------------------------------------
+# The lumped quotient
+
+
+class Quotient:
+    """A system's lumped quotient `fas`, whose unknowns are the
+    representatives of the blocks, each block's first unknown in the
+    system's order, the start's block the start; `rep` maps each unknown
+    of the system to its representative, and `members` each
+    representative to its block, in the system's order.  `resigned`
+    counts the signatures the refinement computed."""
+
+    def __init__(self, fas: Fas, rep: dict[int, int], members: dict[int, list[int]],
+                 resigned: int) -> None:
+        self.fas, self.rep, self.members, self.resigned = fas, rep, members, resigned
+
+
+def lump(fas: Fas) -> Quotient:
+    """The quotient of `fas` by the coarsest partition of its unknowns in
+    which two unknowns of one block have equal equations once every
+    unknown is replaced by its block, other variables (z) kept apart
+    (the signature of an unknown is its equation so renamed);
+    memoised on `fas`.  Every Kleene iterate is constant on the blocks,
+    so the least solution is too.  A system without two such unknowns is
+    its own quotient.
+
+    The refinement starts from one block.  When a block splits by
+    signature, its largest part keeps the block's id, and only the users
+    of the unknowns that moved are signed again: an unknown moves into a
+    part at most half its block's size, so O(log n) times (Paige &
+    Tarjan, SIAM J. Comput. 1987; Valmari & Franceschinis, TACAS 2010)."""
+    if fas.quotient is not None:
+        return fas.quotient
+    eqs = fas.eqs
+    # Block ids are negative, so no id is a variable's.  Each block's
+    # members all have the signature bsig[b]; one block of no known
+    # signature splits first.
+    block = dict.fromkeys(eqs, -1)
+    blocks, bsig = {-1: set(eqs)}, {-1: None}
+    sigs: dict[int, frozenset] = {}
+    users: dict[int, list[int]] = {}  # built at the first split that moves an unknown
+    resigned = 0
+    touched = set(eqs)
+    while touched:
+        for u in touched:
+            sigs[u] = frozenset(_modulo(eqs[u], block).items())
+        resigned += len(touched)
+        # The touched members whose signature left their block's, by
+        # block and signature; the rest of a block keeps its signature.
+        splits: dict[int, dict[frozenset, set[int]]] = {}
+        for u in touched:
+            if sigs[u] != bsig[block[u]]:
+                splits.setdefault(block[u], {}).setdefault(sigs[u], set()).add(u)
+        moved = []
+        for b, groups in splits.items():
+            for part in groups.values():
+                blocks[b] -= part
+            parts = sorted([(bsig[b], blocks[b])] + list(groups.items()), key=lambda sp: -len(sp[1]))
+            (bsig[b], blocks[b]), *rest = parts
+            for sig, part in rest:
+                if part:
+                    new = -1 - len(blocks)
+                    blocks[new], bsig[new] = part, sig
+                    for u in part:
+                        block[u] = new
+                    moved += part
+        if len(blocks) == len(eqs):
+            break
+        if moved and not users:
+            users = {v: [] for v in eqs}
+            for u, p in eqs.items():
+                for w in p.variables():
+                    if w in users:
+                        users[w].append(u)
+        # A block of one unknown never splits, so its signature is not needed.
+        touched = {u for w in moved for u in users[w] if len(blocks[block[u]]) > 1}
+    first = {block[fas.start]: fas.start}
+    for v in eqs:
+        first.setdefault(block[v], v)
+    rep = {v: first[block[v]] for v in eqs}
+    members: dict[int, list[int]] = {}
+    for v in eqs:
+        members.setdefault(rep[v], []).append(v)
+    # With nothing merged, the same equations; a new Fas all the same, so
+    # that `fas` holds no cycle.
+    qeqs = eqs if len(members) == len(eqs) else {r: Poly(_modulo(eqs[r], rep)) for r in members}
+    fas.quotient = Quotient(Fas(qeqs, fas.start), rep, members, resigned)
+    return fas.quotient
+
+
+def _modulo(p: Poly, cls: dict[int, int]) -> dict[Monomial, Fraction]:
+    """p's terms with each variable w in cls renamed cls[w], and equal
+    monomials summed."""
+    terms: dict[Monomial, Fraction] = {}
+    for m, c in p.terms.items():
+        if len(m) == 1:
+            w, e = m[0]
+            key = ((cls.get(w, w), e),)
+        elif len(m) == 2:  # most monomials: z and one unknown
+            (v, e), (w, f) = m
+            v, w = cls.get(v, v), cls.get(w, w)
+            key = ((v, e + f),) if v == w else ((v, e), (w, f)) if v < w else ((w, f), (v, e))
+        else:
+            acc: dict[int, int] = {}
+            for w, e in m:
+                w = cls.get(w, w)
+                acc[w] = acc.get(w, 0) + e
+            key = tuple(sorted(acc.items()))
+        if key in terms:
+            terms[key] += c
+        else:
+            terms[key] = c
+    return terms

@@ -1,6 +1,12 @@
 """Minimal nonnegative solutions of compiled fixpoint systems.
 
-Three entry points:
+Three entry points.  Each runs on the system's lumped quotient
+(`interp.lump`), one unknown per class of unknowns with equal equations
+modulo the classes, and copies its results back to every member:
+series, values, the derivative vector and kernel vectors, and
+`Component` records and notes that name the system's own unknowns.
+`decide.verify_certificate` checks certificates against the full
+system, so lumping is not trusted.
 
 * `kleene_series` — exact coefficients of the least solution as
   truncated power series in z, one coefficient layer at a time, after a
@@ -45,7 +51,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, Poly, TruncSeries
-from .interp import Fas, sccs, var_name, z_vid
+from .interp import Fas, Quotient, lump, sccs, var_name, z_vid
 from .syntax import Frozen
 
 
@@ -76,7 +82,9 @@ class Interval(Frozen):
 
 
 Value = Fraction | Interval
-Solved = tuple[str, dict[int, Value], str | None]  # path, values, note
+# path, values, and a note's text up to the component's names, which
+# `solve_at_one` appends
+Solved = tuple[str, dict[int, Value], str | None]
 
 
 def value_lo(v: Value) -> Fraction:
@@ -156,11 +164,22 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     integer, so where the z-free coefficients and layer 0 are integers
     the layers add and multiply ints, without a gcd per operation; other
     values stay Fractions and mix in.  Coefficient k is divided by B^k
-    once, at the end."""
-    n = max(degree, 1)
+    once, at the end.
+
+    The layers are solved on the lumped quotient; the monotonicity check
+    reads the system's own equations, since lumping sums coefficients."""
     for vid, p in fas.eqs.items():
         if any(c < 0 for c in p.terms.values()):
             raise MonotonicityError(f"negative coefficient in the equation of {var_name(vid)}")
+    q = lump(fas)
+    series = _kleene_series(q, degree)
+    return {v: series[r] for v, r in q.rep.items()}
+
+
+def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
+    """`kleene_series` on the quotient's own system."""
+    fas = lumped.fas
+    n = max(degree, 1)
     z = z_vid()
     deps = {v: p.variables() - {z} for v, p in fas.eqs.items()}
     # The polynomial unknowns, each after those it depends on.
@@ -244,8 +263,7 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
                 rows = [{at[j]: a for j, a in J[i].items() if j in at} for i in at]
                 x = solve_or_kernel(rows, [Fraction(b) for b in inputs])[0]
                 if x is None or min(x) < 0:
-                    names = ", ".join(var_name(v) for v in comp)
-                    raise SolverError(f"coefficient {k} of {names} diverges")
+                    raise SolverError(f"coefficient {k} of {_names(lumped, comp)} diverges")
                 for v, xv in zip(comp, x):
                     y[v][k] = _int(xv)
         for i, (p, pi, f, q) in enumerate(nodes):
@@ -262,6 +280,12 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
             coeffs = (Fraction(c, b) if c else ZERO for c, b in zip(y.pop(vid), scale))
         out[vid] = TruncSeries(coeffs)
     return out
+
+
+def _names(q: Quotient, vids: Iterable[int]) -> str:
+    """The names of the system's unknowns in the blocks of vids, in id
+    order."""
+    return ", ".join(var_name(u) for u in sorted(u for v in vids for u in q.members[v]))
 
 
 def _scale_base(monomials: Iterable[tuple[int, int]]) -> int:
@@ -401,9 +425,18 @@ def solve_at_one(fas: Fas) -> MinSolution:
     a `Component`.  A solve's path is `constant`, `linear`,
     `rational-root` or `irrational-root` (univariate), `all-ones`,
     `newton`, or `none`: [0, 1] with a note.  An irrational root adds a
-    note of the width to which it is certified."""
+    note of the width to which it is certified.  The components are the
+    lumped quotient's; each record lists its blocks' unknowns."""
+    q = lump(fas)
+    values, components = _solve_at_one(q)
+    return MinSolution({v: values[r] for v, r in q.rep.items()}, components)
+
+
+def _solve_at_one(q: Quotient) -> tuple[dict[int, Value], list[Component]]:
+    """`solve_at_one` on the quotient's own system: its values, and the
+    components with the system's unknowns."""
     z = z_vid()
-    eqs1 = {vid: p.substitute({z: ONE}) for vid, p in fas.eqs.items()}
+    eqs1 = {vid: p.substitute({z: ONE}) for vid, p in q.fas.eqs.items()}
     graph = {vid: {w for w in p.variables() if w in eqs1} for vid, p in eqs1.items()}
 
     values: dict[int, Value] = {}
@@ -421,14 +454,18 @@ def solve_at_one(fas: Fas) -> MinSolution:
             if all(isinstance(values[w], Fraction) for w in deps):
                 break
         paths, bounds, notes = zip(*solves)
-        notes = tuple(dict.fromkeys(filter(None, notes)))
         for v in comp:
             lo, hi = value_lo(bounds[0][v]), value_hi(bounds[-1][v])
             values[v] = lo if lo == hi else Interval(lo, hi)
-        if "irrational-root" in paths:  # univariate: v, lo and hi are its
-            notes += (f"{var_name(v)}: least fixpoint is irrational; certified to width {hi - lo}",)
-        components.append(Component(tuple(comp), paths, notes))
-    return MinSolution(values, components)
+        notes = [n for n in dict.fromkeys(notes) if n]
+        if notes or "irrational-root" in paths:
+            names = _names(q, comp)
+            notes = [n + names for n in notes]
+            if "irrational-root" in paths:  # univariate: lo and hi are its
+                notes.append(f"{names}: least fixpoint is irrational; certified to width {hi - lo}")
+        vids = tuple(sorted(u for v in comp for u in q.members[v]))
+        components.append(Component(vids, paths, tuple(notes)))
+    return values, components
 
 
 def _solve_scc(local: dict[int, Poly], comp: list[int]) -> Solved:
@@ -467,8 +504,7 @@ def _solve_linear(local: dict[int, Poly], comp: list[int]) -> Solved:
         return "linear", dict(zip(comp, sol)), None
     # The least solution diverges or is not pinned down; report the
     # trivial bounds.
-    names = ", ".join(var_name(v) for v in comp)
-    note = f"linear component without a nonnegative finite solution: {names}"
+    note = "linear component without a nonnegative finite solution: "
     return "none", {v: Interval(ZERO, ONE) for v in comp}, note
 
 
@@ -481,7 +517,7 @@ def _solve_univariate(local: dict[int, Poly], vid: int) -> Solved:
     f[1] -= ONE
     val = _least_nonneg_root(_trim(f))
     if val is None:
-        return "none", {vid: Interval(ZERO, ONE)}, f"no nonnegative fixpoint for {var_name(vid)}"
+        return "none", {vid: Interval(ZERO, ONE)}, "no nonnegative fixpoint for "
     return ("irrational-root" if isinstance(val, Interval) else "rational-root"), {vid: val}, None
 
 
@@ -642,8 +678,7 @@ def _newton_bracket(local: dict[int, Poly], comp: list[int]) -> Solved:
             lo = {v: max(ZERO, Fraction(xv) - eps * wv) for v, xv, wv in zip(comp, x, w)}
             hi = {v: Fraction(xv) + eps * wv for v, xv, wv in zip(comp, x, w)}
             eps /= 2
-    names = ", ".join(var_name(v) for v in comp)
-    note = f"inconclusive-width: no certified bracket found for {names}"
+    note = "inconclusive-width: no certified bracket found for "
     return "none", {v: Interval(ZERO, ONE) for v in comp}, note
 
 
@@ -685,7 +720,17 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
     the expected number of choices, and every value is exact.  Other
     unknowns may lie below 1.  The derivatives at 1 form the least
     solution of d = J d + g, with the Jacobian J and g = dP/dz both
-    evaluated at (sol, 1)."""
+    evaluated at (sol, 1).
+
+    The system solved is the lumped quotient's.  Its solution, or its
+    kernel vector, is constant on blocks, and the one copied to every
+    unknown is the system's: row u of J sums, over each block, the same
+    entries as row [u] of the quotient's J.  I - J is singular iff the
+    quotient's is: both have the spectral radius of J, which is at most 1
+    at the least solution of a system without zero unknowns, as compiled
+    systems are (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010).
+    A kernel vector is scaled to 1 at its last nonzero entry, which is
+    what `solve_or_kernel` gives the system when its kernel is a line."""
     order = sorted(fas.eqs, key=var_name)
     point: dict[int, Fraction] = {}
     for v in order:
@@ -703,17 +748,23 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
         )
     z = z_vid()
     point[z] = ONE
-    J = jacobian(fas.eqs, order, point)
+    q = lump(fas)
+    qorder = [v for v in order if q.rep[v] == v]
+    J = jacobian(q.fas.eqs, qorder, point)
     # g by the rule of `jacobian`, with z^(e-1) = 1 at the point.
     g = [
         sum((c * e * math.prod(point[u] ** f for u, f in m if u != z)
-             for m, c in fas.eqs[v].terms.items() for w, e in m if w == z), ZERO)
-        for v in order
+             for m, c in q.fas.eqs[v].terms.items() for w, e in m if w == z), ZERO)
+        for v in qorder
     ]
     d, u = solve_or_kernel(J, g)
     if d is None:
         assert u is not None
-        return DerivativeResult(math.inf, u, None, order)
+        at = dict(zip(qorder, u))
+        kernel = [at[q.rep[v]] for v in order]
+        last = next(x for x in reversed(kernel) if x)
+        return DerivativeResult(math.inf, [x / last for x in kernel], None, order)
     if any(x < 0 for x in d):
         raise SolverError("negative derivative solution; system is not AST-consistent")
-    return DerivativeResult(d[order.index(fas.start)], None, dict(zip(order, d)), order)
+    at = dict(zip(qorder, d))
+    return DerivativeResult(at[fas.start], None, {v: at[q.rep[v]] for v in order}, order)

@@ -194,12 +194,14 @@ def random_order2_scheme(rng: random.Random) -> Scheme:
     return Scheme(nts, {}, "S")
 
 
-def ring_text(n: int, bias: Fraction) -> str:
-    """n rules; rule i is Fi x = (Fj (Fj x)) [bias] x with j = i+1 mod n.
-    Every rule is the walk y = z (bias y^2 + 1 - bias), which terminates
-    with probability min(1, (1 - bias) / bias)."""
+def ring_text(n: int, *biases: Fraction) -> str:
+    """n rules; rule i is Fi x = (Fj (Fj x)) [b] x with j = i+1 mod n and
+    b = biases[i mod len(biases)].  With one bias, every rule is the
+    walk y = z (b y^2 + 1 - b), which terminates with probability
+    min(1, (1 - b) / b)."""
     rules = "".join(
-        f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) [{bias}] x ; "
+        f"F{i} : !1 o -o o ; F{i} x = (F{(i + 1) % n} (F{(i + 1) % n} x)) "
+        f"[{biases[i % len(biases)]}] x ; "
         for i in range(n)
     )
     return rules + "S = F0 e ;"

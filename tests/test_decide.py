@@ -23,7 +23,7 @@ from phors_lab.decide import (
     decide_past,
     verify_certificate,
 )
-from phors_lab.interp import compile_scheme, reachable, z_vid
+from phors_lab.interp import compile_scheme, lump, reachable, var_name, z_vid
 from phors_lab.algebra import Poly
 from phors_lab.solver import Interval, jacobian, kleene_series, solve_or_kernel
 from phors_lab.syntax import parse
@@ -285,6 +285,32 @@ class TestCertificateVerification:
         certs = decide_past(sub).certificates
         assert len(certs) == 2 and all(verify_certificate(sub, c) for c in certs)
         assert not any(verify_certificate(fas, c) for c in certs)
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_lifted_ring_vectors_verify_on_the_full_system(self, n):
+        # A ring's rules lump into one unknown, so d and the kernel vector
+        # are solved on a quotient of 2 unknowns and copied to the n + 1
+        # of the system: they are the system's own solve, and verify.
+        for bias, kind in ((F(1, 3), NonsingularLinearSolve), (F(1, 2), CriticalJacobian)):
+            fas = reachable(compile_scheme(parse(ring_text(n, bias))))
+            assert len(lump(fas).fas.eqs) == 2 < len(fas.eqs)
+            (cert,) = [c for c in decide_past(fas).certificates if isinstance(c, kind)]
+            order = cert.order
+            assert order == sorted(fas.eqs, key=var_name)
+            assert verify_certificate(fas, cert)
+            full = jacobian({**fas.eqs, z_vid(): Poly()}, order + [z_vid()],
+                            {**cert.solution, z_vid(): F(1)})
+            J = [{j: x for j, x in row.items() if j < n + 1} for row in full[:-1]]
+            d, u = solve_or_kernel(J, [row.get(n + 1, F(0)) for row in full[:-1]])
+            # order[0] is F0's unknown; a vector that is not constant on
+            # the ring fails.
+            if kind is CriticalJacobian:
+                assert d is None and u == cert.kernel
+                bad = CriticalJacobian(order, [x + (i == 0) for i, x in enumerate(u)], cert.solution)
+            else:
+                assert u is None and dict(zip(order, d)) == cert.d_vector
+                bad = NonsingularLinearSolve(order, {**cert.d_vector, order[0]: d[0] + 1}, cert.solution)
+            assert not verify_certificate(fas, bad)
 
     def test_verification_needs_full_assignment(self):
         fas = _fas("eq3")

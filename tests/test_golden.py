@@ -198,18 +198,30 @@ def _solver_paths(schemes) -> Counter:
     )
 
 
+def _alternating_rings():
+    """Rings whose rules alternate two biases: on the quotient, one
+    unknown per bias."""
+    for n in (2, 4, 10):
+        for biases in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 3), Fraction(3, 5))):
+            yield f"ring {n} {biases}", parse(ring_text(n, *biases))
+
+
 def test_solver_paths():
-    # The generated schemes reach no nonlinear component.
-    assert _solver_paths(_random_schemes()) == {"constant": 583, "linear": 19}
-    # A one-rule ring is univariate; a longer one has P(1) = 1, so the
-    # least fixpoint is 1 when the bias is at most 1/2, else 1/2.
-    assert _solver_paths(_rings()) == {
-        "constant": 12, "rational-root": 3, "all-ones": 6, "newton": 3
-    }
+    # The solver runs on the lumped quotient, so equal equations make
+    # one solve.  The generated schemes reach no nonlinear component.
+    assert _solver_paths(_random_schemes()) == {"constant": 494, "linear": 19}
+    # Every rule of a one-bias ring lumps into one unknown, y = b y^2 +
+    # 1 - b at z = 1, whose least root is 1 when b <= 1/2, else (1 - b)/b.
+    assert _solver_paths(_rings()) == {"constant": 12, "rational-root": 12}
+    # Alternating biases leave two unknowns that are one component: with
+    # biases 1/2 and 1/3, P(1) = 1 and rho(J(1)) <= 1, so the least
+    # fixpoint is 1; with 2/3 and 3/5 it is below 1 and bracketed (the
+    # start's equation is solved at both ends of the bracket).
+    assert _solver_paths(_alternating_rings()) == {"constant": 9, "all-ones": 3, "newton": 3}
     # dyck_lossy's start is the irrational root 2 - sqrt(3).
     bundled = [(name, _finitary(load_bundled(name))) for name in CLOSED_TYPABLE]
     assert _solver_paths(bundled) == {
-        "constant": 22, "linear": 3, "rational-root": 2, "irrational-root": 1
+        "constant": 16, "linear": 3, "rational-root": 2, "irrational-root": 1
     }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -14,6 +15,7 @@ from phors_lab.algebra import Poly
 from phors_lab.decide import decide_past
 from phors_lab.interp import (
     ArrowPoint,
+    Fas,
     GroundPoint,
     IndexCapExceeded,
     InterpError,
@@ -23,6 +25,7 @@ from phors_lab.interp import (
     compile_scheme,
     index_set,
     index_size,
+    lump,
     nt_vid,
     reachable,
     var_name,
@@ -685,15 +688,15 @@ class TestGradeTower:
         _check_against_enumerator(scheme, compile_scheme(scheme))
 
 
-def walk_text(n, stop_last):
+def walk_text(n, stop_last, up=Fraction(1, 2)):
     """Gambler's ruin on the states 0..n from n // 2: state k steps to
-    k + 1 or k - 1, each with probability 1/2, state 0 stops and state n
+    k + 1 with probability `up`, else to k - 1, state 0 stops and state n
     steps to n - 1 without a choice.  State k's rule is Wj, with j = n - k
     when stop_last and j = k otherwise, zero-padded so that names sort as
     numbers."""
     name = lambda k: f"W{n - k if stop_last else k:0{len(str(n))}d}"
     rules = [f"{name(0)} = e ;", f"{name(n)} = {name(n - 1)} ;"]
-    rules += [f"{name(k)} = {name(k + 1)} [1/2] {name(k - 1)} ;" for k in range(1, n)]
+    rules += [f"{name(k)} = {name(k + 1)} [{up}] {name(k - 1)} ;" for k in range(1, n)]
     return " ".join(rules) + f" S = {name(n // 2)} ;"
 
 
@@ -753,3 +756,103 @@ def _live_bodies(scheme):
         for pname, (grade, pty) in zip(d.params, _spine(d.ty)):
             dom = {interp.atom(pname, pt) for pt in index_set(pty)}
             yield nt, int(grade), dom, live
+
+
+def _naive_blocks(fas):
+    """The coarsest partition of the unknowns with equal equations modulo
+    the partition, refined round by round from one block: the blocks as
+    frozensets."""
+    block = dict.fromkeys(fas.eqs, 0)
+    while True:
+        sigs = {}
+        for v, p in fas.eqs.items():
+            sig = Counter()
+            for m, c in p.terms.items():
+                key = Counter()
+                for w, e in m:
+                    key[("b", block[w]) if w in block else ("v", w)] += e
+                sig[frozenset(key.items())] += c
+            sigs[v] = (block[v], frozenset(sig.items()))
+        ids = {s: i for i, s in enumerate(dict.fromkeys(sigs.values()))}
+        new = {v: ids[s] for v, s in sigs.items()}
+        if len(set(new.values())) == len(set(block.values())):
+            break
+        block = new
+    out = {}
+    for v, b in block.items():
+        out.setdefault(b, set()).add(v)
+    return {frozenset(b) for b in out.values()}
+
+
+def _lump_cases():
+    rng = random.Random(31)
+    for i in range(60):
+        yield f"random {i}", (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+    for n in (1, 2, 3, 5):
+        for biases in ((Fraction(1, 2),), (Fraction(2, 3), Fraction(3, 5))):
+            yield f"ring {n} {biases}", parse(ring_text(n, *biases))
+    for name in CLOSED_TYPABLE:
+        yield name, _compilable(load_bundled(name))
+
+
+class TestLump:
+    @pytest.mark.parametrize("key, scheme", list(_lump_cases()), ids=lambda x: x if isinstance(x, str) else "")
+    def test_blocks_have_equal_equations_modulo_the_blocks(self, key, scheme):
+        fas = reachable(compile_scheme(scheme))
+        q = lump(fas)
+        assert lump(fas) is q  # memoised on the system
+        assert q.rep[fas.start] == fas.start == q.fas.start
+        assert list(q.members) == list(q.fas.eqs)
+        order = list(fas.eqs)
+        assert sorted(v for vs in q.members.values() for v in vs) == sorted(order)
+        assert all(vs == sorted(vs, key=order.index) for vs in q.members.values())
+        for r, vs in q.members.items():
+            assert r == vs[0] or r == fas.start
+            for v in vs:
+                assert q.rep[v] == r
+                renamed = Poly()
+                for m, c in fas.eqs[v].terms.items():
+                    term = Poly.const(c)
+                    for w, e in m:
+                        for _ in range(e):
+                            term = term * Poly.var(q.rep.get(w, w))
+                    renamed = renamed + term
+                assert renamed == q.fas.eqs[r], var_name(v)
+        # The coarsest such partition, as plain round-by-round refinement
+        # finds it.
+        assert {frozenset(vs) for vs in q.members.values()} == _naive_blocks(fas)
+
+    def test_corpus_and_ring_classes(self):
+        sizes = {}
+        for name in ("chain", "eq3", "dyck", "dyck_lossy", "randomwalk"):
+            fas = reachable(compile_scheme(_compilable(load_bundled(name))))
+            sizes[name] = (len(fas.eqs), len(lump(fas).fas.eqs))
+        assert sizes == {"chain": (5, 3), "eq3": (7, 5), "dyck": (4, 3), "dyck_lossy": (4, 3),
+                         "randomwalk": (2, 2)}
+        # A ring's rules are one class: the start and one ring unknown.
+        fas = reachable(compile_scheme(parse(ring_text(40, Fraction(2, 3)))))
+        assert (len(fas.eqs), len(lump(fas).fas.eqs)) == (41, 2)
+
+    def test_nothing_to_merge_is_the_identity(self):
+        fas = reachable(compile_scheme(parse(walk_text(20, False, Fraction(2, 5)))))
+        q = lump(fas)
+        assert q.fas.eqs is fas.eqs and q.fas.start == fas.start
+        assert q.rep == {v: v for v in fas.eqs}
+
+    def test_z_is_kept_apart(self):
+        # a = z and b = c with c = 1 have the value 1 at z = 1, but not
+        # the same series, so they stay apart.
+        a, b, c = (REGISTRY.intern(("lump", n)) for n in "abc")
+        fas = Fas({a: Poly.var(z_vid()), b: Poly.var(c), c: Poly.const(1)}, a)
+        assert len(lump(fas).fas.eqs) == 3
+
+    def test_refinement_signs_o_m_log_n_unknowns(self):
+        # The 801-state walk with bias 2/5 lumps nothing, and plain
+        # refinement would split one state off each end per round, n / 2
+        # rounds of n signatures.  Signing only the users of moved
+        # unknowns keeps the count within m log2 n + m, m the monomials.
+        fas = reachable(compile_scheme(parse(walk_text(800, True, Fraction(2, 5)))))
+        n, m = len(fas.eqs), sum(len(p.terms) for p in fas.eqs.values())
+        q = lump(fas)
+        assert len(q.fas.eqs) == n == 802
+        assert q.resigned <= m * math.ceil(math.log2(n)) + m

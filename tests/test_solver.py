@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from phors_lab import load_bundled
 from phors_lab.algebra import Poly, REGISTRY
-from phors_lab.interp import InterpError, compile_scheme, reachable, sccs, var_name, z_vid
+from phors_lab.interp import InterpError, compile_scheme, lump, reachable, sccs, var_name, z_vid
 from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
 from phors_lab.solver import (
     EPS,
@@ -279,6 +279,20 @@ class TestKleeneSeries:
         )
         with pytest.raises(MonotonicityError):
             kleene_series(bad, 3)
+
+    def test_monotonicity_is_checked_before_lumping(self):
+        # a = z and b = z lump into one unknown, on which w = 1 + a - b
+        # reads w = 1: only the system's own equations show the negative
+        # coefficient.
+        z = Poly.var(z_vid())
+        eqs = {"w": Poly.const(1) + Poly.var(_v("a")) + Poly.const(-1) * Poly.var(_v("b")),
+               "a": z, "b": z}
+        fas = _make_system(eqs, "w")
+        q = lump(fas)
+        assert q.rep[_v("a")] == q.rep[_v("b")] and q.fas.eqs[_v("w")] == Poly.const(1)
+        message = f"negative coefficient in the equation of {var_name(_v('w'))}"
+        with pytest.raises(MonotonicityError, match=f"^{re.escape(message)}$"):
+            kleene_series(fas, 3)
 
     def test_iterates_reach_fixpoint_for_proper_systems(self):
         for name in ("randomwalk", "eq3", "geometric", "chain"):
@@ -705,13 +719,15 @@ def _const_point(comp, x):
 class TestNewtonBracket:
     def test_supercritical_ring_is_exact(self):
         # Each rule is the walk y = (2/3) y^2 + 1/3, whose least
-        # fixpoint is 1/2; two rules make a multivariate component.
+        # fixpoint is 1/2; the two rules lump into one unknown, which the
+        # univariate solve finds exactly.
         scheme = parse(
             "F0 : !1 o -o o ; F0 x = (F1 (F1 x)) [2/3] x ; "
             "F1 : !1 o -o o ; F1 x = (F0 (F0 x)) [2/3] x ; "
             "S = F0 e ; start S ;"
         )
         fas = reachable(compile_scheme(scheme))
+        assert [c.paths for c in solve_at_one(fas).components] == [("rational-root",), ("constant",)]
         verdict = decide_past(fas)
         assert verdict.p_term == F(1, 2) and isinstance(verdict.p_term, Fraction)
         (cert,) = verdict.certificates
@@ -727,6 +743,17 @@ class TestNewtonBracket:
         assert sol.exact and sol.diagnostics == []
         assert set(sol.values.values()) == {min(F(1), (1 - bias) / bias)}
         assert all(type(x) is Fraction for x in sol.values.values())
+
+    def test_newton_value_is_rounded_and_proven(self):
+        # a = (2/3) b^2 + 1/3 and b = (1/2) a^2 + 3/8 differ, so they stay
+        # two unknowns; P(1) != 1, and the float Newton value rounds to the
+        # least fixpoint (1/2, 1/2), which _is_bracket proves.
+        a, b = Poly.var(_v("a")), Poly.var(_v("b"))
+        eqs = {"a": Poly.const(F(2, 3)) * b * b + Poly.const(F(1, 3)),
+               "b": Poly.const(F(1, 2)) * a * a + Poly.const(F(3, 8))}
+        sol = solve_at_one(_make_system(eqs, "a"))
+        assert [c.paths for c in sol.components] == [("newton",)]
+        assert sol.values == {_v("a"): F(1, 2), _v("b"): F(1, 2)} and sol.exact
 
     def test_irrational_component_is_a_proven_bracket(self):
         # f = (2/3) g^2 + 1/3 and g = (3/4) f^2 + 1/4, so f is a root of
@@ -785,8 +812,9 @@ class TestNewtonBracket:
         assert not _is_bracket(local, comp, above, _const_point(comp, F(51, 100)), [F(1), F(1)])
 
     def test_no_fixpoint_gives_trivial_ends_and_a_note(self):
-        # a = 10 b^30 + 10, b = 10 a^30 + 10 has no finite fixpoint: the
-        # float iterates overflow, and nothing is claimed.
+        # a = 10 b^30 + 11, b = 10 a^30 + 10 has no finite fixpoint: the
+        # float iterates overflow, and nothing is claimed.  The constants
+        # differ, so a and b are not lumped into one univariate unknown.
         a, b = Poly.var(_v("a")), Poly.var(_v("b"))
         ten = Poly.const(10)
 
@@ -796,10 +824,18 @@ class TestNewtonBracket:
                 out = out * p
             return out
 
-        eqs = {"a": ten * power(b, 30) + ten, "b": ten * power(a, 30) + ten}
+        eqs = {"a": ten * power(b, 30) + Poly.const(11), "b": ten * power(a, 30) + ten}
         sol = solve_at_one(_make_system(eqs, "a"))
         assert sol.values[_v("a")] == sol.values[_v("b")] == Interval(F(0), F(1))
+        assert [c.paths for c in sol.components] == [("none",)]
         assert len(sol.diagnostics) == 1 and sol.diagnostics[0].startswith("inconclusive-width:")
+        # The symmetric system lumps to y = 10 y^30 + 10, whose note names
+        # both unknowns.
+        eqs["a"] = ten * power(b, 30) + ten
+        sol = solve_at_one(_make_system(eqs, "a"))
+        assert sol.values[_v("a")] == sol.values[_v("b")] == Interval(F(0), F(1))
+        names = ", ".join(map(var_name, sorted((_v("a"), _v("b")))))
+        assert sol.diagnostics == [f"no nonnegative fixpoint for {names}"]
 
 
 # Reduced dyck_lossy: at z = 1, l = (1/4) l^2 + 1/4, so p_L = 2 - sqrt(3)
