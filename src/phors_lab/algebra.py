@@ -1,8 +1,10 @@
 """Exact arithmetic: sparse multivariate polynomials over Q>=0, and the
 record of a z-truncated power series' rational coefficients.
 
-All coefficients are `fractions.Fraction`; no floating point enters this
-module.  Polynomial variables are interned integers handed out by a global
+All coefficients are `fractions.Fraction`, and the kernels sum their
+int numerators and denominators in `Sums`, one Fraction per result; no
+float enters this module (`solver._newton_bracket` evaluates its own).
+Polynomial variables are interned integers handed out by a global
 registry, so monomials can be stored as small sorted tuples.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,8 +62,34 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
+class Sums(dict):
+    """The kernels' one accumulator: key -> [n, d], the sum n/d of the n_i/d_i
+    (d_i > 0) added under the key, over the lcm d of the d_i, in int
+    arithmetic; `fractions` reduces each once (Knuth, TAOCP 2, 4.5.1)."""
+
+    def add(self, key: Hashable, n: int, d: int) -> None:
+        s = self.get(key)
+        if s is None:
+            self[key] = [n, d]
+        elif s[1] == d:
+            s[0] += n
+        else:
+            g = gcd(s[1], d)
+            s[0], s[1] = s[0] * (d // g) + n * (s[1] // g), s[1] // g * d
+
+    def fractions(self) -> dict:
+        """The nonzero sums in lowest terms, in the order of their keys."""
+        return {k: Fraction(n, d) for k, (n, d) in self.items() if n}
+
+
+def _poly(terms: dict[Monomial, Fraction]) -> "Poly":
+    p = Poly.__new__(Poly)  # terms has no zero coefficient
+    p.terms = terms
+    return p
+
+
 class Poly:
-    """Sparse polynomial: dict from monomial to nonzero Fraction (float in a float copy)."""
+    """Sparse polynomial: dict from monomial to nonzero Fraction."""
 
     __slots__ = ("terms",)
 
@@ -79,7 +108,7 @@ class Poly:
 
     @staticmethod
     def var(vid: int) -> "Poly":
-        return Poly({((vid, 1),): ONE})
+        return _poly({((vid, 1),): ONE})
 
     # -- semiring ------------------------------------------------------
 
@@ -90,28 +119,28 @@ class Poly:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
+            if m not in out:
+                out[m] = c
+            elif s := out[m] + c:
                 out[m] = s
             else:
                 del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+        return _poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, Fraction] = {}
+        out = Sums()
         for m1, c1 in self.terms.items():
+            n1, d1 = c1.numerator, c1.denominator
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        p = Poly.__new__(Poly)
-        p.terms = out
-        return p
+                out.add(_mono_mul(m1, m2), n1 * c2.numerator, d1 * c2.denominator)
+        return _poly(out.fractions())
+
+    def shift(self, mono: Monomial, n: int = 1, d: int = 1) -> "Poly":
+        """n/d * mono * self, d > 0, which merges no terms."""
+        if n == d:
+            return _poly({_mono_mul(mono, m): x for m, x in self.terms.items()})
+        return _poly({_mono_mul(mono, m): Fraction(x.numerator * n, x.denominator * d)
+                      for m, x in self.terms.items()} if n else {})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -143,38 +172,32 @@ class Poly:
     # -- evaluation ----------------------------------------------------
 
     def eval(self, assignment: Mapping[int, Fraction]) -> Fraction:
-        """The value at a point that assigns every variable of the
-        polynomial; coefficients and values may be Fractions or floats."""
-        total = 0
+        """The value at a point that assigns a rational (a Fraction or an
+        int) to every variable of the polynomial."""
+        out = Sums()
         for m, c in self.terms.items():
-            acc = c
+            n, d = c.numerator, c.denominator
             for vid, exp in m:
-                try:
-                    val = assignment[vid]
-                except KeyError:
-                    raise KeyError(
-                        f"no value for variable {REGISTRY.key_of(vid)!r}"
-                    ) from None
-                for _ in range(exp):
-                    acc = acc * val
-            total = total + acc
-        return total
+                if (val := assignment.get(vid)) is None:
+                    raise KeyError(f"no value for variable {REGISTRY.key_of(vid)!r}")
+                n, d = n * val.numerator**exp, d * val.denominator**exp
+            out.add(_EMPTY, n, d)
+        return out.fractions().get(_EMPTY, ZERO)
 
     def substitute(self, values: Mapping[int, Fraction]) -> Poly:
         """Partial evaluation: the variables in `values` take those
         rational values, the others stay."""
-        out: dict[Monomial, Fraction] = {}
+        out = Sums()
         for m, c in self.terms.items():
-            rest = []
+            n, d, rest = c.numerator, c.denominator, []
             for vid, exp in m:
                 val = values.get(vid)
                 if val is None:
                     rest.append((vid, exp))
                 else:
-                    c *= val if exp == 1 else val**exp
-            key = tuple(rest)
-            out[key] = out.get(key, ZERO) + c
-        return Poly(out)
+                    n, d = n * val.numerator**exp, d * val.denominator**exp
+            out.add(tuple(rest), n, d)
+        return _poly(out.fractions())
 
     def compose(self, values: Mapping[int, Poly], var: int, n: int) -> Poly:
         """The variables in `values` replaced by those polynomials, with
@@ -183,11 +206,11 @@ class Poly:
         for m, c in self.terms.items():
             if dict(m).get(var, 0) > n:
                 continue
-            acc = Poly({tuple(ve for ve in m if ve[0] not in values): c})
+            acc = _poly({tuple(ve for ve in m if ve[0] not in values): c})
             for vid, exp in m:
                 for _ in range(exp if vid in values else 0):
-                    acc = Poly({k: x for k, x in (acc * values[vid]).terms.items()
-                                if dict(k).get(var, 0) <= n})
+                    acc = _poly({k: x for k, x in (acc * values[vid]).terms.items()
+                                 if dict(k).get(var, 0) <= n})
             out = out + acc
         return out
 

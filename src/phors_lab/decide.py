@@ -15,6 +15,7 @@ import operator
 from collections.abc import Callable
 from fractions import Fraction
 
+from .algebra import ZERO, Sums
 from .interp import Fas, var_name, z_vid
 from .solver import (
     Interval,
@@ -229,15 +230,21 @@ def verify_certificate(fas: Fas, cert: Certificate) -> bool:
         """x_v - sum_w dP_v/dw * x_w over the variables w in x, one pass
         per row: a monomial c * prod u^e takes c * f * w^(f-1) *
         prod_{u != w} u^e * x_w for each w^f in it.  With x_z = 1 this is
-        (I - J) x - g, with z absent it is (I - J) x."""
+        (I - J) x - g, with z absent it is (I - J) x.  Each row sums int
+        numerators and denominators in one `Sums`."""
         out = []
         for v in order:
-            acc = x[v]
+            acc = Sums()
+            acc.add(v, x[v].numerator, x[v].denominator)
             for m, c in fas.eqs[v].terms.items():
                 for w, f in m:
                     if w in x:
-                        acc -= c * f * x[w] * math.prod(point[u] ** (e - (u == w)) for u, e in m)
-            out.append(acc)
+                        n, d = -c.numerator * f * x[w].numerator, c.denominator * x[w].denominator
+                        for u, e in m:
+                            if e := e - (u == w):
+                                n, d = n * point[u].numerator**e, d * point[u].denominator**e
+                        acc.add(v, n, d)
+            out.append(acc.fractions().get(v, ZERO))
         return out
 
     if isinstance(cert, CriticalJacobian):

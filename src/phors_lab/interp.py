@@ -224,24 +224,26 @@ class _Interp:
             case Omega():
                 return Poly()
             case Choice(l, bias, r):
-                z = ((z_vid(), 1),)
-                return Poly({z: bias}) * self.sem(l, idx) + Poly({z: 1 - bias}) * self.sem(r, idx)
+                z, p, q = ((z_vid(), 1),), bias.numerator, bias.denominator
+                return self.sem(l, idx).shift(z, p, q) + self.sem(r, idx).shift(z, q - p, q)
             case Tuple_(items):
                 return self.sem(items[idx[1] - 1], GroundPoint(1))
             case Proj(i, b):
                 return self.sem(b, GroundPoint(i))
             case Var() | NonTerm() | App():
                 # The head's variable at each candidate ([mu1] -> ... ->
-                # [mun] -> idx), times each argument ai at mui's points.
+                # [mun] -> idx), times each argument ai at mui's points;
+                # the variable shifts the first factor's monomials.
                 head, args = spine(t)
                 total = Poly()
                 for var, uses in self._heads(head, len(args)).get(idx, ()):
-                    prod = Poly.var(var())
+                    vid, prod = var(), None
                     for i, pt in uses:
-                        prod = self._cut(prod * self.sem(args[i], pt))
+                        arg = self.sem(args[i], pt)
+                        prod = self._cut(arg.shift(((vid, 1),)) if prod is None else prod * arg)
                         if not prod:
                             break
-                    total = total + prod
+                    total = total + (Poly.var(vid) if prod is None else prod)
                 return total
         raise TypeError(t)
 

@@ -50,7 +50,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .algebra import ONE, ZERO, Poly, TruncSeries
+from .algebra import ONE, ZERO, Poly, Sums, TruncSeries
 from .interp import Fas, Quotient, lump, sccs, var_name, z_vid
 from .syntax import Frozen
 
@@ -332,7 +332,8 @@ def solve_or_kernel(
     left that are nonzero in a column, the shortest as its pivot; it
     touches only nonzero entries and eliminates nothing above a pivot.
     Back-substitution then gives x or u.  Entries are Fractions, or
-    floats with no Fraction arithmetic: 1 and 0 take the type of b's."""
+    floats with no Fraction arithmetic (`_newton_bracket`'s): 1 and 0
+    take the type of b's."""
     n = len(J)
     one = b[0] ** 0
     zero = one - one
@@ -398,24 +399,22 @@ def jacobian(
     each row maps a column to its entry and stores only nonzero ones.
     Row v takes one pass over P_v's monomials: c * prod u^e adds
     c * e * w^(e-1) * prod_{u != w} u^e at point to each column w it
-    mentions."""
+    mentions, as an int numerator and denominator to the row's `Sums`."""
     column = {w: j for j, w in enumerate(order)}
     J = []
     for v in order:
-        row: dict[int, Fraction] = {}
+        row = Sums()
         for m, c in eqs[v].terms.items():
             for w, e in m:
                 j = column.get(w)
                 if j is None:
                     continue
-                x = c * e
+                n, d = c.numerator * e, c.denominator
                 for u, f in m:
-                    if u == w:
-                        f -= 1
-                    if f:
-                        x *= point[u] if f == 1 else point[u] ** f
-                row[j] = row.get(j, 0) + x
-        J.append({j: x for j, x in row.items() if x})
+                    if f := f - (u == w):
+                        n, d = n * point[u].numerator**f, d * point[u].denominator**f
+                row.add(j, n, d)
+        J.append(row.fractions())
     return J
 
 
@@ -645,19 +644,41 @@ def _irreducible_rho_le_one(J: list[dict[int, Fraction]]) -> bool:
 def _newton_bracket(local: dict[int, Poly], comp: list[int]) -> Solved:
     """The least fixpoint of a nonlinear component: floats propose, exact
     arithmetic decides (Etessami, Stewart & Yannakakis, rounded Newton,
-    STOC 2012).  Newton from 0 runs in floats on a float copy of the
-    component, to x, and w' is the float solution of (I - J(x)) w = 1.
-    `_is_bracket` then checks x rounded by `limit_denominator` as the
-    value, else [max(0, x - eps w'), x + eps w'] with eps = 2^-k as
-    large as width <= EPS allows, halved up to three times.  Failing
-    all, the path is `none`, with a note."""
-    flocal = {v: Poly({m: float(c) for m, c in local[v].terms.items()}) for v in comp}
+    STOC 2012).  Newton from 0 runs in floats, to x, and w' is the float
+    solution of (I - J(x)) w = 1; `at` evaluates P and J in floats, the
+    exact kernels taking none.  `_is_bracket` then checks x rounded by
+    `limit_denominator` as the value, else [max(0, x - eps w'), x + eps
+    w'] with eps = 2^-k as large as width <= EPS allows, halved up to
+    three times.  Failing all, the path is `none`, with a note."""
+    column = {w: j for j, w in enumerate(comp)}
+    terms = [[(fc, m) for m, c in local[v].terms.items() if (fc := float(c))] for v in comp]
+
+    def at(x: list[float]) -> tuple[list[float], list[dict[int, float]]]:
+        """P(x) by repeated products, and J(x) as `jacobian` takes it."""
+        pt = dict(zip(comp, x))
+        vals, rows = [], []
+        for ts in terms:
+            total, row = 0, {}
+            for c, m in ts:
+                acc = c
+                for w, e in m:
+                    for _ in range(e):
+                        acc = acc * pt[w]
+                    y = c * e
+                    for u, f in m:
+                        if f := f - (u == w):
+                            y *= pt[u] if f == 1 else pt[u] ** f
+                    row[column[w]] = row.get(column[w], 0) + y
+                total = total + acc
+            vals.append(total)
+            rows.append({j: y for j, y in row.items() if y})
+        return vals, rows
+
     x, step = [0.0] * len(comp), math.inf
     try:
         for _ in range(64):
-            point = dict(zip(comp, x))
-            r = [flocal[v].eval(point) - xv for v, xv in zip(comp, x)]
-            d = solve_or_kernel(jacobian(flocal, comp, point), r)[0]
+            p, J = at(x)
+            d = solve_or_kernel(J, [pv - xv for pv, xv in zip(p, x)])[0]
             if d is None:
                 break
             x = [xv + dv for xv, dv in zip(x, d)]
@@ -665,7 +686,7 @@ def _newton_bracket(local: dict[int, Poly], comp: list[int]) -> Solved:
             # Converged, or rounding keeps a small step from shrinking.
             if step <= 2**-52 or (last <= 2**-26 and step >= last):
                 break
-        w = solve_or_kernel(jacobian(flocal, comp, dict(zip(comp, x))), [1.0] * len(comp))[0]
+        w = solve_or_kernel(at(x)[1], [1.0] * len(comp))[0]
     except OverflowError:  # the iterates ran off: no fixpoint near them
         w = None
     if w is not None and all(map(math.isfinite, x + w)) and min(w) > 0:
@@ -750,13 +771,9 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
     point[z] = ONE
     q = lump(fas)
     qorder = [v for v in order if q.rep[v] == v]
-    J = jacobian(q.fas.eqs, qorder, point)
-    # g by the rule of `jacobian`, with z^(e-1) = 1 at the point.
-    g = [
-        sum((c * e * math.prod(point[u] ** f for u, f in m if u != z)
-             for m, c in q.fas.eqs[v].terms.items() for w, e in m if w == z), ZERO)
-        for v in qorder
-    ]
+    # g = dP/dz is the Jacobian's column z, its last.
+    *J, _ = jacobian({**q.fas.eqs, z: Poly()}, qorder + [z], point)
+    g = [row.pop(len(qorder), ZERO) for row in J]
     d, u = solve_or_kernel(J, g)
     if d is None:
         assert u is not None
