@@ -3,7 +3,7 @@ record of a z-truncated power series' rational coefficients.
 
 All coefficients are `fractions.Fraction`, and the kernels sum their
 int numerators and denominators in `Sums`, one Fraction per result; no
-float enters this module (`solver._newton_bracket` evaluates its own).
+float enters this module, so no result depends on the order of a sum.
 Polynomial variables are interned integers handed out by a global
 registry, so monomials can be stored as small sorted tuples.
 """

@@ -49,7 +49,7 @@ from collections.abc import Container
 from fractions import Fraction
 from functools import partial
 
-from .algebra import Monomial, Poly, REGISTRY
+from .algebra import Monomial, Poly, REGISTRY, _poly
 from .syntax import (
     App,
     Arrow,
@@ -288,9 +288,7 @@ class _Interp:
         if not caps:
             return p
         # p has no zero coefficient, so neither has its restriction.
-        out = Poly.__new__(Poly)
-        out.terms = {m: c for m, c in p.terms.items() if all(e <= caps.get(v, e) for v, e in m)}
-        return out
+        return _poly({m: c for m, c in p.terms.items() if all(e <= caps.get(v, e) for v, e in m)})
 
 
 def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly]],
@@ -320,7 +318,7 @@ def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly
             idx = res
             for mu in reversed(mus):
                 idx = ArrowPoint(tuple(sorted(mu)), idx)
-            eqs[idx] = Poly(rest)
+            eqs[idx] = _poly(rest)  # a bucket of sem's nonzero terms
     return eqs
 
 
@@ -438,8 +436,7 @@ def compile_scheme(scheme: Scheme) -> Fas:
     the unknowns whose least-fixpoint value is zero."""
     report = check_fin(scheme)
     if not report.accepted:
-        msgs = "; ".join(d.message for d in report.diagnostics)
-        raise InterpError(f"scheme does not type-check: {msgs}")
+        raise InterpError(f"scheme does not type-check: {report.messages}")
     for d in scheme.nonterminals.values():
         if index_size(d.ty) > VAR_CAP:
             raise IndexCapExceeded()

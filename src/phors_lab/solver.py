@@ -31,10 +31,11 @@ system, so lumping is not trusted.
   the square-free part of P(y) - y, with a rational-root test on the
   isolating interval; multivariate `all-ones`, by a spectral test (one
   factorisation of I - J gives the solution of (I - J) x = 1, or a
-  kernel vector when I - J is singular), else `newton`, in floats
-  checked in exact arithmetic.  No float reaches a result, which is an
-  exact rational wherever possible, else an interval of width <= EPS
-  with both ends proven, or [0, 1] with a note: path `none`.
+  kernel vector when I - J is singular), else `newton`, exact steps
+  between iterates rounded to floats, checked in exact arithmetic.  No
+  float reaches a result, which is an exact rational wherever possible,
+  else an interval of width <= EPS with both ends proven, or [0, 1]
+  with a note: path `none`.
 * `expected_steps` — the derivative of the start series at z = 1 via
   implicit differentiation of the fixpoint identity at the least
   solution; a singular linear system is precisely the
@@ -331,17 +332,13 @@ def solve_or_kernel(
     Forward elimination takes the columns in order and, among the rows
     left that are nonzero in a column, the shortest as its pivot; it
     touches only nonzero entries and eliminates nothing above a pivot.
-    Back-substitution then gives x or u.  Entries are Fractions, or
-    floats with no Fraction arithmetic (`_newton_bracket`'s): 1 and 0
-    take the type of b's."""
+    Back-substitution then gives x or u, in Fractions."""
     n = len(J)
-    one = b[0] ** 0
-    zero = one - one
     # Row i of A, with b_i in column n.
     rows = []
     for i, (row, x) in enumerate(zip(J, b)):
         r = {j: -v for j, v in row.items()}
-        r[i] = r.get(i, 0) + one
+        r[i] = r.get(i, 0) + ONE
         if not r[i]:
             del r[i]
         if x:
@@ -378,13 +375,13 @@ def solve_or_kernel(
         pivots.append((col, prow))
     # Each pivot row is 1 at its column and 0 left of it; its entry in
     # column n is b's, which x[n] = -1 brings in and x[n] = 0 leaves out.
-    x = [zero] * (n + 1)
+    x = [ZERO] * (n + 1)
     if free:
-        x[free[0]] = one
+        x[free[0]] = ONE
     else:
-        x[n] = -one
+        x[n] = -ONE
     for col, prow in reversed(pivots):
-        x[col] = -sum((v * x[j] for j, v in prow.items() if j != col), zero)
+        x[col] = -sum((v * x[j] for j, v in prow.items() if j != col), ZERO)
     return (None, x[:n]) if free else (x[:n], None)
 
 
@@ -642,62 +639,40 @@ def _irreducible_rho_le_one(J: list[dict[int, Fraction]]) -> bool:
 
 
 def _newton_bracket(local: dict[int, Poly], comp: list[int]) -> Solved:
-    """The least fixpoint of a nonlinear component: floats propose, exact
-    arithmetic decides (Etessami, Stewart & Yannakakis, rounded Newton,
-    STOC 2012).  Newton from 0 runs in floats, to x, and w' is the float
-    solution of (I - J(x)) w = 1; `at` evaluates P and J in floats, the
-    exact kernels taking none.  `_is_bracket` then checks x rounded by
-    `limit_denominator` as the value, else [max(0, x - eps w'), x + eps
-    w'] with eps = 2^-k as large as width <= EPS allows, halved up to
-    three times.  Failing all, the path is `none`, with a note."""
-    column = {w: j for j, w in enumerate(comp)}
-    terms = [[(fc, m) for m, c in local[v].terms.items() if (fc := float(c))] for v in comp]
-
-    def at(x: list[float]) -> tuple[list[float], list[dict[int, float]]]:
-        """P(x) by repeated products, and J(x) as `jacobian` takes it."""
-        pt = dict(zip(comp, x))
-        vals, rows = [], []
-        for ts in terms:
-            total, row = 0, {}
-            for c, m in ts:
-                acc = c
-                for w, e in m:
-                    for _ in range(e):
-                        acc = acc * pt[w]
-                    y = c * e
-                    for u, f in m:
-                        if f := f - (u == w):
-                            y *= pt[u] if f == 1 else pt[u] ** f
-                    row[column[w]] = row.get(column[w], 0) + y
-                total = total + acc
-            vals.append(total)
-            rows.append({j: y for j, y in row.items() if y})
-        return vals, rows
-
-    x, step = [0.0] * len(comp), math.inf
+    """The least fixpoint of a nonlinear component by rounded Newton
+    (Etessami, Stewart & Yannakakis, STOC 2012): exact steps between
+    iterates rounded to floats.  From x = 0, each step d solves
+    (I - J(x)) d = P(x) - x on the exact kernels, and x + d is rounded
+    once, to the nearest float, so no iterate depends on the order of a
+    sum.  w' solves (I - J(x)) w = 1 at the last x likewise, rounded the
+    same way.  `_is_bracket` then checks x rounded by `limit_denominator`
+    as the value, else [max(0, x - eps w'), x + eps w'] with eps = 2^-k
+    as large as width <= EPS allows, halved up to three times.  Failing
+    all, the path is `none`, with a note."""
+    x, step = {v: ZERO for v in comp}, math.inf
     try:
         for _ in range(64):
-            p, J = at(x)
-            d = solve_or_kernel(J, [pv - xv for pv, xv in zip(p, x)])[0]
+            d = solve_or_kernel(jacobian(local, comp, x), [local[v].eval(x) - x[v] for v in comp])[0]
             if d is None:
                 break
-            x = [xv + dv for xv, dv in zip(x, d)]
+            x = {v: Fraction(float(x[v] + dv)) for v, dv in zip(comp, d)}
             last, step = step, max(map(abs, d))
             # Converged, or rounding keeps a small step from shrinking.
             if step <= 2**-52 or (last <= 2**-26 and step >= last):
                 break
-        w = solve_or_kernel(at(x)[1], [1.0] * len(comp))[0]
-    except OverflowError:  # the iterates ran off: no fixpoint near them
+        w = solve_or_kernel(jacobian(local, comp, x), [ONE] * len(comp))[0]
+        if w is not None:
+            w = [Fraction(float(wv)) for wv in w]
+    except OverflowError:  # float() of an iterate that ran off: no fixpoint near it
         w = None
-    if w is not None and all(map(math.isfinite, x + w)) and min(w) > 0:
-        w = [Fraction(wv) for wv in w]
-        lo = hi = {v: Fraction(xv).limit_denominator() for v, xv in zip(comp, x)}
+    if w is not None and min(w) > 0:
+        lo = hi = {v: xv.limit_denominator() for v, xv in x.items()}
         eps = Fraction(1, 1 << math.ceil(2 * max(w) / EPS).bit_length())
         for _ in range(5):
             if _is_bracket(local, comp, lo, hi, w):
                 return "newton", lo if lo is hi else {v: Interval(lo[v], hi[v]) for v in comp}, None
-            lo = {v: max(ZERO, Fraction(xv) - eps * wv) for v, xv, wv in zip(comp, x, w)}
-            hi = {v: Fraction(xv) + eps * wv for v, xv, wv in zip(comp, x, w)}
+            lo = {v: max(ZERO, x[v] - eps * wv) for v, wv in zip(comp, w)}
+            hi = {v: x[v] + eps * wv for v, wv in zip(comp, w)}
             eps /= 2
     note = "inconclusive-width: no certified bracket found for "
     return "none", {v: Interval(ZERO, ONE) for v in comp}, note

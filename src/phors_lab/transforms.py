@@ -75,8 +75,7 @@ def linearize(scheme: Scheme) -> Scheme:
     parameter's, which gives a result that check_fin rejects."""
     report = check_fin(scheme)
     if not report.accepted:
-        msgs = "; ".join(d.message for d in report.diagnostics)
-        raise TransformError(f"scheme is not finitely graded: {msgs}")
+        raise TransformError(f"scheme is not finitely graded: {report.messages}")
     # The declared type of each head: a checked head is a non-terminal or a variable.
     decls = {NonTerm(n): d.ty for n, d in scheme.nonterminals.items()}
     out: dict[str, NonTermDef] = {}
@@ -213,8 +212,7 @@ def reduce_inf(scheme: Scheme) -> Scheme:
         raise TransformError("reduction requires a closed scheme")
     report = check_inf(scheme)
     if not report.accepted:
-        msgs = "; ".join(d.message for d in report.diagnostics)
-        raise TransformError(f"scheme does not type-check: {msgs}")
+        raise TransformError(f"scheme does not type-check: {report.messages}")
 
     split = {name: _split_inf(d.ty) for name, d in scheme.nonterminals.items()}
     start = (scheme.start, ())
@@ -257,6 +255,5 @@ def _checked(result: Scheme, what: str) -> Scheme:
     result.validate()
     rep = check_fin(result)
     if not rep.accepted:
-        msgs = "; ".join(dg.message for dg in rep.diagnostics)
-        raise TransformError(f"{what} scheme failed finitary checking: {msgs}")
+        raise TransformError(f"{what} scheme failed finitary checking: {rep.messages}")
     return result

@@ -84,6 +84,11 @@ class TypingReport:
     def accepted(self) -> bool:
         return self.status == "accepted"
 
+    @property
+    def messages(self) -> str:
+        """The diagnostics' messages, joined by "; " for an error's text."""
+        return "; ".join(d.message for d in self.diagnostics)
+
     def to_json(self) -> str:
         return json.dumps(
             {

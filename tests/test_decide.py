@@ -160,10 +160,22 @@ class TestVerdicts:
         assert elapsed < 3.0
 
     def test_report_does_not_depend_on_what_was_compiled_before(self):
-        # Compiling the 7-ring first interns the 20-ring's unknowns in
-        # another order.
-        ring = ring_text(20, F(1, 3))
-        assert _report_after(ring) == _report_after(ring_text(7, F(1, 3)), ring)
+        # Each scheme after one that interns unknowns first, so that its
+        # own come in another id order: the 20-ring after the 7-ring, and
+        # two schemes whose components stay multivariate after lumping, so
+        # that their brackets come from Newton iterates, each after a
+        # one-rule scheme whose rule has the name of its first rule.
+        cases = [
+            (ring_text(7, F(1, 3)), ring_text(20, F(1, 3))),
+            ("F : !1 o -o o ; F x = x [1/2] e ; S = F e ;",
+             "F : !1 o -o o ; F x = (G (G x)) [2/3] x ; "
+             "G : !1 o -o o ; G x = (F (F x)) [3/4] x ; S = F e ;"),
+            ("F0 : !1 o -o o ; F0 x = x [1/2] e ; S = F0 e ;",
+             "F0 : !1 o -o o ; F0 x = (F1 (F1 x)) [2/3] x ; "
+             "F1 : !1 o -o o ; F1 x = (F0 (F0 x)) [3/5] x ; S = F0 e ;"),
+        ]
+        for before, text in cases:
+            assert _report_after(before, text) == _report_after(text), text
 
     def test_past_implies_ast_enforced(self):
         with pytest.raises(ValueError):

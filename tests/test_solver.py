@@ -2,19 +2,14 @@
 
 import json
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import phors_lab
 from phors_lab import load_bundled
 from phors_lab.algebra import Poly, REGISTRY
 from phors_lab.interp import InterpError, compile_scheme, lump, reachable, sccs, var_name, z_vid
@@ -752,8 +747,8 @@ class TestNewtonBracket:
 
     def test_newton_value_is_rounded_and_proven(self):
         # a = (2/3) b^2 + 1/3 and b = (1/2) a^2 + 3/8 differ, so they stay
-        # two unknowns; P(1) != 1, and the float Newton value rounds to the
-        # least fixpoint (1/2, 1/2), which _is_bracket proves.
+        # two unknowns; P(1) != 1, and the rounded Newton value rounds to
+        # the least fixpoint (1/2, 1/2), which _is_bracket proves.
         a, b = Poly.var(_v("a")), Poly.var(_v("b"))
         eqs = {"a": Poly.const(F(2, 3)) * b * b + Poly.const(F(1, 3)),
                "b": Poly.const(F(1, 2)) * a * a + Poly.const(F(3, 8))}
@@ -782,58 +777,46 @@ class TestNewtonBracket:
         assert all(verify_certificate(fas, c) for c in verdict.certificates)
 
     # The whole report of two components that stay multivariate after
-    # lumping, so their brackets come from the float Newton iterates: any
-    # change to the float evaluation's order of operations moves the
-    # bracket ends.  Taken in a fresh interpreter, as the float sums
-    # follow the order of variable ids, which depends on what the process
-    # interned before.
+    # lumping, so their brackets come from the rounded Newton iterates:
+    # any change to a Newton step or to its rounding moves the bracket
+    # ends.  Each step is exact and each iterate rounded once, so the
+    # report does not depend on what the process interned before.
     NEWTON_REPORTS = [
         (
             "F : !1 o -o o ; F x = (G (G x)) [2/3] x ; "
             "G : !1 o -o o ; G x = (F (F x)) [3/4] x ; S = F e ;",
             {"ast": "no", "past": "no",
-             "p_term": {"lo": "8435677978577088180703535/19342813113834066795298816",
-                        "hi": "8435677989012271327817425/19342813113834066795298816"},
+             "p_term": {"lo": "8435677978577089254445359/19342813113834066795298816",
+                        "hi": "8435677989012272401559249/19342813113834066795298816"},
              "expected": None,
              "certificates": [{"kind": "pre-fixpoint-below-one", "assignment": {
-                 "y[F;([1]->1)]": "8435677989012271327817425/19342813113834066795298816",
-                 "y[G;([1]->1)]": "1898723330971895416870471/4835703278458516698824704",
-                 "y[S;1]": "8435677989012271327817425/19342813113834066795298816"}}],
+                 "y[F;([1]->1)]": "8435677989012272401559249/19342813113834066795298816",
+                 "y[G;([1]->1)]": "1898723330971895685305927/4835703278458516698824704",
+                 "y[S;1]": "8435677989012272401559249/19342813113834066795298816"}}],
              "notes": []},
         ),
         (
             "F0 : !1 o -o o ; F0 x = (F1 (F1 x)) [2/3] x ; "
             "F1 : !1 o -o o ; F1 x = (F0 (F0 x)) [3/5] x ; S = F0 e ;",
             {"ast": "no", "past": "no",
-             "p_term": {"lo": "10995980982846379174944671/19342813113834066795298816",
-                        "hi": "10995981000396878797316193/19342813113834066795298816"},
+             "p_term": {"lo": "10995980982846383469911961/19342813113834066795298816",
+                        "hi": "10995981000396883092283495/19342813113834066795298816"},
              "expected": None,
              "certificates": [{"kind": "pre-fixpoint-below-one", "assignment": {
-                 "y[F0;([1]->1)]": "10995981000396878797316193/19342813113834066795298816",
-                 "y[F1;([1]->1)]": "11487715116472498237071823/19342813113834066795298816",
-                 "y[S;1]": "10995981000396878797316193/19342813113834066795298816"}}],
+                 "y[F0;([1]->1)]": "10995981000396883092283495/19342813113834066795298816",
+                 "y[F1;([1]->1)]": "11487715116472500384555477/19342813113834066795298816",
+                 "y[S;1]": "10995981000396883092283495/19342813113834066795298816"}}],
              "notes": []},
         ),
     ]
 
     @pytest.mark.parametrize("text, report", NEWTON_REPORTS)
     def test_newton_brackets_are_pinned(self, text, report):
-        code = (
-            "import json, sys\n"
-            "from phors_lab.decide import decide_past, verify_certificate\n"
-            "from phors_lab.interp import compile_scheme, reachable\n"
-            "from phors_lab.solver import solve_at_one\n"
-            "from phors_lab.syntax import parse\n"
-            "fas = reachable(compile_scheme(parse(sys.argv[1])))\n"
-            "verdict = decide_past(fas)\n"
-            "print(json.dumps({'path': solve_at_one(fas).components[0].paths,\n"
-            "                  'report': verdict.to_jsonable(),\n"
-            "                  'verified': [verify_certificate(fas, c) for c in verdict.certificates]}))\n"
-        )
-        src = str(Path(phors_lab.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", code, text], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
-        assert json.loads(proc.stdout) == {"path": ["newton"], "report": report, "verified": [True]}
+        fas = reachable(compile_scheme(parse(text)))
+        verdict = decide_past(fas)
+        assert solve_at_one(fas).components[0].paths == ("newton",)
+        assert json.loads(verdict.to_json()) == report
+        assert [verify_certificate(fas, c) for c in verdict.certificates] == [True]
 
     def test_exact_checks_accept_true_values_and_brackets(self):
         local, comp = _two_ring(F(2, 3))
@@ -872,9 +855,10 @@ class TestNewtonBracket:
         assert not _is_bracket(local, comp, above, _const_point(comp, F(51, 100)), [F(1), F(1)])
 
     def test_no_fixpoint_gives_trivial_ends_and_a_note(self):
-        # a = 10 b^30 + 11, b = 10 a^30 + 10 has no finite fixpoint: the
-        # float iterates overflow, and nothing is claimed.  The constants
-        # differ, so a and b are not lumped into one univariate unknown.
+        # a = 10 b^30 + 11, b = 10 a^30 + 10 has no finite fixpoint: Newton
+        # finds none in its 64 steps, w' is not positive where it stops,
+        # and nothing is claimed.  The constants differ, so a and b are not
+        # lumped into one univariate unknown.
         a, b = Poly.var(_v("a")), Poly.var(_v("b"))
         ten = Poly.const(10)
 

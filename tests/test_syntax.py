@@ -112,6 +112,26 @@ class TestParseErrors:
         with pytest.raises(SchemeError):
             parse(src)
 
+    # Each diagnostic's text, with the line:col of the token it names.  A
+    # start symbol without a rule is found by Scheme.validate, after
+    # parsing, so its message has no position.
+    @pytest.mark.parametrize("src, message", [
+        ("start S ;\n  start S ;\nS = e ;", "2:3: duplicate start directive"),
+        ("S = e ;\n param w ;", "2:2: expected 'param name : Type ;'"),
+        ("S = e ;\nomega = e ;", "2:1: reserved word 'omega'"),
+        ("S = e [1/2] start ;", "1:13: reserved word 'start' in term"),
+        ("S = e ;\nS : o ;\n  S : o ;", "3:3: duplicate declaration of 'S'"),
+        ("param F : o ;\nF = e ;\nS = F ;", "1:7: duplicate name 'F'"),
+        ("F 1 = e ;\nS = F e ;", "1:3: bad rule parameter '1'"),
+        ("S = e ;\nT = pi_0 <e> ;", "2:5: projection index must be >= 1"),
+        ("S = e [1/2] ) ;", "1:13: unexpected token ')' in term"),
+        ("start T ;\nS = e ;", "start symbol 'T' is not a non-terminal"),
+    ])
+    def test_diagnostic_and_its_position(self, src, message):
+        with pytest.raises(SchemeError) as exc:
+            parse(src)
+        assert str(exc.value) == message
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
             parse("S = e ;\nT = unknown_name ;")
