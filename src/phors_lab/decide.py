@@ -15,7 +15,7 @@ import operator
 from collections.abc import Callable
 from fractions import Fraction
 
-from .algebra import ZERO, Sums
+from .algebra import ONE, Sums
 from .interp import Fas, var_name, z_vid
 from .solver import (
     Interval,
@@ -25,8 +25,6 @@ from .solver import (
     solve_at_one,
     value_hi,
 )
-
-ONE = Fraction(1)
 
 
 class FixpointAtOne:
@@ -45,22 +43,21 @@ class PreFixpointBelowOne:
 
 
 class CriticalJacobian:
-    """Nonzero u with (I - J)u = 0 at (w*, 1): the linearized system is
-    singular, so the expected choice count diverges."""
+    """Nonzero u, by unknown, with (I - J)u = 0 at the fixpoint w* =
+    `solution` and z = 1: the linearized system is singular, so the
+    expected choice count diverges."""
 
-    def __init__(self, order: list[int], kernel: list[Fraction],
-                 solution: dict[int, Fraction]) -> None:
-        self.order = order
+    def __init__(self, kernel: dict[int, Fraction], solution: dict[int, Fraction]) -> None:
         self.kernel = kernel
         self.solution = solution
 
 
 class NonsingularLinearSolve:
-    """d with (I - J)d = g at (w*, 1): the expected choice count."""
+    """d >= 0, by unknown, with (I - J)d = g at the fixpoint w* =
+    `solution` and z = 1, g = dP/dz: d_start is the expected choice
+    count."""
 
-    def __init__(self, order: list[int], d_vector: dict[int, Fraction],
-                 solution: dict[int, Fraction]) -> None:
-        self.order = order
+    def __init__(self, d_vector: dict[int, Fraction], solution: dict[int, Fraction]) -> None:
         self.d_vector = d_vector
         self.solution = solution
 
@@ -121,11 +118,12 @@ class Verdict:
                     }
                 )
             elif isinstance(c, CriticalJacobian):
+                kernel = by_name(c.kernel)
                 certs.append(
                     {
                         "kind": "critical-jacobian",
-                        "order": [var_name(v) for v in c.order],
-                        "kernel": [rat(x) for x in c.kernel],
+                        "order": list(kernel),
+                        "kernel": list(kernel.values()),
                     }
                 )
             elif isinstance(c, NonsingularLinearSolve):
@@ -170,21 +168,16 @@ def decide_past(fas: Fas) -> Verdict:
     if verdict.ast != "yes":
         return verdict
     try:
-        res = expected_steps(fas, sol)
+        verdict.expected, vector = expected_steps(fas, sol)
     except SolverError as e:
         verdict.notes.append(str(e))
         return verdict
-    solution = dict(sol.values)
-    if res.value == math.inf:
+    if verdict.expected == math.inf:
         verdict.past = "no"
-        verdict.expected = math.inf
-        verdict.certificates.append(CriticalJacobian(res.order, res.kernel, solution))
+        verdict.certificates.append(CriticalJacobian(vector, dict(sol.values)))
     else:
         verdict.past = "yes"
-        verdict.expected = res.value
-        verdict.certificates.append(
-            NonsingularLinearSolve(res.order, res.d_vector, solution)
-        )
+        verdict.certificates.append(NonsingularLinearSolve(vector, dict(sol.values)))
     return verdict
 
 
@@ -216,41 +209,33 @@ def verify_certificate(fas: Fas, cert: Certificate) -> bool:
     if isinstance(cert, PreFixpointBelowOne):
         a = cert.assignment
         return _holds(fas, a, operator.le) and a[fas.start] < ONE
-    if not isinstance(cert, (CriticalJacobian, NonsingularLinearSolve)):
+    if isinstance(cert, CriticalJacobian):
+        vector, ok = cert.kernel, any(cert.kernel.values())
+    elif isinstance(cert, NonsingularLinearSolve):
+        vector, ok = cert.d_vector, all(x >= 0 for x in cert.d_vector.values())
+    else:
         raise TypeError(cert)
     # J and g are taken at the certificate's solution, which must be a
     # fixpoint of the whole system.
-    order = cert.order
-    if sorted(order) != sorted(fas.eqs) or not _holds(fas, cert.solution, operator.eq):
+    if not ok or vector.keys() != fas.eqs.keys() or not _holds(fas, cert.solution, operator.eq):
         return False
     z = z_vid()
     point = {**cert.solution, z: ONE}
-
-    def residual(x: dict[int, Fraction]) -> list[Fraction]:
-        """x_v - sum_w dP_v/dw * x_w over the variables w in x, one pass
-        per row: a monomial c * prod u^e takes c * f * w^(f-1) *
-        prod_{u != w} u^e * x_w for each w^f in it.  With x_z = 1 this is
-        (I - J) x - g, with z absent it is (I - J) x.  Each row sums int
-        numerators and denominators in one `Sums`."""
-        out = []
-        for v in order:
-            acc = Sums()
-            acc.add(v, x[v].numerator, x[v].denominator)
-            for m, c in fas.eqs[v].terms.items():
-                for w, f in m:
-                    if w in x:
-                        n, d = -c.numerator * f * x[w].numerator, c.denominator * x[w].denominator
-                        for u, e in m:
-                            if e := e - (u == w):
-                                n, d = n * point[u].numerator**e, d * point[u].denominator**e
-                        acc.add(v, n, d)
-            out.append(acc.fractions().get(v, ZERO))
-        return out
-
-    if isinstance(cert, CriticalJacobian):
-        u = cert.kernel
-        return len(u) == len(order) and any(u) and not any(residual(dict(zip(order, u))))
-    d = cert.d_vector
-    if set(d) != set(order) or any(x < 0 for x in d.values()):
-        return False
-    return not any(residual({**d, z: ONE}))
+    # x_v - sum_w dP_v/dw * x_w over the variables w in x, one pass per
+    # row: a monomial c * prod u^e takes c * f * w^(f-1) * prod_{u != w}
+    # u^e * x_w for each w^f in it.  With x_z = 1 this is (I - J) d - g,
+    # without z it is (I - J) u.  Each row sums int numerators and
+    # denominators under its key in one `Sums`.
+    x = vector if isinstance(cert, CriticalJacobian) else {**vector, z: ONE}
+    acc = Sums()
+    for v, p in fas.eqs.items():
+        acc.add(v, x[v].numerator, x[v].denominator)
+        for m, c in p.terms.items():
+            for w, f in m:
+                if w in x:
+                    n, d = -c.numerator * f * x[w].numerator, c.denominator * x[w].denominator
+                    for u, e in m:
+                        if e := e - (u == w):
+                            n, d = n * point[u].numerator**e, d * point[u].denominator**e
+                    acc.add(v, n, d)
+    return not any(n for n, _ in acc.values())

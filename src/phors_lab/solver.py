@@ -38,9 +38,9 @@ system, so lumping is not trusted.
   with a note: path `none`.
 * `expected_steps` — the derivative of the start series at z = 1 via
   implicit differentiation of the fixpoint identity at the least
-  solution; a singular linear system is precisely the
-  diverging-expectation boundary, and the same factorisation gives its
-  kernel vector.
+  solution, with the derivative vector by unknown; a singular linear
+  system is precisely the diverging-expectation boundary, and the same
+  factorisation gives its kernel vector, by unknown too.
 """
 
 from __future__ import annotations
@@ -284,9 +284,9 @@ def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
 
 
 def _names(q: Quotient, vids: Iterable[int]) -> str:
-    """The names of the system's unknowns in the blocks of vids, in id
-    order."""
-    return ", ".join(var_name(u) for u in sorted(u for v in vids for u in q.members[v]))
+    """The names of the system's unknowns in the blocks of vids, in name
+    order, which does not depend on the ids a process interned."""
+    return ", ".join(sorted(var_name(u) for v in vids for u in q.members[v]))
 
 
 def _scale_base(monomials: Iterable[tuple[int, int]]) -> int:
@@ -434,10 +434,15 @@ def _solve_at_one(q: Quotient) -> tuple[dict[int, Value], list[Component]]:
     z = z_vid()
     eqs1 = {vid: p.substitute({z: ONE}) for vid, p in q.fas.eqs.items()}
     graph = {vid: {w for w in p.variables() if w in eqs1} for vid, p in eqs1.items()}
+    # Tarjan over positions in the equation order, not over ids, so that
+    # the components, and the notes, come in an order of the system's own.
+    order = list(eqs1)
+    at = {v: i for i, v in enumerate(order)}
 
     values: dict[int, Value] = {}
     components = []
-    for comp in sccs(graph):
+    for block in sccs({at[v]: {at[w] for w in ws} for v, ws in graph.items()}):
+        comp = [order[i] for i in block]
         deps = {w for v in comp for w in graph[v]} - set(comp)
         # P is monotone, so solving with the dependencies' lower (upper)
         # bounds substituted bounds the component from below (above);
@@ -644,16 +649,19 @@ def _newton_bracket(local: dict[int, Poly], comp: list[int]) -> Solved:
     iterates rounded to floats.  From x = 0, each step d solves
     (I - J(x)) d = P(x) - x on the exact kernels, and x + d is rounded
     once, to the nearest float, so no iterate depends on the order of a
-    sum.  w' solves (I - J(x)) w = 1 at the last x likewise, rounded the
-    same way.  `_is_bracket` then checks x rounded by `limit_denominator`
-    as the value, else [max(0, x - eps w'), x + eps w'] with eps = 2^-k
-    as large as width <= EPS allows, halved up to three times.  Failing
-    all, the path is `none`, with a note."""
+    sum.  From 0, Newton rises and stays below the least fixpoint, so a
+    step down by more than 2^-26 max(1, x_v), which rounding does not
+    explain, means there is none, and ends the steps.  w' solves
+    (I - J(x)) w = 1 at the last x likewise, rounded the same way.
+    `_is_bracket` then checks x rounded by `limit_denominator` as the
+    value, else [max(0, x - eps w'), x + eps w'] with eps = 2^-k as large
+    as width <= EPS allows, halved up to three times.  Failing all, the
+    path is `none`, with a note."""
     x, step = {v: ZERO for v in comp}, math.inf
     try:
         for _ in range(64):
             d = solve_or_kernel(jacobian(local, comp, x), [local[v].eval(x) - x[v] for v in comp])[0]
-            if d is None:
+            if d is None or any(dv < -max(ONE, x[v]) / 2**26 for v, dv in zip(comp, d)):
                 break
             x = {v: Fraction(float(x[v] + dv)) for v, dv in zip(comp, d)}
             last, step = step, max(map(abs, d))
@@ -698,17 +706,10 @@ def _is_bracket(local: dict[int, Poly], comp: list[int], lo: dict[int, Fraction]
 # Expected number of probabilistic steps
 
 
-class DerivativeResult:
-    def __init__(self, value: Fraction | float, kernel: list[Fraction] | None,
-                 d_vector: dict[int, Fraction] | None, order: list[int]) -> None:
-        self.value = value  # exact expectation, or math.inf
-        self.kernel = kernel  # singularity witness when infinite
-        self.d_vector = d_vector  # solution when finite
-        self.order = order  # variable order used for matrices
-
-
-def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
-    """Differentiate w = P(w, z) at the least solution and z = 1.
+def expected_steps(fas: Fas, sol: MinSolution) -> tuple[Fraction | float, dict[int, Fraction]]:
+    """Differentiate w = P(w, z) at the least solution and z = 1: the
+    expected number of choices and the derivative vector d, or math.inf
+    and a kernel vector u of I - J, each by unknown in name order.
 
     `fas` is a start-reachable system and `sol` its least solution at
     z = 1.  Precondition: the start value is exactly 1 (almost-sure
@@ -725,7 +726,7 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
     quotient's is: both have the spectral radius of J, which is at most 1
     at the least solution of a system without zero unknowns, as compiled
     systems are (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010).
-    A kernel vector is scaled to 1 at its last nonzero entry, which is
+    u is scaled to 1 at its last nonzero entry in name order, which is
     what `solve_or_kernel` gives the system when its kernel is a line."""
     order = sorted(fas.eqs, key=var_name)
     point: dict[int, Fraction] = {}
@@ -751,12 +752,10 @@ def expected_steps(fas: Fas, sol: MinSolution) -> DerivativeResult:
     g = [row.pop(len(qorder), ZERO) for row in J]
     d, u = solve_or_kernel(J, g)
     if d is None:
-        assert u is not None
         at = dict(zip(qorder, u))
-        kernel = [at[q.rep[v]] for v in order]
-        last = next(x for x in reversed(kernel) if x)
-        return DerivativeResult(math.inf, [x / last for x in kernel], None, order)
+        last = next(x for v in reversed(order) if (x := at[q.rep[v]]))
+        return math.inf, {v: at[q.rep[v]] / last for v in order}
     if any(x < 0 for x in d):
         raise SolverError("negative derivative solution; system is not AST-consistent")
     at = dict(zip(qorder, d))
-    return DerivativeResult(at[fas.start], None, {v: at[q.rep[v]] for v in order}, order)
+    return at[fas.start], {v: at[q.rep[v]] for v in order}

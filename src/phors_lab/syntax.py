@@ -236,11 +236,17 @@ class Scheme:
     def is_closed(self) -> bool:
         return not self.params
 
-    def validate(self) -> None:
+    def _start_error(self) -> str | None:
+        """What is wrong with the start symbol, if anything."""
         if self.start not in self.nonterminals:
-            raise SchemeError(f"start symbol {self.start!r} is not a non-terminal")
+            return f"start symbol {self.start!r} is not a non-terminal"
         if self.nonterminals[self.start].ty != O:
-            raise SchemeError(f"start symbol {self.start!r} must have type o")
+            return f"start symbol {self.start!r} must have type o"
+        return None
+
+    def validate(self) -> None:
+        if msg := self._start_error():
+            raise SchemeError(msg)
         for name, ty in self.params.items():
             if not is_finitary(ty):
                 raise SchemeError(f"parameter {name!r} has an infinitary type")
@@ -489,7 +495,7 @@ def parse(source: str) -> Scheme:
     decls: dict[str, list[Token]] = {}  # name -> its declaration statement
     rules: list[tuple[Token, list[Token], list[Token]]] = []  # head, params, body
     param_stmts: list[tuple[Token, list[Token]]] = []
-    start: str | None = None
+    start: Token | None = None
 
     for st in statements:
         head = st[0]
@@ -498,7 +504,7 @@ def parse(source: str) -> Scheme:
                 raise ParseError("expected 'start Name ;'", head.line, head.col)
             if start is not None:
                 raise ParseError("duplicate start directive", head.line, head.col)
-            start = st[1].text
+            start = st[1]
             continue
         if head.kind == "ident" and head.text == "param":
             if len(st) < 4 or st[1].kind != "ident" or st[2].kind != ":":
@@ -558,7 +564,9 @@ def parse(source: str) -> Scheme:
         if name not in nonterminals:
             raise ParseError(f"declaration of {name!r} has no rule", st[0].line, st[0].col)
 
-    scheme = Scheme(nonterminals, params, start or "S")
+    scheme = Scheme(nonterminals, params, start.text if start else "S")
+    if start and (msg := scheme._start_error()):
+        raise ParseError(msg, start.line, start.col)
     scheme.validate()
     return scheme
 

@@ -24,7 +24,7 @@ from phors_lab.decide import (
     verify_certificate,
 )
 from phors_lab.interp import compile_scheme, lump, reachable, var_name, z_vid
-from phors_lab.algebra import Poly
+from phors_lab.algebra import REGISTRY, Poly
 from phors_lab.solver import Interval, jacobian, kleene_series, solve_or_kernel
 from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
@@ -161,10 +161,13 @@ class TestVerdicts:
 
     def test_report_does_not_depend_on_what_was_compiled_before(self):
         # Each scheme after one that interns unknowns first, so that its
-        # own come in another id order: the 20-ring after the 7-ring, and
-        # two schemes whose components stay multivariate after lumping, so
+        # own come in another id order: the 20-ring after the 7-ring; two
+        # schemes whose components stay multivariate after lumping, so
         # that their brackets come from Newton iterates, each after a
-        # one-rule scheme whose rule has the name of its first rule.
+        # one-rule scheme whose rule has the name of its first rule; and
+        # two whose notes name unknowns, a ring that lumps into one
+        # irrational root, whose note names both rules' unknowns, and two
+        # components with a note each, after a rule named like the second.
         cases = [
             (ring_text(7, F(1, 3)), ring_text(20, F(1, 3))),
             ("F : !1 o -o o ; F x = x [1/2] e ; S = F e ;",
@@ -173,6 +176,13 @@ class TestVerdicts:
             ("F0 : !1 o -o o ; F0 x = x [1/2] e ; S = F0 e ;",
              "F0 : !1 o -o o ; F0 x = (F1 (F1 x)) [2/3] x ; "
              "F1 : !1 o -o o ; F1 x = (F0 (F0 x)) [3/5] x ; S = F0 e ;"),
+            ("A : !1 o -o o ; A x = x [1/2] e ; S = A e ;",
+             "A : !1 o -o o ; A x = (B (B x)) [1/4] (x [1/2] omega) ; "
+             "B : !1 o -o o ; B x = (A (A x)) [1/4] (x [1/2] omega) ; S = A e ;"),
+            ("B : !1 o -o o ; B x = x [1/2] e ; S = B e ;",
+             "S = (A e) [1/2] (B e) ; "
+             "A : !1 o -o o ; A x = (A (A x)) [1/4] (x [1/2] omega) ; "
+             "B : !1 o -o o ; B x = (B (B x)) [1/5] (x [1/2] omega) ;"),
         ]
         for before, text in cases:
             assert _report_after(before, text) == _report_after(text), text
@@ -233,8 +243,7 @@ class TestCertificateVerification:
         cert = next(c for c in v.certificates if isinstance(c, CriticalJacobian))
         # Break proportionality (a scaled kernel would still verify).
         bad = CriticalJacobian(
-            cert.order,
-            [x + i for i, x in enumerate(cert.kernel, start=1)],
+            {k: x + i for i, (k, x) in enumerate(cert.kernel.items(), start=1)},
             cert.solution,
         )
         assert not verify_certificate(fas, bad)
@@ -243,8 +252,27 @@ class TestCertificateVerification:
         fas = _fas("randomwalk")
         v = decide_past(fas)
         cert = next(c for c in v.certificates if isinstance(c, CriticalJacobian))
-        bad = CriticalJacobian(cert.order, [F(0)] * len(cert.kernel), cert.solution)
+        bad = CriticalJacobian({k: F(0) for k in cert.kernel}, cert.solution)
         assert not verify_certificate(fas, bad)
+
+    def test_kernel_with_an_extra_unknown_rejected(self):
+        fas = _fas("randomwalk")
+        v = decide_past(fas)
+        cert = next(c for c in v.certificates if isinstance(c, CriticalJacobian))
+        assert verify_certificate(fas, CriticalJacobian(dict(cert.kernel), cert.solution))
+        # An unknown of no equation, whose entry no residual reads.
+        other = REGISTRY.intern(("test-extra", "x"))
+        bad = CriticalJacobian({**cert.kernel, other: F(1)}, cert.solution)
+        assert not verify_certificate(fas, bad)
+
+    def test_d_without_an_unknown_rejected(self):
+        # Each unknown's row reads its own entry, which is missing.
+        fas = _fas("geometric")
+        v = decide_past(fas)
+        cert = next(c for c in v.certificates if isinstance(c, NonsingularLinearSolve))
+        for k in cert.d_vector:
+            partial = {w: x for w, x in cert.d_vector.items() if w != k}
+            assert not verify_certificate(fas, NonsingularLinearSolve(partial, cert.solution))
 
     def test_tampered_expectation_fails(self):
         fas = _fas("geometric")
@@ -253,7 +281,6 @@ class TestCertificateVerification:
             c for c in v.certificates if isinstance(c, NonsingularLinearSolve)
         )
         bad = NonsingularLinearSolve(
-            cert.order,
             {k: x + 1 for k, x in cert.d_vector.items()},
             cert.solution,
         )
@@ -273,7 +300,7 @@ class TestCertificateVerification:
         g = [row.get(n, F(0)) for row in full]
         d = solve_or_kernel(J, g)[0]
         solution = {v: F(1, 2) for v in order}
-        bad = NonsingularLinearSolve(order, dict(zip(order, d)), solution)
+        bad = NonsingularLinearSolve(dict(zip(order, d)), solution)
         assert not verify_certificate(fas, bad)
 
     def test_negative_expectation_fails(self):
@@ -283,9 +310,7 @@ class TestCertificateVerification:
             "F : !1 o -o o ; F x = (F (F x)) [2/3] x ; S = F e ;"
         )))
         order = sorted(fas.eqs)
-        bad = NonsingularLinearSolve(
-            order, {v: F(-3) for v in order}, {v: F(1) for v in order}
-        )
+        bad = NonsingularLinearSolve({v: F(-3) for v in order}, {v: F(1) for v in order})
         assert not verify_certificate(fas, bad)
 
     def test_every_given_equation_is_checked(self):
@@ -307,8 +332,9 @@ class TestCertificateVerification:
             fas = reachable(compile_scheme(parse(ring_text(n, bias))))
             assert len(lump(fas).fas.eqs) == 2 < len(fas.eqs)
             (cert,) = [c for c in decide_past(fas).certificates if isinstance(c, kind)]
-            order = cert.order
-            assert order == sorted(fas.eqs, key=var_name)
+            vector = cert.kernel if kind is CriticalJacobian else cert.d_vector
+            order = sorted(fas.eqs, key=var_name)
+            assert list(vector) == order
             assert verify_certificate(fas, cert)
             full = jacobian({**fas.eqs, z_vid(): Poly()}, order + [z_vid()],
                             {**cert.solution, z_vid(): F(1)})
@@ -317,11 +343,11 @@ class TestCertificateVerification:
             # order[0] is F0's unknown; a vector that is not constant on
             # the ring fails.
             if kind is CriticalJacobian:
-                assert d is None and u == cert.kernel
-                bad = CriticalJacobian(order, [x + (i == 0) for i, x in enumerate(u)], cert.solution)
+                assert d is None and dict(zip(order, u)) == vector
+                bad = CriticalJacobian({**vector, order[0]: u[0] + 1}, cert.solution)
             else:
-                assert u is None and dict(zip(order, d)) == cert.d_vector
-                bad = NonsingularLinearSolve(order, {**cert.d_vector, order[0]: d[0] + 1}, cert.solution)
+                assert u is None and dict(zip(order, d)) == vector
+                bad = NonsingularLinearSolve({**vector, order[0]: d[0] + 1}, cert.solution)
             assert not verify_certificate(fas, bad)
 
     def test_verification_needs_full_assignment(self):

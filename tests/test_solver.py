@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phors_lab import load_bundled
+from phors_lab import load_bundled, solver
 from phors_lab.algebra import Poly, REGISTRY
 from phors_lab.interp import InterpError, compile_scheme, lump, reachable, sccs, var_name, z_vid
 from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
@@ -854,11 +854,12 @@ class TestNewtonBracket:
         above = _const_point(comp, 2)
         assert not _is_bracket(local, comp, above, _const_point(comp, F(51, 100)), [F(1), F(1)])
 
-    def test_no_fixpoint_gives_trivial_ends_and_a_note(self):
-        # a = 10 b^30 + 11, b = 10 a^30 + 10 has no finite fixpoint: Newton
-        # finds none in its 64 steps, w' is not positive where it stops,
-        # and nothing is claimed.  The constants differ, so a and b are not
-        # lumped into one univariate unknown.
+    def test_no_fixpoint_gives_trivial_ends_and_a_note(self, monkeypatch):
+        # a = 10 b^30 + 11, b = 10 a^30 + 10 has no finite fixpoint: its
+        # second Newton step goes down, which no step from 0 below a
+        # fixpoint does, so Newton stops there, and nothing is claimed.
+        # The constants differ, so a and b are not lumped into one
+        # univariate unknown.
         a, b = Poly.var(_v("a")), Poly.var(_v("b"))
         ten = Poly.const(10)
 
@@ -869,7 +870,16 @@ class TestNewtonBracket:
             return out
 
         eqs = {"a": ten * power(b, 30) + Poly.const(11), "b": ten * power(a, 30) + ten}
+        calls = []
+
+        def counted(J, b):
+            calls.append(J)
+            return solve_or_kernel(J, b)
+
+        monkeypatch.setattr(solver, "solve_or_kernel", counted)
         sol = solve_at_one(_make_system(eqs, "a"))
+        # Two steps and w', against 65 when it ran all 64 steps.
+        assert len(calls) <= 4
         assert sol.values[_v("a")] == sol.values[_v("b")] == Interval(F(0), F(1))
         assert [c.paths for c in sol.components] == [("none",)]
         assert len(sol.diagnostics) == 1 and sol.diagnostics[0].startswith("inconclusive-width:")
@@ -878,7 +888,7 @@ class TestNewtonBracket:
         eqs["a"] = ten * power(b, 30) + ten
         sol = solve_at_one(_make_system(eqs, "a"))
         assert sol.values[_v("a")] == sol.values[_v("b")] == Interval(F(0), F(1))
-        names = ", ".join(map(var_name, sorted((_v("a"), _v("b")))))
+        names = ", ".join(sorted(map(var_name, (_v("a"), _v("b")))))
         assert sol.diagnostics == [f"no nonnegative fixpoint for {names}"]
 
 
@@ -928,19 +938,22 @@ class TestExpectedSteps:
     def test_geometric_expectation(self):
         fas = _fas("geometric")
         sol = solve_at_one(fas)
-        res = expected_steps(fas, sol)
-        assert res.value == 2
+        value, d = expected_steps(fas, sol)
+        assert value == 2 == d[fas.start]
+        assert list(d) == sorted(fas.eqs, key=var_name)
 
     def test_unit_expectation_zero(self):
         fas = _fas("unit")
-        res = expected_steps(fas, solve_at_one(fas))
-        assert res.value == 0
+        value, d = expected_steps(fas, solve_at_one(fas))
+        assert value == 0 == d[fas.start]
 
     def test_critical_walk_diverges(self):
         fas = _fas("randomwalk")
-        res = expected_steps(fas, solve_at_one(fas))
-        assert res.value == math.inf
-        assert res.kernel is not None and any(x != 0 for x in res.kernel)
+        value, u = expected_steps(fas, solve_at_one(fas))
+        assert value == math.inf
+        assert list(u) == sorted(fas.eqs, key=var_name) and any(x != 0 for x in u.values())
+        # Scaled to 1 at its last nonzero entry in name order.
+        assert [x for x in u.values() if x][-1] == 1
 
     def test_requires_ast(self):
         fas = _fas("eq3")

@@ -112,9 +112,7 @@ class TestParseErrors:
         with pytest.raises(SchemeError):
             parse(src)
 
-    # Each diagnostic's text, with the line:col of the token it names.  A
-    # start symbol without a rule is found by Scheme.validate, after
-    # parsing, so its message has no position.
+    # Each diagnostic's text, with the line:col of the token it names.
     @pytest.mark.parametrize("src, message", [
         ("start S ;\n  start S ;\nS = e ;", "2:3: duplicate start directive"),
         ("S = e ;\n param w ;", "2:2: expected 'param name : Type ;'"),
@@ -125,7 +123,8 @@ class TestParseErrors:
         ("F 1 = e ;\nS = F e ;", "1:3: bad rule parameter '1'"),
         ("S = e ;\nT = pi_0 <e> ;", "2:5: projection index must be >= 1"),
         ("S = e [1/2] ) ;", "1:13: unexpected token ')' in term"),
-        ("start T ;\nS = e ;", "start symbol 'T' is not a non-terminal"),
+        ("start T ;\nS = e ;", "1:7: start symbol 'T' is not a non-terminal"),
+        ("S = e ;\n start F ;\nF x = x ;", "2:8: start symbol 'F' must have type o"),
     ])
     def test_diagnostic_and_its_position(self, src, message):
         with pytest.raises(SchemeError) as exc:
