@@ -341,51 +341,44 @@ Node = int | str  # an unknown's id or a rule's name
 
 def sccs(graph: dict[Node, set[Node]]) -> list[list[Node]]:
     """SCCs in reverse topological order: every edge leaves a component
-    emitted later toward one emitted earlier."""
+    emitted later toward one emitted earlier, or stays inside one.  The
+    roots are taken in the graph's order, each node's neighbours in
+    sorted order, and each component is sorted, so the compile's rule
+    order and the solver's notes depend on the graph alone."""
     index: dict[Node, int] = {}
     low: dict[Node, int] = {}
     on_stack: set[Node] = set()
     stack: list[Node] = []
     out: list[list[Node]] = []
-    counter = 0
-
     for root in graph:
         if root in index:
             continue
-        work = [(root, iter(sorted(graph[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
+        work = [(root, None)]  # (node, its neighbours left), None before its visit
         while work:
             v, it = work[-1]
-            advanced = False
+            if it is None:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+                it = iter(sorted(graph[v]))
+                work[-1] = (v, it)
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(graph[w]))))
-                    advanced = True
+                    work.append((w, None))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(sorted(comp))
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    out.append(sorted(comp))
     return out
 
 
@@ -404,9 +397,6 @@ class Fas:
         self.eqs = eqs  # unknown vid -> right-hand side
         self.start = start
         self.quotient: Quotient | None = None  # set by the first `lump`
-
-    def dependencies(self, vid: int) -> set[int]:
-        return {v for v in self.eqs[vid].variables() if v in self.eqs}
 
     def render(self) -> str:
         lines = []
@@ -490,8 +480,8 @@ def reachable(fas: Fas) -> Fas:
     stack = [fas.start]
     while stack:
         v = stack.pop()
-        for w in fas.dependencies(v):
-            if w not in seen:
+        for w in fas.eqs[v].variables():
+            if w in fas.eqs and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return Fas({v: p for v, p in fas.eqs.items() if v in seen}, fas.start)
@@ -536,20 +526,18 @@ def lump(fas: Fas) -> Quotient:
     # signature splits first.
     block = dict.fromkeys(eqs, -1)
     blocks, bsig = {-1: set(eqs)}, {-1: None}
-    sigs: dict[int, frozenset] = {}
     users: dict[int, list[int]] = {}  # built at the first split that moves an unknown
     resigned = 0
     touched = set(eqs)
     while touched:
-        for u in touched:
-            sigs[u] = frozenset(_modulo(eqs[u], block).items())
         resigned += len(touched)
         # The touched members whose signature left their block's, by
         # block and signature; the rest of a block keeps its signature.
         splits: dict[int, dict[frozenset, set[int]]] = {}
         for u in touched:
-            if sigs[u] != bsig[block[u]]:
-                splits.setdefault(block[u], {}).setdefault(sigs[u], set()).add(u)
+            sig = frozenset(_modulo(eqs[u], block).items())
+            if sig != bsig[block[u]]:
+                splits.setdefault(block[u], {}).setdefault(sig, set()).add(u)
         moved = []
         for b, groups in splits.items():
             for part in groups.values():
@@ -592,21 +580,10 @@ def _modulo(p: Poly, cls: dict[int, int]) -> dict[Monomial, Fraction]:
     monomials summed."""
     terms: dict[Monomial, Fraction] = {}
     for m, c in p.terms.items():
-        if len(m) == 1:
-            w, e = m[0]
-            key = ((cls.get(w, w), e),)
-        elif len(m) == 2:  # most monomials: z and one unknown
-            (v, e), (w, f) = m
-            v, w = cls.get(v, v), cls.get(w, w)
-            key = ((v, e + f),) if v == w else ((v, e), (w, f)) if v < w else ((w, f), (v, e))
-        else:
-            acc: dict[int, int] = {}
-            for w, e in m:
-                w = cls.get(w, w)
-                acc[w] = acc.get(w, 0) + e
-            key = tuple(sorted(acc.items()))
-        if key in terms:
-            terms[key] += c
-        else:
-            terms[key] = c
+        acc: dict[int, int] = {}
+        for w, e in m:
+            w = cls.get(w, w)
+            acc[w] = acc.get(w, 0) + e
+        key = tuple(sorted(acc.items()))
+        terms[key] = terms[key] + c if key in terms else c
     return terms

@@ -234,14 +234,18 @@ def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
                 i = index[ws[:j]]
                 lst = nodes[i][3]
             terms[vid].append((_int(c * B**e), lst, e))
-    # Components with their cyclic flags and their unknowns' terms; one
-    # none of whose unknowns has a term stays 0.
+    # Components with their unknowns' terms and, when cyclic, their rows
+    # of J; one none of whose unknowns has a term stays 0.
     graph = {v: {order[j] for j in row} for v, row in zip(order, J)}
-    blocks = [
-        (comp, len(comp) > 1 or comp[0] in graph[comp[0]], [terms[v] for v in comp])
-        for comp in sccs(graph)
-        if any(terms[v] for v in comp)
-    ]
+    pos = {v: j for j, v in enumerate(order)}
+    blocks = []
+    for comp in sccs(graph):
+        if any(terms[v] for v in comp):
+            rows = None
+            if len(comp) > 1 or comp[0] in graph[comp[0]]:
+                at = {pos[v]: i for i, v in enumerate(comp)}
+                rows = [{at[j]: a for j, a in J[i].items() if j in at} for i in at]
+            blocks.append((comp, rows, [terms[v] for v in comp]))
     # old[i]: node i's coefficient k with every unknown's coefficient k
     # read as 0, which is also its coefficient k until the unknowns' are
     # solved.  The extra last entry is a one-factor prefix's, always 0.
@@ -255,13 +259,11 @@ def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
                     0 if k & 1 else f[h] * f[h])
             else:
                 old[i] = q[k] = old[pi] * f[0] + sum(map(mul, p[1:k], f[k - 1 : 0 : -1]))
-        for comp, cyclic, rhs in blocks:
+        for comp, rows, rhs in blocks:
             inputs = [sum([c * lst[k - e] for c, lst, e in ts if e <= k]) for ts in rhs]
-            if not cyclic:
+            if rows is None:
                 y[comp[0]][k] = inputs[0]
             elif any(inputs):
-                at = {order.index(v): i for i, v in enumerate(comp)}
-                rows = [{at[j]: a for j, a in J[i].items() if j in at} for i in at]
                 x = solve_or_kernel(rows, [Fraction(b) for b in inputs])[0]
                 if x is None or min(x) < 0:
                     raise SolverError(f"coefficient {k} of {_names(lumped, comp)} diverges")

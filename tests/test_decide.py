@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -141,15 +140,15 @@ class TestVerdicts:
         assert finite
 
     def test_large_rings(self):
-        # I - J of a ring of n rules has 2n nonzero entries; deciding the
-        # three 200-rings must not cost a dense elimination.
+        # A ring's rules are one class, so each 200-ring's 201 unknowns
+        # lump to 2, the start and one ring unknown, and the solver never
+        # eliminates anything of the ring's size.
         rings = [
             reachable(compile_scheme(parse(ring_text(200, b))))
             for b in (F(1, 2), F(1, 3), F(2, 3))
         ]
-        t0 = time.perf_counter()
+        assert [(len(fas.eqs), len(lump(fas).fas.eqs)) for fas in rings] == [(201, 2)] * 3
         critical, sub, sup = [decide_past(fas) for fas in rings]
-        elapsed = time.perf_counter() - t0
         assert (critical.ast, critical.past, critical.expected) == ("yes", "no", math.inf)
         assert (sub.ast, sub.past, sub.expected) == ("yes", "yes", 3)
         assert (sup.ast, sup.past) == ("no", "no")
@@ -157,7 +156,6 @@ class TestVerdicts:
         for fas, v in zip(rings, (critical, sub, sup)):
             assert v.certificates
             assert all(verify_certificate(fas, c) for c in v.certificates)
-        assert elapsed < 3.0
 
     def test_report_does_not_depend_on_what_was_compiled_before(self):
         # Each scheme after one that interns unknowns first, so that its

@@ -564,6 +564,41 @@ class TestSccs:
         comps = sccs(g)
         assert sorted(map(tuple, comps)) == [(1,), (2,)]
 
+    def test_random_digraphs_match_the_definitions(self):
+        # Seeded digraphs of up to 30 nodes, self-loops included, the
+        # nodes in shuffled order, checked against reachability computed
+        # here.
+        rng = random.Random(35)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            nodes = rng.sample(range(100), n)
+            density = rng.choice((0.02, 0.05, 0.1, 0.2, 0.4))
+            g = {u: {v for v in nodes if rng.random() < density} for u in nodes}
+            comps = sccs(g)
+            assert sorted(u for c in comps for u in c) == sorted(nodes)
+            assert all(c == sorted(c) for c in comps)
+            at = {u: i for i, c in enumerate(comps) for u in c}
+            reach = {}
+            for u in nodes:
+                seen, todo = {u}, [u]
+                while todo:
+                    for w in g[todo.pop()] - seen:
+                        seen.add(w)
+                        todo.append(w)
+                reach[u] = seen
+            for u in nodes:
+                for v in nodes:
+                    assert (at[u] == at[v]) == (v in reach[u] and u in reach[v]), (g, u, v)
+                for v in g[u]:
+                    assert at[u] >= at[v], (g, u, v)
+
+    def test_long_cycle_and_path_do_not_recurse(self):
+        n = 20_001
+        assert sccs({i: {(i + 1) % n} for i in range(n)}) == [list(range(n))]
+        n = 20_000
+        path = {i: {i + 1} for i in range(n - 1)} | {n - 1: set()}
+        assert sccs(path) == [[i] for i in reversed(range(n))]
+
 
 class TestSolveAtOne:
     def test_random_walk_terminates_almost_surely(self):
