@@ -119,28 +119,30 @@ def index_size(ty: GradedType) -> int:
     """The number of points of ty's index set, or VAR_CAP + 1 if it has
     more: a size beyond the cap is never computed, as it can have more
     digits than memory holds."""
-    match ty:
-        case Ground(n):
-            return min(n, VAR_CAP + 1)
-        case Arrow(k, a, r):
-            n = index_size(a)
-            # For k >= 1 and 2^n > VAR_CAP, (k + 1)^n is over the cap.
-            mus = (int(k) + 1) ** n if k == 0 or n < VAR_CAP.bit_length() else VAR_CAP + 1
-            return min(mus * index_size(r), VAR_CAP + 1)
+    cls = ty.__class__
+    if cls is Ground:
+        return min(ty.width, VAR_CAP + 1)
+    if cls is Arrow:
+        k, n = ty.grade, index_size(ty.arg)
+        # For k >= 1 and 2^n > VAR_CAP, (k + 1)^n is over the cap.
+        mus = (int(k) + 1) ** n if k == 0 or n < VAR_CAP.bit_length() else VAR_CAP + 1
+        return min(mus * index_size(ty.result), VAR_CAP + 1)
     raise TypeError(ty)
 
 
 def _enum(ty: GradedType, sets: dict) -> list[Index]:
-    match ty:
-        case Ground(n):
-            return [GroundPoint(i) for i in range(1, n + 1)]
-        case Arrow(k, a, r):
-            # Multisets of a's points, each at most k times: at grade 0 only
-            # the empty one, so a is not enumerated.  Sorted, as is the product.
-            pts = index_set(a, sets) if k else []
-            mus = sorted(tuple((p, m) for p, m in zip(pts, mults) if m)
-                         for mults in itertools.product(range(int(k) + 1), repeat=len(pts)))
-            return [ArrowPoint(mu, res) for mu in mus for res in index_set(r, sets)]
+    cls = ty.__class__
+    if cls is Ground:
+        return [GroundPoint(i) for i in range(1, ty.width + 1)]
+    if cls is Arrow:
+        # Multisets of the argument's points, each at most k times: at
+        # grade 0 only the empty one, so the argument is not enumerated.
+        # Sorted, as is the product.
+        k = ty.grade
+        pts = index_set(ty.arg, sets) if k else []
+        mus = sorted(tuple((p, m) for p, m in zip(pts, mults) if m)
+                     for mults in itertools.product(range(int(k) + 1), repeat=len(pts)))
+        return [ArrowPoint(mu, res) for mu in mus for res in index_set(ty.result, sets)]
     raise TypeError(ty)
 
 
@@ -170,12 +172,9 @@ def _render_index(idx: Index) -> str:
 
 def var_name(vid: int) -> str:
     key = REGISTRY.key_of(vid)
-    match key:
-        case ("z",):
-            return "z"
-        case ("nt", name, ik):
-            return f"y[{name};{_render_index(ik)}]"
-    return repr(key)
+    if key.__class__ is tuple and len(key) == 3 and key[0] == "nt":
+        return f"y[{key[1]};{_render_index(key[2])}]"
+    return "z" if key == ("z",) else repr(key)
 
 
 # ---------------------------------------------------------------------------
@@ -218,33 +217,34 @@ class _Interp:
 
     def _sem(self, t: Term, idx: Index) -> Poly:
         # check_fin has accepted the body, and idx is a point of t's type.
-        match t:
-            case Unit():
-                return Poly.const(1)
-            case Omega():
-                return Poly()
-            case Choice(l, bias, r):
-                z, p, q = ((z_vid(), 1),), bias.numerator, bias.denominator
-                return self.sem(l, idx).shift(z, p, q) + self.sem(r, idx).shift(z, q - p, q)
-            case Tuple_(items):
-                return self.sem(items[idx[1] - 1], GroundPoint(1))
-            case Proj(i, b):
-                return self.sem(b, GroundPoint(i))
-            case Var() | NonTerm() | App():
-                # The head's variable at each candidate ([mu1] -> ... ->
-                # [mun] -> idx), times each argument ai at mui's points;
-                # the variable shifts the first factor's monomials.
-                head, args = spine(t)
-                total = Poly()
-                for var, uses in self._heads(head, len(args)).get(idx, ()):
-                    vid, prod = var(), None
-                    for i, pt in uses:
-                        arg = self.sem(args[i], pt)
-                        prod = self._cut(arg.shift(((vid, 1),)) if prod is None else prod * arg)
-                        if not prod:
-                            break
-                    total = total + (Poly.var(vid) if prod is None else prod)
-                return total
+        cls = t.__class__
+        if cls is App or cls is Var or cls is NonTerm:
+            # The head's variable at each candidate ([mu1] -> ... ->
+            # [mun] -> idx), times each argument ai at mui's points;
+            # the variable shifts the first factor's monomials.
+            head, args = spine(t)
+            total = Poly()
+            for var, uses in self._heads(head, len(args)).get(idx, ()):
+                vid, prod = var(), None
+                for i, pt in uses:
+                    arg = self.sem(args[i], pt)
+                    prod = self._cut(arg.shift(((vid, 1),)) if prod is None else prod * arg)
+                    if not prod:
+                        break
+                total = total + (Poly.var(vid) if prod is None else prod)
+            return total
+        if cls is Choice:
+            z, bias = ((z_vid(), 1),), t.bias
+            p, q = bias.numerator, bias.denominator
+            return self.sem(t.left, idx).shift(z, p, q) + self.sem(t.right, idx).shift(z, q - p, q)
+        if cls is Unit:
+            return Poly.const(1)
+        if cls is Omega:
+            return Poly()
+        if cls is Tuple_:
+            return self.sem(t.items[idx[1] - 1], GroundPoint(1))
+        if cls is Proj:
+            return self.sem(t.body, GroundPoint(t.index))
         raise TypeError(t)
 
     def _heads(self, head: Term, n: int) -> dict[Index, list]:
@@ -257,7 +257,7 @@ class _Interp:
         monomials."""
         groups = self.heads.get((head, n))
         if groups is None:
-            if isinstance(head, NonTerm):
+            if head.__class__ is NonTerm:
                 cands, var = self.found[head.name], partial(nt_vid, head.name)
             else:
                 i, grade, ty = self.bindings[head.name]
@@ -418,12 +418,14 @@ def _is_proper(p: Poly, system_vids: Container[int]) -> bool:
 
 def _callees(body: Term) -> set[str]:
     """The non-terminals a rule body mentions."""
-    return {t.name for t in leaves(body) if isinstance(t, NonTerm)}
+    return {t.name for t in leaves(body) if t.__class__ is NonTerm}
 
 
 def compile_scheme(scheme: Scheme) -> Fas:
     """Compile a closed finitary scheme to its fixpoint system, without
-    the unknowns whose least-fixpoint value is zero."""
+    the unknowns whose least-fixpoint value is zero.  It runs `check_fin`
+    itself and raises InterpError on a scheme that check rejects, so a
+    caller need not check first."""
     report = check_fin(scheme)
     if not report.accepted:
         raise InterpError(f"scheme does not type-check: {report.messages}")

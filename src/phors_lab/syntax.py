@@ -92,27 +92,29 @@ O = Ground(1)
 
 
 def order(ty: GradedType) -> int:
-    match ty:
-        case Ground():
-            return 0
-        case Arrow(_, a, r):
-            return max(order(a) + 1, order(r))
-    raise TypeError(ty)
+    n = 0
+    while ty.__class__ is Arrow:
+        n = max(n, order(ty.arg) + 1)
+        ty = ty.result
+    if ty.__class__ is not Ground:
+        raise TypeError(ty)
+    return n
 
 
 def is_finitary(ty: GradedType) -> bool:
-    match ty:
-        case Ground():
-            return True
-        case Arrow(g, a, r):
-            return g != INF and is_finitary(a) and is_finitary(r)
-    raise TypeError(ty)
+    while ty.__class__ is Arrow:
+        if ty.grade == INF or not is_finitary(ty.arg):
+            return False
+        ty = ty.result
+    if ty.__class__ is not Ground:
+        raise TypeError(ty)
+    return True
 
 
 def arg_types(ty: GradedType) -> list[tuple[Grade, GradedType]]:
     """The spine of (grade, argument type) pairs down to the ground result."""
     out = []
-    while isinstance(ty, Arrow):
+    while ty.__class__ is Arrow:
         out.append((ty.grade, ty.arg))
         ty = ty.result
     return out
@@ -175,7 +177,7 @@ class Proj(Term):
 def spine(t: Term) -> tuple[Term, list[Term]]:
     """Unwind applications: returns (head, [arg1, ..., argn])."""
     args: list[Term] = []
-    while isinstance(t, App):
+    while t.__class__ is App:
         args.append(t.arg)
         t = t.fun
     args.reverse()
@@ -202,17 +204,18 @@ def leaves(t: Term) -> Iterator[Term]:
     right, by an explicit stack, so that no depth raises RecursionError."""
     stack = [t]
     while stack:
-        match stack.pop():
-            case App(f, a):
-                stack += (a, f)
-            case Choice(l, _, r):
-                stack += (r, l)
-            case Tuple_(items):
-                stack += reversed(items)
-            case Proj(_, b):
-                stack.append(b)
-            case leaf:
-                yield leaf
+        t = stack.pop()
+        cls = t.__class__
+        if cls is App:
+            stack += (t.arg, t.fun)
+        elif cls is Choice:
+            stack += (t.right, t.left)
+        elif cls is Tuple_:
+            stack += reversed(t.items)
+        elif cls is Proj:
+            stack.append(t.body)
+        else:
+            yield t
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +413,7 @@ class _Parser:
         t = self.next()
         if t.kind == "ident" and t.text == "o":
             if self.peek() != "^":
-                return Ground(1)
+                return O
             self.next()
             w = self.expect("rat")
             if "/" in w.text or "." in w.text or int(w.text) < 1:

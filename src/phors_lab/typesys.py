@@ -51,12 +51,18 @@ from .syntax import (
 
 
 def subtype(a: GradedType, b: GradedType) -> bool:
-    match a, b:
-        case Ground(n), Ground(m):
-            return n == m
-        case Arrow(k, a1, r1), Arrow(h, a2, r2):
-            return k <= h and subtype(a1, a2) and subtype(r1, r2)
-    return False
+    # Runs once per application: class tests, not a `match` on a fresh
+    # (a, b) tuple, and a loop down the result chain.
+    while a is not b:
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is Ground:
+            return a.width == b.width
+        if cls is not Arrow or a.grade > b.grade or not subtype(a.arg, b.arg):
+            return False
+        a, b = a.result, b.result
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +136,7 @@ def _check_rule(scheme: Scheme, name: str) -> GradedType:
             raise _Reject(f"argument type of {pname!r} is infinitary")
         bound[pname] = pty
     ty, usage = _synth(scheme, d.body, bound, unbounded)
-    if not isinstance(ty, Ground):
+    if ty.__class__ is not Ground:
         raise _Reject("rule body must have ground type", render_type(ty))
     # Assemble the derived type with inferred minimal grades and
     # compare against the declaration.
@@ -159,58 +165,56 @@ def _synth(
     """The type of t and how many times it uses each bound variable (an
     absent variable is used 0 times).  Every call returns a fresh dict,
     which its caller may update in place."""
-    match t:
-        case Unit():
-            return O, {}
-        case Omega():
-            # Divergence inhabits the ground type only: rule bodies
-            # never demand it at higher type in head position.
-            return O, {}
-        case Var(n):
-            return bound[n], {} if n in unbounded else {n: 1}
-        case NonTerm(n):
-            return scheme.nonterminals[n].ty, {}
-        case Param(n):
-            return scheme.params[n], {}
-        case App(f, a):
-            fty, use = _synth(scheme, f, bound, unbounded)
-            if not isinstance(fty, Arrow):
-                raise _Reject("application of a non-arrow term", render_type(fty))
-            if fty.grade == INF and not (
-                isinstance(a, (NonTerm, Param)) or (isinstance(a, Var) and a.name in unbounded)
-            ):
-                raise _Reject(
-                    "unbounded application: argument is neither "
-                    "a parameter nor a non-terminal"
-                )
-            aty, ause = _synth(scheme, a, bound, unbounded)
-            if not subtype(aty, fty.arg):
-                raise _Reject("argument type mismatch", render_type(aty), render_type(fty.arg))
-            if fty.grade != INF:  # an unbounded argument carries no graded usage
-                for n, g in ause.items():
-                    use[n] = use.get(n, 0) + fty.grade * g
-            return fty.result, use
-        case Choice(l, _, r):
-            lt, use = _synth(scheme, l, bound, unbounded)
-            rt, ru = _synth(scheme, r, bound, unbounded)
-            if lt != O or rt != O:
-                raise _Reject("probabilistic choice requires type o")
-            return O, _max_into(use, ru)
-        case Tuple_(items):
-            use = {}
-            for it in items:
-                ity, iu = _synth(scheme, it, bound, unbounded)
-                if ity != O:
-                    raise _Reject("tuple components must have type o")
-                _max_into(use, iu)
-            return Ground(len(items)), use
-        case Proj(i, b):
-            bty, use = _synth(scheme, b, bound, unbounded)
-            if not isinstance(bty, Ground) or i > bty.width:
-                raise _Reject(
-                    f"projection index {i} outside ground width", render_type(bty)
-                )
-            return O, use
+    cls = t.__class__
+    if cls is App:
+        fty, use = _synth(scheme, t.fun, bound, unbounded)
+        if fty.__class__ is not Arrow:
+            raise _Reject("application of a non-arrow term", render_type(fty))
+        a = t.arg
+        if fty.grade == INF and not (
+            isinstance(a, (NonTerm, Param)) or (isinstance(a, Var) and a.name in unbounded)
+        ):
+            raise _Reject(
+                "unbounded application: argument is neither "
+                "a parameter nor a non-terminal"
+            )
+        aty, ause = _synth(scheme, a, bound, unbounded)
+        if not subtype(aty, fty.arg):
+            raise _Reject("argument type mismatch", render_type(aty), render_type(fty.arg))
+        if fty.grade != INF:  # an unbounded argument carries no graded usage
+            for n, g in ause.items():
+                use[n] = use.get(n, 0) + fty.grade * g
+        return fty.result, use
+    if cls is Var:
+        n = t.name
+        return bound[n], {} if n in unbounded else {n: 1}
+    if cls is NonTerm:
+        return scheme.nonterminals[t.name].ty, {}
+    if cls is Unit or cls is Omega:
+        # Divergence inhabits the ground type only: rule bodies never
+        # demand it at higher type in head position.
+        return O, {}
+    if cls is Choice:
+        lt, use = _synth(scheme, t.left, bound, unbounded)
+        rt, ru = _synth(scheme, t.right, bound, unbounded)
+        if (lt, rt) != (O, O):
+            raise _Reject("probabilistic choice requires type o")
+        return O, _max_into(use, ru)
+    if cls is Param:
+        return scheme.params[t.name], {}
+    if cls is Tuple_:
+        use = {}
+        for it in t.items:
+            ity, iu = _synth(scheme, it, bound, unbounded)
+            if ity != O:
+                raise _Reject("tuple components must have type o")
+            _max_into(use, iu)
+        return Ground(len(t.items)), use
+    if cls is Proj:
+        bty, use = _synth(scheme, t.body, bound, unbounded)
+        if bty.__class__ is not Ground or t.index > bty.width:
+            raise _Reject(f"projection index {t.index} outside ground width", render_type(bty))
+        return O, use
     raise TypeError(t)
 
 

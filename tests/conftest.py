@@ -12,6 +12,7 @@ from phors_lab.syntax import (
     App,
     Arrow,
     Choice,
+    GradedType,
     NonTerm,
     NonTermDef,
     O,
@@ -22,6 +23,19 @@ from phors_lab.syntax import (
     Var,
     parse,
 )
+
+
+class OddType(GradedType):
+    """A type class that no walker handles."""
+
+    __slots__ = ()
+
+
+class OddTerm(Term):
+    """A term class that no walker handles."""
+
+    __slots__ = ()
+
 
 CLOSED_TYPABLE = [
     "randomwalk",

@@ -20,6 +20,7 @@ from phors_lab.interp import (
     InterpError,
     VAR_CAP,
     _Interp,
+    _enum,
     _split,
     compile_scheme,
     index_set,
@@ -38,6 +39,8 @@ from phors_lab.algebra import REGISTRY
 
 from conftest import (
     CLOSED_TYPABLE,
+    OddTerm,
+    OddType,
     chain_tower,
     declared_indexes,
     random_order1_scheme,
@@ -235,6 +238,22 @@ class TestIndexSets:
             assert tag == 1
             assert all(m <= 2 for _, m in arg_uses)
             assert sum(m for _, m in arg_uses) <= 2 * index_size(FN)
+
+
+class TestUnknownClassesRaise:
+    @pytest.mark.parametrize("ty", [OddType(), Arrow(1, OddType(), O), Arrow(1, O, OddType())])
+    def test_index_walkers(self, ty):
+        with pytest.raises(TypeError):
+            index_size(ty)
+        with pytest.raises(TypeError):
+            _enum(ty, {})
+
+    @pytest.mark.parametrize("t", [OddTerm(), App(NonTerm("F"), OddTerm())])
+    def test_sem(self, t):
+        scheme = parse("F : !1 o -o o ; F x = x ; S = F e ;")
+        found = {"F": {ArrowPoint(((GroundPoint(1), 1),), GroundPoint(1)): Poly()}, "S": {}}
+        with pytest.raises(TypeError):
+            _Interp(scheme, "S", found, {}).sem(t, GroundPoint(1))
 
 
 class TestInterpretBody:

@@ -1,16 +1,30 @@
-"""Graded type checking: subtyping, and the two checkers on accepting
-and rejecting schemes."""
+"""Graded type checking: subtyping, the type walkers against their
+`match` forms, and the two checkers on accepting and rejecting schemes."""
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from phors_lab import load_bundled
-from phors_lab.syntax import INF, Arrow, Ground, O, parse
-from phors_lab.typesys import check_fin, check_inf, subtype
+from phors_lab.syntax import (
+    INF,
+    App,
+    Arrow,
+    Ground,
+    NonTerm,
+    NonTermDef,
+    O,
+    Scheme,
+    is_finitary,
+    order,
+    parse,
+)
+from phors_lab.typesys import _synth, check_fin, check_inf, subtype
 
-from conftest import random_order1_scheme, random_order2_scheme
+from conftest import OddTerm, OddType, random_order1_scheme, random_order2_scheme
 
 
 @st.composite
@@ -42,6 +56,98 @@ class TestSubtype:
     def test_ground_widths_are_invariant(self):
         assert not subtype(Ground(1), Ground(2))
         assert not subtype(Ground(2), Ground(1))
+
+
+# The type walkers as structural `match` forms: the reference that the
+# class-dispatching walkers must agree with.
+
+
+def match_subtype(a, b):
+    match a, b:
+        case Ground(n), Ground(m):
+            return n == m
+        case Arrow(k, a1, r1), Arrow(h, a2, r2):
+            return k <= h and match_subtype(a1, a2) and match_subtype(r1, r2)
+    return False
+
+
+def match_is_finitary(ty):
+    match ty:
+        case Ground():
+            return True
+        case Arrow(g, a, r):
+            return g != INF and match_is_finitary(a) and match_is_finitary(r)
+    raise TypeError(ty)
+
+
+def match_order(ty):
+    match ty:
+        case Ground():
+            return 0
+        case Arrow(_, a, r):
+            return max(match_order(a) + 1, match_order(r))
+    raise TypeError(ty)
+
+
+GRADES = (0, 1, 2, 3, INF)
+
+
+def random_type(rng, depth=4):
+    if depth == 0 or rng.random() < 0.35:
+        return Ground(rng.randint(1, 3))
+    return Arrow(rng.choice(GRADES), random_type(rng, depth - 1), random_type(rng, depth - 1))
+
+
+def rebuilt(ty, rng, nudge):
+    """A copy of ty built node by node, each grade redrawn with
+    probability nudge."""
+    if isinstance(ty, Ground):
+        return Ground(ty.width)
+    grade = rng.choice(GRADES) if rng.random() < nudge else ty.grade
+    return Arrow(grade, rebuilt(ty.arg, rng, nudge), rebuilt(ty.result, rng, nudge))
+
+
+class TestWalkersAgreeWithMatchForms:
+    def test_random_pairs(self):
+        rng = random.Random(36)
+        outcomes = Counter()
+        for i in range(2400):
+            a = random_type(rng)
+            b = (
+                a,  # the same object
+                rebuilt(a, rng, 0),  # equal, built separately
+                rebuilt(a, rng, 0.3),  # the same shape, some grades redrawn
+                random_type(rng),
+            )[i % 4]
+            for x, y in ((a, b), (b, a)):
+                got = subtype(x, y)
+                assert got == match_subtype(x, y), (x, y)
+                outcomes[i % 4, got] += 1
+            for ty in (a, b):
+                assert is_finitary(ty) == match_is_finitary(ty), ty
+                assert order(ty) == match_order(ty), ty
+        # Every kind of pair reaches subtype's arrow loop, not just the
+        # `is` shortcut, and the redrawn ones go both ways.
+        assert outcomes[1, True] == 1200
+        assert outcomes[2, True] > 100 and outcomes[2, False] > 100
+        assert outcomes[3, True] > 0
+
+
+class TestUnknownClassesRaise:
+    @pytest.mark.parametrize("ty", [OddType(), Arrow(1, OddType(), O), Arrow(1, O, OddType())])
+    def test_type_walkers(self, ty):
+        with pytest.raises(TypeError):
+            order(ty)
+        with pytest.raises(TypeError):
+            is_finitary(ty)
+
+    @pytest.mark.parametrize("body", [OddTerm(), App(NonTerm("F"), OddTerm())])
+    def test_synth(self, body):
+        scheme = Scheme({"F": NonTermDef(Arrow(1, O, O), ("x",), body)})
+        with pytest.raises(TypeError):
+            _synth(scheme, body, {"x": O}, set())
+        with pytest.raises(TypeError):
+            check_fin(scheme)
 
 
 class TestCheckFin:
