@@ -4,8 +4,8 @@ record of a z-truncated power series' rational coefficients.
 All coefficients are `fractions.Fraction`, and the kernels sum their
 int numerators and denominators in `Sums`, one Fraction per result; no
 float enters this module, so no result depends on the order of a sum.
-Polynomial variables are interned integers handed out by a global
-registry, so monomials can be stored as small sorted tuples.
+Polynomial variables are integers, the ids a system gives its unknowns
+(`interp.Fas`), so monomials can be stored as small sorted tuples.
 """
 
 from __future__ import annotations
@@ -18,31 +18,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class VarRegistry:
-    """Interns hashable variable keys to dense integer ids."""
-
-    def __init__(self) -> None:
-        self._by_key: dict[Hashable, int] = {}
-        self._by_id: list[Hashable] = []
-
-    def intern(self, key: Hashable) -> int:
-        vid = self._by_key.get(key)
-        if vid is None:
-            vid = len(self._by_id)
-            self._by_id.append(key)
-            self._by_key[key] = vid
-        return vid
-
-    def key_of(self, vid: int) -> Hashable:
-        if vid < 0:  # a bound-variable atom, local to its interpreter
-            raise KeyError(vid)
-        return self._by_id[vid]
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-
-REGISTRY = VarRegistry()
+# Always empty, as no table of variables outlives a system;
+# benchmarks/tracing.py still reads len(algebra.REGISTRY).
+REGISTRY = ()
 
 # A monomial is a tuple of (variable id, exponent) pairs, sorted by id,
 # with every exponent >= 1.  The empty tuple is the constant monomial.
@@ -179,7 +157,7 @@ class Poly:
             n, d = c.numerator, c.denominator
             for vid, exp in m:
                 if (val := assignment.get(vid)) is None:
-                    raise KeyError(f"no value for variable {REGISTRY.key_of(vid)!r}")
+                    raise KeyError(f"no value for variable {vid}")
                 n, d = n * val.numerator**exp, d * val.denominator**exp
             out.add(_EMPTY, n, d)
         return out.fractions().get(_EMPTY, ZERO)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .decide import Verdict, decide_past, rat, verify_certificate
-from .interp import IndexCapExceeded, InterpError, compile_scheme, reachable, var_name
+from .interp import IndexCapExceeded, InterpError, compile_scheme, reachable
 from .solver import MonotonicityError, SolverError, kleene_series
 from .syntax import ExecError, Scheme, SchemeError, TransformError
 from .syntax import is_finitary, parse, print_scheme
@@ -93,7 +93,7 @@ def cmd_analyze(args) -> int:
     report = {
         "version": REPORT_VERSION,
         "file": args.file,
-        "start": var_name(fas.start),
+        "start": fas.names[fas.start],
         "degree": args.degree,
         "coefficients": [rat(c) for c in coeffs],
     }

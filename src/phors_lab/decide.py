@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .algebra import ONE, Sums
-from .interp import Fas, var_name, z_vid
+from .interp import Z, Fas
 from .solver import (
     Interval,
     SolverError,
@@ -76,7 +76,7 @@ class Verdict:
     def __init__(self, ast: str = "inconclusive", past: str = "inconclusive",
                  p_term: Value | None = None, expected: Fraction | float | Interval | None = None,
                  certificates: list[Certificate] | None = None,
-                 notes: list[str] | None = None) -> None:
+                 notes: list[str] | None = None, names: Sequence[str] = ()) -> None:
         if past == "yes" and ast != "yes":
             raise ValueError("PAST implies AST: inconsistent verdict")
         self.ast = ast  # "yes" | "no" | "inconclusive"
@@ -85,12 +85,12 @@ class Verdict:
         self.expected = expected
         self.certificates = [] if certificates is None else certificates
         self.notes = [] if notes is None else notes
+        self.names = names  # the system's, which name the certificates' unknowns
 
     def to_jsonable(self) -> dict:
         def by_name(m: dict[int, Fraction]) -> dict[str, str]:
-            # Name order, so a report does not depend on the order in
-            # which the process interned its variables.
-            return dict(sorted((var_name(v), rat(x)) for v, x in m.items()))
+            # Id order, which is name order.
+            return {self.names[v]: rat(x) for v, x in sorted(m.items())}
 
         def val(x):
             if x is None:
@@ -152,7 +152,7 @@ def decide_past(fas: Fas) -> Verdict:
     system, as `reachable` returns."""
     sol = solve_at_one(fas)
     start_val = sol.values[fas.start]
-    verdict = Verdict(p_term=start_val)
+    verdict = Verdict(p_term=start_val, names=fas.names)
     if isinstance(start_val, Interval):
         verdict.notes.extend(sol.diagnostics)
     if sol.exact and start_val == ONE:
@@ -195,7 +195,7 @@ def _holds(
     if any(v not in assignment for v in fas.eqs):
         return False
     env = dict(assignment)
-    env[z_vid()] = ONE
+    env[Z] = ONE
     return all(rel(p.eval(env), assignment[v]) for v, p in fas.eqs.items())
 
 
@@ -219,14 +219,13 @@ def verify_certificate(fas: Fas, cert: Certificate) -> bool:
     # fixpoint of the whole system.
     if not ok or vector.keys() != fas.eqs.keys() or not _holds(fas, cert.solution, operator.eq):
         return False
-    z = z_vid()
-    point = {**cert.solution, z: ONE}
+    point = {**cert.solution, Z: ONE}
     # x_v - sum_w dP_v/dw * x_w over the variables w in x, one pass per
     # row: a monomial c * prod u^e takes c * f * w^(f-1) * prod_{u != w}
     # u^e * x_w for each w^f in it.  With x_z = 1 this is (I - J) d - g,
     # without z it is (I - J) u.  Each row sums int numerators and
     # denominators under its key in one `Sums`.
-    x = vector if isinstance(cert, CriticalJacobian) else {**vector, z: ONE}
+    x = vector if isinstance(cert, CriticalJacobian) else {**vector, Z: ONE}
     acc = Sums()
     for v, p in fas.eqs.items():
         acc.add(v, x[v].numerator, x[v].denominator)

@@ -4,15 +4,15 @@ compilation of a scheme into a finite monotone polynomial fixpoint
 system whose least nonnegative solution is the scheme's family of
 generating functions.
 
-Variables of the compiled system, the only keys a compile registers
-in algebra.REGISTRY:
-
-    ("z",)            counts probabilistic choices
-    ("nt", L, index)  one unknown per nonzero (non-terminal, index)
-
-A bound-variable atom is no registry variable: its id is negative and
-local to the interpreter of its rule, made when the atom is first used,
-and coefficient extraction removes it before an equation is stored.
+The compiled system has one unknown per nonzero (non-terminal L,
+index), named y[L;index], and the variable z, which counts probabilistic
+choices.  A compile numbers its unknowns 1 ... n in the order of their
+names and gives z the id 0, and the system carries the names, so the
+ids are the system's own and every report that takes its unknowns in id
+order takes them in name order.  A bound-variable atom is no variable
+of the system: its id is negative and local to the interpreter of its
+rule, made when the atom is first used, and coefficient extraction
+removes it before an equation is stored.
 
 An index is a tuple: (0, i) for the point i of o^n, and
 (1, ((point, mult), ...), result) for an arrow point.  A compile
@@ -45,11 +45,11 @@ every equation of the full system.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Container
+from collections.abc import Container, Sequence
 from fractions import Fraction
 from functools import partial
 
-from .algebra import Monomial, Poly, REGISTRY, _poly
+from .algebra import Monomial, Poly, _poly
 from .syntax import (
     App,
     Arrow,
@@ -149,13 +149,8 @@ def _enum(ty: GradedType, sets: dict) -> list[Index]:
 # ---------------------------------------------------------------------------
 # Variable naming
 
-
-def z_vid() -> int:
-    return REGISTRY.intern(("z",))
-
-
-def nt_vid(name: str, idx: Index) -> int:
-    return REGISTRY.intern(("nt", name, idx))
+# z's id in every system.
+Z = 0
 
 
 def _render_index(idx: Index) -> str:
@@ -170,11 +165,9 @@ def _render_index(idx: Index) -> str:
     return f"([{mu}]->{_render_index(result)})"
 
 
-def var_name(vid: int) -> str:
-    key = REGISTRY.key_of(vid)
-    if key.__class__ is tuple and len(key) == 3 and key[0] == "nt":
-        return f"y[{key[1]};{_render_index(key[2])}]"
-    return "z" if key == ("z",) else repr(key)
+def unknown_name(rule: str, idx: Index) -> str:
+    """The name of the unknown of rule at idx."""
+    return f"y[{rule};{_render_index(idx)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +175,15 @@ def var_name(vid: int) -> str:
 
 
 class _Interp:
-    def __init__(self, scheme: Scheme, rule: str, found: dict, sets: dict) -> None:
+    def __init__(self, scheme: Scheme, rule: str, found: dict, sets: dict,
+                 ids: dict) -> None:
         # Each rule's equations found so far, by index: an unknown without
         # one reads as 0.
         self.found = found
         # Index sets by type, as in index_set.
         self.sets = sets
+        # The compile's ids of the unknowns in use, by (rule, index).
+        self.ids = ids
         # The binding table, from the declaration: each parameter's
         # (position, grade, type); and the ground type below its arrows.
         d = scheme.nonterminals[rule]
@@ -204,7 +200,7 @@ class _Interp:
         # point), `atoms` the other way, and -> its cap, the binding's
         # grade: products drop the monomials beyond it, which no index
         # extracts.  Others are not cut.  Atom ids are negative and local
-        # to this interpreter, so they name no REGISTRY variable.
+        # to this interpreter, so they name no variable of the system.
         self.points: dict[int, tuple[int, Index]] = {}
         self.atoms: dict[tuple[int, Index], int] = {}
         self.caps: dict[int, int] = {}
@@ -234,7 +230,7 @@ class _Interp:
                 total = total + (Poly.var(vid) if prod is None else prod)
             return total
         if cls is Choice:
-            z, bias = ((z_vid(), 1),), t.bias
+            z, bias = ((Z, 1),), t.bias
             p, q = bias.numerator, bias.denominator
             return self.sem(t.left, idx).shift(z, p, q) + self.sem(t.right, idx).shift(z, q - p, q)
         if cls is Unit:
@@ -258,7 +254,7 @@ class _Interp:
         groups = self.heads.get((head, n))
         if groups is None:
             if head.__class__ is NonTerm:
-                cands, var = self.found[head.name], partial(nt_vid, head.name)
+                cands, var = self.found[head.name], partial(self._unknown, head.name)
             else:
                 i, grade, ty = self.bindings[head.name]
                 cands, var = index_set(ty, self.sets), partial(self._atom, i, grade)
@@ -274,6 +270,11 @@ class _Interp:
                 uses = [(i, p) for i, mu in enumerate(reversed(mus)) for p, m in mu for _ in range(m)]
                 groups.setdefault(res, []).append((partial(var, cand), uses))
         return groups
+
+    def _unknown(self, rule: str, idx: Index) -> int:
+        """The compile's id of the unknown of rule at idx, made at its
+        first use; ids start at 1, as z is 0."""
+        return self.ids.setdefault((rule, idx), len(self.ids) + 1)
 
     def _atom(self, i: int, grade: int, pt: Index) -> int:
         """The id of binding i's atom at pt, recording its point and cap."""
@@ -292,11 +293,12 @@ class _Interp:
 
 
 def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly]],
-                    sets: dict) -> dict[Index, Poly]:
+                    sets: dict, ids: dict) -> dict[Index, Poly]:
     """The rule's equations by index: the nonempty buckets of its body,
     and nothing for an index whose bucket is empty.  An unknown is
     nonzero when `found` holds an equation for it, and the others read
-    as 0; index sets are memoised in `sets` as for index_set.
+    as 0; index sets are memoised in `sets` as for index_set, and the
+    unknowns' ids in `ids`, by (rule, index).
 
     The body is interpreted once per point of its ground type, each
     bound variable cut at its binding's grade, and split by its power
@@ -306,7 +308,7 @@ def _rule_equations(scheme: Scheme, rule: str, found: dict[str, dict[Index, Poly
     Unpruned, a body may exceed a binding's grade in its variables taken
     together; those monomials carry unknowns that are zero in the least
     fixpoint, which `found` reads as 0."""
-    interp = _Interp(scheme, rule, found, sets)
+    interp = _Interp(scheme, rule, found, sets, ids)
     body = scheme.nonterminals[rule].body
     eqs: dict[Index, Poly] = {}
     for res in index_set(interp.ground, sets):
@@ -387,23 +389,27 @@ def sccs(graph: dict[Node, set[Node]]) -> list[list[Node]]:
 
 
 class Fas:
-    """Finite monotone polynomial fixpoint system w = P(w, z)."""
+    """Finite monotone polynomial fixpoint system w = P(w, z): `eqs` maps
+    each unknown's id to its right-hand side, and `names[v]` is the name
+    of the variable with id v.  Ids are in name order, and z is `Z`."""
 
     # Always empty, as a compile never builds a zero unknown;
     # benchmarks/tracing.py still reads len(fas.zeros).
     zeros: frozenset[int] = frozenset()
 
-    def __init__(self, eqs: dict[int, Poly], start: int) -> None:
-        self.eqs = eqs  # unknown vid -> right-hand side
+    def __init__(self, eqs: dict[int, Poly], start: int, names: Sequence[str]) -> None:
+        self.eqs = eqs
         self.start = start
+        self.names = names
         self.quotient: Quotient | None = None  # set by the first `lump`
 
     def render(self) -> str:
+        name = self.names.__getitem__
         lines = []
-        for vid in sorted(self.eqs, key=var_name):
+        for vid in sorted(self.eqs):
             flag = "" if _is_proper(self.eqs[vid], self.eqs) else "   # improper"
-            lines.append(f"{var_name(vid)} = {self.eqs[vid].render(var_name)}{flag}")
-        lines.append(f"start {var_name(self.start)}")
+            lines.append(f"{name(vid)} = {self.eqs[vid].render(name)}{flag}")
+        lines.append(f"start {name(self.start)}")
         return "\n".join(lines) + "\n"
 
 
@@ -434,6 +440,7 @@ def compile_scheme(scheme: Scheme) -> Fas:
             raise IndexCapExceeded()
 
     sets: dict = {}  # index sets, shared by the whole compile
+    ids: dict[tuple[str, Index], int] = {}  # the unknowns' ids, by (rule, index)
     calls = {name: _callees(d.body) for name, d in scheme.nonterminals.items()}
     # Callees first, so every unknown outside the component is settled.
     # An unknown without an equation found so far reads as 0.  A rule
@@ -447,25 +454,30 @@ def compile_scheme(scheme: Scheme) -> Fas:
         while todo:
             name = todo.pop()
             known = len(found[name])
-            found[name] = _rule_equations(scheme, name, found, sets)
+            found[name] = _rule_equations(scheme, name, found, sets, ids)
             if len(found[name]) > known:
                 todo += [c for c in comp if name in calls[c] and c not in todo]
 
     # The start keeps its equation even when it is zero.
     found[scheme.start] = {GroundPoint(1): Poly()} | found[scheme.start]
-    # Sorted indexes are in index_set order.
-    eqs = {nt_vid(name, idx): p for name in scheme.nonterminals
-           for idx, p in sorted(found[name].items())}
+    # Every found index is an unknown: renumbered 1 ... n in name order.
+    named = sorted((unknown_name(name, idx), name, idx)
+                   for name, by_index in found.items() for idx in by_index)
+    renumber = {ids[name, idx]: vid for vid, (_, name, idx) in enumerate(named, 1)
+                if (name, idx) in ids}
+    eqs = {vid: _poly(_modulo(found[name][idx], renumber))
+           for vid, (_, name, idx) in enumerate(named, 1)}
     if max(order(d.ty) for d in scheme.nonterminals.values()) <= 1:
         # At order 1 a ground argument can reach head position at most
         # once per run, so every surviving unknown is affine in its
         # arguments; the zero analysis must have removed the rest.
-        for vid in eqs:
-            assert _spine_multiplicity(REGISTRY.key_of(vid)[2]) <= 1, (
-                f"order-1 unknown {var_name(vid)} uses arguments "
-                "more than once"
+        for text, _, idx in named:
+            assert _spine_multiplicity(idx) <= 1, (
+                f"order-1 unknown {text} uses arguments more than once"
             )
-    return Fas(eqs, nt_vid(scheme.start, GroundPoint(1)))
+    start = unknown_name(scheme.start, GroundPoint(1))
+    names = ("z", *(text for text, _, _ in named))
+    return Fas(eqs, names.index(start), names)
 
 
 def _spine_multiplicity(idx: Index) -> int:
@@ -486,7 +498,7 @@ def reachable(fas: Fas) -> Fas:
             if w in fas.eqs and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return Fas({v: p for v, p in fas.eqs.items() if v in seen}, fas.start)
+    return Fas({v: p for v, p in fas.eqs.items() if v in seen}, fas.start, fas.names)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +585,7 @@ def lump(fas: Fas) -> Quotient:
     # With nothing merged, the same equations; a new Fas all the same, so
     # that `fas` holds no cycle.
     qeqs = eqs if len(members) == len(eqs) else {r: Poly(_modulo(eqs[r], rep)) for r in members}
-    fas.quotient = Quotient(Fas(qeqs, fas.start), rep, members, resigned)
+    fas.quotient = Quotient(Fas(qeqs, fas.start, fas.names), rep, members, resigned)
     return fas.quotient
 
 

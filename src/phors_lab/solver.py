@@ -52,7 +52,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .algebra import ONE, ZERO, Poly, Sums, TruncSeries
-from .interp import Fas, Quotient, lump, sccs, var_name, z_vid
+from .interp import Z, Fas, Quotient, lump, sccs
 from .syntax import Frozen
 
 
@@ -171,7 +171,7 @@ def kleene_series(fas: Fas, degree: int) -> dict[int, TruncSeries]:
     reads the system's own equations, since lumping sums coefficients."""
     for vid, p in fas.eqs.items():
         if any(c < 0 for c in p.terms.values()):
-            raise MonotonicityError(f"negative coefficient in the equation of {var_name(vid)}")
+            raise MonotonicityError(f"negative coefficient in the equation of {fas.names[vid]}")
     q = lump(fas)
     series = _kleene_series(q, degree)
     return {v: series[r] for v, r in q.rep.items()}
@@ -181,16 +181,15 @@ def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
     """`kleene_series` on the quotient's own system."""
     fas = lumped.fas
     n = max(degree, 1)
-    z = z_vid()
-    deps = {v: p.variables() - {z} for v, p in fas.eqs.items()}
+    deps = {v: p.variables() - {Z} for v, p in fas.eqs.items()}
     # The polynomial unknowns, each after those it depends on.
     poly: dict[int, Poly] = {}
     while ready := [v for v in fas.eqs if v not in poly and deps[v] <= poly.keys()]:
         for v in ready:
-            poly[v] = fas.eqs[v].compose(poly, z, n)
-    eqs = {v: p if deps[v].isdisjoint(poly) else p.compose(poly, z, n)
+            poly[v] = fas.eqs[v].compose(poly, Z, n)
+    eqs = {v: p if deps[v].isdisjoint(poly) else p.compose(poly, Z, n)
            for v, p in fas.eqs.items() if v not in poly}
-    point = {z: ZERO}
+    point = {Z: ZERO}
     y0 = {vid: ZERO for vid in eqs}
     for _ in range(len(eqs) + 1):
         point.update(y0)
@@ -204,7 +203,7 @@ def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
     order = list(eqs)
     J = jacobian(eqs, order, point)
     B = _scale_base(
-        (c.denominator, e) for p in eqs.values() for m, c in p.terms.items() if (e := dict(m).get(z, 0))
+        (c.denominator, e) for p in eqs.values() for m, c in p.terms.items() if (e := dict(m).get(Z, 0))
     )
     scale = [B**k for k in range(n + 1)]
     y = {vid: [_int(y0[vid])] + [0] * n for vid in eqs}
@@ -221,8 +220,8 @@ def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
     unit = [1] + [0] * n  # the empty product
     for vid, p in eqs.items():
         for m, c in p.terms.items():
-            e = dict(m).get(z, 0)
-            ws = tuple(sorted(w for w, f in m if w != z for _ in range(f)))
+            e = dict(m).get(Z, 0)
+            ws = tuple(sorted(w for w, f in m if w != Z for _ in range(f)))
             if e > n or (e == 0 and len(ws) < 2):
                 continue  # nothing in a layer k >= 1 beyond its entries of J
             lst, i = (y[ws[0]] if ws else unit), -1
@@ -286,9 +285,9 @@ def _kleene_series(lumped: Quotient, degree: int) -> dict[int, TruncSeries]:
 
 
 def _names(q: Quotient, vids: Iterable[int]) -> str:
-    """The names of the system's unknowns in the blocks of vids, in name
-    order, which does not depend on the ids a process interned."""
-    return ", ".join(sorted(var_name(u) for v in vids for u in q.members[v]))
+    """The names of the system's unknowns in the blocks of vids, in id
+    order, which is name order."""
+    return ", ".join(q.fas.names[u] for u in sorted(u for v in vids for u in q.members[v]))
 
 
 def _scale_base(monomials: Iterable[tuple[int, int]]) -> int:
@@ -433,18 +432,11 @@ def solve_at_one(fas: Fas) -> MinSolution:
 def _solve_at_one(q: Quotient) -> tuple[dict[int, Value], list[Component]]:
     """`solve_at_one` on the quotient's own system: its values, and the
     components with the system's unknowns."""
-    z = z_vid()
-    eqs1 = {vid: p.substitute({z: ONE}) for vid, p in q.fas.eqs.items()}
+    eqs1 = {vid: p.substitute({Z: ONE}) for vid, p in q.fas.eqs.items()}
     graph = {vid: {w for w in p.variables() if w in eqs1} for vid, p in eqs1.items()}
-    # Tarjan over positions in the equation order, not over ids, so that
-    # the components, and the notes, come in an order of the system's own.
-    order = list(eqs1)
-    at = {v: i for i, v in enumerate(order)}
-
     values: dict[int, Value] = {}
     components = []
-    for block in sccs({at[v]: {at[w] for w in ws} for v, ws in graph.items()}):
-        comp = [order[i] for i in block]
+    for comp in sccs(graph):
         deps = {w for v in comp for w in graph[v]} - set(comp)
         # P is monotone, so solving with the dependencies' lower (upper)
         # bounds substituted bounds the component from below (above);
@@ -711,7 +703,8 @@ def _is_bracket(local: dict[int, Poly], comp: list[int], lo: dict[int, Fraction]
 def expected_steps(fas: Fas, sol: MinSolution) -> tuple[Fraction | float, dict[int, Fraction]]:
     """Differentiate w = P(w, z) at the least solution and z = 1: the
     expected number of choices and the derivative vector d, or math.inf
-    and a kernel vector u of I - J, each by unknown in name order.
+    and a kernel vector u of I - J, each by unknown in id order, which is
+    name order.
 
     `fas` is a start-reachable system and `sol` its least solution at
     z = 1.  Precondition: the start value is exactly 1 (almost-sure
@@ -728,9 +721,9 @@ def expected_steps(fas: Fas, sol: MinSolution) -> tuple[Fraction | float, dict[i
     quotient's is: both have the spectral radius of J, which is at most 1
     at the least solution of a system without zero unknowns, as compiled
     systems are (Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010).
-    u is scaled to 1 at its last nonzero entry in name order, which is
+    u is scaled to 1 at its last nonzero entry in id order, which is
     what `solve_or_kernel` gives the system when its kernel is a line."""
-    order = sorted(fas.eqs, key=var_name)
+    order = sorted(fas.eqs)
     point: dict[int, Fraction] = {}
     for v in order:
         val = sol.values.get(v)
@@ -743,14 +736,13 @@ def expected_steps(fas: Fas, sol: MinSolution) -> tuple[Fraction | float, dict[i
     if point.get(fas.start) != ONE:
         raise SolverError(
             "expected_steps requires termination probability 1 at the "
-            f"start; {var_name(fas.start)} = {sol.values.get(fas.start)}"
+            f"start; {fas.names[fas.start]} = {sol.values.get(fas.start)}"
         )
-    z = z_vid()
-    point[z] = ONE
+    point[Z] = ONE
     q = lump(fas)
     qorder = [v for v in order if q.rep[v] == v]
     # g = dP/dz is the Jacobian's column z, its last.
-    *J, _ = jacobian({**q.fas.eqs, z: Poly()}, qorder + [z], point)
+    *J, _ = jacobian({**q.fas.eqs, Z: Poly()}, qorder + [Z], point)
     g = [row.pop(len(qorder), ZERO) for row in J]
     d, u = solve_or_kernel(J, g)
     if d is None:

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from phors_lab import load_bundled
-from phors_lab.interp import index_set, nt_vid
+from phors_lab.algebra import Poly
+from phors_lab.interp import Fas, _modulo, index_set, unknown_name
 from phors_lab.syntax import (
     App,
     Arrow,
@@ -229,12 +230,22 @@ def declared_indexes(scheme: Scheme, sets: dict | None = None) -> dict:
     return {name: set(index_set(d.ty, sets)) for name, d in scheme.nonterminals.items()}
 
 
-def zero_unknowns(scheme: Scheme, fas) -> set[int]:
-    """The declared unknowns of a compiled scheme that have no equation,
-    those whose least-fixpoint value is zero; a compile never builds
-    them, so they are counted here from the declared index sets."""
-    declared = {nt_vid(name, idx) for name, idxs in declared_indexes(scheme).items() for idx in idxs}
-    return declared - set(fas.eqs)
+def zero_unknowns(scheme: Scheme, fas) -> set[str]:
+    """The names of the declared unknowns of a compiled scheme that have
+    no equation, those whose least-fixpoint value is zero; a compile
+    never builds them, so they are counted here from the declared index
+    sets."""
+    declared = {unknown_name(name, idx) for name, idxs in declared_indexes(scheme).items() for idx in idxs}
+    return declared - {fas.names[v] for v in fas.eqs}
+
+
+def named_system(eqs: dict[str, Poly], start: str) -> Fas:
+    """The system of the equations given by name, over polynomials whose
+    variables are names too, "z" for z: as a compile numbers them, its
+    unknowns get the ids 1 ... n in name order, and z gets Z."""
+    names = ("z", *sorted(eqs))
+    ids = {name: vid for vid, name in enumerate(names)}
+    return Fas({ids[n]: Poly(_modulo(eqs[n], ids)) for n in names[1:]}, ids[start], names)
 
 
 def chain_tower(k: int) -> Scheme:

@@ -41,7 +41,6 @@ from conftest import (
     P_TERM,
     random_order1_scheme,
     random_order2_scheme,
-    zero_unknowns,
 )
 
 F = Fraction
@@ -179,26 +178,27 @@ def test_criterion_6_operational_agreement(name):
 
 
 def test_criterion_7_order1_affinity():
-    from phors_lab.interp import GroundPoint, index_set
+    from phors_lab.interp import Z, GroundPoint, index_set
     from phors_lab.syntax import arg_types
-    from test_interp import ProbeInterp
+    from test_interp import ProbeInterp, system_ids
 
     rng = random.Random(1234)
     for trial in range(50):
         scheme = random_order1_scheme(rng)
         assert check_fin(scheme).accepted
         fas = compile_scheme(scheme)  # also runs the built-in spine check
-        zeros = zero_unknowns(scheme, fas)
+        # The zero unknowns get ids outside the system.
+        ids = system_ids(scheme, fas)
         sets = {}
         found = declared_indexes(scheme, sets)
         for nt, d in scheme.nonterminals.items():
-            interp = ProbeInterp(scheme, nt, found, sets)
+            interp = ProbeInterp(scheme, nt, found, sets, ids)
             raw = interp.sem(d.body, GroundPoint(1))
             live = Poly(
                 {
                     m: c
                     for m, c in raw.terms.items()
-                    if not any(v in zeros for v, _ in m)
+                    if not any(v > Z and v not in fas.eqs for v, _ in m)
                 }
             )
             domain = set()
@@ -218,10 +218,8 @@ def test_criterion_8_kleene_monotonicity():
         fas = reachable(compile_scheme(scheme))
         kleene_series(fas, 16)  # raises MonotonicityError on violation
 
-    from phors_lab.algebra import REGISTRY
-    from phors_lab.interp import Fas
+    from conftest import named_system
 
-    w = REGISTRY.intern(("acceptance", "w"))
-    oscillating = Fas({w: Poly.const(1) + Poly.const(-1) * Poly.var(w)}, w)
+    oscillating = named_system({"w": Poly.const(1) + Poly.const(-1) * Poly.var("w")}, "w")
     with pytest.raises(MonotonicityError):
         kleene_series(oscillating, 4)

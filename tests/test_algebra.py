@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phors_lab.algebra import REGISTRY, Poly, Sums
+from phors_lab.algebra import Poly, Sums
 from phors_lab.solver import jacobian
 
-X = REGISTRY.intern(("test", "x"))
-Y = REGISTRY.intern(("test", "y"))
-Z = REGISTRY.intern(("test", "z"))
+X, Y, Z = 1, 2, 3
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=16
@@ -103,8 +101,12 @@ class TestPolyEval:
         assert p.compose({X: q}, Z, n) == want
 
     def test_eval_missing_variable(self):
-        with pytest.raises(KeyError):
-            Poly.var(X).eval({})
+        # The same error for every id, also one that no system uses and a
+        # bound-variable atom's negative one.
+        for vid in (X, 10**6, -3):
+            with pytest.raises(KeyError) as e:
+                Poly.var(vid).eval({Y: Fraction(1)})
+            assert e.value.args == (f"no value for variable {vid}",)
 
     def test_degree_queries(self):
         p = Poly.var(X) * Poly.var(X) * Poly.var(Y) + Poly.const(3)

@@ -22,8 +22,8 @@ from phors_lab.decide import (
     decide_past,
     verify_certificate,
 )
-from phors_lab.interp import compile_scheme, lump, reachable, var_name, z_vid
-from phors_lab.algebra import REGISTRY, Poly
+from phors_lab.interp import Z, compile_scheme, lump, reachable
+from phors_lab.algebra import Poly
 from phors_lab.solver import Interval, jacobian, kleene_series, solve_or_kernel
 from phors_lab.syntax import parse
 from phors_lab.transforms import reduce_inf
@@ -259,7 +259,7 @@ class TestCertificateVerification:
         cert = next(c for c in v.certificates if isinstance(c, CriticalJacobian))
         assert verify_certificate(fas, CriticalJacobian(dict(cert.kernel), cert.solution))
         # An unknown of no equation, whose entry no residual reads.
-        other = REGISTRY.intern(("test-extra", "x"))
+        other = len(fas.names)
         bad = CriticalJacobian({**cert.kernel, other: F(1)}, cert.solution)
         assert not verify_certificate(fas, bad)
 
@@ -290,10 +290,10 @@ class TestCertificateVerification:
         fas = _fas("geometric")
         order = sorted(fas.eqs)
         point = {v: F(1, 2) for v in order}
-        point[z_vid()] = F(1)
+        point[Z] = F(1)
         # z as a last column, with an empty row of its own, gives g.
         n = len(order)
-        full = jacobian({**fas.eqs, z_vid(): Poly()}, order + [z_vid()], point)[:n]
+        full = jacobian({**fas.eqs, Z: Poly()}, order + [Z], point)[:n]
         J = [{j: x for j, x in row.items() if j < n} for row in full]
         g = [row.get(n, F(0)) for row in full]
         d = solve_or_kernel(J, g)[0]
@@ -331,11 +331,11 @@ class TestCertificateVerification:
             assert len(lump(fas).fas.eqs) == 2 < len(fas.eqs)
             (cert,) = [c for c in decide_past(fas).certificates if isinstance(c, kind)]
             vector = cert.kernel if kind is CriticalJacobian else cert.d_vector
-            order = sorted(fas.eqs, key=var_name)
+            order = sorted(fas.eqs, key=fas.names.__getitem__)
             assert list(vector) == order
             assert verify_certificate(fas, cert)
-            full = jacobian({**fas.eqs, z_vid(): Poly()}, order + [z_vid()],
-                            {**cert.solution, z_vid(): F(1)})
+            full = jacobian({**fas.eqs, Z: Poly()}, order + [Z],
+                            {**cert.solution, Z: F(1)})
             J = [{j: x for j, x in row.items() if j < n + 1} for row in full[:-1]]
             d, u = solve_or_kernel(J, [row.get(n + 1, F(0)) for row in full[:-1]])
             # order[0] is F0's unknown; a vector that is not constant on

@@ -39,7 +39,7 @@ import pytest
 from phors_lab import bundled_names, load_bundled, scheme_path
 from phors_lab.cli import main
 from phors_lab.decide import decide_past, verify_certificate
-from phors_lab.interp import InterpError, compile_scheme, reachable, var_name
+from phors_lab.interp import InterpError, compile_scheme, reachable
 from phors_lab.operational import ExecError, enumerate_terminations, monte_carlo
 from phors_lab.solver import SolverError, kleene_series, solve_at_one
 from phors_lab.syntax import SchemeError, is_finitary, parse, print_scheme
@@ -131,7 +131,7 @@ def _fas_record(scheme) -> dict | str:
         return f"{type(e).__name__}: {e}"
     return {
         "render": fas.render(),
-        "zeros": sorted(var_name(v) for v in zero_unknowns(scheme, fas)),
+        "zeros": sorted(zero_unknowns(scheme, fas)),
         "reachable": reachable(fas).render(),
     }
 

@@ -4,21 +4,23 @@ import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
+from collections.abc import Sized
 from fractions import Fraction
 
 import pytest
 
 from phors_lab import load_bundled, scheme_path
 from phors_lab.algebra import Poly
-from phors_lab.decide import decide_past
+from phors_lab.decide import decide_past, verify_certificate
 from phors_lab.interp import (
     ArrowPoint,
-    Fas,
     GroundPoint,
     IndexCapExceeded,
     InterpError,
     VAR_CAP,
+    Z,
     _Interp,
     _enum,
     _split,
@@ -26,16 +28,13 @@ from phors_lab.interp import (
     index_set,
     index_size,
     lump,
-    nt_vid,
     reachable,
-    var_name,
-    z_vid,
+    unknown_name,
 )
 from phors_lab.operational import enumerate_terminations
 from phors_lab.solver import kleene_series
 from phors_lab.syntax import App, Arrow, Ground, NonTerm, O, Var, parse, spine
 from phors_lab.transforms import compose
-from phors_lab.algebra import REGISTRY
 
 from conftest import (
     CLOSED_TYPABLE,
@@ -43,6 +42,7 @@ from conftest import (
     OddType,
     chain_tower,
     declared_indexes,
+    named_system,
     random_order1_scheme,
     random_order2_scheme,
     ring_text,
@@ -64,8 +64,8 @@ class ProbeInterp(_Interp):
     f's declared argument type, dropping the zero terms.  compile_scheme's
     interpreter sums over the head's candidate indexes instead."""
 
-    def __init__(self, scheme, rule, found, sets):
-        super().__init__(scheme, rule, found, sets)
+    def __init__(self, scheme, rule, found, sets, ids):
+        super().__init__(scheme, rule, found, sets, ids)
         self.scheme = scheme
 
     def _sem(self, t, idx):
@@ -75,7 +75,7 @@ class ProbeInterp(_Interp):
             case NonTerm(n):
                 if idx not in self.found[n]:
                     return Poly()
-                return Poly.var(nt_vid(n, idx))
+                return Poly.var(self._unknown(n, idx))
             case App(f, a):
                 fty = self._type(f)
                 total = Poly()
@@ -133,11 +133,12 @@ def _multisets(ty, grade, sets):
     return mus
 
 
-def interpret_body(scheme, rule, target, unchecked=False):
+def interpret_body(scheme, rule, target, unchecked=False, ids=None):
     """The reference interpreter: the polynomial interpreting the rule (as
     an abstraction over its parameters) at one index of its declared
     type, every unknown read as itself and products cut at the target's
-    own multiplicities.
+    own multiplicities.  Unknowns take their ids from `ids`, by (rule,
+    index), which gets the next free id for each one it lacks.
 
     With unchecked=True the target may carry argument multiplicities
     beyond the declared grades; the interpretation of a well-typed
@@ -147,7 +148,7 @@ def interpret_body(scheme, rule, target, unchecked=False):
     found = declared_indexes(scheme, sets)
     if not unchecked and target not in found[rule]:
         raise InterpError(f"index not in the declared index set of {rule!r}")
-    interp = ProbeInterp(scheme, rule, found, sets)
+    interp = ProbeInterp(scheme, rule, found, sets, {} if ids is None else ids)
     # Unwind the target through the rule's abstractions.
     profile = []
     for pname in d.params:
@@ -166,6 +167,15 @@ def interpret_body(scheme, rule, target, unchecked=False):
     interp.caps = dict.fromkeys(points, 0) | dict(profile)
     buckets = _split(interp.sem(d.body, target), points)
     return Poly(buckets.get(tuple(sorted(profile)), {}))
+
+
+def system_ids(scheme, fas):
+    """The ids of the compiled system's unknowns by (rule, index), as its
+    compile keyed them."""
+    by_name = {name: vid for vid, name in enumerate(fas.names)}
+    return {(rule, idx): by_name[unknown_name(rule, idx)]
+            for rule, idxs in declared_indexes(scheme).items() for idx in idxs
+            if unknown_name(rule, idx) in by_name}
 
 
 class TestIndexSets:
@@ -253,16 +263,17 @@ class TestUnknownClassesRaise:
         scheme = parse("F : !1 o -o o ; F x = x ; S = F e ;")
         found = {"F": {ArrowPoint(((GroundPoint(1), 1),), GroundPoint(1)): Poly()}, "S": {}}
         with pytest.raises(TypeError):
-            _Interp(scheme, "S", found, {}).sem(t, GroundPoint(1))
+            _Interp(scheme, "S", found, {}, {}).sem(t, GroundPoint(1))
 
 
 class TestInterpretBody:
     def test_random_walk_equation(self):
         s = load_bundled("randomwalk")
         target = ArrowPoint(((GroundPoint(1), 1),), GroundPoint(1))
-        p = interpret_body(s, "F", target)
-        z = z_vid()
-        y = nt_vid("F", target)
+        ids = {}
+        p = interpret_body(s, "F", target, ids=ids)
+        z = Z
+        y = ids["F", target]
         # F = z/2 * F^2 + z/2  at the one surviving index.
         half_z = Poly.const(Fraction(1, 2)) * Poly.var(z)
         expected = half_z * Poly.var(y) * Poly.var(y) + half_z
@@ -282,17 +293,14 @@ class TestInterpretBody:
         # least-fixpoint-zero unknowns are removed.
         s = load_bundled("randomwalk")
         wide = ArrowPoint(((GroundPoint(1), 3),), GroundPoint(1))
-        p = interpret_body(s, "F", wide, unchecked=True)
         fas = compile_scheme(s)
+        p = interpret_body(s, "F", wide, unchecked=True, ids=system_ids(s, fas))
         kept = set(fas.eqs)
         live = Poly(
             {
                 m: c
                 for m, c in p.terms.items()
-                if all(
-                    not (REGISTRY.key_of(v)[0] == "nt" and v not in kept)
-                    for v, _ in m
-                )
+                if all(v == Z or v in kept for v, _ in m)
             }
         )
         assert not live
@@ -326,16 +334,18 @@ class TestCompile:
     def test_random_walk_system(self):
         fas = compile_scheme(load_bundled("randomwalk"))
         target = ArrowPoint(((GroundPoint(1), 1),), GroundPoint(1))
-        assert set(fas.eqs) == {nt_vid("S", GroundPoint(1)), nt_vid("F", target)}
-        assert fas.start == nt_vid("S", GroundPoint(1))
+        assert {fas.names[v] for v in fas.eqs} == {
+            unknown_name("S", GroundPoint(1)), unknown_name("F", target)
+        }
+        assert fas.names[fas.start] == unknown_name("S", GroundPoint(1))
 
     def test_zero_unknowns_eliminated(self):
         scheme = load_bundled("randomwalk")
         fas = compile_scheme(scheme)
         # The index ([] -> 1) of F never generates output (F always uses
         # its argument), so it is eliminated.
-        dead = nt_vid("F", ArrowPoint((), GroundPoint(1)))
-        assert dead not in fas.eqs
+        dead = unknown_name("F", ArrowPoint((), GroundPoint(1)))
+        assert dead not in fas.names
         assert dead in zero_unknowns(scheme, fas)
         assert not fas.zeros
 
@@ -357,9 +367,31 @@ class TestCompile:
             for line in fas.render().splitlines()
             if line.endswith("   # improper")
         }
-        assert var_name(nt_vid("F", target)) not in flagged
+        assert unknown_name("F", target) not in flagged
         # S = F is a bare linear unknown: flagged improper.
-        assert flagged == {var_name(nt_vid("S", GroundPoint(1)))}
+        assert flagged == {unknown_name("S", GroundPoint(1))}
+
+    def test_no_declared_type_is_enumerated(self, monkeypatch):
+        # The at-cap check is arithmetic: the compile enumerates F's binding
+        # type, which F's body uses, and ground types, never F's declared
+        # type of 10^5 points.
+        import phors_lab.interp as interp
+
+        enumerated = set()
+        index_set_ = interp.index_set
+
+        def recording(ty, sets=None):
+            enumerated.add(ty)
+            return index_set_(ty, sets)
+
+        monkeypatch.setattr(interp, "index_set", recording)
+        scheme = parse(AT_CAP.replace("F x = e", "F x = pi_1 x"))
+        assert reachable(compile_scheme(scheme)).render() == (
+            "y[F;([1]->1)] = 1   # improper\n"
+            "y[S;1] = y[F;([1]->1)]   # improper\n"
+            "start y[S;1]\n"
+        )
+        assert enumerated == {Ground(5), O}
 
     def test_compile_is_deterministic(self):
         a = compile_scheme(load_bundled("eq3"))
@@ -400,7 +432,7 @@ class TestCompile:
         assert closed.is_closed()
         fas = compile_scheme(closed)
         read = set().union(*(p.variables() for p in fas.eqs.values()))
-        assert read <= set(fas.eqs) | {z_vid()}
+        assert read <= set(fas.eqs) | {Z}
 
     def test_reachable_restricts_to_start_component(self):
         fas = compile_scheme(load_bundled("brackets"))
@@ -410,7 +442,7 @@ class TestCompile:
 
     def test_var_names_render(self):
         fas = compile_scheme(load_bundled("randomwalk"))
-        names = {var_name(v) for v in fas.eqs}
+        names = {fas.names[v] for v in fas.eqs}
         assert "y[S;1]" in names
 
     def test_compiled_equations_match_per_target_interpretation(self):
@@ -438,19 +470,21 @@ class TestCompile:
             assert sum(map(index_size, (d.ty for d in scheme.nonterminals.values()))) == (
                 len(fas.eqs) + len(zeros)
             )
-            dead = zeros | {v for v, p in fas.eqs.items() if not p}
+            # The zero unknowns get ids outside the system.
+            ids = system_ids(scheme, fas)
+            dead = {v for v, p in fas.eqs.items() if not p}
             for nt, d in scheme.nonterminals.items():
                 for idx in index_set(d.ty):
-                    vid = nt_vid(nt, idx)
-                    p = interpret_body(scheme, nt, idx)
+                    p = interpret_body(scheme, nt, idx, ids=ids)
                     live = Poly(
                         {
                             m: c
                             for m, c in p.terms.items()
-                            if not any(v in dead for v, _ in m)
+                            if all(v == Z or v in fas.eqs and v not in dead for v, _ in m)
                         }
                     )
-                    assert live == fas.eqs.get(vid, Poly()), var_name(vid)
+                    vid = ids.get((nt, idx))
+                    assert live == fas.eqs.get(vid, Poly()), unknown_name(nt, idx)
 
     def test_no_round_builds_a_zero_equation(self, monkeypatch):
         # A rule's equations are the nonempty buckets of its body, so no
@@ -461,8 +495,8 @@ class TestCompile:
         rounds = []
         rule_equations = interp._rule_equations
 
-        def recording(scheme, rule, found, sets):
-            eqs = rule_equations(scheme, rule, found, sets)
+        def recording(scheme, rule, found, sets, ids):
+            eqs = rule_equations(scheme, rule, found, sets, ids)
             rounds.append((scheme.nonterminals[rule].ty, eqs))
             return eqs
 
@@ -547,9 +581,9 @@ class TestCompile:
         built = []
 
         class Counting(interp._Interp):
-            def __init__(self, scheme, rule, found, sets):
+            def __init__(self, scheme, rule, found, sets, ids):
                 built.append(rule)
-                super().__init__(scheme, rule, found, sets)
+                super().__init__(scheme, rule, found, sets, ids)
 
         monkeypatch.setattr(interp, "_Interp", Counting)
 
@@ -557,7 +591,7 @@ class TestCompile:
             built.clear()
             fas = compile_scheme(scheme)
             nonzero = Counter(
-                REGISTRY.key_of(v)[1] for v, p in fas.eqs.items() if p
+                fas.names[v][2:].partition(";")[0] for v, p in fas.eqs.items() if p
             )
             calls = {n: interp._callees(d.body) for n, d in scheme.nonterminals.items()}
             for comp in interp.sccs(calls):
@@ -599,11 +633,13 @@ print(json.dumps(reports))
 
 
 class TestRegistry:
-    def test_compile_registers_only_its_equations(self):
-        # A compile adds to REGISTRY the keys of its equations, and ("z",)
-        # once a choice is interpreted; bound-variable atoms stay in their
-        # rule's interpreter, and no declared unknown without an equation
-        # is interned.
+    """No table of unknowns outlives a compile: a system numbers and
+    names its own."""
+
+    def test_system_numbers_its_own_unknowns(self):
+        # Ids 1 ... n in name order, z is Z, every variable of an equation
+        # is z or an unknown of the system (no atom, no stray id), and the
+        # subsystems share the system's names.
         rng = random.Random(25)
         schemes = [_compilable(load_bundled(n)) for n in CLOSED_TYPABLE]
         schemes += [chain_tower(4), parse(AT_CAP)]
@@ -612,46 +648,50 @@ class TestRegistry:
             for i in range(50)
         ]
         for scheme in schemes:
-            before = len(REGISTRY)
             fas = compile_scheme(scheme)
-            added = {REGISTRY.key_of(v) for v in range(before, len(REGISTRY))}
-            assert added <= {REGISTRY.key_of(v) for v in fas.eqs} | {("z",)}
-        assert all(REGISTRY.key_of(v)[0] != "bv" for v in range(len(REGISTRY)))
-        # An atom's negative id names no key, not one from the table's end.
-        with pytest.raises(KeyError):
-            REGISTRY.key_of(-1)
-        # In a fresh process, the at-cap scheme's compile registers its
-        # two equations' unknowns only.
+            n = len(fas.eqs)
+            assert list(fas.eqs) == list(range(1, n + 1))
+            assert len(fas.names) == n + 1 and fas.names[Z] == "z"
+            assert all(a < b for a, b in zip(fas.names[1:], fas.names[2:]))
+            assert all(v == Z or v in fas.eqs for p in fas.eqs.values() for m in p.terms for v, _ in m)
+            assert reachable(fas).names is fas.names
+            assert lump(fas).fas.names is fas.names
+        # In a fresh process, the at-cap scheme's system has the unknowns of
+        # its two equations only.
         proc = _python("-c", (
-            "from phors_lab.algebra import REGISTRY\n"
             "from phors_lab.interp import compile_scheme\n"
             "from phors_lab.syntax import parse\n"
-            f"compile_scheme(parse({AT_CAP!r}))\n"
-            "print(sorted(map(REGISTRY.key_of, range(len(REGISTRY)))))\n"
+            f"print(compile_scheme(parse({AT_CAP!r})).names)\n"
         ))
-        assert proc.stdout == "[('nt', 'F', (1, (), (0, 1))), ('nt', 'S', (0, 1))]\n"
+        assert proc.stdout == "('z', 'y[F;([]->1)]', 'y[S;1]')\n"
 
-    def test_no_declared_type_is_enumerated(self, monkeypatch):
-        # The at-cap check is arithmetic: the compile enumerates F's binding
-        # type, which F's body uses, and ground types, never F's declared
-        # type of 10^5 points.
-        import phors_lab.interp as interp
+    def test_no_module_state_changes(self):
+        # Every module-level attribute of the package keeps its identity,
+        # and each container its length, through compiles, lumps, verdicts
+        # and certificate checks.
+        import phors_lab.cli  # noqa: F401  (loads every module)
 
-        enumerated = set()
-        index_set_ = interp.index_set
+        def state():
+            return {
+                (name, attr): (id(value), len(value) if isinstance(value, Sized) else None)
+                for name, module in list(sys.modules.items())
+                if name == "phors_lab" or name.startswith("phors_lab.")
+                for attr, value in vars(module).items()
+            }
 
-        def recording(ty, sets=None):
-            enumerated.add(ty)
-            return index_set_(ty, sets)
-
-        monkeypatch.setattr(interp, "index_set", recording)
-        scheme = parse(AT_CAP.replace("F x = e", "F x = pi_1 x"))
-        assert reachable(compile_scheme(scheme)).render() == (
-            "y[F;([1]->1)] = 1   # improper\n"
-            "y[S;1] = y[F;([1]->1)]   # improper\n"
-            "start y[S;1]\n"
-        )
-        assert enumerated == {Ground(5), O}
+        rng = random.Random(26)
+        schemes = [_compilable(load_bundled(n)) for n in CLOSED_TYPABLE]
+        schemes += [
+            (random_order1_scheme if i % 2 else random_order2_scheme)(rng)
+            for i in range(50)
+        ]
+        before = state()
+        for scheme in schemes:
+            fas = reachable(compile_scheme(scheme))
+            lump(fas)
+            verdict = decide_past(fas)
+            assert all(verify_certificate(fas, c) for c in verdict.certificates)
+        assert state() == before
 
     def test_outputs_do_not_depend_on_earlier_compiles(self):
         # Variable ids depend on what the process compiled before; a
@@ -765,18 +805,20 @@ def _spine(ty):
 def _live_bodies(scheme):
     """Yield (rule, grade, binding's variable ids, live body polynomial)
     per finitely graded binding, where "live" drops every monomial that
-    mentions a least-fixpoint-zero unknown."""
-    zeros = zero_unknowns(scheme, compile_scheme(scheme))
+    mentions a least-fixpoint-zero unknown: one that gets an id outside
+    the compiled system."""
+    fas = compile_scheme(scheme)
+    ids = system_ids(scheme, fas)
     sets = {}
     found = declared_indexes(scheme, sets)
     for nt, d in scheme.nonterminals.items():
-        interp = ProbeInterp(scheme, nt, found, sets)
+        interp = ProbeInterp(scheme, nt, found, sets, ids)
         raw = interp.sem(d.body, GroundPoint(1))
         live = Poly(
             {
                 m: c
                 for m, c in raw.terms.items()
-                if not any(v in zeros for v, _ in m)
+                if not any(v > Z and v not in fas.eqs for v, _ in m)
             }
         )
         for pname, (grade, pty) in zip(d.params, _spine(d.ty)):
@@ -843,7 +885,7 @@ class TestLump:
                         for _ in range(e):
                             term = term * Poly.var(q.rep.get(w, w))
                     renamed = renamed + term
-                assert renamed == q.fas.eqs[r], var_name(v)
+                assert renamed == q.fas.eqs[r], fas.names[v]
         # The coarsest such partition, as plain round-by-round refinement
         # finds it.
         assert {frozenset(vs) for vs in q.members.values()} == _naive_blocks(fas)
@@ -868,8 +910,7 @@ class TestLump:
     def test_z_is_kept_apart(self):
         # a = z and b = c with c = 1 have the value 1 at z = 1, but not
         # the same series, so they stay apart.
-        a, b, c = (REGISTRY.intern(("lump", n)) for n in "abc")
-        fas = Fas({a: Poly.var(z_vid()), b: Poly.var(c), c: Poly.const(1)}, a)
+        fas = named_system({"a": Poly.var("z"), "b": Poly.var("c"), "c": Poly.const(1)}, "a")
         assert len(lump(fas).fas.eqs) == 3
 
     def test_refinement_signs_o_m_log_n_unknowns(self):

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phors_lab import load_bundled, solver
-from phors_lab.algebra import Poly, REGISTRY
-from phors_lab.interp import InterpError, compile_scheme, lump, reachable, sccs, var_name, z_vid
+from phors_lab.algebra import Poly
+from phors_lab.interp import Z, InterpError, compile_scheme, lump, reachable, sccs
 from phors_lab.decide import PreFixpointBelowOne, decide_past, verify_certificate
 from phors_lab.solver import (
     EPS,
@@ -31,7 +31,7 @@ from phors_lab.operational import enumerate_terminations
 from phors_lab.syntax import parse
 from phors_lab.transforms import compose, reduce_inf
 
-from conftest import random_order1_scheme, random_order2_scheme, ring_text
+from conftest import named_system, random_order1_scheme, random_order2_scheme, ring_text
 
 F = Fraction
 
@@ -56,19 +56,6 @@ def _dyck_closed(*holes: str):
     for hole in holes:
         scheme = compose(scheme, actions, hole, {"f": "A", "g": "B"}[hole])
     return scheme
-
-
-def _make_system(eqs_by_name: dict[str, Poly], start: str):
-    from phors_lab.interp import Fas
-
-    return Fas(
-        {REGISTRY.intern(("test-sys", n)): p for n, p in eqs_by_name.items()},
-        REGISTRY.intern(("test-sys", start)),
-    )
-
-
-def _v(n: str) -> int:
-    return REGISTRY.intern(("test-sys", n))
 
 
 def _series_eval(p: Poly, env: dict[int, list], n: int) -> tuple:
@@ -97,7 +84,7 @@ def _reference_series(fas, degree, rounds=1000):
     """Plain Kleene iteration y <- P(y, z) over coefficient lists, run
     until it stops changing, for at most `rounds` rounds."""
     n = max(degree, 1)
-    env = {z_vid(): _z(n)}
+    env = {Z: _z(n)}
     y = {v: (F(0),) * (n + 1) for v in fas.eqs}
     for _ in range(rounds):
         env.update(y)
@@ -112,8 +99,8 @@ def _scaling_cases():
     """Hand-made systems whose coefficients are not all integers after
     scaling z by the scale base, and systems with polynomial unknowns
     to fold into the others."""
-    a, b, c, w = (Poly.var(_v(n)) for n in "abcw")
-    z = Poly.var(z_vid())
+    a, b, c, w = (Poly.var(n) for n in "abcw")
+    z = Poly.var("z")
     half_z = Poly.const(F(1, 2)) * z
     return {
         "rational-constant": {"a": Poly.const(F(1, 3)), "c": half_z + half_z * c,
@@ -128,7 +115,7 @@ def _scaling_cases():
                             "b": half_z + Poly.const(F(3, 4)) * z * a * b * b},
         "factor-above-the-degree": {
             "b": half_z * c * b + Poly.const(F(1, 5)) * z * c * c,
-            "c": Poly.const(F(1, 2)) + Poly.const(F(1, 3)) * z + Poly({((z_vid(), 9),): F(1, 4)}),
+            "c": Poly.const(F(1, 2)) + Poly.const(F(1, 3)) * z + Poly({(("z", 9),): F(1, 4)}),
         },
         "polynomial-of-a-polynomial": {
             "a": Poly.const(F(1, 3)) + half_z,
@@ -147,14 +134,14 @@ def monotone_systems(draw):
     above every degree tested; c may be a proper fraction, which gives
     Fraction layer-0 values."""
     names = [f"h{i}" for i in range(draw(st.integers(1, 3)))]
-    z = Poly.var(z_vid())
+    z = Poly.var("z")
     eqs = {}
     for name in names:
         p = Poly()
         for _ in range(draw(st.integers(1, 4))):
             m = Poly.const(draw(st.sampled_from([F(1), F(2), F(1, 2), F(1, 3), F(2, 3)])))
             for _ in range(draw(st.integers(0, 3))):
-                m = m * Poly.var(_v(draw(st.sampled_from(names))))
+                m = m * Poly.var(draw(st.sampled_from(names)))
             for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3, 12]))):
                 m = m * z
             p = p + m
@@ -166,11 +153,11 @@ class TestKleeneSeries:
     @pytest.mark.parametrize("degree", [0, 1, 7])
     @pytest.mark.parametrize("case", sorted(_scaling_cases()))
     def test_scaled_layers_match_plain_iteration(self, case, degree):
-        fas = _make_system(_scaling_cases()[case], "b")
+        fas = named_system(_scaling_cases()[case], "b")
         if case == "polynomial-feeds-a-cycle":
             # b = b + a gets a's coefficient 1, 1/6: the message names the
             # cycle b only, not the polynomial unknowns a and c.
-            message = f"coefficient 1 of {var_name(_v('b'))} diverges"
+            message = "coefficient 1 of b diverges"
             with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
                 kleene_series(fas, degree)
             with pytest.raises(AssertionError, match="did not stop"):
@@ -185,13 +172,13 @@ class TestKleeneSeries:
     # h1 = h1/2 + 2z is a cycle with spectral radius 1/2, so h1 = 4z; it
     # feeds h0's cycle (J = 1) only at layer 2, where h0 diverges.
     @example(
-        {"h0": Poly({((_v("h0"), e),): F(1) for e in (1, 2, 3)})
-         + Poly({tuple(sorted([(_v("h1"), 1), (z_vid(), 1)])): F(1)}),
-         "h1": Poly({((_v("h1"), 1),): F(1, 2), ((z_vid(), 1),): F(2)})},
+        {"h0": Poly({(("h0", e),): F(1) for e in (1, 2, 3)})
+         + Poly({(("h1", 1), ("z", 1)): F(1)}),
+         "h1": Poly({(("h1", 1),): F(1, 2), (("z", 1),): F(2)})},
         2,
     )
     def test_layers_match_plain_iteration(self, eqs, degree):
-        fas = _make_system(eqs, "h0")
+        fas = named_system(eqs, "h0")
 
         def reference(d):
             # With N unknowns, a tree of positive weight with at most n z's
@@ -206,7 +193,7 @@ class TestKleeneSeries:
             # unless a cycle of J has spectral radius < 1, where the
             # iteration only converges.
             n = max(d, 1)
-            env = {z_vid(): _z(n), **got}
+            env = {Z: _z(n), **got}
             assert list(got) == list(fas.eqs)
             assert all(_series_eval(p, env, n) == got[v] for v, p in fas.eqs.items())
             assert all(c >= 0 for cs in got.values() for c in cs)
@@ -238,8 +225,8 @@ class TestKleeneSeries:
         # before y's coefficient k is solved, so its coefficient k is taken
         # with y_k read as 0 (exact here, as y_0 = 0) and completed once
         # y_k is known.
-        y, z = Poly.var(_v("y")), Poly.var(z_vid())
-        fas = _make_system({"y": Poly.const(F(1, 3)) * z + Poly.const(F(2, 3)) * y * y}, "y")
+        y, z = Poly.var("y"), Poly.var("z")
+        fas = named_system({"y": Poly.const(F(1, 3)) * z + Poly.const(F(2, 3)) * y * y}, "y")
         assert _coeffs(kleene_series(fas, degree)) == _reference_series(fas, degree)
 
     def test_random_walk_coefficients(self):
@@ -275,8 +262,8 @@ class TestKleeneSeries:
     def test_monotonicity_violation_detected(self):
         # A "system" whose iterates oscillate: w = 1 - w is not monotone
         # (negative coefficient), and the built-in check trips.
-        bad = _make_system(
-            {"w": Poly.const(1) + Poly.const(-1) * Poly.var(_v("w"))}, "w"
+        bad = named_system(
+            {"w": Poly.const(1) + Poly.const(-1) * Poly.var("w")}, "w"
         )
         with pytest.raises(MonotonicityError):
             kleene_series(bad, 3)
@@ -285,13 +272,13 @@ class TestKleeneSeries:
         # a = z and b = z lump into one unknown, on which w = 1 + a - b
         # reads w = 1: only the system's own equations show the negative
         # coefficient.
-        z = Poly.var(z_vid())
-        eqs = {"w": Poly.const(1) + Poly.var(_v("a")) + Poly.const(-1) * Poly.var(_v("b")),
+        z = Poly.var("z")
+        eqs = {"w": Poly.const(1) + Poly.var("a") + Poly.const(-1) * Poly.var("b"),
                "a": z, "b": z}
-        fas = _make_system(eqs, "w")
-        q = lump(fas)
-        assert q.rep[_v("a")] == q.rep[_v("b")] and q.fas.eqs[_v("w")] == Poly.const(1)
-        message = f"negative coefficient in the equation of {var_name(_v('w'))}"
+        fas = named_system(eqs, "w")
+        q, (a, b, w) = lump(fas), map(fas.names.index, "abw")
+        assert q.rep[a] == q.rep[b] and q.fas.eqs[w] == Poly.const(1)
+        message = "negative coefficient in the equation of w"
         with pytest.raises(MonotonicityError, match=f"^{re.escape(message)}$"):
             kleene_series(fas, 3)
 
@@ -299,7 +286,7 @@ class TestKleeneSeries:
         for name in ("randomwalk", "eq3", "geometric", "chain"):
             fas = _fas(name)
             out = _coeffs(kleene_series(fas, 12))
-            env = {z_vid(): _z(12), **out}
+            env = {Z: _z(12), **out}
             for vid, p in fas.eqs.items():
                 assert _series_eval(p, env, 12) == out[vid]
 
@@ -320,47 +307,49 @@ class TestKleeneSeries:
 
     def test_cycle_fed_by_a_choice_diverges(self):
         # w = w + z: coefficient 1 satisfies w_1 = w_1 + 1.
-        w, z = Poly.var(_v("w")), Poly.var(z_vid())
+        w, z = Poly.var("w"), Poly.var("z")
         with pytest.raises(SolverError, match="coefficient 1"):
-            kleene_series(_make_system({"w": w + z}, "w"), 4)
+            kleene_series(named_system({"w": w + z}, "w"), 4)
 
     def test_cycle_fed_through_an_earlier_component_diverges(self):
         # w = w + a and a = z/2: the cycle w -> w gets its input at layer 1
         # only through J_wa a_1, from the component {a} solved before it.
-        w, a, z = Poly.var(_v("w")), Poly.var(_v("a")), Poly.var(z_vid())
-        fas = _make_system({"w": w + a, "a": Poly.const(F(1, 2)) * z}, "w")
-        message = f"coefficient 1 of {var_name(_v('w'))} diverges"
+        w, a, z = Poly.var("w"), Poly.var("a"), Poly.var("z")
+        fas = named_system({"w": w + a, "a": Poly.const(F(1, 2)) * z}, "w")
+        message = "coefficient 1 of w diverges"
         with pytest.raises(SolverError, match=f"^{re.escape(message)}$"):
             kleene_series(fas, 4)
 
     def test_cycle_with_spectral_radius_below_one(self):
         # w = w/2 + z: coefficient 1 solves w_1 = w_1 / 2 + 1, so w = 2z.
-        w, z = Poly.var(_v("w")), Poly.var(z_vid())
-        s = kleene_series(_make_system({"w": Poly.const(F(1, 2)) * w + z}, "w"), 3)
-        assert s[_v("w")].coeffs == (0, 2, 0, 0)
+        w, z = Poly.var("w"), Poly.var("z")
+        fas = named_system({"w": Poly.const(F(1, 2)) * w + z}, "w")
+        s = kleene_series(fas, 3)
+        assert s[fas.names.index("w")].coeffs == (0, 2, 0, 0)
 
     def test_two_unknown_cycle_with_spectral_radius_below_one(self):
         # u = v/2 + z and v = u/3 + z/2, with rho(J) = 1/sqrt(6): u = 3z/2
         # and v = z, since 3/4 + 1 = 3/2 and 1/2 + 1/2 = 1.
-        u, v, z = Poly.var(_v("u")), Poly.var(_v("v")), Poly.var(z_vid())
+        u, v, z = Poly.var("u"), Poly.var("v"), Poly.var("z")
         half = Poly.const(F(1, 2))
-        fas = _make_system({"u": half * v + z, "v": Poly.const(F(1, 3)) * u + half * z}, "u")
+        fas = named_system({"u": half * v + z, "v": Poly.const(F(1, 3)) * u + half * z}, "u")
         s = kleene_series(fas, 4)
-        assert s[_v("u")].coeffs == (0, F(3, 2), 0, 0, 0)
-        assert s[_v("v")].coeffs == (0, 1, 0, 0, 0)
+        assert s[fas.names.index("u")].coeffs == (0, F(3, 2), 0, 0, 0)
+        assert s[fas.names.index("v")].coeffs == (0, 1, 0, 0, 0)
 
     def test_cycle_without_input_stays_zero(self):
         # w = w + z w: the Jacobian at z = 0 has the cycle w -> w, fed 0.
-        w, z = Poly.var(_v("w")), Poly.var(z_vid())
-        s = kleene_series(_make_system({"w": w + z * w}, "w"), 5)[_v("w")]
+        w, z = Poly.var("w"), Poly.var("z")
+        fas = named_system({"w": w + z * w}, "w")
+        s = kleene_series(fas, 5)[fas.names.index("w")]
         assert s.coeffs == (F(0),) * 6
 
     def test_integer_constant_layer_feeds_a_product(self):
         # a = 2 and c = z/2 + (z/2) c, so c_k = 1/2^k and b = a c = 2 c.
-        a, c = Poly.var(_v("a")), Poly.var(_v("c"))
-        half_z = Poly.const(F(1, 2)) * Poly.var(z_vid())
-        fas = _make_system({"a": Poly.const(2), "c": half_z + half_z * c, "b": a * c}, "b")
-        s = kleene_series(fas, 10)[_v("b")]
+        a, c = Poly.var("a"), Poly.var("c")
+        half_z = Poly.const(F(1, 2)) * Poly.var("z")
+        fas = named_system({"a": Poly.const(2), "c": half_z + half_z * c, "b": a * c}, "b")
+        s = kleene_series(fas, 10)[fas.names.index("b")]
         assert s.coeffs == (F(0),) + tuple(F(2, 2**k) for k in range(1, 11))
 
     def test_random_walk_to_degree_512(self):
@@ -632,7 +621,7 @@ class TestSolveAtOne:
             fas = _fas(name)
             sol = solve_at_one(fas)
             env = {v: x for v, x in sol.values.items()}
-            env[z_vid()] = F(1)
+            env[Z] = F(1)
             for vid, p in fas.eqs.items():
                 assert p.eval(env) == sol.values[vid]
 
@@ -649,16 +638,16 @@ class TestSolveAtOne:
 
     def test_linear_divergent_least_solution_is_zero(self):
         # w = w has least solution 0 (b = 0).
-        sysm = _make_system({"w": Poly.var(_v("w"))}, "w")
+        sysm = named_system({"w": Poly.var("w")}, "w")
         sol = solve_at_one(sysm)
-        assert sol.values[_v("w")] == 0
+        assert sol.values[sysm.names.index("w")] == 0
 
     def test_linear_component_without_a_finite_solution(self):
         # w = 2w + 1: the Kleene iterates 2^k - 1 diverge, and the only
         # solution, -1, is negative; nothing is claimed.
-        w = _v("w")
-        sysm = _make_system({"w": Poly.const(2) * Poly.var(w) + Poly.const(1)}, "w")
-        note = f"linear component without a nonnegative finite solution: {var_name(w)}"
+        sysm = named_system({"w": Poly.const(2) * Poly.var("w") + Poly.const(1)}, "w")
+        w = sysm.names.index("w")
+        note = "linear component without a nonnegative finite solution: w"
         sol = solve_at_one(sysm)
         assert [(c.vids, c.paths, c.notes) for c in sol.components] == [((w,), ("none",), (note,))]
         assert sol.values == {w: Interval(F(0), F(1))}
@@ -670,10 +659,11 @@ class TestSolveAtOne:
 
 def _univariate(c0, c1, c2) -> tuple[object, list[str]]:
     """Least nonnegative solution of y = c0 + c1 y + c2 y^2."""
-    y = Poly.var(_v("y"))
+    y = Poly.var("y")
     p = Poly.const(c0) + Poly.const(c1) * y + Poly.const(c2) * y * y
-    sol = solve_at_one(_make_system({"y": p}, "y"))
-    return sol.values[_v("y")], sol.diagnostics
+    fas = named_system({"y": p}, "y")
+    sol = solve_at_one(fas)
+    return sol.values[fas.names.index("y")], sol.diagnostics
 
 
 class TestUnivariateRoots:
@@ -705,7 +695,7 @@ class TestUnivariateRoots:
         # y^2 - y + 1 has discriminant -3.
         val, notes = _univariate(1, 0, 1)
         assert val == Interval(F(0), F(1))
-        assert notes == [f"no nonnegative fixpoint for {var_name(_v('y'))}"]
+        assert notes == ["no nonnegative fixpoint for y"]
 
 
 class TestSpectralRadius:
@@ -742,10 +732,10 @@ class TestSpectralRadius:
 def _two_ring(bias: Fraction):
     """The component a = bias b^2 + 1 - bias, b = bias a^2 + 1 - bias
     of the 2-ring at z = 1, as (local, comp)."""
-    a, b = Poly.var(_v("a")), Poly.var(_v("b"))
+    a, b = Poly.var("a"), Poly.var("b")
     rest = Poly.const(1 - bias)
-    local = {_v("a"): Poly.const(bias) * b * b + rest, _v("b"): Poly.const(bias) * a * a + rest}
-    return local, [_v("a"), _v("b")]
+    fas = named_system({"a": Poly.const(bias) * b * b + rest, "b": Poly.const(bias) * a * a + rest}, "a")
+    return fas.eqs, list(fas.eqs)
 
 
 def _const_point(comp, x):
@@ -784,12 +774,13 @@ class TestNewtonBracket:
         # a = (2/3) b^2 + 1/3 and b = (1/2) a^2 + 3/8 differ, so they stay
         # two unknowns; P(1) != 1, and the rounded Newton value rounds to
         # the least fixpoint (1/2, 1/2), which _is_bracket proves.
-        a, b = Poly.var(_v("a")), Poly.var(_v("b"))
+        a, b = Poly.var("a"), Poly.var("b")
         eqs = {"a": Poly.const(F(2, 3)) * b * b + Poly.const(F(1, 3)),
                "b": Poly.const(F(1, 2)) * a * a + Poly.const(F(3, 8))}
-        sol = solve_at_one(_make_system(eqs, "a"))
+        fas = named_system(eqs, "a")
+        sol = solve_at_one(fas)
         assert [c.paths for c in sol.components] == [("newton",)]
-        assert sol.values == {_v("a"): F(1, 2), _v("b"): F(1, 2)} and sol.exact
+        assert sol.values == {fas.names.index("a"): F(1, 2), fas.names.index("b"): F(1, 2)} and sol.exact
 
     def test_irrational_component_is_a_proven_bracket(self):
         # f = (2/3) g^2 + 1/3 and g = (3/4) f^2 + 1/4, so f is a root of
@@ -895,7 +886,7 @@ class TestNewtonBracket:
         # fixpoint does, so Newton stops there, and nothing is claimed.
         # The constants differ, so a and b are not lumped into one
         # univariate unknown.
-        a, b = Poly.var(_v("a")), Poly.var(_v("b"))
+        a, b = Poly.var("a"), Poly.var("b")
         ten = Poly.const(10)
 
         def power(p, k):
@@ -912,19 +903,20 @@ class TestNewtonBracket:
             return solve_or_kernel(J, b)
 
         monkeypatch.setattr(solver, "solve_or_kernel", counted)
-        sol = solve_at_one(_make_system(eqs, "a"))
+        fas = named_system(eqs, "a")
+        sol = solve_at_one(fas)
         # Two steps and w', against 65 when it ran all 64 steps.
         assert len(calls) <= 4
-        assert sol.values[_v("a")] == sol.values[_v("b")] == Interval(F(0), F(1))
+        a_id, b_id = map(fas.names.index, "ab")
+        assert sol.values[a_id] == sol.values[b_id] == Interval(F(0), F(1))
         assert [c.paths for c in sol.components] == [("none",)]
         assert len(sol.diagnostics) == 1 and sol.diagnostics[0].startswith("inconclusive-width:")
         # The symmetric system lumps to y = 10 y^30 + 10, whose note names
         # both unknowns.
         eqs["a"] = ten * power(b, 30) + ten
-        sol = solve_at_one(_make_system(eqs, "a"))
-        assert sol.values[_v("a")] == sol.values[_v("b")] == Interval(F(0), F(1))
-        names = ", ".join(sorted(map(var_name, (_v("a"), _v("b")))))
-        assert sol.diagnostics == [f"no nonnegative fixpoint for {names}"]
+        sol = solve_at_one(named_system(eqs, "a"))
+        assert sol.values[a_id] == sol.values[b_id] == Interval(F(0), F(1))
+        assert sol.diagnostics == ["no nonnegative fixpoint for a, b"]
 
 
 # Reduced dyck_lossy: at z = 1, l = (1/4) l^2 + 1/4, so p_L = 2 - sqrt(3)
@@ -943,7 +935,7 @@ def _interval_fed(g_rule: str, paths: tuple[str, ...]):
     that G's component was solved twice, along `paths`."""
     fas = reachable(compile_scheme(parse(_INTERVAL_FED + g_rule)))
     sol = solve_at_one(fas)
-    (g,) = [v for v in fas.eqs if var_name(v).startswith("y[G;")]
+    (g,) = [v for v in fas.eqs if fas.names[v].startswith("y[G;")]
     assert [c.paths for c in sol.components if c.vids == (g,)] == [paths]
     return g, sol
 
@@ -962,9 +954,9 @@ class TestIntervalFedComponents:
         val = sol.values[g]
         assert isinstance(val, Interval)
         assert ((1 - val.lo) ** 2 + 1) ** 2 >= 3 >= ((1 - val.hi) ** 2 + 1) ** 2
-        notes = [n for n in sol.diagnostics if n.startswith(var_name(g))]
+        notes = [n for n in sol.diagnostics if n.startswith("y[G;([1]->1)]")]
         assert notes == [
-            f"{var_name(g)}: least fixpoint is irrational; certified to "
+            f"y[G;([1]->1)]: least fixpoint is irrational; certified to "
             f"width {val.width}"
         ]
 
@@ -975,7 +967,7 @@ class TestExpectedSteps:
         sol = solve_at_one(fas)
         value, d = expected_steps(fas, sol)
         assert value == 2 == d[fas.start]
-        assert list(d) == sorted(fas.eqs, key=var_name)
+        assert list(d) == sorted(fas.eqs, key=fas.names.__getitem__)
 
     def test_unit_expectation_zero(self):
         fas = _fas("unit")
@@ -986,7 +978,7 @@ class TestExpectedSteps:
         fas = _fas("randomwalk")
         value, u = expected_steps(fas, solve_at_one(fas))
         assert value == math.inf
-        assert list(u) == sorted(fas.eqs, key=var_name) and any(x != 0 for x in u.values())
+        assert list(u) == sorted(fas.eqs, key=fas.names.__getitem__) and any(x != 0 for x in u.values())
         # Scaled to 1 at its last nonzero entry in name order.
         assert [x for x in u.values() if x][-1] == 1
 
